@@ -31,7 +31,6 @@ from .observables import (
     cubic,
     moment_power,
     nonlinear_operator,
-    nonlinear_operator_with_residual,
     norm_functional,
     power_family,
     singular_inverse,

@@ -219,7 +219,8 @@ def inversion_trajectory(builder: Callable, psi0, t_end: float,
     """
     p: AtomFieldParams = builder.params
     r3_full = np.kron(atom_r3(p.n_levels), np.eye(p.field_dim))
-    traj = integrate_nls(builder, psi0, t_end, dt)
+    traj = integrate_nls(builder, psi0, t_end, dt,
+                         flow=builder.observable.analytic_gradient)
     amps = traj.amplitudes()
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     w = 2.0 * np.einsum("ti,ij,tj->t", amps.conj(), r3_full, amps).real / norms

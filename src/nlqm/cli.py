@@ -217,7 +217,7 @@ def _run_eigenfrequency(p):
         raise SchemaError("e_levels, eps_levels and state must have equal length")
     obs = bilinear(np.diag(e)) + moment_power(np.diag(eps.astype(complex)), 2)
     builder = lambda z: nonlinear_operator(obs, z)
-    traj = integrate_nls(builder, z0, p["t_end"], p["dt"])
+    traj = integrate_nls(builder, z0, p["t_end"], p["dt"], flow=obs.analytic_gradient)
     measured = eigenfrequencies(traj)
     n = float(np.vdot(z0, z0).real)
     avg = float(np.sum(eps * np.abs(z0) ** 2) / n)

@@ -44,7 +44,7 @@ from .observables import (
     wirtinger_gradient,
     nonlinear_operator,
 )
-from .dynamics import IntegrationError, Trajectory, integrate_nls
+from .dynamics import IntegrationError, Trajectory, _step_grid, integrate_nls
 
 __all__ = [
     "TelegraphParams",
@@ -156,20 +156,19 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
 
     op = None
     if h_sub.analytic_operator is not None:
+        # full = sum_r block_r (x) |u_r><u_r| (factors swapped for slot 1),
+        # contracted over r in one einsum.
+        layout = "rab,lr,mr->albm" if sub_slot == 0 else "rab,lr,mr->lamb"
+        uc = u.conj()
+
         def op(z):
             z = np.asarray(z, dtype=complex)
-            sl = slices(z)
-            full = np.zeros((dim_total, dim_total), dtype=complex)
-            for r, phi in enumerate(sl):
+            blocks = np.zeros((d_rest, d_sub, d_sub), dtype=complex)
+            for r, phi in enumerate(slices(z)):
                 if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
                     continue
-                block = np.asarray(h_sub.analytic_operator(phi), dtype=complex)
-                proj = np.outer(u[:, r], u[:, r].conj())
-                if sub_slot == 0:
-                    full += np.kron(block, proj)
-                else:
-                    full += np.kron(proj, block)
-            return full
+                blocks[r] = h_sub.analytic_operator(phi)
+            return np.einsum(layout, blocks, u, uc).reshape(dim_total, dim_total)
 
     return HomogeneousObservable(
         evaluator=value,
@@ -318,8 +317,7 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     def rhs(r):
         return -2j * coeff(r) * (eh @ r - r @ eh)
 
-    nsteps = max(1, int(round(t_end / dt)))
-    dt_eff = t_end / nsteps
+    nsteps, dt_eff = _step_grid(t_end, dt)
     times = np.empty(nsteps + 1)
     out = np.empty((nsteps + 1, d, d), dtype=complex)
     consts0 = None
@@ -441,7 +439,7 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
              + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
     builder = lambda z: nonlinear_operator(total, z)
     t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
-    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt)
+    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
     signal = np.array([_local_average(s.amplitudes, sigma2, keep=1)
                        for s in traj.states])
     amp, w, _ = _fit_sinusoid(traj.times, signal)
@@ -473,7 +471,7 @@ def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> Tele
     total = weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1)
     builder = lambda z: nonlinear_operator(total, z)
     t0 = np.stack([phi, phi_perp]) / np.sqrt(2.0)
-    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt)
+    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
     signal = np.array([_local_average(s.amplitudes, sigma2, keep=0)
                        for s in traj.states])
     amp, w, _ = _fit_sinusoid(traj.times, signal)
@@ -529,8 +527,12 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
 
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
     rotated = rotate_subsystem(StateVector(singlet, dims=(2, 2)), u, slot=0)
-    traj_a = integrate_nls(builder, singlet, t_end, dt)
-    traj_b = integrate_nls(builder, rotated.amplitudes, t_end, dt)
+    # Every builder here satisfies M(psi) psi = dH/dpsibar (the
+    # gradient_flow_operator completion by construction), so the RK4 stages
+    # can take the gradient directly.
+    flow = total.analytic_gradient
+    traj_a = integrate_nls(builder, singlet, t_end, dt, flow=flow)
+    traj_b = integrate_nls(builder, rotated.amplitudes, t_end, dt, flow=flow)
     devs = np.empty(traj_a.times.size)
     for i, (sa, sb) in enumerate(zip(traj_a.states, traj_b.states)):
         ra = partial_trace(StateVector(sa.amplitudes, dims=(2, 2)), keep=1).entries
@@ -605,8 +607,7 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     def rhs(r):
         return -2j * f * xval(r) * (sigma1 @ r - r @ sigma1)
 
-    nsteps = max(1, int(round(t_end / dt)))
-    dt_eff = t_end / nsteps
+    nsteps, dt_eff = _step_grid(t_end, dt)
     times = np.linspace(0.0, t_end, nsteps + 1)
     s3_series = np.empty(nsteps + 1)
     for step in range(nsteps + 1):

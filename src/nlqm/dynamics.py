@@ -64,8 +64,26 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(getattr(h, "entries", h), dtype=complex)
 
 
+def _step_grid(t_end: float, dt: float, min_steps: int = 1):
+    """Fixed RK4 step grid ``(nsteps, dt_eff)`` that lands exactly on t_end.
+
+    ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and ``min_steps`` for
+    t_end = 0; ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
+    :class:`ValidationError` unless dt is finite and positive, t_end is
+    finite and nonnegative, and their ratio is finite.
+    """
+    dt, t_end = float(dt), float(t_end)
+    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
+            and np.isfinite(t_end / dt)):
+        raise ValidationError(
+            f"need finite dt > 0 and finite t_end >= 0 (got dt = {dt:g}, t_end = {t_end:g})")
+    nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else min_steps
+    return nsteps, (t_end / nsteps if nsteps else 0.0)
+
+
 def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None,
-                  record: Optional[dict] = None) -> Trajectory:
+                  record: Optional[dict] = None, *,
+                  flow: Optional[Callable] = None) -> Trajectory:
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
     ``hbuilder`` maps an amplitude vector to a Hermitian matrix (ndarray or
@@ -75,17 +93,28 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     drift against a budget proportional to the step count; violations raise
     :class:`IntegrationError` rather than silently renormalizing.
 
+    ``flow`` maps an amplitude vector z to the product ``hbuilder(z) @ z``,
+    i.e. the Wirtinger gradient dH/dpsibar of the energy functional (for a
+    :class:`HomogeneousObservable`, its ``analytic_gradient``).  When given,
+    the RK4 stages k2-k4 call ``flow`` instead of building the d x d matrix,
+    and ``hbuilder`` runs exactly once per accepted step (nsteps + 1 times):
+    that build feeds k1, the hermiticity monitor and the ``hvalue`` record.
+    The contract is ``flow(z) == hbuilder(z) @ z`` up to roundoff; it is not
+    checked.  Omitted, ``flow`` defaults to ``hbuilder(z) @ z``.
+
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
     step including t = 0.
     """
     z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     if dt is None:
         dt = default_timestep(hbuilder, z0)
-    if dt <= 0 or t_end < 0:
-        raise ValidationError("need dt > 0 and t_end >= 0")
-    nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
-    dt_eff = t_end / nsteps if nsteps else 0.0
+    nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0)
     budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
+    if flow is None:
+        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
+
+    def rhs(zv):
+        return -1j * np.asarray(flow(zv), dtype=complex)
 
     extra = record or {}
     names = ["norm", "hvalue"] + list(extra)
@@ -94,10 +123,6 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     states = []
     z = np.array(z0, dtype=complex)
     n0 = float(np.vdot(z, z).real)
-
-    def rhs(zv):
-        h = _as_matrix(hbuilder(zv))
-        return h, -1j * (h @ zv)
 
     t = 0.0
     for step in range(nsteps + 1):
@@ -114,16 +139,17 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
                 f"at t = {t:g}; reduce dt")
         times[step] = t
         states.append(StateVector(z))
+        hz = h_here @ z
         rec["norm"].append(norm)
-        rec["hvalue"].append(float(np.vdot(z, h_here @ z).real))
+        rec["hvalue"].append(float(np.vdot(z, hz).real))
         for name, f in extra.items():
             rec[name].append(float(f(t, z)))
         if step == nsteps:
             break
-        k1 = (-1j) * (h_here @ z)
-        _, k2 = rhs(z + 0.5 * dt_eff * k1)
-        _, k3 = rhs(z + 0.5 * dt_eff * k2)
-        _, k4 = rhs(z + dt_eff * k3)
+        k1 = (-1j) * hz
+        k2 = rhs(z + 0.5 * dt_eff * k1)
+        k3 = rhs(z + 0.5 * dt_eff * k2)
+        k4 = rhs(z + dt_eff * k3)
         z = z + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = (step + 1) * dt_eff
         if not np.all(np.isfinite(z)):
@@ -218,8 +244,7 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
     r = np.asarray(r0, dtype=float).copy()
     if r.shape != (3,):
         raise ValidationError("Bloch state must be a 3-vector (u, v, w)")
-    nsteps = max(1, int(round(t_end / dt)))
-    dt_eff = t_end / nsteps
+    nsteps, dt_eff = _step_grid(t_end, dt)
     cap = 4.0 * float(np.dot(r, r)) + 1.0
     times = np.empty(nsteps + 1)
     out = np.empty((nsteps + 1, 3))

@@ -39,7 +39,6 @@ __all__ = [
     "SingularObservableError",
     "wirtinger_gradient",
     "nonlinear_operator",
-    "nonlinear_operator_with_residual",
     "star_product",
     "barstar_moment",
     "norm_functional",
@@ -215,11 +214,11 @@ def _hessian_from_values(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarra
     return out
 
 
-def nonlinear_operator_with_residual(obs: HomogeneousObservable, psi):
-    """Assemble the Hessian matrix and report its pre-symmetrization residual.
+def nonlinear_operator(obs: HomogeneousObservable, psi) -> HermitianOperator:
+    """The Hermitian matrix ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
 
-    Returns ``(HermitianOperator, residual)``; raises when the residual
-    exceeds the 1e-8 gate (genuine non-Hermiticity is a bug, not noise).
+    Raises when the pre-symmetrization residual exceeds the 1e-8 gate
+    (genuine non-Hermiticity is a bug, not noise).
     """
     z = _unwrap(psi)
     if obs.analytic_operator is not None:
@@ -232,12 +231,7 @@ def nonlinear_operator_with_residual(obs: HomogeneousObservable, psi):
     if resid > HERMITICITY_GATE:
         raise ValidationError(
             f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid:.3e}")
-    return HermitianOperator((m + m.conj().T) / 2.0), resid
-
-
-def nonlinear_operator(obs: HomogeneousObservable, psi) -> HermitianOperator:
-    """The Hermitian matrix ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``."""
-    return nonlinear_operator_with_residual(obs, psi)[0]
+    return HermitianOperator((m + m.conj().T) / 2.0)
 
 
 def star_product(a: HomogeneousObservable, b: HomogeneousObservable, psi) -> complex:

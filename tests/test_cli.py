@@ -162,6 +162,32 @@ def test_scenario_runtime_error_is_reported(tmp_path):
     assert "fixed point" in rep["error"]
 
 
+def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path):
+    inf = float("inf")
+    bad = [
+        {"experiment": "bloch-neoclassical", "name": "bloch-dt-zero", "dt": 0},
+        {"experiment": "bloch-neoclassical", "name": "bloch-dt-negative", "dt": -0.01},
+        {"experiment": "bloch-neoclassical", "name": "bloch-t-inf", "t_end": inf},
+        {"experiment": "intention-paradox", "name": "intention-dt-zero", "dt": 0},
+        {"experiment": "intention-paradox", "name": "intention-dt-negative", "dt": -0.01},
+        {"experiment": "intention-paradox", "name": "intention-t-inf", "t": inf},
+        {"experiment": "reduced-flow-variants", "name": "reduced-dt-zero", "dt": 0},
+        {"experiment": "reduced-flow-variants", "name": "reduced-dt-negative", "dt": -0.01},
+        {"experiment": "reduced-flow-variants", "name": "reduced-t-inf", "t_end": inf},
+        {"experiment": "eigenfrequency", "name": "wave-t-inf", "t_end": inf,
+         "e_levels": [0.0, 1.0], "eps_levels": [0.5, -0.5], "state": [0.8, [0.0, 0.6]]},
+    ]
+    good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
+    # json.dumps writes inf as the token Infinity, which json.load reads back
+    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
+    out = tmp_path / "out"
+    for sc in bad:
+        rep = json.loads((out / f"{sc['name']}.report.json").read_text())
+        assert rep["passed"] is False, sc["name"]
+        assert "dt > 0" in rep["error"], sc["name"]
+    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("NLQM_OUT", str(target))

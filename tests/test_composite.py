@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import nlqm
+from nlqm.composite import SLICE_FLOOR
 from nlqm import (
     DensityMatrix,
     HomogeneousObservable,
@@ -89,6 +90,45 @@ def test_weinberg_composite_with_a_generic_basis(rng):
     # the value genuinely depends on the spectator basis
     obs_id = weinberg_composite(canonical(0.3, 1.1, 0.4), 2, 3, np.eye(3), sub_slot=0)
     assert abs(obs.value(z) - obs_id.value(z)) > 1e-3
+
+
+def _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z):
+    """Reference assembly: one kron(block, projector) per populated slice."""
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    t = z.reshape(dims)
+    slices = (t @ u.conj()).T if sub_slot == 0 else u.conj().T @ t
+    full = np.zeros((z.size, z.size), dtype=complex)
+    for r, phi in enumerate(slices):
+        if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
+            continue
+        block = np.asarray(h_sub.analytic_operator(phi), dtype=complex)
+        proj = np.outer(u[:, r], u[:, r].conj())
+        full += np.kron(block, proj) if sub_slot == 0 else np.kron(proj, block)
+    return full
+
+
+@pytest.mark.parametrize("sub_slot", [0, 1])
+@pytest.mark.parametrize("d_sub, d_rest", [(2, 3), (3, 2)])
+def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
+    a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    h_sub = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
+    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    # build the state from its slices so that the last one sits below the floor
+    phis = _rand(rng, d_rest * d_sub).reshape(d_rest, d_sub)
+    phis[-1] = 1e-8 * phis[-1]
+    t = phis.T @ u.T if sub_slot == 0 else u @ phis
+    z = t.reshape(-1)
+    got = np.asarray(obs.analytic_operator(z))
+    npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
+                        rtol=0, atol=1e-14)
+    # the starved slice really was skipped: its block would not vanish
+    starved = np.zeros((d_rest, d_sub), dtype=complex)
+    starved[-1] = phis[-1]
+    skipped = (starved.T @ u.T if sub_slot == 0 else u @ starved).reshape(-1)
+    assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
+    assert np.max(np.abs(h_sub.analytic_operator(phis[-1]))) > 0.1
 
 
 def test_weinberg_composite_rejects_non_unitary_basis():

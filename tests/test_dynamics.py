@@ -8,19 +8,25 @@ from hypothesis import given, settings, strategies as st
 
 import nlqm
 from nlqm import (
+    AtomFieldParams,
     BlochParams,
     IntegrationError,
     ValidationError,
     bilinear,
+    build_atom_field,
+    canonical,
     canonical_solution,
     default_timestep,
     ellipk,
+    gradient_flow_operator,
     integrate_bloch,
     integrate_nls,
     jacobi_elliptic,
     moment_power,
     neo_hamiltonian,
     nonlinear_operator,
+    polchinski_functional,
+    weinberg_composite,
 )
 
 modulus_strategy = st.floats(0.0, 0.99, allow_nan=False)
@@ -73,21 +79,112 @@ def test_default_timestep_resolves_the_fastest_scale():
 
 def test_non_hermitian_builder_is_rejected():
     builder = lambda z: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(IntegrationError, match="[Hh]ermitian"):
-        integrate_nls(builder, np.array([1.0, 0.0j]), t_end=1.0, dt=0.1)
+    for flow in (None, lambda z: builder(z) @ z):
+        with pytest.raises(IntegrationError, match="[Hh]ermitian"):
+            integrate_nls(builder, np.array([1.0, 0.0j]), t_end=1.0, dt=0.1, flow=flow)
 
 
 def test_norm_drift_budget_aborts_unstable_steps():
     # dt far outside the RK4 stability region for |eig| = 40
     builder = lambda z: np.diag([40.0, -40.0]).astype(complex)
-    with pytest.raises(IntegrationError, match="norm drift|blew up"):
-        integrate_nls(builder, np.array([1.0, 1.0j]) / np.sqrt(2.0), t_end=40.0, dt=0.5)
+    for flow in (None, lambda z: builder(z) @ z):
+        with pytest.raises(IntegrationError, match="norm drift|blew up"):
+            integrate_nls(builder, np.array([1.0, 1.0j]) / np.sqrt(2.0), t_end=40.0,
+                          dt=0.5, flow=flow)
 
 
 def test_validation_of_step_arguments():
+    # one step-grid check guards all four RK4 loops
+    z0 = np.array([1.0, 0.0j])
     builder = _diagonal_builder([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValidationError):
-        integrate_nls(builder, np.array([1.0, 0.0j]), t_end=1.0, dt=-0.1)
+    for t_end, dt in ((1.0, -0.1), (1.0, 0.0), (np.inf, 0.1), (1.0, np.nan),
+                      (-1.0, 0.1), (1.0, 1e-320)):
+        with pytest.raises(ValidationError):
+            integrate_nls(builder, z0, t_end, dt)
+        with pytest.raises(ValidationError):
+            integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0], t_end, dt)
+        with pytest.raises(ValidationError):
+            nlqm.polchinski_reduced_flow("plain", nlqm.sigma3, np.diag([0.75, 0.25]),
+                                         t_end, dt)
+        with pytest.raises(ValidationError):
+            nlqm.intention_paradox(nlqm.ParadoxParams(0.5, 0.5, 1.0, t_end), dt)
+
+
+def test_step_counts_are_unchanged_on_valid_grids():
+    z0 = np.array([1.0, 0.0j])
+    builder = _diagonal_builder([0.0, 1.0], [0.0, 0.0])
+    for t_end, dt, steps in ((1.0, 0.1, 10), (1.0, 0.3, 3), (0.01, 0.1, 1)):
+        assert integrate_nls(builder, z0, t_end, dt).times.size == steps + 1
+        assert integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0],
+                               t_end, dt).times.size == steps + 1
+    # t_end = 0: the wave flow takes no step, the other loops one of size 0
+    assert integrate_nls(builder, z0, 0.0, 0.1).times.size == 1
+    assert integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0], 0.0, 0.1).times.size == 2
+
+
+# ---------------------------------------------------------------------------
+# Gradient-driven RK4 stages against the operator-driven reference
+
+
+FLOW_CASES = ("atom-linear", "atom-polchinski", "atom-weinberg-fock", "gisin-slice-sum",
+              "moment-pair-plain", "moment-pair-purity", "eigenfrequency-diagonal")
+
+
+def _flow_case(name):
+    """(builder, observable, dimension) for each builder kind the library integrates."""
+    if name.startswith("atom-"):
+        p = AtomFieldParams(omega_levels=(0.0, 1.0, 0.6), eps_levels=(-0.5, 0.5, 0.2),
+                            omega=1.0, q=1.0, n_max=3)
+        builder = build_atom_field(name[len("atom-"):], p)
+        return builder, builder.observable, p.n_levels * p.field_dim
+    if name == "eigenfrequency-diagonal":
+        obs = (bilinear(np.diag([0.0, 1.0, 0.4]).astype(complex))
+               + moment_power(np.diag([0.5, -0.5, 0.1]).astype(complex), 2))
+        return (lambda z: nonlinear_operator(obs, z)), obs, 3
+    pair = {
+        "gisin-slice-sum": lambda: weinberg_composite(canonical(0.1, 0.1, 0.3), 2, 2,
+                                                      np.eye(2), sub_slot=1),
+        "moment-pair-plain": lambda: polchinski_functional(0.5, nlqm.sigma3, (2, 2),
+                                                           variant="plain", eps=0.3),
+        "moment-pair-purity": lambda: polchinski_functional(0.5, nlqm.sigma3, (2, 2),
+                                                            variant="purity-weighted", eps=0.3),
+    }[name]()
+    obs = bilinear(0.2 * np.eye(4)) + pair
+    if name == "moment-pair-purity":
+        return gradient_flow_operator(obs), obs, 4
+    return (lambda z: nonlinear_operator(obs, z)), obs, 4
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_flow_path_matches_the_operator_path(case, rng):
+    builder, obs, dim = _flow_case(case)
+    z0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    z0 /= np.linalg.norm(z0)
+    ref = integrate_nls(builder, z0, t_end=1.0, dt=0.005)
+    fast = integrate_nls(builder, z0, t_end=1.0, dt=0.005, flow=obs.analytic_gradient)
+    assert ref.times.size == fast.times.size == 201
+    dev = np.max(np.abs(ref.amplitudes() - fast.amplitudes()))
+    assert dev < 1e-12, f"{case}: states differ by {dev:.3e}"
+    for key in ("norm", "hvalue"):
+        npt.assert_allclose(fast.recorded[key], ref.recorded[key], rtol=0, atol=1e-12)
+
+
+def test_flow_path_builds_the_operator_once_per_step():
+    builder, obs, dim = _flow_case("atom-weinberg-fock")
+    calls = []
+
+    def counted(z):
+        calls.append(1)
+        return builder(z)
+
+    z0 = np.zeros(dim, dtype=complex)
+    z0[1] = 1.0
+    nsteps = 200
+    integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005, flow=obs.analytic_gradient)
+    assert len(calls) == nsteps + 1
+    calls.clear()
+    integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005)
+    assert len(calls) == 4 * nsteps + 1
 
 
 # ---------------------------------------------------------------------------
