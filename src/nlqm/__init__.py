@@ -16,6 +16,7 @@ from .core import (
     expectation,
     identity2,
     partial_trace,
+    reduced_states,
     rotate_subsystem,
     sigma1,
     sigma2,
@@ -41,7 +42,6 @@ from .observables import (
 from .spectra import (
     EigenstateRecord,
     MomentProbabilities,
-    SpectrumReport,
     diagonal_values,
     eigenfrequencies,
     find_eigenstates,

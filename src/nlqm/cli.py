@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, sigma3
+from .core import ValidationError, sigma1, sigma2, sigma3
 from .observables import (
     SingularObservableError,
     bilinear,
@@ -381,13 +381,10 @@ def _run_bloch(p):
         ph = np.arctan2(r0[1], r0[0])
         psi0 = np.array([np.cos(th / 2.0),
                          np.sin(th / 2.0) * np.exp(1j * ph)], dtype=complex)
-        base = 0.5 * (p["delta"] * sigma3
-                      - p["omega"] * np.array([[0, 1], [1, 0]], dtype=complex))
+        base = 0.5 * (p["delta"] * sigma3 - p["omega"] * sigma1)
         wb = neo_hamiltonian(p["a"], p["eps"], base)
         wtraj = integrate_nls(wb, psi0, p["t_end"], p["dt"])
-        paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
-                  np.array([[0, -1j], [1j, 0]], dtype=complex),
-                  sigma3)
+        paulis = (sigma1, sigma2, sigma3)
         amps = wtraj.amplitudes()
         norms = np.sum(np.abs(amps) ** 2, axis=1)
         rw = np.stack([np.einsum("ti,ij,tj->t", amps.conj(), s, amps).real / norms
@@ -569,6 +566,12 @@ def _out_dir(arg) -> str:
     return os.path.join(".", "nlqm-out")
 
 
+# Failures a scenario's inputs can cause.  Any other exception fails its
+# scenario too, and also prints its traceback to stderr.
+_EXPECTED_ERRORS = (ValidationError, IntegrationError, SingularObservableError,
+                    SchemaError, np.linalg.LinAlgError)
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -632,9 +635,13 @@ def _cmd_run(args) -> int:
                   "params": {k: _jsonable(v) for k, v in params.items()}}
         try:
             header, rows, metrics, passed = runner(params)
-        except (ValidationError, IntegrationError, SingularObservableError,
-                SchemaError, np.linalg.LinAlgError) as e:
+        except Exception as e:  # one failed scenario never stops the run
+            if not isinstance(e, _EXPECTED_ERRORS):
+                import traceback  # only on this path: it adds to every start-up
+
+                traceback.print_exc(file=sys.stderr)
             report["passed"] = False
+            report["error_type"] = type(e).__name__
             report["error"] = str(e)
             _write_report(os.path.join(out, f"{name}.report.json"), report)
             print(f"{name}: FAIL ({exp}) — {e}")

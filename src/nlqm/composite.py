@@ -29,7 +29,7 @@ from .core import (
     DensityMatrix,
     StateVector,
     ValidationError,
-    partial_trace,
+    reduced_states,
     rotate_subsystem,
     sigma1,
     sigma2,
@@ -111,7 +111,9 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     gradient re-embeds the slice gradients through the basis, and the
     state-dependent operator is the basis-conjugated direct sum of slice
     operators.  Slices carrying squared norm below ``SLICE_FLOOR`` contribute
-    nothing (value, gradient and operator alike).
+    nothing (value, gradient and operator alike).  The gradient and operator
+    pass all remaining slices to ``h_sub`` as one batch
+    (:meth:`HomogeneousObservable.gradient_batch`, ``operator_batch``).
 
     With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
     dependence on ``rest_basis`` is the whole point: it is what
@@ -129,6 +131,11 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             return (t @ u.conj()).T          # row r -> Phi_r (length d_sub)
         return u.conj().T @ t                # row r -> Phi_r
 
+    def live_slices(z):
+        """The slices and the mask of those at or above the floor."""
+        sl = slices(np.asarray(z, dtype=complex))
+        return sl, np.real(np.sum(sl.conj() * sl, axis=1)) >= SLICE_FLOOR
+
     def value(z, zc):
         z = np.asarray(z, dtype=complex)
         if z.shape != (dim_total,):
@@ -143,13 +150,10 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     grad = None
     if h_sub.analytic_gradient is not None:
         def grad(z):
-            z = np.asarray(z, dtype=complex)
-            sl = slices(z)
+            sl, live = live_slices(z)
             gm = np.zeros((d_rest, d_sub), dtype=complex)
-            for r, phi in enumerate(sl):
-                if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
-                    continue
-                gm[r] = h_sub.analytic_gradient(phi)
+            if np.any(live):
+                gm[live] = h_sub.gradient_batch(sl[live])
             if sub_slot == 0:
                 return (gm.T @ u.T).reshape(-1)
             return (u @ gm).reshape(-1)
@@ -162,12 +166,10 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         uc = u.conj()
 
         def op(z):
-            z = np.asarray(z, dtype=complex)
+            sl, live = live_slices(z)
             blocks = np.zeros((d_rest, d_sub, d_sub), dtype=complex)
-            for r, phi in enumerate(slices(z)):
-                if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
-                    continue
-                blocks[r] = h_sub.analytic_operator(phi)
+            if np.any(live):
+                blocks[live] = h_sub.operator_batch(sl[live])
             return np.einsum(layout, blocks, u, uc).reshape(dim_total, dim_total)
 
     return HomogeneousObservable(
@@ -413,10 +415,11 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     return float(np.hypot(sol[0], sol[1])), float(w), float(sol[2])
 
 
-def _local_average(z: np.ndarray, op: np.ndarray, keep: int) -> float:
-    rho = partial_trace(StateVector(z, dims=(2, 2)), keep=keep)
-    tr = float(np.trace(rho.entries).real)
-    return float(np.trace(rho.entries @ op).real) / tr
+def _local_average(traj: Trajectory, op: np.ndarray, keep: int) -> np.ndarray:
+    """Normalized <op> of pair factor ``keep`` at every sample of ``traj``."""
+    rho = reduced_states(traj.amplitudes(), (2, 2), keep)
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    return np.einsum("tkl,lk->t", rho, op).real / tr
 
 
 def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> TelegraphReport:
@@ -440,8 +443,7 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
     builder = lambda z: nonlinear_operator(total, z)
     t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
     traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
-    signal = np.array([_local_average(s.amplitudes, sigma2, keep=1)
-                       for s in traj.states])
+    signal = _local_average(traj, sigma2, keep=1)
     amp, w, _ = _fit_sinusoid(traj.times, signal)
     return TelegraphReport(
         times=traj.times,
@@ -472,8 +474,7 @@ def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> Tele
     builder = lambda z: nonlinear_operator(total, z)
     t0 = np.stack([phi, phi_perp]) / np.sqrt(2.0)
     traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
-    signal = np.array([_local_average(s.amplitudes, sigma2, keep=0)
-                       for s in traj.states])
+    signal = _local_average(traj, sigma2, keep=0)
     amp, w, _ = _fit_sinusoid(traj.times, signal)
     return TelegraphReport(
         times=traj.times,
@@ -533,11 +534,9 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     flow = total.analytic_gradient
     traj_a = integrate_nls(builder, singlet, t_end, dt, flow=flow)
     traj_b = integrate_nls(builder, rotated.amplitudes, t_end, dt, flow=flow)
-    devs = np.empty(traj_a.times.size)
-    for i, (sa, sb) in enumerate(zip(traj_a.states, traj_b.states)):
-        ra = partial_trace(StateVector(sa.amplitudes, dims=(2, 2)), keep=1).entries
-        rb = partial_trace(StateVector(sb.amplitudes, dims=(2, 2)), keep=1).entries
-        devs[i] = float(np.max(np.abs(ra - rb)))
+    ra = reduced_states(traj_a.amplitudes(), (2, 2), keep=1)
+    rb = reduced_states(traj_b.amplitudes(), (2, 2), keep=1)
+    devs = np.max(np.abs(ra - rb), axis=(1, 2))
     return NoSignalingReport(
         description=description,
         times=traj_a.times,

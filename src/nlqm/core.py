@@ -29,6 +29,7 @@ __all__ = [
     "HermitianOperator",
     "tensor_state",
     "partial_trace",
+    "reduced_states",
     "rotate_subsystem",
     "expectation",
     "basis_state",
@@ -107,6 +108,31 @@ class StateVector:
         return self.amplitudes.reshape(self.dims)
 
 
+def _checked_density(values, stacked: bool = False) -> np.ndarray:
+    """The density-matrix checks, on one matrix or on each matrix of a stack.
+
+    Finite entries, square shape (``(d, d)``, or ``(T, d, d)`` when
+    ``stacked``), hermiticity within 1e-12, a real positive trace and a
+    smallest eigenvalue of at least -1e-10 (one batched ``eigvalsh``).
+    Returns the validated complex array (a fresh copy).
+    """
+    m = _as_complex_array(values, "entries")
+    if m.ndim != (3 if stacked else 2) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+    resid = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+    if resid > HERMITICITY_TOL:
+        raise ValidationError(f"density matrix not Hermitian: max |rho - rho^dag| = {resid:.3e}")
+    tr = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    bad = (np.abs(tr.imag) > HERMITICITY_TOL) | (tr.real <= 0.0)
+    if np.any(bad):
+        raise ValidationError("density matrix trace must be real and positive, "
+                              f"got {complex(tr[bad][0])}")
+    lo = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+    if lo < -POSITIVITY_TOL:
+        raise ValidationError(f"density matrix not positive: min eigenvalue = {lo:.3e}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian positive matrix with tensor-factor dimensions."""
@@ -115,18 +141,7 @@ class DensityMatrix:
     dims: tuple = ()
 
     def __post_init__(self):
-        m = _as_complex_array(self.entries, "entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        resid = float(np.max(np.abs(m - m.conj().T)))
-        if resid > HERMITICITY_TOL:
-            raise ValidationError(f"density matrix not Hermitian: max |rho - rho^dag| = {resid:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr.imag) > HERMITICITY_TOL or tr.real <= 0.0:
-            raise ValidationError(f"density matrix trace must be real and positive, got {tr}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -POSITIVITY_TOL:
-            raise ValidationError(f"density matrix not positive: min eigenvalue = {lo:.3e}")
+        m = _checked_density(self.entries)
         dims = _normalize_dims(self.dims, m.shape[0])
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -219,6 +234,30 @@ def partial_trace(state: Union[StateVector, DensityMatrix], keep: int) -> Densit
         if j < pos:
             pos -= 1
     return DensityMatrix(t, (remaining[0],))
+
+
+def reduced_states(amplitudes, dims, keep: int) -> np.ndarray:
+    """Reduced density matrices of factor ``keep`` along a stack of pure pairs.
+
+    ``amplitudes`` has shape ``(T, d0*d1)`` (for instance a trajectory's
+    samples) and ``dims = (d0, d1)``.  Returns the ``(T, dk, dk)`` stack
+    ``rho_t = Tr_other |psi_t><psi_t|``, each matrix of which passes the same
+    checks as a :class:`DensityMatrix`; the array is read-only.  Equal to
+    :func:`partial_trace` applied sample by sample.
+    """
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 2 or min(dims) <= 0:
+        raise ValidationError(f"reduced_states needs two positive factor dims, got {dims}")
+    if keep not in (0, 1):
+        raise ValidationError(f"keep index {keep} out of range for 2 factors")
+    z = np.asarray(amplitudes, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != dims[0] * dims[1]:
+        raise ValidationError(f"amplitude stack of shape {z.shape} does not fit dims {dims}")
+    t = z.reshape(z.shape[0], *dims)
+    layout = "tkm,tlm->tkl" if keep == 0 else "tmk,tml->tkl"
+    rho = _checked_density(np.einsum(layout, t, t.conj()), stacked=True)
+    rho.flags.writeable = False
+    return rho
 
 
 def rotate_subsystem(state, u, slot: int):

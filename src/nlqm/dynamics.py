@@ -14,7 +14,7 @@ needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,27 +37,51 @@ __all__ = [
 
 HERMITICITY_STEP_TOL = 1e-8
 NORM_DRIFT_PER_STEP = 1e-6
+MAX_STEPS = 1_000_000
 
 
 class IntegrationError(RuntimeError):
     """Integration left its validity envelope (drift, hermiticity, blow-up)."""
 
 
-@dataclass
 class Trajectory:
     """Sampled solution of the nonlinear flow.
+
+    The samples are one complex array of shape ``(len(times), d)``, row k the
+    amplitudes at ``times[k]``.  :meth:`amplitudes` returns that array itself,
+    read-only; ``states`` builds a :class:`StateVector` per row on demand.
+    Construct from ``amplitudes=`` (the array is taken over without a copy
+    and made read-only) or, equivalently, from a list of ``states``.  Either
+    way every entry must be finite.
 
     ``recorded`` always carries ``norm`` (squared norm) and ``hvalue`` (the
     energy functional's value) sampled at every accepted step, plus any
     user-supplied recorder outputs.
     """
 
-    times: np.ndarray
-    states: list
-    recorded: dict = field(default_factory=dict)
+    def __init__(self, times, states=None, recorded=None, *, amplitudes=None):
+        if (states is None) == (amplitudes is None):
+            raise ValidationError("give exactly one of states and amplitudes")
+        if amplitudes is None:
+            amplitudes = np.stack([s.amplitudes for s in states])
+        amps = np.asarray(amplitudes, dtype=complex)
+        self.times = np.asarray(times, dtype=float)
+        if amps.ndim != 2 or amps.shape[0] != self.times.size or amps.shape[1] == 0:
+            raise ValidationError(f"amplitudes of shape {amps.shape} do not fit "
+                                  f"{self.times.size} sample times")
+        if not np.all(np.isfinite(amps)):
+            raise ValidationError("amplitudes contain non-finite entries")
+        amps.flags.writeable = False
+        self._amplitudes = amps
+        self.recorded = {} if recorded is None else recorded
 
     def amplitudes(self) -> np.ndarray:
-        return np.stack([s.amplitudes for s in self.states])
+        """The ``(len(times), d)`` sample array, read-only and not copied."""
+        return self._amplitudes
+
+    @property
+    def states(self) -> list:
+        return [StateVector(z) for z in self._amplitudes]
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -70,7 +94,8 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1):
     ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and ``min_steps`` for
     t_end = 0; ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
     :class:`ValidationError` unless dt is finite and positive, t_end is
-    finite and nonnegative, and their ratio is finite.
+    finite and nonnegative, their ratio is finite and the grid has at most
+    ``MAX_STEPS`` steps (each loop preallocates its samples).
     """
     dt, t_end = float(dt), float(t_end)
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
@@ -78,6 +103,10 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1):
         raise ValidationError(
             f"need finite dt > 0 and finite t_end >= 0 (got dt = {dt:g}, t_end = {t_end:g})")
     nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else min_steps
+    if nsteps > MAX_STEPS:
+        raise ValidationError(
+            f"step grid of {nsteps:.3g} steps exceeds the cap of {MAX_STEPS:,} "
+            f"(dt = {dt:g}, t_end = {t_end:g})")
     return nsteps, (t_end / nsteps if nsteps else 0.0)
 
 
@@ -104,8 +133,13 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
 
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
     step including t = 0.
+
+    ``psi0`` is validated once as a :class:`StateVector`; every accepted step
+    is written into one preallocated ``(nsteps + 1, d)`` array, which the
+    returned :class:`Trajectory` holds, and the per-step blow-up check keeps
+    every row finite.
     """
-    z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    z0 = (psi0 if isinstance(psi0, StateVector) else StateVector(psi0)).amplitudes
     if dt is None:
         dt = default_timestep(hbuilder, z0)
     nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0)
@@ -117,11 +151,10 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         return -1j * np.asarray(flow(zv), dtype=complex)
 
     extra = record or {}
-    names = ["norm", "hvalue"] + list(extra)
-    rec = {name: [] for name in names}
+    rec = {name: np.empty(nsteps + 1) for name in ["norm", "hvalue", *extra]}
     times = np.empty(nsteps + 1)
-    states = []
-    z = np.array(z0, dtype=complex)
+    amps = np.empty((nsteps + 1, z0.size), dtype=complex)
+    z = np.array(z0)
     n0 = float(np.vdot(z, z).real)
 
     t = 0.0
@@ -138,12 +171,12 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
                 f"norm drift {abs(norm - n0):.3e} exceeded budget {budget:.3e} "
                 f"at t = {t:g}; reduce dt")
         times[step] = t
-        states.append(StateVector(z))
+        amps[step] = z
         hz = h_here @ z
-        rec["norm"].append(norm)
-        rec["hvalue"].append(float(np.vdot(z, hz).real))
+        rec["norm"][step] = norm
+        rec["hvalue"][step] = float(np.vdot(z, hz).real)
         for name, f in extra.items():
-            rec[name].append(float(f(t, z)))
+            rec[name][step] = float(f(t, z))
         if step == nsteps:
             break
         k1 = (-1j) * hz
@@ -155,8 +188,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         if not np.all(np.isfinite(z)):
             raise IntegrationError(f"solution blew up at t = {t:g}")
 
-    return Trajectory(times=times, states=states,
-                      recorded={k: np.asarray(v) for k, v in rec.items()})
+    return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
 
 def default_timestep(hbuilder: Callable, psi0) -> float:
@@ -181,9 +213,9 @@ def canonical_solution(e_levels, eps_levels, psi0, times) -> Trajectory:
     avg = float(np.sum(eps * np.abs(z0) ** 2) / n)
     omega = e + 2.0 * avg * eps - avg ** 2
     times = np.asarray(times, dtype=float)
-    states = [StateVector(z0 * np.exp(-1j * omega * t)) for t in times]
+    amps = z0 * np.exp(-1j * omega * times[:, None])
     norms = np.full(times.shape, n)
-    return Trajectory(times=times, states=states, recorded={"norm": norms})
+    return Trajectory(times=times, amplitudes=amps, recorded={"norm": norms})
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,19 @@ class HomogeneousObservable:
     Parameters
     ----------
     evaluator:
-        Map ``(psi, psibar) -> real scalar``.  Must support a trailing-axis
-        batch of states when ``batched`` is true (catalog families do).
+        Map ``(psi, psibar) -> real scalar``.
     analytic_gradient:
         Optional map ``psi -> dA/dpsibar`` (complex vector).
     analytic_operator:
         Optional map ``psi -> Hermitian matrix`` (the Wirtinger Hessian).
     params:
         Named real family parameters, kept for reporting.
+    batched:
+        True when the evaluator and both analytic derivatives (where given)
+        also accept a ``(B, d)`` batch of states on a *leading* axis and
+        return ``(B,)``, ``(B, d)`` and ``(B, d, d)`` (catalog families do).
+        :meth:`value_batch`, :meth:`gradient_batch` and
+        :meth:`operator_batch` then make one call; otherwise they loop.
     """
 
     evaluator: Callable
@@ -105,6 +110,23 @@ class HomogeneousObservable:
         if self.batched:
             return np.real(self.evaluator(z, z.conj()))
         return np.array([self.value(row) for row in z])
+
+    def gradient_batch(self, z: np.ndarray) -> np.ndarray:
+        """``dA/dpsibar`` of each row of a ``(B, d)`` batch, shape ``(B, d)``."""
+        if self.batched and self.analytic_gradient is not None:
+            return np.asarray(self.analytic_gradient(z), dtype=complex)
+        return np.stack([wirtinger_gradient(self, row) for row in z])
+
+    def operator_batch(self, z: np.ndarray) -> np.ndarray:
+        """``analytic_operator`` of each row of a ``(B, d)`` batch, ``(B, d, d)``.
+
+        Needs ``analytic_operator``.  Like it, these are the raw Hessians,
+        not gated or symmetrized as by :func:`nonlinear_operator`.
+        """
+        if self.batched:
+            return np.asarray(self.analytic_operator(z), dtype=complex)
+        return np.stack([np.asarray(self.analytic_operator(row), dtype=complex)
+                         for row in z])
 
     def __add__(self, other):
         if not isinstance(other, HomogeneousObservable):
@@ -264,13 +286,18 @@ def barstar_moment(a: HomogeneousObservable, psi, k: int) -> float:
 # Catalog
 
 
+def _stacked(mat: np.ndarray, z) -> np.ndarray:
+    """A fresh copy of the state-independent ``mat`` per state of ``z``."""
+    return np.array(np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape))
+
+
 def norm_functional() -> HomogeneousObservable:
     """The squared norm ``n = <psi|psi>`` — the unit of the *-product."""
     return HomogeneousObservable(
         evaluator=lambda z, zc: np.real(np.sum(z * zc, axis=-1)),
         label="n",
         analytic_gradient=lambda z: np.array(z, copy=True),
-        analytic_operator=lambda z: np.eye(np.shape(z)[-1], dtype=complex),
+        analytic_operator=lambda z: _stacked(np.eye(np.shape(z)[-1], dtype=complex), z),
         batched=True,
     )
 
@@ -287,7 +314,7 @@ def bilinear(m, label: str = "") -> HomogeneousObservable:
         evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat.T), axis=-1)),
         label=label or "bilinear",
         analytic_gradient=lambda z: z @ mat.T,
-        analytic_operator=lambda z: np.array(mat),
+        analytic_operator=lambda z: _stacked(mat, z),
         params={},
         batched=True,
     )
@@ -344,11 +371,13 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         mz, mu, n = _mu_n(z, zc)
         _guard(mu, n)
         s = mu / n
+        sm = np.asarray(s)[..., None, None]
         dim = z.shape[-1]
-        out = c * (p * s ** (p - 1) * mat - (p - 1) * s ** p * np.eye(dim, dtype=complex))
+        out = c * (p * sm ** (p - 1) * mat - (p - 1) * sm ** p * np.eye(dim, dtype=complex))
         if p * (p - 1) != 0:
-            v = mz - s * z
-            out = out + (c * p * (p - 1) * s ** (p - 2) / n) * np.outer(v, v.conj())
+            v = mz - np.asarray(s)[..., None] * z
+            w = np.asarray(c * p * (p - 1) * s ** (p - 2) / n)[..., None, None]
+            out = out + w * (v[..., :, None] * v.conj()[..., None, :])
         return out
 
     return HomogeneousObservable(

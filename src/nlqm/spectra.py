@@ -16,7 +16,7 @@ None of the three notions is privileged anywhere in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from .observables import (
 
 __all__ = [
     "EigenstateRecord",
-    "SpectrumReport",
     "MomentProbabilities",
     "find_eigenstates",
     "diagonal_values",
@@ -67,14 +66,6 @@ class MomentProbabilities:
     probabilities: np.ndarray
     other_probabilities: np.ndarray
     discrepancy: float
-
-
-@dataclass
-class SpectrumReport:
-    eigenstates: list = field(default_factory=list)
-    diagonal_values: Optional[list] = None
-    eigenfrequencies: Optional[list] = None
-    probability_sets: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +166,6 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     """
     seeds = _seed_states(dim, grid)
 
-    def batch_grad(zb):
-        if obs.batched and obs.analytic_gradient is not None:
-            return np.asarray(obs.analytic_gradient(zb), dtype=complex)
-        return np.stack([wirtinger_gradient(obs, row) for row in zb])
-
     # Seed eigenvalue guess: the functional's own value (homogeneity makes the
     # eigenvalue equal the average in an eigenstate).
     lam0 = np.empty(len(seeds))
@@ -193,14 +179,15 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     seeds, lam0 = seeds[keep], lam0[keep]
 
     try:
-        z, lam, ok = _gauss_newton(seeds, lam0, batch_grad, dim)
+        z, lam, ok = _gauss_newton(seeds, lam0, obs.gradient_batch, dim)
     except (SingularObservableError, ValidationError):
         # Singular families: refine seed-by-seed so one bad region cannot
         # poison the whole batch.
         zs, lams, oks = [], [], []
         for i in range(len(seeds)):
             try:
-                zi, li, oi = _gauss_newton(seeds[i:i + 1], lam0[i:i + 1], batch_grad, dim)
+                zi, li, oi = _gauss_newton(seeds[i:i + 1], lam0[i:i + 1],
+                                           obs.gradient_batch, dim)
             except (SingularObservableError, ValidationError):
                 zi, li, oi = seeds[i:i + 1], lam0[i:i + 1], np.array([False])
             zs.append(zi[0])
@@ -279,7 +266,7 @@ def eigenfrequencies(trajectory, tol: float = 1e-6):
     t = np.asarray(trajectory.times)
     if t.size < 4:
         raise ValidationError("trajectory too short for frequency extraction")
-    z = np.stack([s.amplitudes for s in trajectory.states])
+    z = trajectory.amplitudes()
     span = t[-1] - t[0]
     out = []
     for k in range(z.shape[1]):

@@ -177,14 +177,34 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path):
         {"experiment": "eigenfrequency", "name": "wave-t-inf", "t_end": inf,
          "e_levels": [0.0, 1.0], "eps_levels": [0.5, -0.5], "state": [0.8, [0.0, 0.6]]},
     ]
+    too_fine = {"experiment": "intention-paradox", "name": "intention-dt-tiny", "dt": 1e-300}
     good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
     # json.dumps writes inf as the token Infinity, which json.load reads back
-    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
+    assert _run_dict(tmp_path, {"scenarios": bad + [too_fine, good]}) == 1
     out = tmp_path / "out"
-    for sc in bad:
+    for sc, message in [(sc, "dt > 0") for sc in bad] + [(too_fine, "exceeds the cap")]:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
-        assert "dt > 0" in rep["error"], sc["name"]
+        assert rep["error_type"] == "ValidationError", sc["name"]
+        assert message in rep["error"], sc["name"]
+    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+
+
+def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, capsys):
+    def broken(_params):
+        raise RuntimeError("runner broke")
+
+    desc, fields, _ = EXPERIMENTS["probability-inconsistency"]
+    monkeypatch.setitem(EXPERIMENTS, "probability-inconsistency", (desc, fields, broken))
+    assert _run_dict(tmp_path, {"scenarios": [
+        {"experiment": "probability-inconsistency", "name": "broken"},
+        {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}]}) == 1
+    out = tmp_path / "out"
+    rep = json.loads((out / "broken.report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["error_type"] == "RuntimeError"
+    assert rep["error"] == "runner broke"
+    assert "Traceback" in capsys.readouterr().err
     assert json.loads((out / "valid.report.json").read_text())["passed"] is True
 
 

@@ -6,6 +6,8 @@ Telegraph expectations come from the closed forms: the rotated singlet
 variant oscillates at 4 eps cos(2 tilt) with amplitude sin(2 tilt).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -107,28 +109,49 @@ def _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z):
     return full
 
 
+def _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z):
+    """Reference gradient: one h_sub gradient per populated slice, re-embedded."""
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    t = z.reshape(dims)
+    slices = (t @ u.conj()).T if sub_slot == 0 else u.conj().T @ t
+    full = np.zeros(z.size, dtype=complex)
+    for r, phi in enumerate(slices):
+        if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
+            continue
+        g = np.asarray(h_sub.analytic_gradient(phi), dtype=complex)
+        full += np.kron(g, u[:, r]) if sub_slot == 0 else np.kron(u[:, r], g)
+    return full
+
+
 @pytest.mark.parametrize("sub_slot", [0, 1])
 @pytest.mark.parametrize("d_sub, d_rest", [(2, 3), (3, 2)])
 def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
-    h_sub = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
+    batched = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
     u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
-    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
     # build the state from its slices so that the last one sits below the floor
     phis = _rand(rng, d_rest * d_sub).reshape(d_rest, d_sub)
     phis[-1] = 1e-8 * phis[-1]
     t = phis.T @ u.T if sub_slot == 0 else u @ phis
     z = t.reshape(-1)
-    got = np.asarray(obs.analytic_operator(z))
-    npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
-                        rtol=0, atol=1e-14)
-    # the starved slice really was skipped: its block would not vanish
     starved = np.zeros((d_rest, d_sub), dtype=complex)
     starved[-1] = phis[-1]
     skipped = (starved.T @ u.T if sub_slot == 0 else u @ starved).reshape(-1)
-    assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
-    assert np.max(np.abs(h_sub.analytic_operator(phis[-1]))) > 0.1
+    # the slices go to h_sub as one batch, or one by one when it takes no batch
+    for h_sub in (batched, replace(batched, batched=False)):
+        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+        got = np.asarray(obs.analytic_operator(z))
+        npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
+                            rtol=0, atol=1e-14)
+        npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
+                            _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z),
+                            rtol=0, atol=1e-14)
+        # the starved slice really was skipped: its block would not vanish
+        assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
+        assert np.max(np.abs(obs.analytic_gradient(skipped))) == 0.0
+    assert np.max(np.abs(batched.analytic_operator(phis[-1]))) > 0.1
+    assert np.max(np.abs(batched.analytic_gradient(phis[-1]))) > 1e-9
 
 
 def test_weinberg_composite_rejects_non_unitary_basis():

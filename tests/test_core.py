@@ -13,6 +13,7 @@ from nlqm import (
     basis_state,
     expectation,
     partial_trace,
+    reduced_states,
     rotate_subsystem,
     tensor_state,
 )
@@ -102,6 +103,39 @@ def test_partial_trace_of_product_state_is_projector():
 def test_partial_trace_requires_two_factors():
     with pytest.raises(ValidationError):
         partial_trace(StateVector(np.array([1.0, 0.0])), keep=0)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_reduced_states_match_partial_trace_per_sample(rng, dims):
+    zs = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+    for keep in (0, 1):
+        rhos = reduced_states(zs, dims, keep)
+        assert rhos.shape == (7, dims[keep], dims[keep])
+        assert not rhos.flags.writeable
+        for z, rho in zip(zs, rhos):
+            ref = partial_trace(StateVector(z, dims=dims), keep=keep).entries
+            npt.assert_allclose(rho, ref, rtol=0, atol=1e-14 * np.vdot(z, z).real)
+    bad = zs.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        reduced_states(bad, dims, 0)
+    for args in ((zs, dims, 2), (zs, (2, 2), 0), (zs, (6,), 0), (zs[0], dims, 0)):
+        with pytest.raises(ValidationError):
+            reduced_states(*args)
+
+
+def test_stacked_density_checks_match_density_matrix():
+    # each matrix of a stack gets DensityMatrix's checks, with its message
+    good = np.diag([0.75, 0.25]).astype(complex)
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]),     # not Hermitian
+                -np.eye(2),                              # trace not positive
+                np.diag([1.5, -0.5]),                    # negative eigenvalue
+                np.array([[1.0, np.inf], [np.inf, 0.0]])):
+        with pytest.raises(ValidationError) as single:
+            DensityMatrix(bad)
+        with pytest.raises(ValidationError) as stacked:
+            nlqm.core._checked_density(np.stack([good, bad, good]), stacked=True)
+        assert str(stacked.value) == str(single.value)
 
 
 def test_rotate_subsystem_rejects_non_unitary():

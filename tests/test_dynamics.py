@@ -97,8 +97,9 @@ def test_validation_of_step_arguments():
     # one step-grid check guards all four RK4 loops
     z0 = np.array([1.0, 0.0j])
     builder = _diagonal_builder([0.0, 1.0], [0.0, 0.0])
+    # the last two exceed the step cap (1e300 and 2e10 steps)
     for t_end, dt in ((1.0, -0.1), (1.0, 0.0), (np.inf, 0.1), (1.0, np.nan),
-                      (-1.0, 0.1), (1.0, 1e-320)):
+                      (-1.0, 0.1), (1.0, 1e-320), (1.0, 1e-300), (20.0, 1e-9)):
         with pytest.raises(ValidationError):
             integrate_nls(builder, z0, t_end, dt)
         with pytest.raises(ValidationError):
@@ -108,6 +109,32 @@ def test_validation_of_step_arguments():
                                          t_end, dt)
         with pytest.raises(ValidationError):
             nlqm.intention_paradox(nlqm.ParadoxParams(0.5, 0.5, 1.0, t_end), dt)
+
+
+def test_trajectory_amplitudes_are_one_read_only_array():
+    z0 = np.array([0.8, 0.6j])
+    traj = integrate_nls(_diagonal_builder([0.0, 1.0], [0.5, -0.5]), z0, t_end=1.0, dt=0.1)
+    amps = traj.amplitudes()
+    assert amps.shape == (11, 2)
+    assert amps is traj.amplitudes()
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0, 0] = 0.0
+    states = traj.states
+    assert len(states) == 11
+    for row, s in zip(amps, states):
+        npt.assert_array_equal(s.amplitudes, row)
+    # the list-of-states form builds the same array
+    again = nlqm.Trajectory(times=traj.times, states=states, recorded={})
+    npt.assert_array_equal(again.amplitudes(), amps)
+    exact = canonical_solution([0.0, 1.0], [0.5, -0.5], z0, traj.times)
+    assert exact.amplitudes().shape == amps.shape
+    with pytest.raises(ValidationError):
+        nlqm.Trajectory(times=[0.0, 1.0], amplitudes=np.array([[1.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(ValidationError):
+        nlqm.Trajectory(times=[0.0], amplitudes=np.ones((2, 2)))
+    with pytest.raises(ValidationError):
+        nlqm.Trajectory(times=[0.0])
 
 
 def test_step_counts_are_unchanged_on_valid_grids():

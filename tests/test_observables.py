@@ -186,6 +186,36 @@ def test_value_batch_agrees_with_scalar_loop(rng):
         assert vals[k] == pytest.approx(obs.value(zs[k]), rel=1e-13)
 
 
+def _batch_case(name, rng):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    herm = a + a.conj().T
+    if name == "norm":
+        return norm_functional(), 3
+    if name == "bilinear":
+        return bilinear(herm), 3
+    if name.startswith("moment"):
+        return moment_power(herm, int(name[len("moment"):]), coeff=0.7), 3
+    # slice sums take one state at a time: the per-row path
+    return nlqm.weinberg_composite(canonical(0.1, 0.9, 0.4), 2, 2, np.eye(2)), 4
+
+
+@pytest.mark.parametrize("name", ["norm", "bilinear", "moment2", "moment3", "moment-1",
+                                  "slice-sum"])
+def test_gradient_and_operator_batches_match_per_row_calls(name, rng):
+    obs, d = _batch_case(name, rng)
+    assert obs.batched == (name != "slice-sum")
+    zs = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    grads = obs.gradient_batch(zs)
+    ops = obs.operator_batch(zs)
+    assert grads.shape == (6, d) and ops.shape == (6, d, d)
+    # one batched product against per-row ones: equal up to summation order
+    for k, z in enumerate(zs):
+        g, m = wirtinger_gradient(obs, z), obs.analytic_operator(z)
+        npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
+        npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+
+
 # ---------------------------------------------------------------------------
 # Star products: frozen values at PROBE = (0.8, 0.6i)
 
