@@ -41,6 +41,7 @@ from .observables import (
     singular_inverse,
 )
 from .spectra import (
+    MAX_SEEDS,
     diagonal_values,
     eigenfrequencies,
     find_eigenstates,
@@ -418,7 +419,8 @@ EXPERIMENTS = {
     "eigen-census": (
         "enumerate nonlinear eigenstates of a two-level moment family",
         _FAMILY_FIELDS + (
-            Field("grid", "int_list", default=[32, 16], help="seed grid (theta, phi)"),
+            Field("grid", "int_list", default=[32, 16],
+                  help=f"seed grid (theta, phi), at most {MAX_SEEDS} seeds"),
             Field("expected_count", "int", default=-1,
                   help="fail unless this many distinct states (-1 disables)"),
         ),

@@ -93,8 +93,11 @@ class HomogeneousObservable:
 
     def value(self, psi) -> float:
         z = _unwrap(psi)
-        v = self.evaluator(z, z.conj())
-        v = complex(v)
+        return self._checked_value(complex(self.evaluator(z, z.conj())), z)
+
+    __call__ = value
+
+    def _checked_value(self, v: complex, z: np.ndarray) -> float:
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise SingularObservableError(
                 f"{self.label or 'observable'} is singular at state {np.array2string(z, precision=6)}")
@@ -103,13 +106,20 @@ class HomogeneousObservable:
                 f"{self.label or 'observable'} returned a non-real value {v!r}")
         return v.real
 
-    __call__ = value
-
     def value_batch(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over a leading batch axis."""
-        if self.batched:
-            return np.real(self.evaluator(z, z.conj()))
-        return np.array([self.value(row) for row in z])
+        """Vectorized evaluation over a leading batch axis.
+
+        Every row gets :meth:`value`'s checks; the first row that fails one
+        raises what :meth:`value` raises for it.
+        """
+        if not self.batched:
+            return np.array([self.value(row) for row in z])
+        v = np.asarray(self.evaluator(z, z.conj()), dtype=complex)
+        good = np.isfinite(v) & (np.abs(v.imag) <= 1e-10 * np.maximum(1.0, np.abs(v.real)))
+        if not np.all(good):
+            k = int(np.argmin(good))
+            self._checked_value(complex(v[k]), z[k])
+        return v.real
 
     def gradient_batch(self, z: np.ndarray) -> np.ndarray:
         """``dA/dpsibar`` of each row of a ``(B, d)`` batch, shape ``(B, d)``."""

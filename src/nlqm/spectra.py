@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+MAX_SEEDS = 16_384  # seed grid cap: 32x the 512-seed grids of the bundled configs
 DEDUP_FIDELITY = 1e-8
 DEDUP_MODULI = 1e-6
 
@@ -116,27 +117,41 @@ def _residual_batch(x: np.ndarray, grad, dim: int, anchors: np.ndarray) -> np.nd
     return np.concatenate([r.real, r.imag, norm_eq[:, None], gauge[:, None]], axis=1)
 
 
-def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, iters: int = 60):
-    """Damped Gauss-Newton on the batch of seeds; returns refined (z, lam, ok)."""
+def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: dict,
+                  iters: int = 60):
+    """Damped Gauss-Newton on the batch of seeds; returns refined (z, lam, ok).
+
+    Each seed stops on its own: once its residual is below 1e-13, once it
+    turns non-finite (the seed is then never ``ok``), or after ``iters``
+    iterations.  Only the rows still active are refined, and no row's update
+    depends on another row.  The ``2 nvar`` central-difference probes of the
+    active rows go to ``grad`` in one stacked call.  The iterations run and
+    the rows they refine are added to ``counters["newton_iterations"]`` and
+    ``counters["newton_rows"]``.
+    """
     nb = z0.shape[0]
     anchors = np.argmax(np.abs(z0), axis=1)
     x = _pack(z0, lam0)
     nvar = 2 * dim + 1
     alive = np.ones(nb, dtype=bool)
+    active = np.arange(nb)
     h = 1e-6
+    probe_steps = h * np.concatenate([np.eye(nvar), -np.eye(nvar)])  # +h e_j, then -h e_j
     for _ in range(iters):
-        f = _residual_batch(x, grad, dim, anchors)
-        bad = ~np.all(np.isfinite(f), axis=1)
-        alive &= ~bad
-        f[bad] = 0.0
-        if np.max(np.max(np.abs(f), axis=1) * alive, initial=0.0) < 1e-13:
+        f = _residual_batch(x[active], grad, dim, anchors[active])
+        finite = np.all(np.isfinite(f), axis=1)
+        alive[active[~finite]] = False
+        todo = finite & (np.max(np.abs(f), axis=1) >= 1e-13)
+        active, f = active[todo], f[todo]
+        if active.size == 0:
             break
-        jac = np.empty((nb, f.shape[1], nvar))
-        for j in range(nvar):
-            e = np.zeros(nvar)
-            e[j] = h
-            jac[:, :, j] = (_residual_batch(x + e, grad, dim, anchors)
-                            - _residual_batch(x - e, grad, dim, anchors)) / (2 * h)
+        na = active.size
+        counters["newton_iterations"] += 1
+        counters["newton_rows"] += na
+        probes = (x[active][None, :, :] + probe_steps[:, None, :]).reshape(-1, nvar)
+        fp = _residual_batch(probes, grad, dim, np.tile(anchors[active], 2 * nvar))
+        fp = fp.reshape(2, nvar, na, -1)
+        jac = ((fp[0] - fp[1]) / (2 * h)).transpose(1, 2, 0)
         jac[~np.isfinite(jac)] = 0.0
         jtj = np.einsum("bij,bik->bjk", jac, jac)
         jtf = np.einsum("bij,bi->bj", jac, f)
@@ -145,13 +160,92 @@ def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, iters: int =
             dx = np.linalg.solve(jtj, jtf[..., None])[..., 0]
         except np.linalg.LinAlgError:
             dx = np.stack([np.linalg.lstsq(jtj[i], jtf[i], rcond=None)[0]
-                           for i in range(nb)])
+                           for i in range(na)])
         dx[~np.isfinite(dx).all(axis=1)] = 0.0
-        x = x - dx
+        x[active] -= dx
     f = _residual_batch(x, grad, dim, anchors)
     ok = alive & np.all(np.isfinite(f), axis=1) & (np.max(np.abs(f), axis=1) < 1e-10)
     z = x[:, :dim] + 1j * x[:, dim:2 * dim]
     return z, x[:, 2 * dim], ok
+
+
+def _checked_grid(grid) -> tuple:
+    try:
+        n_theta, n_phi = grid
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"grid must be two integers (n_theta, n_phi), got {grid!r}") from None
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in (n_theta, n_phi)):
+        raise ValidationError(f"grid must be two integers >= 1, got {grid!r}")
+    if n_theta * n_phi > MAX_SEEDS:
+        raise ValidationError(f"grid {n_theta}x{n_phi} gives {n_theta * n_phi} seeds, "
+                              f"above the cap of {MAX_SEEDS}")
+    return int(n_theta), int(n_phi)
+
+
+def _seed_values(obs: HomogeneousObservable, seeds: np.ndarray):
+    """``(seeds, lam0)``: the functional's value at each seed, one batch call.
+
+    Homogeneity makes the eigenvalue equal the average in an eigenstate.  If
+    the batch raises, the seeds are evaluated one by one and those that raise
+    are dropped.
+    """
+    try:
+        return seeds, obs.value_batch(seeds)
+    except (SingularObservableError, ValidationError):
+        pass
+    lam0 = np.empty(len(seeds))
+    keep = np.ones(len(seeds), dtype=bool)
+    for i, s in enumerate(seeds):
+        try:
+            lam0[i] = obs.value(s)
+        except (SingularObservableError, ValidationError):
+            keep[i] = False
+    return seeds[keep], lam0[keep]
+
+
+def _passes(resid, value, lam) -> bool:
+    """The residual and value-agreement checks of one converged state."""
+    return not (resid >= RESIDUAL_TOL or abs(value - lam) > 1e-8 * (1.0 + abs(lam)))
+
+
+def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray) -> list:
+    """The records the converged rows ``(z, lam)`` pass, checked as one batch.
+
+    Rows are normalised and gauge-fixed as by ``StateVector.normalized`` and
+    ``gauge_fixed`` (largest modulus, first index on ties, made real and
+    non-negative); a zero or non-finite row is dropped.  Raises where
+    :func:`_records_per_row` would drop a row for an exception.
+    """
+    n2 = np.einsum("bi,bi->b", z.conj(), z).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = z / np.sqrt(n2)[:, None]
+        pivot = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+        u = u * (np.abs(pivot) / pivot)[:, None]
+    good = (n2 > 0.0) & np.all(np.isfinite(u), axis=1)
+    u, lam = u[good], lam[good]
+    if len(u) == 0:
+        return []
+    resid = np.linalg.norm(obs.gradient_batch(u) - lam[:, None] * u, axis=1)
+    values = obs.value_batch(u)
+    return [EigenstateRecord(float(lam[i]), StateVector(u[i]), float(resid[i]))
+            for i in range(len(u)) if _passes(resid[i], values[i], lam[i])]
+
+
+def _records_per_row(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray) -> list:
+    """The records of :func:`_records_batch`, one ``StateVector`` per row."""
+    records = []
+    for zi, li in zip(z, lam):
+        try:
+            state = StateVector(zi).normalized().gauge_fixed()
+            g = wirtinger_gradient(obs, state)
+        except (SingularObservableError, ValidationError):
+            continue
+        resid = float(np.linalg.norm(g - li * state.amplitudes))
+        if _passes(resid, obs.value(state), li):
+            records.append(EigenstateRecord(float(li), state, resid))
+    return records
 
 
 def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
@@ -162,24 +256,27 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     phase) seed grid plus pole-refinement seeds.  Relative-phase continua of
     solutions (diagonal families) are merged into a single record.  dim = 2 is
     fully supported; larger dimensions get a deterministic best-effort seed
-    set.  Pass a ``diagnostics`` dict to receive seed/convergence counters.
+    set.
+
+    ``grid`` must be two integers >= 1 with at most ``MAX_SEEDS`` seeds in
+    all, else :class:`ValidationError` is raised before any seed is built.
+    Every seed is refined until its own residual is below 1e-13 (or turns
+    non-finite), for at most 60 Gauss-Newton iterations; a seed converges when
+    its final residual is below 1e-10.  Seed values, the Newton steps and the
+    checks of the converged states each run on the whole batch, with a
+    seed-by-seed path where the batch raises.
+
+    Pass a ``diagnostics`` dict to receive the counters ``seeds``,
+    ``converged``, ``dropped_nonconverged``, ``dropped_residual``,
+    ``distinct``, ``newton_iterations`` (Newton iterations run) and
+    ``newton_rows`` (seed rows refined, summed over those iterations); both
+    Newton counts include a batch attempt given up for the seed-by-seed path.
     """
-    seeds = _seed_states(dim, grid)
+    seeds, lam0 = _seed_values(obs, _seed_states(dim, _checked_grid(grid)))
 
-    # Seed eigenvalue guess: the functional's own value (homogeneity makes the
-    # eigenvalue equal the average in an eigenstate).
-    lam0 = np.empty(len(seeds))
-    keep = np.ones(len(seeds), dtype=bool)
-    for i, s in enumerate(seeds):
-        try:
-            lam0[i] = obs.value(s)
-        except (SingularObservableError, ValidationError):
-            keep[i] = False
-            lam0[i] = 0.0
-    seeds, lam0 = seeds[keep], lam0[keep]
-
+    counts = {"newton_iterations": 0, "newton_rows": 0}
     try:
-        z, lam, ok = _gauss_newton(seeds, lam0, obs.gradient_batch, dim)
+        z, lam, ok = _gauss_newton(seeds, lam0, obs.gradient_batch, dim, counts)
     except (SingularObservableError, ValidationError):
         # Singular families: refine seed-by-seed so one bad region cannot
         # poison the whole batch.
@@ -187,7 +284,7 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
         for i in range(len(seeds)):
             try:
                 zi, li, oi = _gauss_newton(seeds[i:i + 1], lam0[i:i + 1],
-                                           obs.gradient_batch, dim)
+                                           obs.gradient_batch, dim, counts)
             except (SingularObservableError, ValidationError):
                 zi, li, oi = seeds[i:i + 1], lam0[i:i + 1], np.array([False])
             zs.append(zi[0])
@@ -195,23 +292,10 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
             oks.append(oi[0])
         z, lam, ok = np.array(zs), np.array(lams), np.array(oks)
 
-    records = []
-    dropped_residual = 0
-    for i in range(len(z)):
-        if not ok[i]:
-            continue
-        try:
-            state = StateVector(z[i]).normalized().gauge_fixed()
-            g = wirtinger_gradient(obs, state)
-        except (SingularObservableError, ValidationError):
-            dropped_residual += 1
-            continue
-        resid = float(np.linalg.norm(g - lam[i] * state.amplitudes))
-        value = obs.value(state)
-        if resid >= RESIDUAL_TOL or abs(value - lam[i]) > 1e-8 * (1.0 + abs(lam[i])):
-            dropped_residual += 1
-            continue
-        records.append(EigenstateRecord(float(lam[i]), state, resid))
+    try:
+        records = _records_batch(obs, z[ok], lam[ok])
+    except (SingularObservableError, ValidationError):
+        records = _records_per_row(obs, z[ok], lam[ok])
 
     merged: list = []
     for rec in sorted(records, key=lambda r: r.eigenvalue):
@@ -237,8 +321,9 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
             "seeds": int(len(z)),
             "converged": int(np.sum(ok)),
             "dropped_nonconverged": int(len(z) - np.sum(ok)),
-            "dropped_residual": dropped_residual,
+            "dropped_residual": int(np.sum(ok)) - len(records),
             "distinct": len(merged),
+            **counts,
         })
     return merged
 

@@ -147,6 +147,26 @@ def test_failed_expectation_exits_one(tmp_path):
     rep = json.loads((tmp_path / "out" / "toomany.report.json").read_text())
     assert rep["passed"] is False
     assert rep["metrics"]["distinct"] == 2
+    assert 0 < rep["metrics"]["newton_rows"] <= 60 * rep["metrics"]["seeds"]
+
+
+def test_bad_census_grids_fail_their_scenario_and_the_rest_run(tmp_path, capsys):
+    grids = {"negative": [-3, 16], "zero": [0, 0], "one-axis": [32],
+             "three-axes": [32, 16, 4], "too-many-seeds": [3000, 3000]}
+    bad = [{"experiment": "eigen-census", "name": name, "grid": grid}
+           for name, grid in grids.items()]
+    good = {"experiment": "eigen-census", "name": "valid", "eps": 0.2, "grid": [8, 4],
+            "expected_count": 2}
+    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    out = tmp_path / "out"
+    for name in grids:
+        rep = json.loads((out / f"{name}.report.json").read_text())
+        assert rep["passed"] is False, name
+        assert rep["error_type"] == "ValidationError", name
+        assert "grid" in rep["error"], name
+        assert not (out / f"{name}.csv").exists()
+    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
 
 
 def test_scenario_runtime_error_is_reported(tmp_path):

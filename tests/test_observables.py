@@ -178,12 +178,44 @@ def test_operator_reproduces_value_and_gradient(parts):
     npt.assert_allclose(m @ z, np.asarray(obs.analytic_gradient(z)), atol=1e-9)
 
 
+def _norm_over_first_weight(z, zc):
+    # n^2 / |psi_0|^2: (1,1)-homogeneous, infinite where psi_0 = 0
+    n = np.real(np.sum(z * zc, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return n * n / np.real(z[..., 0] * zc[..., 0])
+
+
+def _norm_with_imaginary_part(z, zc):
+    # a broken evaluator: complex wherever the two moduli differ
+    w = np.real(z * zc)
+    return w[..., 0] + w[..., 1] + 1j * (w[..., 0] - w[..., 1])
+
+
 def test_value_batch_agrees_with_scalar_loop(rng):
-    obs = canonical(0.2, 1.3, 0.8)
     zs = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    obs = canonical(0.2, 1.3, 0.8)
     vals = obs.value_batch(zs)
     for k in range(zs.shape[0]):
         assert vals[k] == pytest.approx(obs.value(zs[k]), rel=1e-13)
+    looped = HomogeneousObservable(evaluator=obs.evaluator, label="per-row")
+    npt.assert_array_equal(looped.value_batch(zs), [looped.value(z) for z in zs])
+
+    # the first bad row raises exactly what value raises for it
+    zero_first = np.array([[0.0, 0.6j], [0.0, 0.0]])
+    equal_moduli = np.array([0.6, 0.6j])
+    for evaluator, bad in [(_norm_over_first_weight, zero_first),
+                           (_norm_with_imaginary_part, zs[:2])]:
+        rows = np.concatenate([equal_moduli[None, :] * (1.0 + np.arange(3))[:, None], bad])
+        for batched in (True, False):
+            odd = HomogeneousObservable(evaluator=evaluator, label="odd", batched=batched)
+            with pytest.raises((SingularObservableError, ValidationError)) as scalar:
+                odd.value(bad[0])
+            with pytest.raises(scalar.type) as batch:
+                odd.value_batch(rows)
+            assert type(batch.value) is scalar.type
+            assert str(batch.value) == str(scalar.value)
+            npt.assert_allclose(odd.value_batch(rows[:3]),
+                                [odd.value(z) for z in rows[:3]], rtol=1e-15)
 
 
 def _batch_case(name, rng):

@@ -10,7 +10,9 @@ import numpy.testing as npt
 import pytest
 
 import nlqm
+from nlqm import spectra
 from nlqm import (
+    HomogeneousObservable,
     SingularObservableError,
     StateVector,
     ValidationError,
@@ -37,6 +39,9 @@ def test_census_quadratic_family_three_states():
     npt.assert_allclose(weights, [0.625, 0.375], atol=1e-9)
     assert diag["distinct"] == 3
     assert diag["seeds"] >= diag["converged"] >= 3
+    # converged seeds stop early: fewer rows than every seed at every iteration
+    assert 0 < diag["newton_iterations"] <= 60
+    assert diag["newton_rows"] < diag["newton_iterations"] * diag["seeds"]
 
 
 def test_census_quadratic_family_weak_coupling_two_states():
@@ -66,6 +71,154 @@ def test_census_singular_family_pm_one():
     recs = find_eigenstates(singular_inverse(), 2)
     lams = sorted(r.eigenvalue for r in recs)
     npt.assert_allclose(lams, [-1.0, 1.0], atol=1e-9)
+    # a one-row grid puts its seeds on <sigma3> = 0: they are dropped, not fatal
+    diag = {}
+    recs = find_eigenstates(singular_inverse(), 2, grid=(1, 4), diagnostics=diag)
+    assert diag["seeds"] == 10
+    npt.assert_allclose(sorted(r.eigenvalue for r in recs), [-1.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("grid", [(-3, 16), (0, 0), (16, 0), (32,), (32, 16, 4), 32,
+                                  (16.0, 8), (True, 8), (3000, 3000), (16_385, 1)])
+def test_census_grid_is_validated_and_bounded(grid, monkeypatch):
+    def no_seeds(*_args):
+        raise AssertionError("seeds built for a rejected grid")
+
+    monkeypatch.setattr(spectra, "_seed_states", no_seeds)
+    with pytest.raises(ValidationError, match="grid"):
+        find_eigenstates(canonical(0.0, 1.0, 1.0), 2, grid=grid)
+
+
+def test_census_grid_at_the_cap_is_accepted(monkeypatch):
+    built = []
+
+    def one_seed(_dim, grid):
+        built.append(grid)
+        return np.array([[1.0, 0.0j]])
+
+    monkeypatch.setattr(spectra, "_seed_states", one_seed)
+    find_eigenstates(canonical(0.0, 1.0, 1.0), 2, grid=(spectra.MAX_SEEDS, 1))
+    find_eigenstates(canonical(0.0, 1.0, 1.0), 2, grid=np.array([128, 128]))
+    assert built == [(spectra.MAX_SEEDS, 1), (128, 128)]
+
+
+def _full_batch_gauss_newton(z0, lam0, grad, dim, iters=60):
+    """The census's Newton loop before per-seed stopping: every seed iterates
+    until all are below 1e-13, and the Jacobian takes one call per probe."""
+    nb = z0.shape[0]
+    anchors = np.argmax(np.abs(z0), axis=1)
+    x = spectra._pack(z0, lam0)
+    nvar = 2 * dim + 1
+    alive = np.ones(nb, dtype=bool)
+    h = 1e-6
+    updates = 0
+    for _ in range(iters):
+        f = spectra._residual_batch(x, grad, dim, anchors)
+        bad = ~np.all(np.isfinite(f), axis=1)
+        alive &= ~bad
+        f[bad] = 0.0
+        if np.max(np.max(np.abs(f), axis=1) * alive, initial=0.0) < 1e-13:
+            break
+        jac = np.empty((nb, f.shape[1], nvar))
+        for j in range(nvar):
+            e = np.zeros(nvar)
+            e[j] = h
+            jac[:, :, j] = (spectra._residual_batch(x + e, grad, dim, anchors)
+                            - spectra._residual_batch(x - e, grad, dim, anchors)) / (2 * h)
+        jac[~np.isfinite(jac)] = 0.0
+        jtj = np.einsum("bij,bik->bjk", jac, jac)
+        jtf = np.einsum("bij,bi->bj", jac, f)
+        jtj += 1e-12 * np.eye(nvar)
+        try:
+            dx = np.linalg.solve(jtj, jtf[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dx = np.stack([np.linalg.lstsq(jtj[i], jtf[i], rcond=None)[0]
+                           for i in range(nb)])
+        dx[~np.isfinite(dx).all(axis=1)] = 0.0
+        x = x - dx
+        updates += 1
+    f = spectra._residual_batch(x, grad, dim, anchors)
+    ok = alive & np.all(np.isfinite(f), axis=1) & (np.max(np.abs(f), axis=1) < 1e-10)
+    return x[:, :dim] + 1j * x[:, dim:2 * dim], x[:, 2 * dim], ok, updates
+
+
+@pytest.mark.parametrize("obs", [canonical(0.0, 1.0, 0.2), canonical(0.0, 1.0, 1.0),
+                                 cubic(0.0, 1.0, 0.6), power_family(0.0, 1.0, 0.2, power=4),
+                                 singular_inverse()],
+                         ids=["canonical-weak", "canonical-strong", "cubic", "power4",
+                              "singular"])
+def test_per_seed_newton_matches_the_full_batch_loop(obs):
+    seeds, lam0 = spectra._seed_values(obs, spectra._seed_states(2, (8, 4)))
+    counts = {"newton_iterations": 0, "newton_rows": 0}
+    z, lam, ok = spectra._gauss_newton(seeds, lam0, obs.gradient_batch, 2, counts)
+    z_ref, lam_ref, ok_ref, updates = _full_batch_gauss_newton(seeds, lam0,
+                                                               obs.gradient_batch, 2)
+    npt.assert_array_equal(ok, ok_ref)
+    assert ok.sum() >= 2
+    npt.assert_allclose(z[ok], z_ref[ok], rtol=0, atol=1e-12)
+    npt.assert_allclose(lam[ok], lam_ref[ok], rtol=0, atol=1e-12)
+    assert counts["newton_iterations"] == updates
+    assert counts["newton_rows"] <= updates * len(seeds)
+
+
+def _value_only(obs):
+    return HomogeneousObservable(evaluator=obs.evaluator, label="value-only " + obs.label)
+
+
+@pytest.mark.parametrize("obs, dim, grid", [
+    (canonical(0.0, 1.0, 1.0), 2, (8, 4)),
+    (singular_inverse(), 2, (8, 4)),
+    (nlqm.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2)), 4, (32, 16)),
+    (_value_only(canonical(0.0, 1.0, 1.0)), 2, (2, 2)),
+], ids=["canonical", "singular", "weinberg-d4", "value-only"])
+def test_record_checks_agree_batched_and_per_row(obs, dim, grid, monkeypatch):
+    per_row_calls = []
+    per_row = spectra._records_per_row
+
+    def spy(*args):
+        per_row_calls.append(1)
+        return per_row(*args)
+
+    monkeypatch.setattr(spectra, "_records_per_row", spy)
+    diag_batch = {}
+    batch = find_eigenstates(obs, dim, grid=grid, diagnostics=diag_batch)
+    assert not per_row_calls
+
+    def refuse(*_args):
+        raise SingularObservableError("batch refused")
+
+    monkeypatch.setattr(spectra, "_records_batch", refuse)
+    diag_rows = {}
+    rows = find_eigenstates(obs, dim, grid=grid, diagnostics=diag_rows)
+    assert per_row_calls
+    assert diag_batch == diag_rows
+    assert len(batch) == len(rows) >= 2
+    for a, b in zip(batch, rows):
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-12)
+        assert a.residual == pytest.approx(b.residual, abs=1e-12)
+        assert isinstance(a.state, StateVector)
+        npt.assert_allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_seed_by_seed_fallback_gives_the_batch_census():
+    obs = canonical(0.0, 1.0, 1.0)
+
+    def one_seed_at_a_time(z):
+        # the probes of one seed are 2 nvar = 10 rows
+        if z.ndim == 2 and z.shape[0] > 10:
+            raise SingularObservableError("batch refused")
+        return obs.analytic_gradient(z)
+
+    fussy = HomogeneousObservable(evaluator=obs.evaluator,
+                                  analytic_gradient=one_seed_at_a_time, batched=True)
+    diag, diag_ref = {}, {}
+    recs = find_eigenstates(fussy, 2, grid=(8, 4), diagnostics=diag)
+    ref = find_eigenstates(obs, 2, grid=(8, 4), diagnostics=diag_ref)
+    assert [diag[k] for k in ("seeds", "converged", "distinct")] == \
+        [diag_ref[k] for k in ("seeds", "converged", "distinct")]
+    # one row per iteration; the refused batch attempt ran none
+    assert diag["newton_rows"] == diag["newton_iterations"] > diag_ref["newton_iterations"]
+    npt.assert_allclose([r.eigenvalue for r in recs], [r.eigenvalue for r in ref], atol=1e-12)
 
 
 def test_eigenstates_satisfy_the_defining_equation():
