@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 LEAK_TOL = 1e-8
+# Largest state dimension n_levels x (n_max + 1).  One d x d operator is
+# 256 kB at the cap, and the wave flow's monitor holds a block of 64.
+MAX_STATE_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,10 @@ class AtomFieldParams:
             raise ValidationError("eps_levels must match omega_levels in length")
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
+        if self.n_levels * (self.n_max + 1) > MAX_STATE_DIM:
+            raise ValidationError(
+                f"state dimension {self.n_levels} x {self.n_max + 1} exceeds the cap "
+                f"of {MAX_STATE_DIM} (lower n_max)")
 
     @property
     def n_levels(self) -> int:

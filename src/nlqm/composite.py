@@ -41,7 +41,6 @@ from .observables import (
     bilinear,
     canonical,
     moment_power,
-    wirtinger_gradient,
     nonlinear_operator,
 )
 from .dynamics import IntegrationError, Trajectory, _step_grid, integrate_nls
@@ -126,51 +125,54 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     dim_total = d_sub * d_rest
 
     def slices(z: np.ndarray) -> np.ndarray:
-        t = z.reshape(dims)
+        """The slices Phi_r of each state, shape ``(..., d_rest, d_sub)``."""
+        t = z.reshape(z.shape[:-1] + dims)
         if sub_slot == 0:
-            return (t @ u.conj()).T          # row r -> Phi_r (length d_sub)
-        return u.conj().T @ t                # row r -> Phi_r
+            return np.swapaxes(t @ u.conj(), -1, -2)
+        return u.conj().T @ t
 
     def live_slices(z):
         """The slices and the mask of those at or above the floor."""
         sl = slices(np.asarray(z, dtype=complex))
-        return sl, np.real(np.sum(sl.conj() * sl, axis=1)) >= SLICE_FLOOR
+        return sl, np.real(np.sum(sl.conj() * sl, axis=-1)) >= SLICE_FLOOR
 
     def value(z, zc):
         z = np.asarray(z, dtype=complex)
-        if z.shape != (dim_total,):
+        if z.ndim not in (1, 2) or z.shape[-1] != dim_total:
             raise ValidationError(f"state must have length {dim_total}")
-        total = 0.0
-        for phi in slices(z):
-            if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
-                continue
-            total += h_sub.value(phi)
-        return total
+        sl, live = live_slices(z)
+        vals = np.zeros(live.shape)
+        if np.any(live):
+            vals[live] = h_sub.value_batch(sl[live])
+        return vals.sum(axis=-1)
 
     grad = None
     if h_sub.analytic_gradient is not None:
         def grad(z):
+            z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
-            gm = np.zeros((d_rest, d_sub), dtype=complex)
+            gm = np.zeros(sl.shape, dtype=complex)
             if np.any(live):
                 gm[live] = h_sub.gradient_batch(sl[live])
             if sub_slot == 0:
-                return (gm.T @ u.T).reshape(-1)
-            return (u @ gm).reshape(-1)
+                return (np.swapaxes(gm, -1, -2) @ u.T).reshape(z.shape)
+            return (u @ gm).reshape(z.shape)
 
     op = None
     if h_sub.analytic_operator is not None:
         # full = sum_r block_r (x) |u_r><u_r| (factors swapped for slot 1),
         # contracted over r in one einsum.
-        layout = "rab,lr,mr->albm" if sub_slot == 0 else "rab,lr,mr->lamb"
+        layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
         uc = u.conj()
 
         def op(z):
+            z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
-            blocks = np.zeros((d_rest, d_sub, d_sub), dtype=complex)
+            blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
             if np.any(live):
                 blocks[live] = h_sub.operator_batch(sl[live])
-            return np.einsum(layout, blocks, u, uc).reshape(dim_total, dim_total)
+            full = np.einsum(layout, blocks, u, uc)
+            return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
     return HomogeneousObservable(
         evaluator=value,
@@ -178,6 +180,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         analytic_gradient=grad,
         analytic_operator=op,
         params={"d_sub": d_sub, "d_rest": d_rest, "sub_slot": sub_slot},
+        batched=h_sub.batched,
     )
 
 
@@ -190,17 +193,23 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
     homogeneity identity <psi, g> = H).  Any Hermitian completion gives the
     same wave flow; this one needs only the gradient, so it serves functionals
     with no closed-form second derivatives (the purity-weighted extension).
+    The builder also maps a ``(K, d)`` stack of states to the ``(K, d, d)``
+    stack of their generators, with one ``gradient_batch`` and one
+    ``value_batch`` call.
     """
     def builder(z):
         zv = z.amplitudes if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
-        g = (np.asarray(obs.analytic_gradient(zv), dtype=complex)
-             if obs.analytic_gradient is not None else wirtinger_gradient(obs, zv))
-        n = float(np.vdot(zv, zv).real)
-        if n < SLICE_FLOOR:
+        zs = np.atleast_2d(zv)
+        n = np.real(np.sum(zs.conj() * zs, axis=-1))
+        if np.any(n < SLICE_FLOOR):
             raise SingularObservableError("gradient flow undefined at the zero vector")
-        h = obs.value(zv)
-        return ((np.outer(g, zv.conj()) + np.outer(zv, g.conj())) / n
-                - (h / n ** 2) * np.outer(zv, zv.conj()))
+        g = obs.gradient_batch(zs)
+        h = obs.value_batch(zs)
+        zc = zs.conj()
+        m = ((g[:, :, None] * zc[:, None, :] + zs[:, :, None] * g.conj()[:, None, :])
+             / n[:, None, None]
+             - (h / n ** 2)[:, None, None] * (zs[:, :, None] * zc[:, None, :]))
+        return m if zv.ndim == 2 else m[0]
 
     return builder
 
@@ -244,7 +253,7 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
             raise SingularObservableError("purity-weighted form undefined at the zero vector")
         m = float(np.vdot(z, lifted @ z).real)
         rho = reduced(z.reshape(dims))
-        p2 = float(np.trace(rho @ rho).real)
+        p2 = float(np.vdot(rho.conj().T, rho).real)
         return e2 * n + eps * m ** 2 * p2 / n ** 3
 
     def grad(z):
@@ -255,7 +264,7 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         m = float(np.vdot(z, lifted @ z).real)
         t = z.reshape(dims)
         rho = reduced(t)
-        p2 = float(np.trace(rho @ rho).real)
+        p2 = float(np.vdot(rho.conj().T, rho).real)
         if slot == 1:
             rho_psi = (t @ rho.T).reshape(-1)
         else:
@@ -309,17 +318,20 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     if variant not in ("plain", "purity-weighted"):
         raise ValidationError(f"unknown variant {variant!r}")
 
+    # Tr(a b) as one contraction: np.vdot(b^dagger, a).
+    eh_dag = np.ascontiguousarray(eh.conj().T)
+
     def coeff(r):
         tr = float(np.trace(r).real)
-        c = float(np.trace(r @ eh).real) / tr
+        c = float(np.vdot(eh_dag, r).real) / tr
         if variant == "purity-weighted":
-            c *= float(np.trace(r @ r).real) / tr ** 2
+            c *= float(np.vdot(r.conj().T, r).real) / tr ** 2
         return c
 
     def rhs(r):
         return -2j * coeff(r) * (eh @ r - r @ eh)
 
-    nsteps, dt_eff = _step_grid(t_end, dt)
+    nsteps, dt_eff = _step_grid(t_end, dt, width=d * d)
     times = np.empty(nsteps + 1)
     out = np.empty((nsteps + 1, d, d), dtype=complex)
     consts0 = None
@@ -327,8 +339,8 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
         times[step] = step * dt_eff
         out[step] = rho
         consts = (float(np.trace(rho).real),
-                  float(np.trace(rho @ eh).real),
-                  float(np.trace(rho @ rho).real))
+                  float(np.vdot(eh_dag, rho).real),
+                  float(np.vdot(rho.conj().T, rho).real))
         if consts0 is None:
             consts0 = consts
         else:
@@ -598,8 +610,10 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
     rho = l1 * 0.5 * eye + l2 * m
 
+    # Tr(r sigma) as one contraction, np.vdot(sigma^dagger, r) = np.vdot(sigma, r)
+    # for the Hermitian Pauli matrices.
     def xval(r):
-        return float(np.trace(r @ sigma1).real) / float(np.trace(r).real)
+        return float(np.vdot(sigma1, r).real) / float(np.trace(r).real)
 
     x0 = xval(rho)
 
@@ -610,7 +624,7 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     times = np.linspace(0.0, t_end, nsteps + 1)
     s3_series = np.empty(nsteps + 1)
     for step in range(nsteps + 1):
-        s3_series[step] = float(np.trace(rho @ sigma3).real)
+        s3_series[step] = float(np.vdot(sigma3, rho).real)
         if abs(xval(rho) - x0) > 1e-9:
             raise IntegrationError(
                 f"sigma1 average drifted at t = {times[step]:g}; reduce dt")

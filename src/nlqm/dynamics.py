@@ -4,7 +4,11 @@ The central flow is  i dpsi/dt = H_hat(psi) psi  with H_hat the state-dependent
 Hermitian operator of a (1,1)-homogeneous average-energy functional.  The
 integrator is a fixed-step classical Runge-Kutta scheme; the norm is *not*
 re-imposed along the way — its conservation (exact for the true flow because
-H_hat is Hermitian) is monitored as an accuracy check instead.
+H_hat is Hermitian) is monitored as an accuracy check instead.  Every
+accepted sample is checked for norm drift and blow-up as it is taken, and
+its H_hat for hermiticity: at once on the reference path, or, when the RK4
+stages take the gradient dH/dpsibar, once per block of ``MONITOR_BLOCK``
+samples with one stacked build, and always before an error leaves the loop.
 
 Also here: the closed-form solution for diagonal quadratic families, the
 two-level Bloch system with spontaneous-emission and mean-field terms (in two
@@ -38,6 +42,12 @@ __all__ = [
 HERMITICITY_STEP_TOL = 1e-8
 NORM_DRIFT_PER_STEP = 1e-6
 MAX_STEPS = 1_000_000
+# Entries of one preallocated sample array, (nsteps + 1) x entries per sample
+# (128 MB as complex).
+MAX_SAMPLE_ENTRIES = 8_000_000
+# Accepted wave-flow samples per operator build on the flow path; a
+# (MONITOR_BLOCK, d, d) complex stack is 102 kB at d = 10.
+MONITOR_BLOCK = 64
 
 
 class IntegrationError(RuntimeError):
@@ -88,14 +98,16 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(getattr(h, "entries", h), dtype=complex)
 
 
-def _step_grid(t_end: float, dt: float, min_steps: int = 1):
+def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
     """Fixed RK4 step grid ``(nsteps, dt_eff)`` that lands exactly on t_end.
 
     ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and ``min_steps`` for
     t_end = 0; ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
     :class:`ValidationError` unless dt is finite and positive, t_end is
-    finite and nonnegative, their ratio is finite and the grid has at most
-    ``MAX_STEPS`` steps (each loop preallocates its samples).
+    finite and nonnegative, their ratio is finite, the grid has at most
+    ``MAX_STEPS`` steps and the caller's sample array, ``nsteps + 1`` samples
+    of ``width`` entries each, has at most ``MAX_SAMPLE_ENTRIES`` entries
+    (each loop preallocates its samples).
     """
     dt, t_end = float(dt), float(t_end)
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
@@ -107,7 +119,54 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1):
         raise ValidationError(
             f"step grid of {nsteps:.3g} steps exceeds the cap of {MAX_STEPS:,} "
             f"(dt = {dt:g}, t_end = {t_end:g})")
+    if (nsteps + 1) * width > MAX_SAMPLE_ENTRIES:
+        raise ValidationError(
+            f"{nsteps + 1:,} samples of {width} entries exceed the cap of "
+            f"{MAX_SAMPLE_ENTRIES:,} sample entries (dt = {dt:g}, t_end = {t_end:g})")
     return nsteps, (t_end / nsteps if nsteps else 0.0)
+
+
+def _check_hermitian(h: np.ndarray, times) -> None:
+    """The hermiticity monitor: raise at the first sample whose operator is not Hermitian.
+
+    ``h`` is a ``(K, d, d)`` stack, one operator per sample time in ``times``.
+    """
+    dev = np.abs(h - np.swapaxes(h, 1, 2).conj()).max(axis=(1, 2))
+    # a non-finite matrix (deviation nan) fails too
+    ok = dev <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2)))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise IntegrationError(
+            f"builder returned a non-Hermitian matrix at t = {times[k]:g} "
+            f"(deviation {dev[k]:.3e})")
+
+
+def _monitored_hvalues(hbuilder: Callable, zs: np.ndarray, times) -> np.ndarray:
+    """Build, cross-check and monitor Ĥ at a ``(K, d)`` block of samples.
+
+    ``hbuilder`` gets the whole block in one call.  A ``(d, d)`` result is a
+    state-independent matrix and stands for every row; otherwise it must be
+    ``(K, d, d)``.  The first row is also built alone and must agree with the
+    stack to 1e-12 (1 + max|h|), so a builder that mishandles stacks fails
+    loudly.  Returns the energy values <z|Ĥ(z)|z> of the rows.
+    """
+    h = _as_matrix(hbuilder(zs))
+    d = zs.shape[1]
+    if h.shape == (d, d):
+        h = h[None]      # checked once, at the block's first sample
+    elif h.shape != (zs.shape[0], d, d):
+        raise ValidationError(
+            f"builder mapped a {zs.shape} stack of states to shape {h.shape}; "
+            f"expected {(zs.shape[0], d, d)} or {(d, d)}")
+    first = _as_matrix(hbuilder(zs[0]))
+    dev = float(np.max(np.abs(h[0] - first)))
+    if dev > 1e-12 * (1.0 + float(np.max(np.abs(first)))):
+        raise ValidationError(
+            f"builder's stacked result differs from a single-state build by {dev:.3e} "
+            f"at t = {times[0]:g}; it must map a (K, d) stack row by row")
+    _check_hermitian(h, times)
+    hz = np.matmul(h, zs[:, :, None])[:, :, 0]
+    return np.sum(zs.conj() * hz, axis=1).real
 
 
 def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None,
@@ -117,19 +176,29 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
 
     ``hbuilder`` maps an amplitude vector to a Hermitian matrix (ndarray or
     wrapper with ``.entries``).  Fixed-step RK4; the step count is
-    ``round(t_end/dt)`` so the final time is hit exactly.  Each accepted step
-    checks hermiticity of the freshly built matrix and the cumulative norm
-    drift against a budget proportional to the step count; violations raise
-    :class:`IntegrationError` rather than silently renormalizing.
+    ``round(t_end/dt)`` so the final time is hit exactly.  Every accepted
+    sample's matrix is checked for hermiticity, and every accepted sample's
+    norm against a drift budget proportional to the step count; violations
+    raise :class:`IntegrationError` rather than silently renormalizing.
 
     ``flow`` maps an amplitude vector z to the product ``hbuilder(z) @ z``,
     i.e. the Wirtinger gradient dH/dpsibar of the energy functional (for a
     :class:`HomogeneousObservable`, its ``analytic_gradient``).  When given,
-    the RK4 stages k2-k4 call ``flow`` instead of building the d x d matrix,
-    and ``hbuilder`` runs exactly once per accepted step (nsteps + 1 times):
-    that build feeds k1, the hermiticity monitor and the ``hvalue`` record.
-    The contract is ``flow(z) == hbuilder(z) @ z`` up to roundoff; it is not
-    checked.  Omitted, ``flow`` defaults to ``hbuilder(z) @ z``.
+    all four RK4 stages call ``flow`` and the step loop checks only the norm
+    budget, blow-ups and the ``record`` callables.  The matrices are built
+    per block: every ``MONITOR_BLOCK`` accepted samples (and at the end) the
+    ``(K, d)`` block of samples goes to ``hbuilder`` in one call, which must
+    return the ``(K, d, d)`` stack of matrices, or one ``(d, d)`` matrix when
+    it does not depend on the state.  The block's first sample is also built
+    alone, and a stack that disagrees with it raises :class:`ValidationError`.
+    The stack gets the same hermiticity check, row by row, and gives the
+    ``hvalue`` record.  Before any exception leaves the loop, the samples
+    accepted so far are monitored, so the earliest violation is the one
+    reported.  The contract is ``flow(z) == hbuilder(z) @ z`` up to roundoff;
+    it is not checked.  Without ``flow``, each step builds the matrix once
+    for k1, the monitor and ``hvalue``, and the stages k2-k4 use
+    ``hbuilder(z) @ z`` (the reference path, and the one for builders that
+    take a single state only).
 
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
     step including t = 0.
@@ -142,9 +211,10 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     z0 = (psi0 if isinstance(psi0, StateVector) else StateVector(psi0)).amplitudes
     if dt is None:
         dt = default_timestep(hbuilder, z0)
-    nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0)
+    nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0, width=z0.size)
     budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
-    if flow is None:
+    blocks = flow is not None
+    if not blocks:
         flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
 
     def rhs(zv):
@@ -156,37 +226,54 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     amps = np.empty((nsteps + 1, z0.size), dtype=complex)
     z = np.array(z0)
     n0 = float(np.vdot(z, z).real)
+    filled = monitored = 0
+
+    def monitor():
+        """Check the accepted samples not yet monitored, one block per call."""
+        nonlocal monitored
+        while monitored < filled:
+            lo, monitored = monitored, min(filled, monitored + MONITOR_BLOCK)
+            block = amps[lo:monitored]
+            block.flags.writeable = False
+            rec["hvalue"][lo:monitored] = _monitored_hvalues(hbuilder, block,
+                                                             times[lo:monitored])
 
     t = 0.0
-    for step in range(nsteps + 1):
-        h_here = _as_matrix(hbuilder(z))
-        herm = float(np.max(np.abs(h_here - h_here.conj().T)))
-        if herm > HERMITICITY_STEP_TOL * (1.0 + float(np.max(np.abs(h_here)))):
-            raise IntegrationError(
-                f"builder returned a non-Hermitian matrix at t = {t:g} "
-                f"(deviation {herm:.3e})")
-        norm = float(np.vdot(z, z).real)
-        if abs(norm - n0) > budget:
-            raise IntegrationError(
-                f"norm drift {abs(norm - n0):.3e} exceeded budget {budget:.3e} "
-                f"at t = {t:g}; reduce dt")
-        times[step] = t
-        amps[step] = z
-        hz = h_here @ z
-        rec["norm"][step] = norm
-        rec["hvalue"][step] = float(np.vdot(z, hz).real)
-        for name, f in extra.items():
-            rec[name][step] = float(f(t, z))
-        if step == nsteps:
-            break
-        k1 = (-1j) * hz
-        k2 = rhs(z + 0.5 * dt_eff * k1)
-        k3 = rhs(z + 0.5 * dt_eff * k2)
-        k4 = rhs(z + dt_eff * k3)
-        z = z + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (step + 1) * dt_eff
-        if not np.all(np.isfinite(z)):
-            raise IntegrationError(f"solution blew up at t = {t:g}")
+    try:
+        for step in range(nsteps + 1):
+            times[step] = t
+            amps[step] = z
+            if not blocks:
+                h_here = _as_matrix(hbuilder(z))
+                _check_hermitian(h_here[None], (t,))
+                hz = h_here @ z
+                rec["hvalue"][step] = float(np.vdot(z, hz).real)
+            filled = step + 1
+            norm = float(np.vdot(z, z).real)
+            if abs(norm - n0) > budget:
+                raise IntegrationError(
+                    f"norm drift {abs(norm - n0):.3e} exceeded budget {budget:.3e} "
+                    f"at t = {t:g}; reduce dt")
+            rec["norm"][step] = norm
+            for name, f in extra.items():
+                rec[name][step] = float(f(t, z))
+            if blocks and filled - monitored == MONITOR_BLOCK:
+                monitor()
+            if step == nsteps:
+                break
+            k1 = rhs(z) if blocks else (-1j) * hz
+            k2 = rhs(z + 0.5 * dt_eff * k1)
+            k3 = rhs(z + 0.5 * dt_eff * k2)
+            k4 = rhs(z + dt_eff * k3)
+            z = z + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = (step + 1) * dt_eff
+            if not np.all(np.isfinite(z)):
+                raise IntegrationError(f"solution blew up at t = {t:g}")
+    finally:
+        # on the way out, error or not; an error found here replaces the
+        # loop's own, which came later
+        if blocks:
+            monitor()
 
     return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
@@ -276,7 +363,7 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
     r = np.asarray(r0, dtype=float).copy()
     if r.shape != (3,):
         raise ValidationError("Bloch state must be a 3-vector (u, v, w)")
-    nsteps, dt_eff = _step_grid(t_end, dt)
+    nsteps, dt_eff = _step_grid(t_end, dt, width=3)
     cap = 4.0 * float(np.dot(r, r)) + 1.0
     times = np.empty(nsteps + 1)
     out = np.empty((nsteps + 1, 3))

@@ -79,9 +79,11 @@ class HomogeneousObservable:
     batched:
         True when the evaluator and both analytic derivatives (where given)
         also accept a ``(B, d)`` batch of states on a *leading* axis and
-        return ``(B,)``, ``(B, d)`` and ``(B, d, d)`` (catalog families do).
-        :meth:`value_batch`, :meth:`gradient_batch` and
-        :meth:`operator_batch` then make one call; otherwise they loop.
+        return ``(B,)``, ``(B, d)`` and ``(B, d, d)`` (catalog families do,
+        and so does a slice sum of a batched one).  :meth:`value_batch`,
+        :meth:`gradient_batch` and :meth:`operator_batch` then make one
+        call, and so does :func:`nonlinear_operator` on a stack of states;
+        otherwise they loop.
     """
 
     evaluator: Callable
@@ -246,24 +248,51 @@ def _hessian_from_values(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarra
     return out
 
 
-def nonlinear_operator(obs: HomogeneousObservable, psi) -> HermitianOperator:
+def _raw_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
+    if obs.analytic_operator is not None:
+        return np.asarray(obs.analytic_operator(z), dtype=complex)
+    if obs.analytic_gradient is not None:
+        return _hessian_from_gradient(obs.analytic_gradient, z)
+    return _hessian_from_values(obs, z)
+
+
+def nonlinear_operator(obs: HomogeneousObservable, psi):
     """The Hermitian matrix ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
 
     Raises when the pre-symmetrization residual exceeds the 1e-8 gate
     (genuine non-Hermiticity is a bug, not noise).
+
+    Given a ``(K, d)`` stack of states, returns the ``(K, d, d)`` ndarray of
+    their operators, built with one :meth:`~HomogeneousObservable.operator_batch`
+    call when the observable has ``analytic_operator`` (else row by row).
+    Every row gets the single-state checks (the gate, then finite entries)
+    and is symmetrized; the first row that fails raises what a single-state
+    call raises for it.
     """
     z = _unwrap(psi)
-    if obs.analytic_operator is not None:
-        m = np.asarray(obs.analytic_operator(z), dtype=complex)
-    elif obs.analytic_gradient is not None:
-        m = _hessian_from_gradient(obs.analytic_gradient, z)
+    if z.ndim == 1:
+        m = _raw_hessian(obs, z)
+    elif obs.analytic_operator is not None:
+        m = obs.operator_batch(z)
     else:
-        m = _hessian_from_values(obs, z)
-    resid = float(np.max(np.abs(m - m.conj().T)))
-    if resid > HERMITICITY_GATE:
-        raise ValidationError(
-            f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid:.3e}")
-    return HermitianOperator((m + m.conj().T) / 2.0)
+        m = np.stack([_raw_hessian(obs, row) for row in z])
+    mh = np.swapaxes(m, -1, -2).conj()
+    resid = np.max(np.abs(m - mh), axis=(-2, -1))
+    out = (m + mh) / 2.0
+    if z.ndim == 1:
+        if resid > HERMITICITY_GATE:
+            raise ValidationError(
+                f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid:.3e}")
+        return HermitianOperator(out)
+    gated = resid > HERMITICITY_GATE
+    bad = gated | ~np.all(np.isfinite(out), axis=(-2, -1))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if gated[k]:
+            raise ValidationError(
+                f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid[k]:.3e}")
+        HermitianOperator(out[k])   # raises the non-finite entries error
+    return out
 
 
 def star_product(a: HomogeneousObservable, b: HomogeneousObservable, psi) -> complex:

@@ -46,6 +46,22 @@ def test_params_validation_and_derived_constants():
         AtomFieldParams(omega_levels=(0.0, 1.0), eps_levels=(0.0,), omega=1.0, q=1.0)
 
 
+def test_state_dimension_is_capped_before_anything_is_allocated(monkeypatch):
+    cap = nlqm.atom.MAX_STATE_DIM
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", refuse)
+    for levels, n_max in (((0.0, 1.0), 100000), ((0.0, 1.0, 2.0), cap // 3)):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            build_atom_field("linear", AtomFieldParams(
+                omega_levels=levels, eps_levels=levels, omega=1.0, q=1.0, n_max=n_max))
+    at_cap = AtomFieldParams(omega_levels=(0.0, 1.0), eps_levels=(0.0, 0.0), omega=1.0,
+                             q=1.0, n_max=cap // 2 - 1)
+    assert at_cap.n_levels * at_cap.field_dim == cap
+
+
 def test_linear_hamiltonian_is_hermitian_and_conserves_excitation():
     p = _params(0.0, q=0.7 + 0.3j)
     h = linear_hamiltonian(p)

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import nlqm.atom
 from nlqm.cli import EXPERIMENTS, main
 
 CONFIG_DIR = os.path.normpath(
@@ -182,7 +183,11 @@ def test_scenario_runtime_error_is_reported(tmp_path):
     assert "fixed point" in rep["error"]
 
 
-def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path):
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated")
+
+
+def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypatch):
     inf = float("inf")
     bad = [
         {"experiment": "bloch-neoclassical", "name": "bloch-dt-zero", "dt": 0},
@@ -198,11 +203,21 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path):
          "e_levels": [0.0, 1.0], "eps_levels": [0.5, -0.5], "state": [0.8, [0.0, 0.6]]},
     ]
     too_fine = {"experiment": "intention-paradox", "name": "intention-dt-tiny", "dt": 1e-300}
+    # refused before anything is allocated: 900,000 steps at d = 10 are under
+    # the step cap but over the sample cap, and n_max = 100000 would ask
+    # linear_hamiltonian for 74.5 GiB
+    long_wave = {"experiment": "eigenfrequency", "name": "wave-long", "t_end": 9000.0,
+                 "dt": 0.01, "e_levels": [0.0] * 10, "eps_levels": [0.0] * 10,
+                 "state": [1.0] + [0.0] * 9}
+    huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
+    monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
     good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
     # json.dumps writes inf as the token Infinity, which json.load reads back
-    assert _run_dict(tmp_path, {"scenarios": bad + [too_fine, good]}) == 1
+    assert _run_dict(tmp_path, {"scenarios": bad + [too_fine, long_wave, huge_atom, good]}) == 1
     out = tmp_path / "out"
-    for sc, message in [(sc, "dt > 0") for sc in bad] + [(too_fine, "exceeds the cap")]:
+    for sc, message in [(sc, "dt > 0") for sc in bad] + [
+            (too_fine, "exceeds the cap"), (long_wave, "sample entries"),
+            (huge_atom, "state dimension")]:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]

@@ -154,6 +154,55 @@ def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     assert np.max(np.abs(batched.analytic_gradient(phis[-1]))) > 1e-9
 
 
+@pytest.mark.parametrize("sub_slot", [0, 1])
+def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
+    d_sub, d_rest, rows = 2, 3, 5
+    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    h_sub = canonical(0.2, 0.9, 0.6)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    assert obs.batched
+    # states built from their slices; one slice of row 2 sits below the floor
+    phis = _rand(rng, rows * d_rest * d_sub).reshape(rows, d_rest, d_sub)
+    phis[2, -1] *= 1e-8
+    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
+    zs = t.reshape(rows, -1)
+    vals, grads = obs.value_batch(zs), obs.gradient_batch(zs)
+    ops = obs.operator_batch(zs)
+    assert vals.shape == (rows,) and grads.shape == zs.shape
+    assert ops.shape == (rows, d_sub * d_rest, d_sub * d_rest)
+    for k, z in enumerate(zs):
+        v, g, m = obs.value(z), obs.analytic_gradient(z), obs.analytic_operator(z)
+        npt.assert_allclose(vals[k], v, rtol=0, atol=1e-14 * (1.0 + abs(v)))
+        npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
+        npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+        ref = _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z)
+        npt.assert_allclose(ops[k], ref, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(ref))))
+    # the starved slice adds nothing to the stacked value either
+    alive = phis[2, :-1]
+    assert vals[2] == pytest.approx(sum(h_sub.value(phi) for phi in alive), rel=1e-14)
+    # the gated, symmetrized operators of the whole stack in one call
+    npt.assert_allclose(nonlinear_operator(obs, zs), ops, rtol=0, atol=1e-13)
+
+
+def test_gradient_flow_operator_takes_stacks(rng):
+    purity = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted",
+                                   eps=0.3)
+    plain = bilinear(0.2 * np.eye(4)) + polchinski_functional(0.5, nlqm.sigma3, (2, 2),
+                                                              variant="plain", eps=0.3)
+    zs = _rand(rng, 20).reshape(5, 4)
+    for obs in (purity, plain):
+        flowop = gradient_flow_operator(obs)
+        ms = flowop(zs)
+        assert ms.shape == (5, 4, 4)
+        for k, z in enumerate(zs):
+            m = flowop(z)
+            npt.assert_allclose(ms[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+        npt.assert_allclose(np.einsum("kij,kj->ki", ms, zs), obs.gradient_batch(zs),
+                            atol=1e-12)
+        with pytest.raises(nlqm.SingularObservableError):
+            flowop(np.concatenate([zs, np.zeros((1, 4))]))
+
+
 def test_weinberg_composite_rejects_non_unitary_basis():
     with pytest.raises(ValidationError):
         weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2,

@@ -201,17 +201,127 @@ def test_flow_path_builds_the_operator_once_per_step():
     calls = []
 
     def counted(z):
-        calls.append(1)
+        calls.append(np.shape(z))
         return builder(z)
 
     z0 = np.zeros(dim, dtype=complex)
     z0[1] = 1.0
     nsteps = 200
+    block = nlqm.dynamics.MONITOR_BLOCK
     integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005, flow=obs.analytic_gradient)
-    assert len(calls) == nsteps + 1
+    # one stacked build per block of accepted samples, plus its first row alone
+    nblocks = -(-(nsteps + 1) // block)
+    assert len(calls) == 2 * nblocks
+    sizes = [min(block, nsteps + 1 - k * block) for k in range(nblocks)]
+    assert calls == [s for k in sizes for s in ((k, dim), (dim,))]
     calls.clear()
     integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005)
     assert len(calls) == 4 * nsteps + 1
+
+
+# ---------------------------------------------------------------------------
+# The block monitor of the flow path
+
+BASE = np.diag([0.0, 1.0]).astype(complex)
+PAIR = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def _cornered(bad):
+    """diag(0, 1) plus a non-Hermitian corner on the states where ``bad`` holds."""
+    def builder(z):
+        z = np.asarray(z)
+        h = BASE + np.zeros(z.shape[:-1] + (1, 1))
+        h[..., 0, 1] += np.where(bad(z), 0.1, 0.0)
+        return h
+    return builder
+
+
+def test_block_monitor_reports_a_late_violation_like_the_step_path():
+    # the relative phase of the two amplitudes is -t; the corner appears at
+    # t = 0.81, sample 81, in the second block
+    builder = _cornered(lambda z: np.angle(z[..., 1] * z[..., 0].conj()) < -0.805)
+    assert 81 // nlqm.dynamics.MONITOR_BLOCK == 1
+    reports = []
+    for flow in (None, lambda z: z @ BASE.T):
+        with pytest.raises(IntegrationError, match="non-Hermitian") as err:
+            integrate_nls(builder, PAIR, t_end=2.0, dt=0.01, flow=flow)
+        reports.append(str(err.value))
+    assert reports[0] == reports[1]
+    assert "at t = 0.81 " in reports[1]
+
+
+def test_block_monitor_reports_the_earliest_violation_in_a_pending_block():
+    # a damped flow loses 4.4e-6 of norm per step: it leaves its budget
+    # (1e-4 over 100 steps) at t = 2.3, and the builder turns non-Hermitian
+    # at t = 1, both in block 0
+    damped = lambda z: z @ BASE.T - 2.2e-5j * z
+    lost = lambda z: np.sum(np.abs(z) ** 2, axis=-1) < 1.0 - 4.2e-5
+    kwargs = dict(t_end=10.0, dt=0.1, flow=damped)
+    with pytest.raises(IntegrationError, match="norm drift .* at t = 2.3;"):
+        integrate_nls(_cornered(lambda z: False), PAIR, **kwargs)
+    with pytest.raises(IntegrationError, match="non-Hermitian matrix at t = 1 "):
+        integrate_nls(_cornered(lost), PAIR, **kwargs)
+
+    # a record callable that raises later does not hide it either
+    def late(t, z):
+        if t > 1.5:
+            raise ValueError("record failed")
+        return 0.0
+
+    with pytest.raises(IntegrationError, match="non-Hermitian matrix at t = 1 "):
+        integrate_nls(_cornered(lost), PAIR, record={"late": late}, **kwargs)
+    with pytest.raises(ValueError, match="record failed"):
+        integrate_nls(_cornered(lambda z: False), PAIR,
+                      record={"late": late}, **kwargs)
+
+
+def test_block_monitor_rejects_a_builder_that_mishandles_stacks():
+    def flattening(z):
+        # np.vdot flattens a stack: one average over all of its rows
+        s3 = np.vdot(z, z * [1.0, -1.0]).real / np.vdot(z, z).real
+        return BASE + 0.3 * s3 * nlqm.sigma3 + 0.5 * nlqm.sigma1
+
+    psi0 = np.array([0.8, 0.6j])
+    with pytest.raises(ValidationError, match="single-state build"):
+        integrate_nls(flattening, psi0, 1.0, 0.01, flow=lambda z: flattening(z) @ z)
+    # the step path builds one state at a time and runs
+    assert integrate_nls(flattening, psi0, 1.0, 0.01).times.size == 101
+    with pytest.raises(ValidationError, match="stack"):
+        integrate_nls(lambda z: np.eye(3), psi0, 1.0, 0.01, flow=lambda z: z)
+
+
+def test_block_monitor_covers_the_single_sample_of_t_end_zero():
+    obs = (bilinear(np.diag([0.0, 1.0]).astype(complex))
+           + moment_power(np.diag([0.5, -0.5]).astype(complex), 2))
+    z0 = np.array([0.8, 0.6j])
+    traj = integrate_nls(lambda z: nonlinear_operator(obs, z), z0, 0.0, 0.1,
+                         flow=obs.analytic_gradient)
+    assert traj.times.size == 1
+    assert traj.recorded["hvalue"][0] == pytest.approx(obs.value(z0), abs=1e-14)
+    skew = lambda z: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(IntegrationError, match="non-Hermitian matrix at t = 0 "):
+        integrate_nls(skew, z0, 0.0, 0.1, flow=lambda z: skew(z) @ z)
+
+
+def test_sample_arrays_are_capped_before_they_are_allocated(monkeypatch):
+    cap = nlqm.dynamics.MAX_SAMPLE_ENTRIES
+    assert cap // 10 <= nlqm.dynamics.MAX_STEPS and cap // 9 <= nlqm.dynamics.MAX_STEPS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    z0 = np.zeros(10, dtype=complex)
+    z0[0] = 1.0
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", refuse)
+        # under the step cap, over the sample cap: 800,001 samples x 10
+        with pytest.raises(ValidationError, match="sample entries"):
+            integrate_nls(refuse, z0, float(cap // 10), 1.0, flow=refuse)
+        with pytest.raises(ValidationError, match="sample entries"):
+            nlqm.polchinski_reduced_flow("plain", np.diag([1.0, 0.0, -1.0]),
+                                         np.diag([0.5, 0.3, 0.2]), float(cap // 9), 1.0)
+    # one sample fewer fits
+    assert nlqm.dynamics._step_grid(float(cap // 10 - 1), 1.0, width=10) == (cap // 10 - 1, 1.0)
 
 
 # ---------------------------------------------------------------------------

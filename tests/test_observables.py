@@ -4,6 +4,8 @@ Expected numbers below were frozen from closed forms evaluated by hand at
 simple states (moduli 0.8/0.6 keep every intermediate a short decimal).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,7 +229,7 @@ def _batch_case(name, rng):
         return bilinear(herm), 3
     if name.startswith("moment"):
         return moment_power(herm, int(name[len("moment"):]), coeff=0.7), 3
-    # slice sums take one state at a time: the per-row path
+    # the slice sum of a batched family is batched too
     return nlqm.weinberg_composite(canonical(0.1, 0.9, 0.4), 2, 2, np.eye(2)), 4
 
 
@@ -235,17 +237,60 @@ def _batch_case(name, rng):
                                   "slice-sum"])
 def test_gradient_and_operator_batches_match_per_row_calls(name, rng):
     obs, d = _batch_case(name, rng)
-    assert obs.batched == (name != "slice-sum")
+    assert obs.batched
     zs = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    grads = obs.gradient_batch(zs)
-    ops = obs.operator_batch(zs)
-    assert grads.shape == (6, d) and ops.shape == (6, d, d)
-    # one batched product against per-row ones: equal up to summation order
-    for k, z in enumerate(zs):
-        g, m = wirtinger_gradient(obs, z), obs.analytic_operator(z)
-        npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
-        npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+    # the slice sum also through the per-row path
+    for o in [obs] + ([replace(obs, batched=False)] if name == "slice-sum" else []):
+        grads = o.gradient_batch(zs)
+        ops = o.operator_batch(zs)
+        assert grads.shape == (6, d) and ops.shape == (6, d, d)
+        # one batched product against per-row ones: equal up to summation order
+        for k, z in enumerate(zs):
+            g, m = wirtinger_gradient(o, z), o.analytic_operator(z)
+            npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
+            npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+
+
+def _skewed(z):
+    # Hermitian part plus a skew corner 1e-9 |psi_0|^2, past the gate once
+    # |psi_0|^2 > 10, and no finite value for 4 < |psi_0|^2 < 6
+    w = np.abs(z[..., 0]) ** 2
+    h = np.zeros(z.shape[:-1] + (2, 2), dtype=complex) + nlqm.sigma1
+    h[..., 0, 1] += 1e-9 * w
+    return np.where(((w > 4.0) & (w < 6.0))[..., None, None], np.nan, h)
+
+
+def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
+    zs = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    obs = canonical(0.2, 1.3, 0.8)
+    cases = [obs,                                   # one operator_batch call
+             replace(obs, batched=False),           # per-row analytic operators
+             replace(obs, analytic_operator=None),  # Hessian from the gradient
+             HomogeneousObservable(evaluator=obs.evaluator)]  # from values
+    for o in cases:
+        ms = nonlinear_operator(o, zs)
+        assert isinstance(ms, np.ndarray) and ms.shape == (6, 2, 2)
+        npt.assert_array_equal(ms, np.swapaxes(ms, 1, 2).conj())
+        for k, z in enumerate(zs):
+            m = nonlinear_operator(o, z).entries
+            npt.assert_allclose(ms[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+
+    # the first bad row raises what a single-state call raises for it
+    skew = HomogeneousObservable(evaluator=lambda z, zc: 0.0, label="skew",
+                                 analytic_operator=_skewed, batched=True)
+    fine, gated, worse = [1.0, 0.0], [4.0, 0.0], [5.0, 0.0]
+    nonfinite = [2.2, 0.0]
+    nonlinear_operator(skew, np.array([fine, [3.0, 0.0]]))
+    for rows, bad, message in (([fine, gated, worse], gated, "residual 1.6"),
+                               ([fine, nonfinite, gated], nonfinite, "non-finite"),
+                               ([gated, nonfinite], gated, "residual 1.6")):
+        with pytest.raises(ValidationError, match=message) as single:
+            nonlinear_operator(skew, np.array(bad, dtype=complex))
+        with pytest.raises(ValidationError) as stacked:
+            nonlinear_operator(skew, np.array(rows, dtype=complex))
+        assert str(stacked.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
