@@ -81,7 +81,6 @@ from .composite import (
 from .atom import (
     AtomFieldParams,
     InversionSeries,
-    atom_r0,
     atom_r3,
     atom_rplus,
     build_atom_field,

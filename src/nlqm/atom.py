@@ -39,7 +39,6 @@ __all__ = [
     "AtomFieldParams",
     "InversionSeries",
     "atom_r3",
-    "atom_r0",
     "atom_rplus",
     "field_annihilator",
     "linear_hamiltonian",
@@ -125,14 +124,6 @@ def atom_r3(n_levels: int) -> np.ndarray:
     """diag(-1/2, +1/2, 0, ...): half the inversion of the coupled pair."""
     m = np.zeros((n_levels, n_levels), dtype=complex)
     m[0, 0] = -0.5
-    m[1, 1] = 0.5
-    return m
-
-
-def atom_r0(n_levels: int) -> np.ndarray:
-    """diag(1/2, 1/2, 0, ...): the coupled-pair occupation over two."""
-    m = np.zeros((n_levels, n_levels), dtype=complex)
-    m[0, 0] = 0.5
     m[1, 1] = 0.5
     return m
 

@@ -111,22 +111,12 @@ def _as_complex(v, field):
     raise SchemaError(f"field '{field}' must be a number or [re, im] pair")
 
 
-def _as_real_list(v, field):
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"field '{field}' must be a non-empty list of numbers")
-    return [_as_real(x, field) for x in v]
-
-
-def _as_int_list(v, field):
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"field '{field}' must be a non-empty list of integers")
-    return [_as_int(x, field) for x in v]
-
-
-def _as_complex_list(v, field):
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"field '{field}' must be a non-empty list of entries")
-    return [_as_complex(x, field) for x in v]
+def _as_list(item, what):
+    def coerce(v, field):
+        if not isinstance(v, list) or not v:
+            raise SchemaError(f"field '{field}' must be a non-empty list of {what}")
+        return [item(x, field) for x in v]
+    return coerce
 
 
 _COERCE = {
@@ -134,9 +124,9 @@ _COERCE = {
     "int": _as_int,
     "bool": _as_bool,
     "complex": _as_complex,
-    "real_list": _as_real_list,
-    "int_list": _as_int_list,
-    "complex_list": _as_complex_list,
+    "real_list": _as_list(_as_real, "numbers"),
+    "int_list": _as_list(_as_int, "integers"),
+    "complex_list": _as_list(_as_complex, "entries"),
 }
 
 

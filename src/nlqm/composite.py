@@ -43,7 +43,7 @@ from .observables import (
     moment_power,
     nonlinear_operator,
 )
-from .dynamics import IntegrationError, Trajectory, _step_grid, integrate_nls
+from .dynamics import IntegrationError, _rk4, _step_grid, integrate_nls
 
 __all__ = [
     "TelegraphParams",
@@ -239,46 +239,42 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
     if variant != "purity-weighted":
         raise ValidationError(f"unknown variant {variant!r}")
 
-    d_sub = dims[slot]
-
-    def reduced(t: np.ndarray) -> np.ndarray:
-        if slot == 1:
-            return np.einsum("mk,ml->kl", t, t.conj())
-        return np.einsum("km,lm->kl", t, t.conj())
+    def moments(z: np.ndarray):
+        """n, <L>, Tr(rho_sub^2), L z, the amplitude tensors and rho_sub of each state."""
+        n = np.real(np.sum(z.conj() * z, axis=-1))
+        if np.any(n < SLICE_FLOOR):
+            raise SingularObservableError("purity-weighted form undefined at the zero vector")
+        lz = z @ lifted.T
+        m = np.real(np.sum(z.conj() * lz, axis=-1))
+        t = z.reshape(z.shape[:-1] + tuple(dims))
+        layout = "...mk,...ml->...kl" if slot == 1 else "...km,...lm->...kl"
+        rho = np.einsum(layout, t, t.conj())
+        p2 = np.real(np.sum(np.swapaxes(rho, -1, -2) * rho, axis=(-2, -1)))
+        return n, m, p2, lz, t, rho
 
     def value(z, zc):
-        z = np.asarray(z, dtype=complex)
-        n = float(np.vdot(z, z).real)
-        if n < SLICE_FLOOR:
-            raise SingularObservableError("purity-weighted form undefined at the zero vector")
-        m = float(np.vdot(z, lifted @ z).real)
-        rho = reduced(z.reshape(dims))
-        p2 = float(np.vdot(rho.conj().T, rho).real)
+        n, m, p2, *_ = moments(np.asarray(z, dtype=complex))
         return e2 * n + eps * m ** 2 * p2 / n ** 3
 
     def grad(z):
         z = np.asarray(z, dtype=complex)
-        n = float(np.vdot(z, z).real)
-        if n < SLICE_FLOOR:
-            raise SingularObservableError("purity-weighted form undefined at the zero vector")
-        m = float(np.vdot(z, lifted @ z).real)
-        t = z.reshape(dims)
-        rho = reduced(t)
-        p2 = float(np.vdot(rho.conj().T, rho).real)
+        n, m, p2, lz, t, rho = moments(z)
         if slot == 1:
-            rho_psi = (t @ rho.T).reshape(-1)
+            rho_psi = (t @ np.swapaxes(rho, -1, -2)).reshape(z.shape)
         else:
-            rho_psi = (rho @ t).reshape(-1)
+            rho_psi = (rho @ t).reshape(z.shape)
+        col = lambda c: np.asarray(c)[..., None]
         return (e2 * z
-                + eps * (2.0 * m * p2 / n ** 3) * (lifted @ z)
-                + eps * (2.0 * m ** 2 / n ** 3) * rho_psi
-                - eps * (3.0 * m ** 2 * p2 / n ** 4) * z)
+                + eps * col(2.0 * m * p2 / n ** 3) * lz
+                + eps * col(2.0 * m ** 2 / n ** 3) * rho_psi
+                - eps * col(3.0 * m ** 2 * p2 / n ** 4) * z)
 
     return HomogeneousObservable(
         evaluator=value,
         label=f"moment-pair[purity-weighted, eps={eps:g}]",
         analytic_gradient=grad,
         params={"e2": e2, "eps": eps, "variant": variant},
+        batched=True,
     )
 
 
@@ -306,12 +302,13 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     with c = Tr(rho epshat)/Tr(rho) for ``plain`` and the same times
     Tr(rho^2)/(Tr rho)^2 for ``purity-weighted``.  The flow is isospectral;
     Tr(rho), Tr(rho epshat) and Tr(rho^2) are all constants of motion and each
-    is verified at every step to 1e-9 (relative).  Diagonal mixtures in the
+    is verified at every sample to 1e-9 (relative), one block of samples at a
+    time; the earliest violation is reported.  Diagonal mixtures in the
     epshat eigenbasis are fixed points — seed an off-diagonal perturbation to
     see the variant-dependent rotation rate.
     """
     eh = np.asarray(epshat, dtype=complex)
-    rho = np.asarray(getattr(rho0, "entries", rho0), dtype=complex).copy()
+    rho = np.asarray(getattr(rho0, "entries", rho0), dtype=complex)
     d = rho.shape[0]
     if eh.shape != (d, d) or rho.shape != (d, d):
         raise ValidationError("epshat and rho0 must be square matrices of equal size")
@@ -331,31 +328,26 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     def rhs(r):
         return -2j * coeff(r) * (eh @ r - r @ eh)
 
+    def invariants(rs):
+        """(trace, epshat average, purity) of each matrix of a (K, d, d) stack."""
+        return np.stack([np.trace(rs, axis1=1, axis2=2).real,
+                         (eh.T * rs).sum(axis=(1, 2)).real,
+                         (np.swapaxes(rs, 1, 2) * rs).sum(axis=(1, 2)).real], axis=1)
+
     nsteps, dt_eff = _step_grid(t_end, dt, width=d * d)
-    times = np.empty(nsteps + 1)
-    out = np.empty((nsteps + 1, d, d), dtype=complex)
-    consts0 = None
-    for step in range(nsteps + 1):
-        times[step] = step * dt_eff
-        out[step] = rho
-        consts = (float(np.trace(rho).real),
-                  float(np.vdot(eh_dag, rho).real),
-                  float(np.vdot(rho.conj().T, rho).real))
-        if consts0 is None:
-            consts0 = consts
-        else:
-            for name, a, b in zip(("trace", "epshat average", "purity"), consts0, consts):
-                if abs(a - b) > 1e-9 * (1.0 + abs(a)):
-                    raise IntegrationError(
-                        f"reduced flow failed to conserve {name} at t = {times[step]:g} "
-                        f"({a:g} -> {b:g}); reduce dt")
-        if step == nsteps:
-            break
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt_eff * k1)
-        k3 = rhs(rho + 0.5 * dt_eff * k2)
-        k4 = rhs(rho + dt_eff * k3)
-        rho = rho + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    times = np.arange(nsteps + 1) * dt_eff
+    consts0 = invariants(rho[None])[0]
+
+    def conserved(lo, hi, block):
+        consts = invariants(block)
+        broken = np.abs(consts - consts0) > 1e-9 * (1.0 + np.abs(consts0))
+        if broken.any():
+            k, j = divmod(int(np.argmax(broken)), 3)
+            raise IntegrationError(
+                f"reduced flow failed to conserve {('trace', 'epshat average', 'purity')[j]} "
+                f"at t = {times[lo + k]:g} ({consts0[j]:g} -> {consts[k, j]:g}); reduce dt")
+
+    out = _rk4(rhs, rho, times, dt_eff, on_block=conserved)
     return ReducedFlowTrajectory(times=times, rhos=out, variant=variant)
 
 
@@ -427,11 +419,19 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     return float(np.hypot(sol[0], sol[1])), float(w), float(sol[2])
 
 
-def _local_average(traj: Trajectory, op: np.ndarray, keep: int) -> np.ndarray:
-    """Normalized <op> of pair factor ``keep`` at every sample of ``traj``."""
+def _telegraph(total: HomogeneousObservable, t0: np.ndarray, keep: int, t_end: float,
+               dt: float, predicted_frequency: float,
+               predicted_amplitude: float) -> TelegraphReport:
+    """Integrate the pair amplitude ``t0`` and fit the local <sigma_2> of factor ``keep``."""
+    traj = integrate_nls(lambda z: nonlinear_operator(total, z), t0.reshape(-1), t_end, dt,
+                         flow=total.analytic_gradient)
     rho = reduced_states(traj.amplitudes(), (2, 2), keep)
     tr = np.trace(rho, axis1=1, axis2=2).real
-    return np.einsum("tkl,lk->t", rho, op).real / tr
+    signal = np.einsum("tkl,lk->t", rho, sigma2).real / tr
+    amp, w, _ = _fit_sinusoid(traj.times, signal)
+    return TelegraphReport(times=traj.times, signal=signal, fitted_frequency=w,
+                           fitted_amplitude=amp, predicted_frequency=predicted_frequency,
+                           predicted_amplitude=predicted_amplitude)
 
 
 def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> TelegraphReport:
@@ -452,19 +452,10 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
     h_sub = canonical(params.e2, params.e2, params.eps)
     total = (bilinear(params.e1 * np.eye(4))
              + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
-    builder = lambda z: nonlinear_operator(total, z)
     t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
-    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
-    signal = _local_average(traj, sigma2, keep=1)
-    amp, w, _ = _fit_sinusoid(traj.times, signal)
-    return TelegraphReport(
-        times=traj.times,
-        signal=signal,
-        fitted_frequency=w,
-        fitted_amplitude=amp,
-        predicted_frequency=abs(4.0 * params.eps * (abs(a) ** 2 - abs(b) ** 2)),
-        predicted_amplitude=abs(2.0 * (a.conjugate() * b).real),
-    )
+    return _telegraph(total, t0, 1, t_end, dt,
+                      abs(4.0 * params.eps * (abs(a) ** 2 - abs(b) ** 2)),
+                      abs(2.0 * (a.conjugate() * b).real))
 
 
 def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> TelegraphReport:
@@ -483,19 +474,9 @@ def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> Tele
     phi_perp = np.array([np.sin(tilt), -np.cos(tilt)], dtype=complex)
     h_sub = moment_power(sigma3, 2, coeff=eps)
     total = weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1)
-    builder = lambda z: nonlinear_operator(total, z)
     t0 = np.stack([phi, phi_perp]) / np.sqrt(2.0)
-    traj = integrate_nls(builder, t0.reshape(-1), t_end, dt, flow=total.analytic_gradient)
-    signal = _local_average(traj, sigma2, keep=0)
-    amp, w, _ = _fit_sinusoid(traj.times, signal)
-    return TelegraphReport(
-        times=traj.times,
-        signal=signal,
-        fitted_frequency=w,
-        fitted_amplitude=amp,
-        predicted_frequency=abs(4.0 * eps * np.cos(2.0 * tilt)),
-        predicted_amplitude=abs(np.sin(2.0 * tilt)),
-    )
+    return _telegraph(total, t0, 0, t_end, dt, abs(4.0 * eps * np.cos(2.0 * tilt)),
+                      abs(np.sin(2.0 * tilt)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,35 +504,30 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     """
     u = _check_unitary(remote_u, 2)
     if description == "weinberg":
-        total = (bilinear(e1 * np.eye(4))
-                 + weinberg_composite(canonical(e2, e2, eps), 2, 2, np.eye(2), sub_slot=1))
-        builder = lambda z: nonlinear_operator(total, z)
-    elif description == "polchinski-plain":
-        total = bilinear(e1 * np.eye(4)) + polchinski_functional(e2, sigma3, (2, 2),
-                                                                 variant="plain", eps=eps)
-        builder = lambda z: nonlinear_operator(total, z)
-    elif description == "polchinski-purity":
-        total = bilinear(e1 * np.eye(4)) + polchinski_functional(e2, sigma3, (2, 2),
-                                                                 variant="purity-weighted",
-                                                                 eps=eps)
-        builder = gradient_flow_operator(total)
+        pair = weinberg_composite(canonical(e2, e2, eps), 2, 2, np.eye(2), sub_slot=1)
+    elif description in ("polchinski-plain", "polchinski-purity"):
+        variant = "plain" if description == "polchinski-plain" else "purity-weighted"
+        pair = polchinski_functional(e2, sigma3, (2, 2), variant=variant, eps=eps)
     else:
         raise ValidationError(f"unknown description {description!r}")
+    total = bilinear(e1 * np.eye(4)) + pair
+    if description == "polchinski-purity":
+        builder = gradient_flow_operator(total)
+    else:
+        builder = lambda z: nonlinear_operator(total, z)
 
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
     rotated = rotate_subsystem(StateVector(singlet, dims=(2, 2)), u, slot=0)
     # Every builder here satisfies M(psi) psi = dH/dpsibar (the
     # gradient_flow_operator completion by construction), so the RK4 stages
-    # can take the gradient directly.
-    flow = total.analytic_gradient
-    traj_a = integrate_nls(builder, singlet, t_end, dt, flow=flow)
-    traj_b = integrate_nls(builder, rotated.amplitudes, t_end, dt, flow=flow)
-    ra = reduced_states(traj_a.amplitudes(), (2, 2), keep=1)
-    rb = reduced_states(traj_b.amplitudes(), (2, 2), keep=1)
-    devs = np.max(np.abs(ra - rb), axis=(1, 2))
+    # can take the gradient directly, for both states as one stack.
+    traj = integrate_nls(builder, np.stack([singlet, rotated.amplitudes]), t_end, dt,
+                         flow=total.analytic_gradient)
+    rho = reduced_states(traj.amplitudes().reshape(-1, 4), (2, 2), keep=1)
+    devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
     return NoSignalingReport(
         description=description,
-        times=traj_a.times,
+        times=traj.times,
         deviations=devs,
         max_deviation=float(np.max(devs)),
     )
@@ -608,33 +584,32 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
         raise ValidationError("mixture weights must be nonnegative and sum to 1")
     eye = np.eye(2, dtype=complex)
     m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    rho = l1 * 0.5 * eye + l2 * m
+    rho0 = l1 * 0.5 * eye + l2 * m
 
     # Tr(r sigma) as one contraction, np.vdot(sigma^dagger, r) = np.vdot(sigma, r)
-    # for the Hermitian Pauli matrices.
+    # for the Hermitian Pauli matrices (and sum(sigma * r) for symmetric ones).
     def xval(r):
         return float(np.vdot(sigma1, r).real) / float(np.trace(r).real)
 
-    x0 = xval(rho)
+    x0 = xval(rho0)
 
     def rhs(r):
         return -2j * f * xval(r) * (sigma1 @ r - r @ sigma1)
 
-    nsteps, dt_eff = _step_grid(t_end, dt)
+    nsteps, dt_eff = _step_grid(t_end, dt, width=4)
     times = np.linspace(0.0, t_end, nsteps + 1)
     s3_series = np.empty(nsteps + 1)
-    for step in range(nsteps + 1):
-        s3_series[step] = float(np.vdot(sigma3, rho).real)
-        if abs(xval(rho) - x0) > 1e-9:
+
+    def drift(lo, hi, block):
+        s3_series[lo:hi] = (sigma3 * block).sum(axis=(1, 2)).real
+        x = (sigma1 * block).sum(axis=(1, 2)).real / np.trace(block, axis1=1, axis2=2).real
+        drifted = np.abs(x - x0) > 1e-9
+        if drifted.any():
             raise IntegrationError(
-                f"sigma1 average drifted at t = {times[step]:g}; reduce dt")
-        if step == nsteps:
-            break
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt_eff * k1)
-        k3 = rhs(rho + 0.5 * dt_eff * k2)
-        k4 = rhs(rho + dt_eff * k3)
-        rho = rho + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                f"sigma1 average drifted at t = {times[lo + int(np.argmax(drifted))]:g}; "
+                f"reduce dt")
+
+    rho = _rk4(rhs, rho0, times, dt_eff, on_block=drift)[-1]
 
     angle = 2.0 * l2 * f * t_end
     rho_exact = (l1 * 0.5 * eye
@@ -642,7 +617,6 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
                                  + np.cos(angle) * sigma3 - np.sin(angle) * sigma2))
     p_up0 = 0.5 * (eye + sigma3)
     p_up_t = 0.5 * (eye + np.cos(angle) * sigma3 + np.sin(angle) * sigma2)
-    rho0 = l1 * 0.5 * eye + l2 * m
     schrod = float(np.trace(rho @ p_up0).real)
     heis = float(np.trace(rho0 @ p_up_t).real)
     return ParadoxReport(

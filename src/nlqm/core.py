@@ -202,9 +202,7 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
 def _operand(state) -> np.ndarray:
     if isinstance(state, StateVector):
         return state.amplitudes
-    if isinstance(state, DensityMatrix):
-        return state.entries
-    if isinstance(state, HermitianOperator):
+    if isinstance(state, (DensityMatrix, HermitianOperator)):
         return state.entries
     return np.asarray(state, dtype=complex)
 

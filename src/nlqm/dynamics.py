@@ -1,14 +1,14 @@
 """Time evolution: the nonlinear Schrodinger flow and optical Bloch systems.
 
 The central flow is  i dpsi/dt = H_hat(psi) psi  with H_hat the state-dependent
-Hermitian operator of a (1,1)-homogeneous average-energy functional.  The
-integrator is a fixed-step classical Runge-Kutta scheme; the norm is *not*
-re-imposed along the way — its conservation (exact for the true flow because
-H_hat is Hermitian) is monitored as an accuracy check instead.  Every
-accepted sample is checked for norm drift and blow-up as it is taken, and
-its H_hat for hermiticity: at once on the reference path, or, when the RK4
-stages take the gradient dH/dpsibar, once per block of ``MONITOR_BLOCK``
-samples with one stacked build, and always before an error leaves the loop.
+Hermitian operator of a (1,1)-homogeneous average-energy functional.  Every
+flow here runs on one fixed-step classical Runge-Kutta core (:func:`_rk4`)
+over a leading batch axis, so a stack of trajectories integrates as one.  The
+norm is *not* re-imposed along the way — its conservation (exact for the true
+flow because H_hat is Hermitian) is monitored as an accuracy check instead:
+every accepted sample is checked for norm drift and blow-up as it is taken,
+and its H_hat for hermiticity once per block of samples, row by row, always
+before an error leaves the loop.
 
 Also here: the closed-form solution for diagonal quadratic families, the
 two-level Bloch system with spontaneous-emission and mean-field terms (in two
@@ -58,11 +58,11 @@ class Trajectory:
     """Sampled solution of the nonlinear flow.
 
     The samples are one complex array of shape ``(len(times), d)``, row k the
-    amplitudes at ``times[k]``.  :meth:`amplitudes` returns that array itself,
+    amplitudes at ``times[k]``, or ``(len(times), B, d)`` for B trajectories
+    integrated as a stack.  :meth:`amplitudes` returns that array itself,
     read-only; ``states`` builds a :class:`StateVector` per row on demand.
-    Construct from ``amplitudes=`` (the array is taken over without a copy
-    and made read-only) or, equivalently, from a list of ``states``.  Either
-    way every entry must be finite.
+    Construct from ``amplitudes=`` (taken over without a copy and made
+    read-only) or from a list of ``states``; every entry must be finite.
 
     ``recorded`` always carries ``norm`` (squared norm) and ``hvalue`` (the
     energy functional's value) sampled at every accepted step, plus any
@@ -76,7 +76,7 @@ class Trajectory:
             amplitudes = np.stack([s.amplitudes for s in states])
         amps = np.asarray(amplitudes, dtype=complex)
         self.times = np.asarray(times, dtype=float)
-        if amps.ndim != 2 or amps.shape[0] != self.times.size or amps.shape[1] == 0:
+        if amps.ndim not in (2, 3) or amps.shape[0] != self.times.size or amps.shape[-1] == 0:
             raise ValidationError(f"amplitudes of shape {amps.shape} do not fit "
                                   f"{self.times.size} sample times")
         if not np.all(np.isfinite(amps)):
@@ -86,7 +86,7 @@ class Trajectory:
         self.recorded = {} if recorded is None else recorded
 
     def amplitudes(self) -> np.ndarray:
-        """The ``(len(times), d)`` sample array, read-only and not copied."""
+        """The ``(len(times), [B,] d)`` sample array, read-only and not copied."""
         return self._amplitudes
 
     @property
@@ -103,11 +103,9 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
 
     ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and ``min_steps`` for
     t_end = 0; ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
-    :class:`ValidationError` unless dt is finite and positive, t_end is
-    finite and nonnegative, their ratio is finite, the grid has at most
-    ``MAX_STEPS`` steps and the caller's sample array, ``nsteps + 1`` samples
-    of ``width`` entries each, has at most ``MAX_SAMPLE_ENTRIES`` entries
-    (each loop preallocates its samples).
+    :class:`ValidationError` unless dt > 0 and t_end >= 0 are finite, with a
+    finite ratio, and the grid has at most ``MAX_STEPS`` steps and at most
+    ``MAX_SAMPLE_ENTRIES`` sample entries (``nsteps + 1`` samples of ``width``).
     """
     dt, t_end = float(dt), float(t_end)
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
@@ -126,32 +124,87 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
     return nsteps, (t_end / nsteps if nsteps else 0.0)
 
 
-def _check_hermitian(h: np.ndarray, times) -> None:
-    """The hermiticity monitor: raise at the first sample whose operator is not Hermitian.
+def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
+         on_step: Optional[Callable] = None, on_block: Optional[Callable] = None,
+         block: int = MONITOR_BLOCK, first: Optional[Callable] = None) -> np.ndarray:
+    """Fixed-step RK4 from ``y0`` over ``times``: the one integrator of the package.
 
-    ``h`` is a ``(K, d, d)`` stack, one operator per sample time in ``times``.
+    ``y0`` may carry a leading batch axis, so a stack of trajectories shares
+    each step's Python overhead.  Returns the preallocated ``(len(times),) +
+    y0.shape`` samples (sized by the caller through :func:`_step_grid`).
+    ``on_step(k, y)`` guards every accepted sample; ``on_block(lo, hi,
+    samples)`` monitors them ``block`` at a time, read-only, and gets the
+    pending ones on the way out, error or not, so the earliest violation it
+    finds wins.  ``first`` replaces ``rhs`` in the first stage.
     """
+    nsteps = times.size - 1
+    samples = np.empty((nsteps + 1,) + y0.shape, dtype=y0.dtype)
+    first = rhs if first is None else first
+    y = y0
+    filled = monitored = 0
+
+    def flush():
+        nonlocal monitored
+        while monitored < filled:
+            lo, monitored = monitored, min(filled, monitored + block)
+            view = samples[lo:monitored]
+            view.flags.writeable = False
+            on_block(lo, monitored, view)
+
+    try:
+        for step in range(nsteps + 1):
+            samples[step] = y
+            filled = step + 1
+            if on_step is not None:
+                on_step(step, y)
+            if on_block is not None and filled - monitored == block:
+                flush()
+            if step == nsteps:
+                break
+            k1 = first(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise IntegrationError(f"solution blew up at t = {times[step + 1]:g}")
+    finally:
+        # an error found here replaces the loop's own, which came later
+        if on_block is not None:
+            flush()
+    return samples
+
+
+def _at(times, k: int, rows: int) -> str:
+    """'t = ...' of flat sample-row index k, naming the row of a stack."""
+    sample, row = divmod(k, rows)
+    return f"t = {times[sample]:g}" + (f" in row {row}" if rows > 1 else "")
+
+
+def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
+    """Raise at the first non-Hermitian matrix of ``h``, ``rows`` per sample time."""
     dev = np.abs(h - np.swapaxes(h, 1, 2).conj()).max(axis=(1, 2))
     # a non-finite matrix (deviation nan) fails too
     ok = dev <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2)))
     if not ok.all():
         k = int(np.argmin(ok))
         raise IntegrationError(
-            f"builder returned a non-Hermitian matrix at t = {times[k]:g} "
+            f"builder returned a non-Hermitian matrix at {_at(times, k, rows)} "
             f"(deviation {dev[k]:.3e})")
 
 
-def _monitored_hvalues(hbuilder: Callable, zs: np.ndarray, times) -> np.ndarray:
-    """Build, cross-check and monitor Ĥ at a ``(K, d)`` block of samples.
+def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarray:
+    """Build, cross-check and monitor Ĥ at a ``(K, [B,] d)`` block of samples.
 
-    ``hbuilder`` gets the whole block in one call.  A ``(d, d)`` result is a
-    state-independent matrix and stands for every row; otherwise it must be
-    ``(K, d, d)``.  The first row is also built alone and must agree with the
-    stack to 1e-12 (1 + max|h|), so a builder that mishandles stacks fails
-    loudly.  Returns the energy values <z|Ĥ(z)|z> of the rows.
+    ``hbuilder`` gets the block's states in one ``(K*B, d)`` call and returns
+    their ``(K*B, d, d)`` stack, or one state-independent ``(d, d)`` matrix.
+    The first state is also built alone and must agree with the stack to
+    1e-12 (1 + max|h|), so a builder that mishandles stacks fails loudly.
+    Returns the energy values <z|Ĥ(z)|z>, shaped ``(K, [B])``.
     """
+    d = block.shape[-1]
+    zs = block.reshape(-1, d)
     h = _as_matrix(hbuilder(zs))
-    d = zs.shape[1]
     if h.shape == (d, d):
         h = h[None]      # checked once, at the block's first sample
     elif h.shape != (zs.shape[0], d, d):
@@ -164,9 +217,9 @@ def _monitored_hvalues(hbuilder: Callable, zs: np.ndarray, times) -> np.ndarray:
         raise ValidationError(
             f"builder's stacked result differs from a single-state build by {dev:.3e} "
             f"at t = {times[0]:g}; it must map a (K, d) stack row by row")
-    _check_hermitian(h, times)
+    _check_hermitian(h, times, zs.shape[0] // len(times))
     hz = np.matmul(h, zs[:, :, None])[:, :, 0]
-    return np.sum(zs.conj() * hz, axis=1).real
+    return np.sum(zs.conj() * hz, axis=1).real.reshape(block.shape[:-1])
 
 
 def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None,
@@ -175,114 +228,107 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
     ``hbuilder`` maps an amplitude vector to a Hermitian matrix (ndarray or
-    wrapper with ``.entries``).  Fixed-step RK4; the step count is
-    ``round(t_end/dt)`` so the final time is hit exactly.  Every accepted
-    sample's matrix is checked for hermiticity, and every accepted sample's
-    norm against a drift budget proportional to the step count; violations
-    raise :class:`IntegrationError` rather than silently renormalizing.
+    wrapper with ``.entries``).  Fixed-step RK4 (:func:`_rk4`) with
+    ``round(t_end/dt)`` steps, so the final time is hit exactly.  Every
+    accepted sample's matrix is checked for hermiticity and its norm against
+    a drift budget proportional to the step count; violations raise
+    :class:`IntegrationError` rather than silently renormalizing.
 
-    ``flow`` maps an amplitude vector z to the product ``hbuilder(z) @ z``,
-    i.e. the Wirtinger gradient dH/dpsibar of the energy functional (for a
-    :class:`HomogeneousObservable`, its ``analytic_gradient``).  When given,
-    all four RK4 stages call ``flow`` and the step loop checks only the norm
-    budget, blow-ups and the ``record`` callables.  The matrices are built
-    per block: every ``MONITOR_BLOCK`` accepted samples (and at the end) the
-    ``(K, d)`` block of samples goes to ``hbuilder`` in one call, which must
-    return the ``(K, d, d)`` stack of matrices, or one ``(d, d)`` matrix when
-    it does not depend on the state.  The block's first sample is also built
-    alone, and a stack that disagrees with it raises :class:`ValidationError`.
-    The stack gets the same hermiticity check, row by row, and gives the
-    ``hvalue`` record.  Before any exception leaves the loop, the samples
-    accepted so far are monitored, so the earliest violation is the one
-    reported.  The contract is ``flow(z) == hbuilder(z) @ z`` up to roundoff;
-    it is not checked.  Without ``flow``, each step builds the matrix once
-    for k1, the monitor and ``hvalue``, and the stages k2-k4 use
-    ``hbuilder(z) @ z`` (the reference path, and the one for builders that
-    take a single state only).
+    ``flow`` maps z to ``hbuilder(z) @ z``, the Wirtinger gradient
+    dH/dpsibar (for a :class:`HomogeneousObservable`, its
+    ``analytic_gradient``; the contract is not checked).  With it, the four
+    RK4 stages call only ``flow``, and every ``MONITOR_BLOCK`` accepted
+    samples (and at the end) ``hbuilder`` gets the block's K states in one
+    ``(K, d)`` call.  It must return the ``(K, d, d)`` stack, or one
+    ``(d, d)`` matrix that does not depend on the state; the first state is
+    also built alone, and a stack that disagrees with it raises
+    :class:`ValidationError`.  The stack is hermiticity-checked row by row
+    and gives the ``hvalue`` record.  Without ``flow`` the blocks hold one
+    sample whose single-state build also gives k1, and k2-k4 use
+    ``hbuilder(z) @ z`` (the reference path).
 
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
     step including t = 0.
 
-    ``psi0`` is validated once as a :class:`StateVector`; every accepted step
-    is written into one preallocated ``(nsteps + 1, d)`` array, which the
-    returned :class:`Trajectory` holds, and the per-step blow-up check keeps
-    every row finite.
+    ``psi0`` is one state, validated as a :class:`StateVector`, or a
+    ``(B, d)`` stack of B states integrated together.  A stack needs
+    ``flow``, takes no ``record``, and per block ``flow`` of its first
+    sample must match per-row calls to 1e-12 (else :class:`ValidationError`).
+    Every monitor runs per row (hermiticity in one ``(K*B, d)`` build per
+    block), and the earliest violation over all rows is reported with its
+    row.  The :class:`Trajectory` holds the one sample array, ``(nsteps + 1,
+    [B,] d)``; ``recorded`` entries are ``(nsteps + 1, [B])``.
     """
-    z0 = (psi0 if isinstance(psi0, StateVector) else StateVector(psi0)).amplitudes
+    z0 = np.asarray(getattr(psi0, "amplitudes", psi0))
+    if z0.ndim == 2 and (flow is None or record or not len(z0)):
+        raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=, "
+                              "and takes no record")
+    z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if z0.ndim == 2
+          else StateVector(z0).amplitudes)
     if dt is None:
         dt = default_timestep(hbuilder, z0)
     nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0, width=z0.size)
+    times = np.arange(nsteps + 1) * dt_eff
     budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
-    blocks = flow is not None
-    if not blocks:
-        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
+    extra = record or {}
+    rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ["norm", "hvalue", *extra]}
+    rows = len(z0) if z0.ndim == 2 else 1
+    sqnorm = ((lambda z: np.vdot(z, z).real) if z0.ndim == 1
+              else (lambda z: np.einsum("bi,bi->b", z.conj(), z).real))
+    n0 = sqnorm(z0)
+
+    def guards(step, z):
+        norm = sqnorm(z)
+        over = np.abs(norm - n0) > budget
+        if over.any():
+            k = int(np.argmax(over))
+            raise IntegrationError(
+                f"norm drift {np.ravel(np.abs(norm - n0))[k]:.3e} exceeded budget "
+                f"{budget:.3e} at {_at(times, step * rows + k, rows)}; reduce dt")
+        rec["norm"][step] = norm
+        for name, f in extra.items():
+            rec[name][step] = float(f(times[step], z))
 
     def rhs(zv):
         return -1j * np.asarray(flow(zv), dtype=complex)
 
-    extra = record or {}
-    rec = {name: np.empty(nsteps + 1) for name in ["norm", "hvalue", *extra]}
-    times = np.empty(nsteps + 1)
-    amps = np.empty((nsteps + 1, z0.size), dtype=complex)
-    z = np.array(z0)
-    n0 = float(np.vdot(z, z).real)
-    filled = monitored = 0
+    if flow is not None:
+        def monitor(lo, hi, block):
+            if z0.ndim == 2:
+                each = np.stack([np.asarray(flow(z), dtype=complex) for z in block[0]])
+                dev = float(np.max(np.abs(np.asarray(flow(block[0]), dtype=complex) - each)))
+                if not dev <= 1e-12 * (1.0 + float(np.max(np.abs(each)))):
+                    raise ValidationError(
+                        f"flow's stacked result differs from single-state calls by "
+                        f"{dev:.3e} at t = {times[lo]:g}; it must map a (B, d) stack row by row")
+            rec["hvalue"][lo:hi] = _monitored_hvalues(hbuilder, block, times[lo:hi])
 
-    def monitor():
-        """Check the accepted samples not yet monitored, one block per call."""
-        nonlocal monitored
-        while monitored < filled:
-            lo, monitored = monitored, min(filled, monitored + MONITOR_BLOCK)
-            block = amps[lo:monitored]
-            block.flags.writeable = False
-            rec["hvalue"][lo:monitored] = _monitored_hvalues(hbuilder, block,
-                                                             times[lo:monitored])
+        core = dict(on_block=monitor)
+    else:
+        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
+        hz = [None]
 
-    t = 0.0
-    try:
-        for step in range(nsteps + 1):
-            times[step] = t
-            amps[step] = z
-            if not blocks:
-                h_here = _as_matrix(hbuilder(z))
-                _check_hermitian(h_here[None], (t,))
-                hz = h_here @ z
-                rec["hvalue"][step] = float(np.vdot(z, hz).real)
-            filled = step + 1
-            norm = float(np.vdot(z, z).real)
-            if abs(norm - n0) > budget:
-                raise IntegrationError(
-                    f"norm drift {abs(norm - n0):.3e} exceeded budget {budget:.3e} "
-                    f"at t = {t:g}; reduce dt")
-            rec["norm"][step] = norm
-            for name, f in extra.items():
-                rec[name][step] = float(f(t, z))
-            if blocks and filled - monitored == MONITOR_BLOCK:
-                monitor()
-            if step == nsteps:
-                break
-            k1 = rhs(z) if blocks else (-1j) * hz
-            k2 = rhs(z + 0.5 * dt_eff * k1)
-            k3 = rhs(z + 0.5 * dt_eff * k2)
-            k4 = rhs(z + dt_eff * k3)
-            z = z + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = (step + 1) * dt_eff
-            if not np.all(np.isfinite(z)):
-                raise IntegrationError(f"solution blew up at t = {t:g}")
-    finally:
-        # on the way out, error or not; an error found here replaces the
-        # loop's own, which came later
-        if blocks:
-            monitor()
+        def monitor(lo, hi, block):
+            # the block is one sample; its build also feeds k1
+            z = block[0]
+            h = _as_matrix(hbuilder(z))
+            _check_hermitian(h[None], times[lo:hi])
+            hz[0] = h @ z
+            rec["hvalue"][lo] = float(np.vdot(z, hz[0]).real)
 
+        core = dict(on_block=monitor, block=1, first=lambda zv: (-1j) * hz[0])
+    amps = _rk4(rhs, z0, times, dt_eff, on_step=guards, **core)
     return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
 
 def default_timestep(hbuilder: Callable, psi0) -> float:
-    """Resolve the fastest initial frequency with ~200 samples per period."""
+    """Resolve the fastest initial frequency with ~200 samples per period.
+
+    ``psi0`` may be a ``(B, d)`` stack; the fastest row sets the step.
+    """
     z = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     h = _as_matrix(hbuilder(z))
-    top = float(np.max(np.abs(np.linalg.eigvalsh((h + h.conj().T) / 2.0))))
+    top = float(np.max(np.abs(np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0))))
     return (2.0 * np.pi / 200.0) / max(top, 1e-6)
 
 
@@ -364,23 +410,16 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
     if r.shape != (3,):
         raise ValidationError("Bloch state must be a 3-vector (u, v, w)")
     nsteps, dt_eff = _step_grid(t_end, dt, width=3)
+    times = np.arange(nsteps + 1) * dt_eff
     cap = 4.0 * float(np.dot(r, r)) + 1.0
-    times = np.empty(nsteps + 1)
-    out = np.empty((nsteps + 1, 3))
-    for step in range(nsteps + 1):
-        times[step] = step * dt_eff
-        out[step] = r
+
+    def runaway(step, r):
         if float(np.dot(r, r)) > cap:
             raise IntegrationError(
                 f"Bloch vector length ran away at t = {times[step]:g} "
                 f"(|r|^2 = {float(np.dot(r, r)):g})")
-        if step == nsteps:
-            break
-        k1 = _bloch_rhs(params, r)
-        k2 = _bloch_rhs(params, r + 0.5 * dt_eff * k1)
-        k3 = _bloch_rhs(params, r + 0.5 * dt_eff * k2)
-        k4 = _bloch_rhs(params, r + dt_eff * k3)
-        r = r + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    out = _rk4(lambda r: _bloch_rhs(params, r), r, times, dt_eff, on_step=runaway)
     return BlochTrajectory(times=times, r=out)
 
 
@@ -401,9 +440,7 @@ def neo_hamiltonian(a: float, eps: float, base=None) -> Callable:
     def builder(z):
         zv = z.amplitudes if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
         n = float(np.vdot(zv, zv).real)
-        s1 = float(np.vdot(zv, sigma1 @ zv).real) / n
-        s2 = float(np.vdot(zv, sigma2 @ zv).real) / n
-        s3 = float(np.vdot(zv, sigma3 @ zv).real) / n
+        s1, s2, s3 = (float(np.vdot(zv, s @ zv).real) / n for s in (sigma1, sigma2, sigma3))
         return (b - 0.5 * eps * s3 ** 2 * identity2
                 - 0.25 * a * s2 * sigma1 + 0.25 * a * s1 * sigma2
                 + eps * s3 * sigma3)

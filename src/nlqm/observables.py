@@ -382,8 +382,8 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
 
     def _mu_n(z, zc):
         mz = z @ mat.T
-        mu = np.real(np.sum(zc * mz, axis=-1))
-        n = np.real(np.sum(z * zc, axis=-1))
+        mu = (zc * mz).sum(axis=-1).real
+        n = (z * zc).sum(axis=-1).real
         return mz, mu, n
 
     def _guard(mu, n):

@@ -2,6 +2,7 @@
 
 import glob
 import json
+import lzma
 import os
 
 import pytest
@@ -12,6 +13,9 @@ from nlqm.cli import EXPERIMENTS, main
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs"))
 CONFIG_FILES = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+# the benchmark's recorded outputs of the bundled configs, <name>.csv.xz
+REFERENCE_DIR = os.path.normpath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference"))
 
 
 def _scenarios(path):
@@ -37,6 +41,11 @@ def test_bundled_config_passes(path, tmp_path):
         assert rep["passed"] is True
         csv_path = tmp_path / rep["csv"]
         assert csv_path.exists()
+        # same header, rows and t grid as the recorded output, values to 1e-12
+        ref = tmp_path / (rep["csv"] + ".reference")
+        with lzma.open(os.path.join(REFERENCE_DIR, rep["csv"] + ".xz")) as fh:
+            ref.write_bytes(fh.read())
+        assert main(["compare", str(ref), str(csv_path), "--tol", "1e-12"]) == 0, rep["csv"]
 
 
 @pytest.mark.parametrize("stem", ["probability-inconsistency", "eigenfrequency",

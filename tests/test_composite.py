@@ -17,6 +17,7 @@ from nlqm.composite import SLICE_FLOOR
 from nlqm import (
     DensityMatrix,
     HomogeneousObservable,
+    IntegrationError,
     ParadoxParams,
     StateVector,
     TelegraphParams,
@@ -305,6 +306,34 @@ def test_slice_sum_extension_shows_the_remote_rotation():
     assert rep.deviations[0] < 1e-12  # identical reduced states at t = 0
 
 
+@pytest.mark.parametrize("desc", ("weinberg", "polchinski-plain", "polchinski-purity"))
+def test_no_signaling_integrates_the_pair_as_one_stack(desc, monkeypatch):
+    calls = []
+
+    def counted(builder, psi0, *args, **kwargs):
+        traj = nlqm.integrate_nls(builder, psi0, *args, **kwargs)
+        calls.append(np.shape(psi0))
+        alone = [nlqm.integrate_nls(builder, z, *args, **kwargs) for z in psi0]
+        for b, a in enumerate(alone):
+            npt.assert_allclose(traj.amplitudes()[:, b], a.amplitudes(), rtol=0, atol=1e-14)
+        return traj
+
+    monkeypatch.setattr(nlqm.composite, "integrate_nls", counted)
+    u = np.array([[ALPHA, -BETA], [BETA, ALPHA]], dtype=complex)
+    rep = no_signaling_check(desc, u, t_end=1.0, dt=0.01, eps=0.3, e2=0.5)
+    assert calls == [(2, 4)]
+    assert rep.times.shape == rep.deviations.shape == (101,)
+
+
+def test_purity_weighted_functional_takes_stacks(rng):
+    obs = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted", eps=0.3)
+    assert obs.batched
+    zs = _rand(rng, 12).reshape(3, 4)
+    npt.assert_allclose(obs.value_batch(zs), [obs.value(z) for z in zs], rtol=1e-14)
+    npt.assert_allclose(obs.gradient_batch(zs), [obs.analytic_gradient(z) for z in zs],
+                        rtol=0, atol=1e-14)
+
+
 def test_no_signaling_rejects_unknown_description():
     with pytest.raises(ValidationError):
         no_signaling_check("telepathy", np.eye(2), 1.0, 0.1, eps=0.1)
@@ -354,6 +383,14 @@ def test_reduced_flow_conserves_its_invariants():
     npt.assert_allclose(purities, purities[0], atol=1e-9)
 
 
+def test_reduced_flow_reports_the_first_broken_invariant():
+    # dt = 0.2 is too coarse: the purity leaves its 1e-9 budget at the first step
+    with pytest.raises(IntegrationError,
+                       match=r"failed to conserve purity at t = 0\.2 "):
+        polchinski_reduced_flow("plain", np.diag([1.0, -1.0]),
+                                [[0.75, 0.2], [0.2, 0.25]], 20.0, 0.2)
+
+
 def test_intention_paradox_scaling_with_the_mixture_weight():
     """Final sigma3 = (l2/2) cos(2 l2 f t): the identity part sets the clock."""
     t_end = 0.5 * np.pi  # 2 f t = pi
@@ -372,6 +409,12 @@ def test_intention_paradox_scaling_with_the_mixture_weight():
 def test_intention_paradox_rejects_bad_weights():
     with pytest.raises(ValidationError):
         intention_paradox(ParadoxParams(0.7, 0.7, 1.0, 1.0), dt=0.01)
+
+
+def test_intention_paradox_reports_the_sigma1_drift():
+    # one step of dt = 1 at rate 2 l2 f = 6 breaks the sigma1 constant of motion
+    with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 10;"):
+        intention_paradox(ParadoxParams(0.0, 1.0, 3.0, 10.0), 1.0)
 
 
 def test_maximally_mixed_decomposition_sums_to_identity(rng):

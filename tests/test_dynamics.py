@@ -303,6 +303,81 @@ def test_block_monitor_covers_the_single_sample_of_t_end_zero():
         integrate_nls(skew, z0, 0.0, 0.1, flow=lambda z: skew(z) @ z)
 
 
+# ---------------------------------------------------------------------------
+# Stacks of states on one integration
+
+
+@pytest.mark.parametrize("case", ("gisin-slice-sum", "moment-pair-plain", "moment-pair-purity"))
+def test_every_row_of_a_stack_matches_its_separate_run(case, rng):
+    builder, obs, dim = _flow_case(case)
+    zs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    zs /= np.linalg.norm(zs, axis=1)[:, None]
+    stacked = integrate_nls(builder, zs, t_end=1.0, dt=0.005, flow=obs.analytic_gradient)
+    assert stacked.amplitudes().shape == (201, 3, dim)
+    for key in ("norm", "hvalue"):
+        assert stacked.recorded[key].shape == (201, 3)
+    for b, z0 in enumerate(zs):
+        alone = integrate_nls(builder, z0, t_end=1.0, dt=0.005, flow=obs.analytic_gradient)
+        npt.assert_array_equal(stacked.times, alone.times)
+        npt.assert_allclose(stacked.amplitudes()[:, b], alone.amplitudes(), rtol=0, atol=1e-14)
+        for key in ("norm", "hvalue"):
+            npt.assert_allclose(stacked.recorded[key][:, b], alone.recorded[key],
+                                rtol=0, atol=1e-14)
+
+
+# row 1 = (0.6, 0.8 e^{i phase}) carries the larger second amplitude
+TILTED = np.array([0.6, 0.8 * np.exp(0.5j)])
+SECOND = lambda z: np.abs(np.asarray(z)[..., 1]) > 0.75
+
+
+def test_a_late_violation_in_one_row_is_reported_at_its_own_time():
+    # row 1's relative phase 0.5 - t passes -0.805 at t = 1.31, in block 2;
+    # row 0 never turns non-Hermitian
+    builder = _cornered(lambda z: SECOND(z) & (np.angle(z[..., 1] * z[..., 0].conj()) < -0.805))
+    flow = lambda z: z @ BASE.T
+    with pytest.raises(IntegrationError,
+                       match=r"non-Hermitian matrix at t = 1\.31 in row 1 \(") as err:
+        integrate_nls(builder, np.stack([PAIR, TILTED]), t_end=3.0, dt=0.01, flow=flow)
+    with pytest.raises(IntegrationError) as alone:
+        integrate_nls(builder, TILTED, t_end=3.0, dt=0.01, flow=flow)
+    assert str(err.value) == str(alone.value).replace("t = 1.31 ", "t = 1.31 in row 1 ")
+
+
+def test_the_earliest_violation_over_all_rows_wins():
+    # row 1 = TILTED loses 4.4e-6 of norm per step and leaves its budget
+    # (1e-4 over 100 steps) at t = 2.3; row 0 turns non-Hermitian at t = 3
+    # in one run and at t = 1 in the other
+    damped = lambda z: z @ BASE.T - 2.2e-5j * z * SECOND(z)[..., None]
+    stack = np.stack([PAIR, TILTED])
+    for late, message in ((-3.0, r"norm drift .* at t = 2\.3 in row 1;"),
+                          (-1.0, r"non-Hermitian matrix at t = 1 in row 0 ")):
+        phase = lambda z, late=late: np.angle(z[..., 1] * z[..., 0].conj()) < late + 0.005
+        builder = _cornered(lambda z, phase=phase: ~SECOND(z) & phase(z))
+        with pytest.raises(IntegrationError, match=message):
+            integrate_nls(builder, stack, t_end=10.0, dt=0.1, flow=damped)
+
+
+def test_stacks_that_cannot_be_monitored_row_by_row_are_refused():
+    stack = np.stack([PAIR, TILTED])
+    builder = _cornered(lambda z: False)
+
+    def flattening(z):
+        # np.vdot flattens a stack: one sigma3 average over all of its rows
+        s3 = np.vdot(z, z * [1.0, -1.0]).real / np.vdot(z, z).real
+        return z @ BASE.T + 0.3 * s3 * z * [1.0, -1.0]
+
+    assert integrate_nls(builder, PAIR, 1.0, 0.01, flow=flattening).times.size == 101
+    with pytest.raises(ValidationError, match="single-state calls"):
+        integrate_nls(builder, stack, 1.0, 0.01, flow=flattening)
+    with pytest.raises(ValidationError, match="record"):
+        integrate_nls(builder, stack, 1.0, 0.01, flow=lambda z: z @ BASE.T,
+                      record={"t": lambda t, z: t})
+    with pytest.raises(ValidationError, match="flow="):
+        integrate_nls(builder, stack, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="B >= 1"):
+        integrate_nls(builder, np.zeros((0, 2)), 1.0, 0.01, flow=lambda z: z @ BASE.T)
+
+
 def test_sample_arrays_are_capped_before_they_are_allocated(monkeypatch):
     cap = nlqm.dynamics.MAX_SAMPLE_ENTRIES
     assert cap // 10 <= nlqm.dynamics.MAX_STEPS and cap // 9 <= nlqm.dynamics.MAX_STEPS
@@ -418,6 +493,12 @@ def test_the_two_frames_differ_when_damped():
     a = integrate_bloch(BlochParams(0.0, 1.0, 0.2, 0.3, rotating_frame=False), r0, 20.0, 0.01)
     b = integrate_bloch(BlochParams(0.0, 1.0, 0.2, 0.3, rotating_frame=True), r0, 20.0, 0.01)
     assert np.max(np.abs(a.r - b.r)) > 0.01
+
+
+def test_bloch_runaway_cap_names_its_time():
+    # strong fixed-frame damping pumps |r|^2 past four times its start
+    with pytest.raises(IntegrationError, match=r"ran away at t = 0\.9 "):
+        integrate_bloch(BlochParams(0.0, 1.0, 3.0, 0.3), [0.6, 0.0, -0.8], 20.0, 0.05)
 
 
 def test_neo_hamiltonian_wave_flow_reproduces_rotating_bloch():
