@@ -29,6 +29,7 @@ from .core import (
     DensityMatrix,
     StateVector,
     ValidationError,
+    _checked_density,
     reduced_states,
     rotate_subsystem,
     sigma1,
@@ -305,12 +306,13 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     is verified at every sample to 1e-9 (relative), one block of samples at a
     time; the earliest violation is reported.  Diagonal mixtures in the
     epshat eigenbasis are fixed points — seed an off-diagonal perturbation to
-    see the variant-dependent rotation rate.
+    see the variant-dependent rotation rate.  ``rho0`` must pass the density
+    matrix checks of :class:`DensityMatrix`, else :class:`ValidationError`.
     """
     eh = np.asarray(epshat, dtype=complex)
-    rho = np.asarray(getattr(rho0, "entries", rho0), dtype=complex)
+    rho = _checked_density(getattr(rho0, "entries", rho0))
     d = rho.shape[0]
-    if eh.shape != (d, d) or rho.shape != (d, d):
+    if eh.shape != (d, d):
         raise ValidationError("epshat and rho0 must be square matrices of equal size")
     if variant not in ("plain", "purity-weighted"):
         raise ValidationError(f"unknown variant {variant!r}")

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+# A seed leaves the Newton loop once its step is below STALL_STEP while its
+# residual is still above STALL_RESIDUAL: it sits at a stationary point of
+# |f|^2 that is not a root and can no longer pass the 1e-10 convergence test.
+STALL_RESIDUAL = 1e-6
+STALL_STEP = 1e-9
 MAX_SEEDS = 16_384  # seed grid cap: 32x the 512-seed grids of the bundled configs
 DEDUP_FIDELITY = 1e-8
 DEDUP_MODULI = 1e-6
@@ -119,13 +124,16 @@ def _residual_batch(x: np.ndarray, grad, dim: int, anchors: np.ndarray) -> np.nd
 
 def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: dict,
                   iters: int = 60):
-    """Damped Gauss-Newton on the batch of seeds; returns refined (z, lam, ok).
+    """Damped Gauss-Newton on the batch of seeds; returns (z, lam, ok, stalled).
 
     Each seed stops on its own: once its residual is below 1e-13, once it
-    turns non-finite (the seed is then never ``ok``), or after ``iters``
+    turns non-finite (the seed is then never ``ok``), once it stalls (an
+    update of max |dx| <= ``STALL_STEP`` at a residual max |f| >=
+    ``STALL_RESIDUAL``; ``stalled`` marks these seeds), or after ``iters``
     iterations.  Only the rows still active are refined, and no row's update
     depends on another row.  The ``2 nvar`` central-difference probes of the
-    active rows go to ``grad`` in one stacked call.  The iterations run and
+    active rows go to ``grad`` in one stacked call.  The final ``ok`` test
+    (residual below 1e-10) runs over every seed.  The iterations run and
     the rows they refine are added to ``counters["newton_iterations"]`` and
     ``counters["newton_rows"]``.
     """
@@ -134,6 +142,7 @@ def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: di
     x = _pack(z0, lam0)
     nvar = 2 * dim + 1
     alive = np.ones(nb, dtype=bool)
+    stalled = np.zeros(nb, dtype=bool)
     active = np.arange(nb)
     h = 1e-6
     probe_steps = h * np.concatenate([np.eye(nvar), -np.eye(nvar)])  # +h e_j, then -h e_j
@@ -163,10 +172,16 @@ def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: di
                            for i in range(na)])
         dx[~np.isfinite(dx).all(axis=1)] = 0.0
         x[active] -= dx
+        stuck = ((np.max(np.abs(f), axis=1) >= STALL_RESIDUAL)
+                 & (np.max(np.abs(dx), axis=1) <= STALL_STEP))
+        stalled[active[stuck]] = True
+        active = active[~stuck]
+        if active.size == 0:
+            break
     f = _residual_batch(x, grad, dim, anchors)
     ok = alive & np.all(np.isfinite(f), axis=1) & (np.max(np.abs(f), axis=1) < 1e-10)
     z = x[:, :dim] + 1j * x[:, dim:2 * dim]
-    return z, x[:, 2 * dim], ok
+    return z, x[:, 2 * dim], ok, stalled
 
 
 def _checked_grid(grid) -> tuple:
@@ -205,13 +220,13 @@ def _seed_values(obs: HomogeneousObservable, seeds: np.ndarray):
     return seeds[keep], lam0[keep]
 
 
-def _passes(resid, value, lam) -> bool:
-    """The residual and value-agreement checks of one converged state."""
-    return not (resid >= RESIDUAL_TOL or abs(value - lam) > 1e-8 * (1.0 + abs(lam)))
+def _kept(resid: np.ndarray, values: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The residual and value-agreement checks of converged states; NaN fails."""
+    return (resid < RESIDUAL_TOL) & (np.abs(values - lam) <= 1e-8 * (1.0 + np.abs(lam)))
 
 
-def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray) -> list:
-    """The records the converged rows ``(z, lam)`` pass, checked as one batch.
+def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
+    """``(lam, u, resid)`` of the converged rows ``(z, lam)`` that pass, as one batch.
 
     Rows are normalised and gauge-fixed as by ``StateVector.normalized`` and
     ``gauge_fixed`` (largest modulus, first index on ties, made real and
@@ -226,16 +241,15 @@ def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray) -
     good = (n2 > 0.0) & np.all(np.isfinite(u), axis=1)
     u, lam = u[good], lam[good]
     if len(u) == 0:
-        return []
+        return lam, u, np.empty(0)
     resid = np.linalg.norm(obs.gradient_batch(u) - lam[:, None] * u, axis=1)
-    values = obs.value_batch(u)
-    return [EigenstateRecord(float(lam[i]), StateVector(u[i]), float(resid[i]))
-            for i in range(len(u)) if _passes(resid[i], values[i], lam[i])]
+    keep = _kept(resid, obs.value_batch(u), lam)
+    return lam[keep], u[keep], resid[keep]
 
 
-def _records_per_row(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray) -> list:
-    """The records of :func:`_records_batch`, one ``StateVector`` per row."""
-    records = []
+def _records_per_row(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
+    """The arrays of :func:`_records_batch`, one ``StateVector`` per row."""
+    rows = []
     for zi, li in zip(z, lam):
         try:
             state = StateVector(zi).normalized().gauge_fixed()
@@ -243,9 +257,38 @@ def _records_per_row(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray)
         except (SingularObservableError, ValidationError):
             continue
         resid = float(np.linalg.norm(g - li * state.amplitudes))
-        if _passes(resid, obs.value(state), li):
-            records.append(EigenstateRecord(float(li), state, resid))
-    return records
+        rows.append((li, state.amplitudes, resid, obs.value(state)))
+    if not rows:
+        return lam[:0], z[:0], np.empty(0)
+    lam, u, resid, values = (np.array(c) for c in zip(*rows))
+    keep = _kept(resid, values, lam)
+    return lam[keep], u[keep], resid[keep]
+
+
+def _distinct(lam: np.ndarray, u: np.ndarray, resid: np.ndarray) -> list:
+    """Indices of the projectively distinct rows, in ascending eigenvalue order.
+
+    Greedy over the rows in stable eigenvalue order: a row joins the first
+    distinct row so far whose eigenvalue agrees to 1e-7 relative and whose
+    ray agrees to ``DEDUP_FIDELITY`` or whose moduli agree to
+    ``DEDUP_MODULI`` (so a relative-phase continuum is one record), and
+    replaces it if its residual is lower; otherwise it is a new solution.
+    """
+    lams, resids = lam.tolist(), resid.tolist()
+    mods = np.abs(u)
+    merged: list = []
+    for i in np.argsort(lam, kind="stable").tolist():
+        for k, j in enumerate(merged):
+            if abs(lams[i] - lams[j]) > 1e-7 * (1.0 + abs(lams[j])):
+                continue
+            if (abs(np.vdot(u[i], u[j])) ** 2 > 1.0 - DEDUP_FIDELITY
+                    or np.max(np.abs(mods[i] - mods[j])) < DEDUP_MODULI):
+                if resids[i] < resids[j]:
+                    merged[k] = i
+                break
+        else:
+            merged.append(i)
+    return sorted(merged, key=lams.__getitem__)
 
 
 def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
@@ -261,68 +304,53 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     ``grid`` must be two integers >= 1 with at most ``MAX_SEEDS`` seeds in
     all, else :class:`ValidationError` is raised before any seed is built.
     Every seed is refined until its own residual is below 1e-13 (or turns
-    non-finite), for at most 60 Gauss-Newton iterations; a seed converges when
-    its final residual is below 1e-10.  Seed values, the Newton steps and the
-    checks of the converged states each run on the whole batch, with a
-    seed-by-seed path where the batch raises.
+    non-finite, or stalls: a step of at most ``STALL_STEP`` at a residual of
+    at least ``STALL_RESIDUAL``), for at most 60 Gauss-Newton iterations; a
+    seed converges when its final residual is below 1e-10.  Seed values, the
+    Newton steps and the checks of the converged states each run on the whole
+    batch, with a seed-by-seed path where the batch raises.  The states are
+    compared for distinctness as arrays; only the distinct solutions become
+    records.
 
     Pass a ``diagnostics`` dict to receive the counters ``seeds``,
     ``converged``, ``dropped_nonconverged``, ``dropped_residual``,
-    ``distinct``, ``newton_iterations`` (Newton iterations run) and
-    ``newton_rows`` (seed rows refined, summed over those iterations); both
-    Newton counts include a batch attempt given up for the seed-by-seed path.
+    ``distinct``, ``newton_stalled`` (seeds the stall rule took out of the
+    loop), ``newton_iterations`` (Newton iterations run) and ``newton_rows``
+    (seed rows refined, summed over those iterations); the last two include a
+    batch attempt given up for the seed-by-seed path.
     """
     seeds, lam0 = _seed_values(obs, _seed_states(dim, _checked_grid(grid)))
 
     counts = {"newton_iterations": 0, "newton_rows": 0}
     try:
-        z, lam, ok = _gauss_newton(seeds, lam0, obs.gradient_batch, dim, counts)
+        z, lam, ok, stalled = _gauss_newton(seeds, lam0, obs.gradient_batch, dim, counts)
     except (SingularObservableError, ValidationError):
         # Singular families: refine seed-by-seed so one bad region cannot
         # poison the whole batch.
-        zs, lams, oks = [], [], []
+        rows = []
         for i in range(len(seeds)):
             try:
-                zi, li, oi = _gauss_newton(seeds[i:i + 1], lam0[i:i + 1],
-                                           obs.gradient_batch, dim, counts)
+                rows.append(_gauss_newton(seeds[i:i + 1], lam0[i:i + 1],
+                                          obs.gradient_batch, dim, counts))
             except (SingularObservableError, ValidationError):
-                zi, li, oi = seeds[i:i + 1], lam0[i:i + 1], np.array([False])
-            zs.append(zi[0])
-            lams.append(li[0])
-            oks.append(oi[0])
-        z, lam, ok = np.array(zs), np.array(lams), np.array(oks)
+                rows.append((seeds[i:i + 1], lam0[i:i + 1], [False], [False]))
+        z, lam, ok, stalled = (np.concatenate(c) for c in zip(*rows))
 
     try:
-        records = _records_batch(obs, z[ok], lam[ok])
+        lam_k, u, resid = _records_batch(obs, z[ok], lam[ok])
     except (SingularObservableError, ValidationError):
-        records = _records_per_row(obs, z[ok], lam[ok])
-
-    merged: list = []
-    for rec in sorted(records, key=lambda r: r.eigenvalue):
-        placed = False
-        for k, other in enumerate(merged):
-            if abs(rec.eigenvalue - other.eigenvalue) > 1e-7 * (1.0 + abs(other.eigenvalue)):
-                continue
-            fid = abs(np.vdot(rec.state.amplitudes, other.state.amplitudes)) ** 2
-            same_ray = fid > 1.0 - DEDUP_FIDELITY
-            same_moduli = np.max(np.abs(np.abs(rec.state.amplitudes)
-                                        - np.abs(other.state.amplitudes))) < DEDUP_MODULI
-            if same_ray or same_moduli:
-                if rec.residual < other.residual:
-                    merged[k] = rec
-                placed = True
-                break
-        if not placed:
-            merged.append(rec)
-    merged.sort(key=lambda r: r.eigenvalue)
+        lam_k, u, resid = _records_per_row(obs, z[ok], lam[ok])
+    merged = [EigenstateRecord(float(lam_k[i]), StateVector(u[i]), float(resid[i]))
+              for i in _distinct(lam_k, u, resid)]
 
     if diagnostics is not None:
         diagnostics.update({
             "seeds": int(len(z)),
             "converged": int(np.sum(ok)),
             "dropped_nonconverged": int(len(z) - np.sum(ok)),
-            "dropped_residual": int(np.sum(ok)) - len(records),
+            "dropped_residual": int(np.sum(ok)) - len(lam_k),
             "distinct": len(merged),
+            "newton_stalled": int(np.sum(stalled)),
             **counts,
         })
     return merged

@@ -5,9 +5,11 @@ import json
 import lzma
 import os
 
+import numpy as np
 import pytest
 
 import nlqm.atom
+import nlqm.cli
 from nlqm.cli import EXPERIMENTS, main
 
 CONFIG_DIR = os.path.normpath(
@@ -105,6 +107,16 @@ def test_compare_verdicts(tmp_path, capsys):
     assert "row counts differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["a", "b", "both"])
+@pytest.mark.parametrize("bad_t", ["nan", "inf", "-inf"])
+def test_compare_refuses_a_non_finite_t_grid(tmp_path, capsys, bad_t, side):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text(f"t,x\n{bad_t if side != 'b' else 0},1\n")
+    pb.write_text(f"t,x\n{bad_t if side != 'a' else 0},1\n")
+    assert main(["compare", str(pa), str(pb)]) == 2
+    assert "t grids differ" in capsys.readouterr().err
+
+
 def test_invalid_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"scenarios": [}')
@@ -190,6 +202,45 @@ def test_scenario_runtime_error_is_reported(tmp_path):
     rep = json.loads((tmp_path / "out" / "frozen.report.json").read_text())
     assert rep["passed"] is False
     assert "fixed point" in rep["error"]
+
+
+def test_invalid_reduced_flow_state_fails_its_scenario_and_the_rest_run(tmp_path, capsys):
+    bad = [{"experiment": "reduced-flow-variants", "name": "zero-trace",
+            "rho_diag": [0.0, 0.0], "delta": 0.0},
+           {"experiment": "reduced-flow-variants", "name": "not-positive",
+            "rho_diag": [0.5, 0.5], "delta": 2.0}]
+    good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
+    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    for sc, message in zip(bad, ("trace", "positive")):
+        rep = json.loads((out / f"{sc['name']}.report.json").read_text())
+        assert rep["passed"] is False
+        assert rep["error_type"] == "ValidationError"
+        assert message in rep["error"]
+        assert not (out / f"{sc['name']}.csv").exists()
+    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+
+
+def test_probability_samples_are_bounded(tmp_path, monkeypatch, capsys):
+    cap = nlqm.cli.MAX_PROBABILITY_SAMPLES
+    bad = [{"experiment": "probability-inconsistency", "name": f"samples-{i}", "samples": n}
+           for i, n in enumerate((-3, 0, cap + 1))]
+    good = {"experiment": "probability-inconsistency", "name": "valid", "samples": 1}
+    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    for sc in bad:
+        rep = json.loads((out / f"{sc['name']}.report.json").read_text())
+        assert rep["passed"] is False
+        assert rep["error_type"] == "SchemaError"
+        assert "samples must be between 1 and" in rep["error"]
+    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+    # above the cap nothing is allocated
+    monkeypatch.setattr(np, "linspace", _refuse)
+    assert _run_dict(tmp_path, bad[-1]) == 1
+    rep = json.loads((out / "samples-2.report.json").read_text())
+    assert rep["error_type"] == "SchemaError"
 
 
 def _refuse(*args, **kwargs):

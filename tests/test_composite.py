@@ -383,6 +383,19 @@ def test_reduced_flow_conserves_its_invariants():
     npt.assert_allclose(purities, purities[0], atol=1e-9)
 
 
+@pytest.mark.parametrize("rho0, message", [
+    (np.zeros((2, 2)), "trace must be real and positive"),
+    ([[1.0, 2.0], [0.0, 1.0]], "not Hermitian"),
+    (np.diag([1.5, -0.5]), "not positive"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite"),
+    ([0.5, 0.5], "must be square"),
+    (np.eye(3) / 3.0, "equal size"),
+])
+def test_reduced_flow_refuses_an_invalid_rho0(rho0, message):
+    with pytest.raises(ValidationError, match=message):
+        polchinski_reduced_flow("plain", np.diag([1.0, -1.0]), rho0, 1.0, 0.01)
+
+
 def test_reduced_flow_reports_the_first_broken_invariant():
     # dt = 0.2 is too coarse: the purity leaves its 1e-9 budget at the first step
     with pytest.raises(IntegrationError,
