@@ -52,6 +52,7 @@ from .dynamics import (
     BlochTrajectory,
     IntegrationError,
     Trajectory,
+    canonical_frequencies,
     canonical_solution,
     default_timestep,
     ellipk,

@@ -16,14 +16,19 @@ LF line endings, sorted JSON keys, and no randomness anywhere in the library.
 The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
-itself was unusable.
+itself was unusable.  One schema pass checks every scenario before anything
+runs or is written: value kinds (every real and complex number finite) and
+each experiment's static rules.  Limits met only by running (the step,
+sample, state-size and seed caps, the Fock leak, a fixed point) exit 1.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -50,6 +55,8 @@ from .spectra import (
 from .dynamics import (
     BlochParams,
     IntegrationError,
+    _check_horizon,
+    canonical_frequencies,
     integrate_bloch,
     integrate_nls,
     neo_hamiltonian,
@@ -62,10 +69,6 @@ __all__ = ["main"]
 MAX_PROBABILITY_SAMPLES = 10_000  # the bundled and benchmark configs use at most 81
 
 
-class SchemaError(ValueError):
-    """A scenario violated its experiment's parameter schema."""
-
-
 @dataclass(frozen=True)
 class Field:
     name: str
@@ -76,80 +79,78 @@ class Field:
     help: str = ""
 
 
-def _as_real(v, field):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"field '{field}' must be a real number")
+def _real(v):
+    if type(v) not in (int, float) or not math.isfinite(v):  # an int past 1e308 overflows
+        raise ValueError
     return float(v)
 
 
-def _as_int(v, field):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"field '{field}' must be an integer")
-    return int(v)
+def _complex(v):
+    return complex(*map(_real, v)) if type(v) is list and len(v) == 2 else complex(_real(v))
 
 
-def _as_bool(v, field):
-    if not isinstance(v, bool):
-        raise SchemaError(f"field '{field}' must be true or false")
-    return v
-
-
-def _as_str(v, field, choices=()):
-    if not isinstance(v, str):
-        raise SchemaError(f"field '{field}' must be a string")
-    if choices and v not in choices:
-        raise SchemaError(f"field '{field}' must be one of {list(choices)}, got '{v}'")
-    return v
-
-
-def _as_complex(v, field):
-    if isinstance(v, bool):
-        raise SchemaError(f"field '{field}' must be a number or [re, im] pair")
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        return complex(v[0], v[1])
-    raise SchemaError(f"field '{field}' must be a number or [re, im] pair")
-
-
-def _as_list(item, what):
-    def coerce(v, field):
-        if not isinstance(v, list) or not v:
-            raise SchemaError(f"field '{field}' must be a non-empty list of {what}")
-        return [item(x, field) for x in v]
+def _exactly(t):  # JSON true is no integer, though bool subclasses int
+    def coerce(v):
+        if type(v) is not t:
+            raise ValueError
+        return v
     return coerce
 
 
-_COERCE = {
-    "real": _as_real,
-    "int": _as_int,
-    "bool": _as_bool,
-    "complex": _as_complex,
-    "real_list": _as_list(_as_real, "numbers"),
-    "int_list": _as_list(_as_int, "integers"),
-    "complex_list": _as_list(_as_complex, "entries"),
+def _list(item):
+    def coerce(v):
+        if type(v) is not list or not v:
+            raise ValueError
+        return [item(x) for x in v]
+    return coerce
+
+
+# Field.kind -> (what a value must be, coercer raising ValueError or OverflowError)
+_KINDS = {
+    "real": ("a finite real number", _real),
+    "int": ("an integer", _exactly(int)),
+    "bool": ("true or false", _exactly(bool)),
+    "str": ("a string", _exactly(str)),
+    "complex": ("a finite number or [re, im] pair", _complex),
+    "real_list": ("a non-empty list of finite real numbers", _list(_real)),
+    "int_list": ("a non-empty list of integers", _list(_exactly(int))),
+    "complex_list": ("a non-empty list of finite numbers or [re, im] pairs", _list(_complex)),
 }
 
 
-def _coerce_params(scenario: dict, fields) -> dict:
+def _rule(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValidationError(message)
+
+
+def _validated(scenario: dict, exp: str) -> dict:
+    """The scenario's parameters, coerced by kind and checked by every static
+    rule; raises :class:`ValidationError`."""
+    _, fields, _, check = EXPERIMENTS[exp]
     known = {f.name for f in fields}
     for key in scenario:
         if key not in known and key not in ("experiment", "name"):
-            raise SchemaError(f"unknown field '{key}'")
-    out = {}
+            raise ValidationError(f"unknown field '{key}'")
+    p = {}
     for f in fields:
         if f.name not in scenario:
             if f.required:
-                raise SchemaError(f"missing required field '{f.name}'")
-            out[f.name] = f.default
+                raise ValidationError(f"missing required field '{f.name}'")
+            p[f.name] = f.default
             continue
-        v = scenario[f.name]
-        if f.kind == "str":
-            out[f.name] = _as_str(v, f.name, f.choices)
-        else:
-            out[f.name] = _COERCE[f.kind](v, f.name)
-    return out
+        what, coerce = _KINDS[f.kind]
+        try:
+            p[f.name] = coerce(scenario[f.name])
+        except (ValueError, OverflowError):
+            raise ValidationError(f"field '{f.name}' must be {what}") from None
+        if f.choices and p[f.name] not in f.choices:
+            raise ValidationError(f"field '{f.name}' must be one of {list(f.choices)}, "
+                                  f"got '{p[f.name]}'")
+    if "dt" in p:  # every time-stepped experiment; intention-paradox's horizon is t
+        _check_horizon(p.get("t", p.get("t_end")), p["dt"])
+    if check is not None:
+        check(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +207,12 @@ def _run_eigenfrequency(p):
     e = np.asarray(p["e_levels"], dtype=float)
     eps = np.asarray(p["eps_levels"], dtype=float)
     z0 = np.asarray(p["state"], dtype=complex)
-    if not (e.size == eps.size == z0.size):
-        raise SchemaError("e_levels, eps_levels and state must have equal length")
     obs = bilinear(np.diag(e)) + moment_power(np.diag(eps.astype(complex)), 2)
     builder = lambda z: nonlinear_operator(obs, z)
     traj = integrate_nls(builder, z0, p["t_end"], p["dt"], flow=obs.analytic_gradient)
-    measured = eigenfrequencies(traj)
-    n = float(np.vdot(z0, z0).real)
-    avg = float(np.sum(eps * np.abs(z0) ** 2) / n)
     rows, devs = [], []
-    for k, (om, weight) in enumerate(measured):
-        pred = float(e[k] + 2.0 * avg * eps[k] - avg ** 2)
+    predicted = canonical_frequencies(e, eps, z0).tolist()
+    for k, ((om, weight), pred) in enumerate(zip(eigenfrequencies(traj), predicted)):
         dev = abs(om - pred) if weight > 1e-10 else 0.0
         devs.append(dev)
         rows.append([float(k), weight, om, pred, dev])
@@ -226,9 +222,6 @@ def _run_eigenfrequency(p):
 
 
 def _run_probability_inconsistency(p):
-    if not 1 <= p["samples"] <= MAX_PROBABILITY_SAMPLES:
-        raise SchemaError(f"samples must be between 1 and {MAX_PROBABILITY_SAMPLES}, "
-                          f"got {p['samples']}")
     obs = canonical(p["e"], p["e"], p["eps"])
     thetas = np.linspace(0.0, np.pi / 2.0, p["samples"])
     e, eps = p["e"], p["eps"]
@@ -279,29 +272,24 @@ def _run_mobility(p):
     return _telegraph_rows(rep)
 
 
+def _check_pair(p):
+    composite._check_preparation(p["alpha"], p["beta"])
+
+
 def _run_no_signaling(p):
     a, b = p["alpha"], p["beta"]
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-        raise SchemaError("alpha, beta must satisfy |alpha|^2 + |beta|^2 = 1")
     u = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
     rep = composite.no_signaling_check(p["description"], u, p["t_end"], p["dt"],
                                        eps=p["eps"], e1=p["e1"], e2=p["e2"])
     rows = [[float(t), float(d)] for t, d in zip(rep.times, rep.deviations)]
     metrics = {"max_deviation": rep.max_deviation}
-    if p["expect"] == "silent":
-        ok = rep.max_deviation < 1e-8
-    else:
-        ok = rep.max_deviation > 1e-2
+    ok = rep.max_deviation < 1e-8 if p["expect"] == "silent" else rep.max_deviation > 1e-2
     return ["t", "deviation"], rows, metrics, ok
 
 
 def _run_reduced_flow(p):
     eps = np.diag(np.asarray(p["eps_levels"], dtype=complex))
-    d = eps.shape[0]
-    diag = np.asarray(p["rho_diag"], dtype=float)
-    if diag.size != d:
-        raise SchemaError("rho_diag must match eps_levels in length")
-    rho0 = np.diag(diag.astype(complex))
+    rho0 = np.diag(np.asarray(p["rho_diag"], dtype=complex))
     rho0[0, 1] += p["delta"]
     rho0[1, 0] += p["delta"]
     plain = composite.polchinski_reduced_flow("plain", eps, rho0, p["t_end"], p["dt"])
@@ -338,8 +326,6 @@ def _run_atom_inversion(p):
     rows = [[float(t), float(w)] for t, w in zip(series.times, series.w)]
     passed = True
     if p["compare"] != "none":
-        if p["level"] > 1:
-            raise SchemaError("closed-form comparison needs the coupled pair (level 0 or 1)")
         n_prime = -0.5 if p["level"] == 0 else 0.5
         n_big = n_prime + p["photons"]
         om = params.rabi(n_big)
@@ -361,8 +347,6 @@ def _run_atom_inversion(p):
 
 def _run_bloch(p):
     r0 = np.asarray(p["r0"], dtype=float)
-    if r0.size != 3:
-        raise SchemaError("r0 must have exactly three components")
     bp = BlochParams(delta=p["delta"], omega=p["omega"], a=p["a"], eps=p["eps"],
                      rotating_frame=(p["mode"] == "rotating"))
     btraj = integrate_bloch(bp, r0, p["t_end"], p["dt"])
@@ -371,8 +355,6 @@ def _run_bloch(p):
     metrics = {"final_length_squared": float(np.dot(btraj.r[-1], btraj.r[-1]))}
     passed = True
     if p["compare_wave"]:
-        if abs(float(np.dot(r0, r0)) - 1.0) > 1e-9:
-            raise SchemaError("wave comparison needs |r0| = 1 (a pure state)")
         th = np.arccos(np.clip(r0[2], -1.0, 1.0))
         ph = np.arctan2(r0[1], r0[0])
         psi0 = np.array([np.cos(th / 2.0),
@@ -398,9 +380,8 @@ def _run_intention(p):
     rep = composite.intention_paradox(
         composite.ParadoxParams(lambda1=p["lambda1"], lambda2=p["lambda2"],
                                 f=p["f"], t=p["t"]), p["dt"])
-    angle_rate = 2.0 * p["lambda2"] * p["f"]
-    rows = [[float(t), float(s), 0.5 * p["lambda2"] * float(np.cos(angle_rate * t))]
-            for t, s in zip(rep.times, rep.sigma3_series)]
+    rows = [[float(t), float(s), float(w)] for t, s, w in
+            zip(rep.times, rep.sigma3_series, rep.sigma3_predicted_series)]
     metrics = {"x_value": rep.x_value,
                "analytic_gap": rep.analytic_gap,
                "duality_gap": rep.duality_gap,
@@ -410,6 +391,7 @@ def _run_intention(p):
     return ["t", "sigma3", "sigma3_predicted"], rows, metrics, passed
 
 
+# name: (description, fields, runner, static rule run by the schema pass or None)
 EXPERIMENTS = {
     "eigen-census": (
         "enumerate nonlinear eigenstates of a two-level moment family",
@@ -419,13 +401,13 @@ EXPERIMENTS = {
             Field("expected_count", "int", default=-1,
                   help="fail unless this many distinct states (-1 disables)"),
         ),
-        _run_eigen_census),
+        _run_eigen_census, None),
     "diagonal-census": (
         "eigenvalues of the state-dependent operator at a given state",
         _FAMILY_FIELDS + (
             Field("state", "complex_list", required=True, help="amplitude vector"),
         ),
-        _run_diagonal_census),
+        _run_diagonal_census, None),
     "eigenfrequency": (
         "trajectory phase rates of a diagonal family vs the closed form",
         (Field("e_levels", "real_list", required=True),
@@ -434,14 +416,18 @@ EXPERIMENTS = {
          Field("t_end", "real", default=30.0),
          Field("dt", "real", default=0.01),
          Field("tol", "real", default=1e-5)),
-        _run_eigenfrequency),
+        _run_eigenfrequency,
+        lambda p: _rule(len(p["e_levels"]) == len(p["eps_levels"]) == len(p["state"]),
+                        "e_levels, eps_levels and state must have equal length")),
     "probability-inconsistency": (
         "two moment-based probability rules disagree for a degenerate family",
         (Field("e", "real", default=1.0),
          Field("eps", "real", default=0.1),
          Field("samples", "int", default=41,
                help=f"sweep points, 1 to {MAX_PROBABILITY_SAMPLES}")),
-        _run_probability_inconsistency),
+        _run_probability_inconsistency,
+        lambda p: _rule(1 <= p["samples"] <= MAX_PROBABILITY_SAMPLES,
+                        f"samples must be between 1 and {MAX_PROBABILITY_SAMPLES}")),
     "gisin-telegraph": (
         "remote-preparation telegraph under the slice-sum pair extension",
         (Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),
@@ -451,14 +437,14 @@ EXPERIMENTS = {
          Field("e2", "real", default=0.0),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_gisin),
+        _run_gisin, _check_pair),
     "mobility-telegraph": (
         "telegraph from a tilted correlation basis",
         (Field("eps", "real", default=0.1),
          Field("tilt", "real", default=float(np.pi / 8.0)),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_mobility),
+        _run_mobility, None),
     "no-signaling": (
         "does a remote unitary move the local reduced state?",
         (Field("description", "str", default="polchinski-plain",
@@ -471,7 +457,7 @@ EXPERIMENTS = {
          Field("t_end", "real", default=5.0),
          Field("dt", "real", default=0.01),
          Field("expect", "str", default="silent", choices=("silent", "signal"))),
-        _run_no_signaling),
+        _run_no_signaling, _check_pair),
     "reduced-flow-variants": (
         "reduced-flow rotation rate: plain vs purity-weighted extension",
         (Field("eps_levels", "real_list", default=[1.0, -1.0]),
@@ -479,7 +465,9 @@ EXPERIMENTS = {
          Field("delta", "real", default=1e-5, help="off-diagonal seed"),
          Field("t_end", "real", default=20.0),
          Field("dt", "real", default=0.01)),
-        _run_reduced_flow),
+        _run_reduced_flow,
+        lambda p: _rule(2 <= len(p["eps_levels"]) == len(p["rho_diag"]),
+                        "eps_levels and rho_diag must have equal length, at least 2")),
     "atom-inversion": (
         "population inversion of the atom-field models vs closed forms",
         (Field("description", "str", default="polchinski",
@@ -496,7 +484,9 @@ EXPERIMENTS = {
          Field("compare", "str", default="elliptic",
                choices=("none", "elliptic", "cos")),
          Field("tol", "real", default=1e-4)),
-        _run_atom_inversion),
+        _run_atom_inversion,
+        lambda p: _rule(p["compare"] == "none" or p["level"] in (0, 1),
+                        "compare needs level 0 or 1 (the coupled pair)")),
     "bloch-neoclassical": (
         "damped-driven Bloch forms against the nonlinear wave equation",
         (Field("delta", "real", default=0.0),
@@ -509,7 +499,10 @@ EXPERIMENTS = {
          Field("mode", "str", default="rotating", choices=("fixed", "rotating")),
          Field("compare_wave", "bool", default=True),
          Field("tol", "real", default=1e-5)),
-        _run_bloch),
+        _run_bloch,
+        lambda p: _rule(len(p["r0"]) == 3 and not (
+            p["compare_wave"] and abs(sum(x * x for x in p["r0"]) - 1.0) > 1e-9),
+            "r0 must have three components, and |r0| = 1 for compare_wave")),
     "intention-paradox": (
         "mixture-composition-dependent rotation of a density matrix",
         (Field("lambda1", "real", default=0.5),
@@ -517,7 +510,8 @@ EXPERIMENTS = {
          Field("f", "real", default=1.0),
          Field("t", "real", default=float(np.pi)),
          Field("dt", "real", default=0.001)),
-        _run_intention),
+        _run_intention,
+        lambda p: composite._check_weights(p["lambda1"], p["lambda2"])),
 }
 
 
@@ -555,82 +549,59 @@ def _write_report(path: str, report: dict) -> None:
         fh.write("\n")
 
 
-def _out_dir(arg) -> str:
-    if arg:
-        return arg
-    env = os.environ.get("NLQM_OUT")
-    if env:
-        return env
-    return os.path.join(".", "nlqm-out")
-
-
 # Failures a scenario's inputs can cause.  Any other exception fails its
 # scenario too, and also prints its traceback to stderr.
 _EXPECTED_ERRORS = (ValidationError, IntegrationError, SingularObservableError,
-                    SchemaError, np.linalg.LinAlgError)
+                    np.linalg.LinAlgError)
+
+
+def _schema_pass(cfg) -> list:
+    """Every scenario of ``cfg`` as ``(name, experiment, params)``, coerced by
+    kind and checked by every static rule before any of them runs; raises
+    :class:`ValidationError`."""
+    if isinstance(cfg, dict) and "scenarios" in cfg:
+        scenarios = cfg["scenarios"]
+        _rule(isinstance(scenarios, list) and scenarios, "'scenarios' must be a non-empty list")
+    else:
+        _rule(isinstance(cfg, dict), "top level must be an object")
+        scenarios = [cfg]
+    prepared, seen = [], set()
+    for i, sc in enumerate(scenarios):
+        _rule(isinstance(sc, dict), f"scenario {i + 1} must be an object")
+        exp = sc.get("experiment")
+        _rule(isinstance(exp, str) and exp in EXPERIMENTS,
+              f"scenario {i + 1} names unknown experiment {exp!r} "
+              f"(known: {', '.join(EXPERIMENTS)})")
+        name = sc.get("name", f"{exp}-{i + 1}")
+        _rule(isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_-]+", name),
+              f"scenario {i + 1} has an unusable name {name!r} (letters, digits, '-', '_')")
+        _rule(name not in seen, f"duplicate scenario name '{name}'")
+        seen.add(name)
+        try:
+            prepared.append((name, exp, _validated(sc, exp)))
+        except ValidationError as e:
+            raise ValidationError(f"scenario '{name}': {e}") from None
+    return prepared
 
 
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+            prepared = _schema_pass(json.load(fh))
     except json.JSONDecodeError as e:
         print(f"config error: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}",
               file=sys.stderr)
         return 2
-
-    if isinstance(cfg, dict) and "scenarios" in cfg:
-        scenarios = cfg["scenarios"]
-        if not isinstance(scenarios, list) or not scenarios:
-            print("config error: 'scenarios' must be a non-empty list", file=sys.stderr)
-            return 2
-    elif isinstance(cfg, dict):
-        scenarios = [cfg]
-    else:
-        print("config error: top level must be an object", file=sys.stderr)
+    except (OSError, ValueError) as e:  # ValidationError, UnicodeDecodeError, ...
+        print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    out = _out_dir(args.out)
+    out = args.out or os.environ.get("NLQM_OUT") or os.path.join(".", "nlqm-out")
     os.makedirs(out, exist_ok=True)
-
-    prepared = []
-    seen = set()
-    for i, sc in enumerate(scenarios):
-        if not isinstance(sc, dict):
-            print(f"config error: scenario {i + 1} must be an object", file=sys.stderr)
-            return 2
-        exp = sc.get("experiment")
-        if exp not in EXPERIMENTS:
-            known = ", ".join(EXPERIMENTS)
-            print(f"config error: scenario {i + 1} names unknown experiment "
-                  f"{exp!r} (known: {known})", file=sys.stderr)
-            return 2
-        name = sc.get("name", f"{exp}-{i + 1}")
-        if not isinstance(name, str) or not name or any(
-                c not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
-                for c in name):
-            print(f"config error: scenario {i + 1} has an unusable name {name!r} "
-                  "(letters, digits, '-', '_')", file=sys.stderr)
-            return 2
-        if name in seen:
-            print(f"config error: duplicate scenario name '{name}'", file=sys.stderr)
-            return 2
-        seen.add(name)
-        _, fields, runner = EXPERIMENTS[exp]
-        try:
-            params = _coerce_params(sc, fields)
-        except SchemaError as e:
-            print(f"config error: scenario '{name}': {e}", file=sys.stderr)
-            return 2
-        prepared.append((name, exp, params, runner))
-
     all_ok = True
-    for name, exp, params, runner in prepared:
-        report = {"experiment": exp, "name": name,
-                  "params": {k: _jsonable(v) for k, v in params.items()}}
+    for name, exp, params in prepared:
+        runner = EXPERIMENTS[exp][2]
+        report = {"experiment": exp, "name": name, "params": params}
         try:
             header, rows, metrics, passed = runner(params)
         except Exception as e:  # one failed scenario never stops the run
@@ -668,23 +639,16 @@ def _cmd_compare(args) -> int:
     try:
         ha, a = _read_csv(args.a)
         hb, b = _read_csv(args.b)
-    except (OSError, ValueError, StopIteration) as e:
+        _rule(ha == hb, "column headers differ")
+        _rule(a.shape == b.shape, f"row counts differ ({a.shape[0]} vs {b.shape[0]})")
+        _rule(a.size > 0, "no data rows")
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, which counts as differing
+            _rule(np.max(np.abs(a[:, 0] - b[:, 0])) <= 1e-12, "t grids differ beyond 1e-12")
+        finite = np.isfinite(a[:, 1:]).all(axis=0) & np.isfinite(b[:, 1:]).all(axis=0)
+        _rule(finite.all(), "non-finite entries in column(s) "
+              + ", ".join(h for h, ok in zip(ha[1:], finite) if not ok))
+    except (OSError, ValueError, StopIteration) as e:  # ValidationError is a ValueError
         print(f"compare error: {e}", file=sys.stderr)
-        return 2
-    if ha != hb:
-        print("compare error: column headers differ", file=sys.stderr)
-        return 2
-    if a.shape != b.shape:
-        print(f"compare error: row counts differ ({a.shape[0]} vs {b.shape[0]})",
-              file=sys.stderr)
-        return 2
-    if a.size == 0:
-        print("compare error: no data rows", file=sys.stderr)
-        return 2
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which counts as differing
-        dev = float(np.max(np.abs(a[:, 0] - b[:, 0])))
-    if not dev <= 1e-12:
-        print("compare error: t grids differ beyond 1e-12", file=sys.stderr)
         return 2
     diff = a[:, 1:] - b[:, 1:]
     if args.norm == "linf":
@@ -696,7 +660,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    for name, (desc, fields, _runner) in EXPERIMENTS.items():
+    for name, (desc, fields, _runner, _check) in EXPERIMENTS.items():
         print(f"{name}: {desc}")
         for f in fields:
             bits = [f.kind]

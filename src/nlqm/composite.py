@@ -368,6 +368,13 @@ class TelegraphParams:
     e2: float = 0.0
 
 
+def _check_preparation(alpha: complex, beta: complex) -> None:
+    """ValidationError unless |alpha|^2 + |beta|^2 = 1 (to 1e-10)."""
+    a, b = abs(alpha), abs(beta)
+    if abs(a * a + b * b - 1.0) > 1e-10:  # a * a: inf, not OverflowError, for huge a
+        raise ValidationError("preparation requires |alpha|^2 + |beta|^2 = 1")
+
+
 @dataclass
 class TelegraphReport:
     times: np.ndarray
@@ -449,8 +456,7 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
     purely by the distant preparation basis.
     """
     a, b = complex(params.alpha), complex(params.beta)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-        raise ValidationError("preparation requires |alpha|^2 + |beta|^2 = 1")
+    _check_preparation(a, b)
     h_sub = canonical(params.e2, params.e2, params.eps)
     total = (bilinear(params.e1 * np.eye(4))
              + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
@@ -549,6 +555,12 @@ class ParadoxParams:
     t: float
 
 
+def _check_weights(lambda1: float, lambda2: float) -> None:
+    """ValidationError unless the mixture weights are nonnegative and sum to 1."""
+    if lambda1 < -1e-12 or lambda2 < -1e-12 or abs(lambda1 + lambda2 - 1.0) > 1e-10:
+        raise ValidationError("mixture weights lambda1, lambda2 must be >= 0 and sum to 1")
+
+
 @dataclass
 class ParadoxReport:
     times: np.ndarray
@@ -562,6 +574,7 @@ class ParadoxReport:
     duality_gap: float
     sigma3_final: float
     sigma3_predicted: float
+    sigma3_predicted_series: np.ndarray
 
 
 def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
@@ -582,8 +595,7 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     projector; their agreement (duality_gap) is an integrator check.
     """
     l1, l2, f, t_end = params.lambda1, params.lambda2, params.f, params.t
-    if l1 < -1e-12 or l2 < -1e-12 or abs(l1 + l2 - 1.0) > 1e-10:
-        raise ValidationError("mixture weights must be nonnegative and sum to 1")
+    _check_weights(l1, l2)
     eye = np.eye(2, dtype=complex)
     m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
     rho0 = l1 * 0.5 * eye + l2 * m
@@ -633,6 +645,7 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
         duality_gap=float(abs(schrod - heis)),
         sigma3_final=float(np.trace(rho @ sigma3).real),
         sigma3_predicted=0.5 * l2 * np.cos(angle),
+        sigma3_predicted_series=0.5 * l2 * np.cos(2.0 * l2 * f * times),
     )
 
 

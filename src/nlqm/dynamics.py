@@ -32,6 +32,7 @@ __all__ = [
     "BlochTrajectory",
     "integrate_nls",
     "default_timestep",
+    "canonical_frequencies",
     "canonical_solution",
     "integrate_bloch",
     "neo_hamiltonian",
@@ -98,6 +99,17 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(getattr(h, "entries", h), dtype=complex)
 
 
+def _check_horizon(t_end: float, dt: float):
+    """``(t_end, dt)`` as floats; :class:`ValidationError` unless dt > 0 and
+    t_end >= 0 are finite, with a finite ratio."""
+    dt, t_end = float(dt), float(t_end)
+    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
+            and np.isfinite(t_end / dt)):
+        raise ValidationError(
+            f"need finite dt > 0 and finite t_end >= 0 (got dt = {dt:g}, t_end = {t_end:g})")
+    return t_end, dt
+
+
 def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
     """Fixed RK4 step grid ``(nsteps, dt_eff)`` that lands exactly on t_end.
 
@@ -107,11 +119,7 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
     finite ratio, and the grid has at most ``MAX_STEPS`` steps and at most
     ``MAX_SAMPLE_ENTRIES`` sample entries (``nsteps + 1`` samples of ``width``).
     """
-    dt, t_end = float(dt), float(t_end)
-    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end) and t_end >= 0.0
-            and np.isfinite(t_end / dt)):
-        raise ValidationError(
-            f"need finite dt > 0 and finite t_end >= 0 (got dt = {dt:g}, t_end = {t_end:g})")
+    t_end, dt = _check_horizon(t_end, dt)
     nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else min_steps
     if nsteps > MAX_STEPS:
         raise ValidationError(
@@ -332,22 +340,27 @@ def default_timestep(hbuilder: Callable, psi0) -> float:
     return (2.0 * np.pi / 200.0) / max(top, 1e-6)
 
 
-def canonical_solution(e_levels, eps_levels, psi0, times) -> Trajectory:
-    """Exact solution for the diagonal family H = sum E_k n_k + eps-moment^2.
+def canonical_frequencies(e_levels, eps_levels, psi0) -> np.ndarray:
+    """Rotation rates of the diagonal family H = sum E_k n_k + eps-moment^2.
 
-    Every amplitude rotates rigidly:  psi_k(t) = psi_k(0) exp(-i omega_k t)
-    with omega_k = E_k + 2 <eps> eps_k - <eps>^2 and <eps> the normalized
-    average of the eps levels in the initial state (a constant of motion).
+    omega_k = E_k + 2 <eps> eps_k - <eps>^2, with <eps> the normalized average
+    of the eps levels in ``psi0`` (a constant of motion).
     """
     z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     e = np.asarray(e_levels, dtype=float)
     eps = np.asarray(eps_levels, dtype=float)
-    n = float(np.vdot(z0, z0).real)
-    avg = float(np.sum(eps * np.abs(z0) ** 2) / n)
-    omega = e + 2.0 * avg * eps - avg ** 2
+    avg = float(np.sum(eps * np.abs(z0) ** 2) / float(np.vdot(z0, z0).real))
+    return e + 2.0 * avg * eps - avg ** 2
+
+
+def canonical_solution(e_levels, eps_levels, psi0, times) -> Trajectory:
+    """Exact solution psi_k(t) = psi_k(0) exp(-i omega_k t) for the diagonal
+    family, at the rates of :func:`canonical_frequencies`."""
+    z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    omega = canonical_frequencies(e_levels, eps_levels, z0)
     times = np.asarray(times, dtype=float)
     amps = z0 * np.exp(-1j * omega * times[:, None])
-    norms = np.full(times.shape, n)
+    norms = np.full(times.shape, float(np.vdot(z0, z0).real))
     return Trajectory(times=times, amplitudes=amps, recorded={"norm": norms})
 
 

@@ -1,12 +1,17 @@
 """End-to-end checks of the command line driver and the bundled configs."""
 
+import contextlib
 import glob
+import io
 import json
 import lzma
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nlqm.atom
 import nlqm.cli
@@ -107,6 +112,16 @@ def test_compare_verdicts(tmp_path, capsys):
     assert "row counts differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_compare_refuses_non_finite_data(tmp_path, capsys, bad):
+    pa = tmp_path / "a.csv"
+    pa.write_text(f"t,x,y\n0,{bad},1\n")
+    assert main(["compare", str(pa), str(pa)]) == 2
+    out, err = capsys.readouterr()
+    assert "non-finite entries in column(s) x" in err and "y" not in err
+    assert "RuntimeWarning" not in err and out == ""
+
+
 @pytest.mark.parametrize("side", ["a", "b", "both"])
 @pytest.mark.parametrize("bad_t", ["nan", "inf", "-inf"])
 def test_compare_refuses_a_non_finite_t_grid(tmp_path, capsys, bad_t, side):
@@ -160,6 +175,107 @@ def test_schema_rejections(tmp_path, capsys):
     assert _run_dict(tmp_path, {"scenarios": []}) == 2
     assert _run_dict(tmp_path, {"experiment": "no-signaling",
                                 "description": "psychic"}) == 2
+    assert _run_dict(tmp_path, {"experiment": ["eigen-census"]}) == 2
+    cfg = tmp_path / "undecodable.json"
+    cfg.write_bytes(b'{"experiment": "eigen-census", "name": "\xff"}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+INF, NAN = float("inf"), float("nan")
+# one scenario per static rule, each refused by the schema pass (field named)
+STATIC_VIOLATIONS = {
+    "omega-infinite": ({"experiment": "bloch-neoclassical", "omega": INF}, "'omega'"),
+    "tol-nan": ({"experiment": "atom-inversion", "tol": NAN}, "'tol'"),
+    "samples-negative": ({"experiment": "probability-inconsistency", "samples": -3},
+                         "samples"),
+    "eigenfrequency-lengths": ({"experiment": "eigenfrequency", "e_levels": [0.0, 1.0],
+                                "eps_levels": [0.5, -0.5], "state": [1.0, 0.0, 0.0]},
+                               "e_levels, eps_levels and state"),
+    "no-signaling-unnormalized": ({"experiment": "no-signaling", "alpha": 1.0,
+                                   "beta": [0.0, 0.5]}, "alpha"),
+    "gisin-unnormalized": ({"experiment": "gisin-telegraph", "alpha": 0.5, "beta": 0.5},
+                           "alpha"),
+    "r0-two-components": ({"experiment": "bloch-neoclassical", "r0": [0.0, -1.0]}, "r0"),
+    "r0-not-unit": ({"experiment": "bloch-neoclassical", "r0": [0.0, 0.0, -0.5]}, "r0"),
+    "level-with-compare": ({"experiment": "atom-inversion", "level": 2,
+                            "omega_levels": [0.0, 1.0, 2.0], "eps_levels": [-0.5, 0.5, 0.0]},
+                           "level"),
+    "mixture-weights": ({"experiment": "intention-paradox", "lambda1": 0.7, "lambda2": 0.7},
+                        "lambda1, lambda2"),
+    "reduced-flow-one-level": ({"experiment": "reduced-flow-variants", "eps_levels": [1.0],
+                                "rho_diag": [1.0]}, "eps_levels and rho_diag"),
+    "rho-diag-length": ({"experiment": "reduced-flow-variants",
+                         "rho_diag": [0.5, 0.25, 0.25]}, "eps_levels and rho_diag"),
+}
+
+
+@pytest.mark.parametrize("case", STATIC_VIOLATIONS)
+def test_static_rules_exit_two_before_anything_runs(tmp_path, capsys, case):
+    bad, field = STATIC_VIOLATIONS[case]
+    good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
+    assert _run_dict(tmp_path, {"scenarios": [good, dict(bad, name="bad")]}) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: scenario 'bad': ") and field in err, err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _bundled_scenario(exp):
+    return next(sc for path in CONFIG_FILES for sc in _scenarios(path)
+                if sc["experiment"] == exp)
+
+
+@pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
+def test_field_defaults_pass_the_schema_unchanged(exp):
+    _, fields, _, _ = EXPERIMENTS[exp]
+    required = {f.name: _bundled_scenario(exp)[f.name] for f in fields if f.required}
+    defaults = {f.name: f.default for f in fields if not f.required}
+    # as JSON, written out in full: every default is a value of its own kind
+    explicit = json.loads(json.dumps(nlqm.cli._jsonable(defaults)))
+    for sc in ({"experiment": exp, **required}, {"experiment": exp, **explicit, **required}):
+        [(_, _, params)] = nlqm.cli._schema_pass(sc)
+        assert {k: params[k] for k in defaults} == defaults
+
+
+def _stub_runner(_params):
+    return ["t"], [[0.0]], {}, True
+
+
+_STUBBED = {exp: (desc, fields, _stub_runner, check)
+            for exp, (desc, fields, _, check) in EXPERIMENTS.items()}
+_NUMBER = st.integers() | st.floats() | st.sampled_from([0.5, 1e300, -1e300, 10 ** 400])
+# any JSON value, half of them numbers or lists of numbers and [re, im]
+# pairs, so that the static rules behind the kind checks are reached too
+_JSON = (_NUMBER | st.lists(_NUMBER | st.lists(_NUMBER, min_size=2, max_size=2),
+                            min_size=1, max_size=4)
+         | st.recursive(st.none() | st.booleans() | _NUMBER | st.text(max_size=8),
+                        lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=8))
+_CASES = st.sampled_from(sorted(EXPERIMENTS)).flatmap(lambda exp: st.tuples(
+    st.just(exp), st.dictionaries(st.sampled_from([f.name for f in EXPERIMENTS[exp][1]]),
+                                  _JSON, min_size=1, max_size=2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_CASES)
+# rules doing arithmetic on finite values that overflow
+@example(case=("gisin-telegraph", {"alpha": 1e300}))
+@example(case=("intention-paradox", {"lambda1": 1e308, "lambda2": 1e308}))
+@example(case=("bloch-neoclassical", {"r0": [1e300, 0.0, 0.0]}))
+@example(case=("mobility-telegraph", {"t_end": 1e300, "dt": 1e-300}))
+def test_any_json_value_in_any_field_exits_cleanly(case):
+    exp, values = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(EXPERIMENTS, _STUBBED), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"experiment": exp, **values}, fh)  # NaN and Infinity as JSON tokens
+        assert main(["run", cfg, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_failed_expectation_exits_one(tmp_path):
@@ -224,44 +340,48 @@ def test_invalid_reduced_flow_state_fails_its_scenario_and_the_rest_run(tmp_path
 
 def test_probability_samples_are_bounded(tmp_path, monkeypatch, capsys):
     cap = nlqm.cli.MAX_PROBABILITY_SAMPLES
-    bad = [{"experiment": "probability-inconsistency", "name": f"samples-{i}", "samples": n}
-           for i, n in enumerate((-3, 0, cap + 1))]
     good = {"experiment": "probability-inconsistency", "name": "valid", "samples": 1}
-    assert _run_dict(tmp_path, {"scenarios": bad + [good]}) == 1
-    assert capsys.readouterr().err == ""
-    out = tmp_path / "out"
-    for sc in bad:
-        rep = json.loads((out / f"{sc['name']}.report.json").read_text())
-        assert rep["passed"] is False
-        assert rep["error_type"] == "SchemaError"
-        assert "samples must be between 1 and" in rep["error"]
-    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+    for n in (-3, 0, cap + 1):
+        bad = {"experiment": "probability-inconsistency", "name": "bad", "samples": n}
+        assert _run_dict(tmp_path, {"scenarios": [good, bad]}) == 2
+        assert "samples must be between 1 and" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert _run_dict(tmp_path, good) == 0
+    assert json.loads((tmp_path / "out" / "valid.report.json").read_text())["passed"] is True
     # above the cap nothing is allocated
     monkeypatch.setattr(np, "linspace", _refuse)
-    assert _run_dict(tmp_path, bad[-1]) == 1
-    rep = json.loads((out / "samples-2.report.json").read_text())
-    assert rep["error_type"] == "SchemaError"
+    assert _run_dict(tmp_path, {"experiment": "probability-inconsistency",
+                                "samples": cap + 1}) == 2
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("allocated")
 
 
-def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypatch):
+def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypatch, capsys):
     inf = float("inf")
+    # static: refused by the schema pass, exit 2, before anything runs
     bad = [
-        {"experiment": "bloch-neoclassical", "name": "bloch-dt-zero", "dt": 0},
-        {"experiment": "bloch-neoclassical", "name": "bloch-dt-negative", "dt": -0.01},
-        {"experiment": "bloch-neoclassical", "name": "bloch-t-inf", "t_end": inf},
-        {"experiment": "intention-paradox", "name": "intention-dt-zero", "dt": 0},
-        {"experiment": "intention-paradox", "name": "intention-dt-negative", "dt": -0.01},
-        {"experiment": "intention-paradox", "name": "intention-t-inf", "t": inf},
-        {"experiment": "reduced-flow-variants", "name": "reduced-dt-zero", "dt": 0},
-        {"experiment": "reduced-flow-variants", "name": "reduced-dt-negative", "dt": -0.01},
-        {"experiment": "reduced-flow-variants", "name": "reduced-t-inf", "t_end": inf},
-        {"experiment": "eigenfrequency", "name": "wave-t-inf", "t_end": inf,
-         "e_levels": [0.0, 1.0], "eps_levels": [0.5, -0.5], "state": [0.8, [0.0, 0.6]]},
+        ({"experiment": "bloch-neoclassical", "dt": 0}, "dt > 0"),
+        ({"experiment": "bloch-neoclassical", "dt": -0.01}, "dt > 0"),
+        ({"experiment": "bloch-neoclassical", "t_end": inf}, "'t_end'"),
+        ({"experiment": "intention-paradox", "dt": 0}, "dt > 0"),
+        ({"experiment": "intention-paradox", "dt": -0.01}, "dt > 0"),
+        ({"experiment": "intention-paradox", "t": inf}, "'t'"),
+        ({"experiment": "reduced-flow-variants", "dt": 0}, "dt > 0"),
+        ({"experiment": "reduced-flow-variants", "dt": -0.01}, "dt > 0"),
+        ({"experiment": "reduced-flow-variants", "t_end": inf}, "'t_end'"),
+        ({"experiment": "eigenfrequency", "t_end": inf, "e_levels": [0.0, 1.0],
+          "eps_levels": [0.5, -0.5], "state": [0.8, [0.0, 0.6]]}, "'t_end'"),
     ]
+    good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
+    for sc, message in bad:
+        # json.dumps writes inf as the token Infinity, which json.load reads back
+        assert _run_dict(tmp_path, {"scenarios": [good, dict(sc, name="bad")]}) == 2, sc
+        err = capsys.readouterr().err
+        assert "config error: scenario 'bad'" in err and message in err, sc
+        assert not (tmp_path / "out").exists()
+    # dynamic: the grid is only refused when the scenario runs, exit 1
     too_fine = {"experiment": "intention-paradox", "name": "intention-dt-tiny", "dt": 1e-300}
     # refused before anything is allocated: 900,000 steps at d = 10 are under
     # the step cap but over the sample cap, and n_max = 100000 would ask
@@ -271,13 +391,10 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
                  "state": [1.0] + [0.0] * 9}
     huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
     monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
-    good = {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}
-    # json.dumps writes inf as the token Infinity, which json.load reads back
-    assert _run_dict(tmp_path, {"scenarios": bad + [too_fine, long_wave, huge_atom, good]}) == 1
+    assert _run_dict(tmp_path, {"scenarios": [too_fine, long_wave, huge_atom, good]}) == 1
     out = tmp_path / "out"
-    for sc, message in [(sc, "dt > 0") for sc in bad] + [
-            (too_fine, "exceeds the cap"), (long_wave, "sample entries"),
-            (huge_atom, "state dimension")]:
+    for sc, message in [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
+                        (huge_atom, "state dimension")]:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]
@@ -289,8 +406,8 @@ def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, cap
     def broken(_params):
         raise RuntimeError("runner broke")
 
-    desc, fields, _ = EXPERIMENTS["probability-inconsistency"]
-    monkeypatch.setitem(EXPERIMENTS, "probability-inconsistency", (desc, fields, broken))
+    desc, fields, _, check = EXPERIMENTS["probability-inconsistency"]
+    monkeypatch.setitem(EXPERIMENTS, "probability-inconsistency", (desc, fields, broken, check))
     assert _run_dict(tmp_path, {"scenarios": [
         {"experiment": "probability-inconsistency", "name": "broken"},
         {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}]}) == 1
