@@ -123,6 +123,12 @@ def _rule(ok: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _nonzero(state) -> bool:
+    """Whether |state|^2 is positive as a float: a state whose squared norm
+    underflows is zero to the library too."""
+    return sum(abs(x) * abs(x) for x in state) > 0.0
+
+
 def _validated(scenario: dict, exp: str) -> dict:
     """The scenario's parameters, coerced by kind and checked by every static
     rule; raises :class:`ValidationError`."""
@@ -203,6 +209,12 @@ def _run_diagonal_census(p):
     return ["t", "diagonal_value"], rows, metrics, True
 
 
+def _check_levels(p):
+    _rule(len(p["e_levels"]) == len(p["eps_levels"]) == len(p["state"]),
+          "e_levels, eps_levels and state must have equal length")
+    _rule(_nonzero(p["state"]), "state must be nonzero")
+
+
 def _run_eigenfrequency(p):
     e = np.asarray(p["e_levels"], dtype=float)
     eps = np.asarray(p["eps_levels"], dtype=float)
@@ -219,6 +231,12 @@ def _run_eigenfrequency(p):
     metrics = {"max_deviation": max(devs)}
     return (["t", "weight", "omega_measured", "omega_predicted", "deviation"],
             rows, metrics, max(devs) < p["tol"])
+
+
+def _check_sweep(p):
+    _rule(1 <= p["samples"] <= MAX_PROBABILITY_SAMPLES,
+          f"samples must be between 1 and {MAX_PROBABILITY_SAMPLES}")
+    _rule(p["eps"] != 0.0, "eps must be nonzero (the first-moment rule divides by it)")
 
 
 def _run_probability_inconsistency(p):
@@ -407,7 +425,10 @@ EXPERIMENTS = {
         _FAMILY_FIELDS + (
             Field("state", "complex_list", required=True, help="amplitude vector"),
         ),
-        _run_diagonal_census, None),
+        _run_diagonal_census,
+        lambda p: _rule(len(p["state"]) == 2 and _nonzero(p["state"]),
+                        "state must be a nonzero two-component vector "
+                        "(the families are two-level)")),
     "eigenfrequency": (
         "trajectory phase rates of a diagonal family vs the closed form",
         (Field("e_levels", "real_list", required=True),
@@ -416,18 +437,14 @@ EXPERIMENTS = {
          Field("t_end", "real", default=30.0),
          Field("dt", "real", default=0.01),
          Field("tol", "real", default=1e-5)),
-        _run_eigenfrequency,
-        lambda p: _rule(len(p["e_levels"]) == len(p["eps_levels"]) == len(p["state"]),
-                        "e_levels, eps_levels and state must have equal length")),
+        _run_eigenfrequency, _check_levels),
     "probability-inconsistency": (
         "two moment-based probability rules disagree for a degenerate family",
         (Field("e", "real", default=1.0),
          Field("eps", "real", default=0.1),
          Field("samples", "int", default=41,
                help=f"sweep points, 1 to {MAX_PROBABILITY_SAMPLES}")),
-        _run_probability_inconsistency,
-        lambda p: _rule(1 <= p["samples"] <= MAX_PROBABILITY_SAMPLES,
-                        f"samples must be between 1 and {MAX_PROBABILITY_SAMPLES}")),
+        _run_probability_inconsistency, _check_sweep),
     "gisin-telegraph": (
         "remote-preparation telegraph under the slice-sum pair extension",
         (Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),

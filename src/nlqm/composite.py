@@ -289,6 +289,9 @@ class ReducedFlowTrajectory:
 
     def offdiagonal_phase_rate(self, i: int = 0, j: int = 1) -> float:
         """Linear-fit phase velocity of the (i, j) matrix element."""
+        if self.times.size < 4:
+            raise ValidationError("trajectory too short for a phase-rate fit "
+                                  f"({self.times.size} samples, at least 4 needed)")
         phase = np.unwrap(np.angle(self.rhos[:, i, j]))
         slope, _ = np.polyfit(self.times, phase, 1)
         return float(slope)
@@ -394,6 +397,9 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     """
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
+    if t.size < 4:
+        raise ValidationError(f"trajectory too short for a sinusoid fit ({t.size} samples, "
+                              "at least 4 needed)")
     yc = y - np.mean(y)
     spec = np.abs(np.fft.rfft(yc * np.hanning(y.size)))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(y.size, d=t[1] - t[0])

@@ -26,7 +26,6 @@ from .observables import (
     HomogeneousObservable,
     SingularObservableError,
     star_product,
-    wirtinger_gradient,
     nonlinear_operator,
 )
 
@@ -138,6 +137,8 @@ def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: di
     ``counters["newton_rows"]``.
     """
     nb = z0.shape[0]
+    if nb == 0:  # no seed left to refine: ``grad`` is not asked about an empty batch
+        return z0, lam0, np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
     anchors = np.argmax(np.abs(z0), axis=1)
     x = _pack(z0, lam0)
     nvar = 2 * dim + 1
@@ -199,25 +200,27 @@ def _checked_grid(grid) -> tuple:
     return int(n_theta), int(n_phi)
 
 
-def _seed_values(obs: HomogeneousObservable, seeds: np.ndarray):
-    """``(seeds, lam0)``: the functional's value at each seed, one batch call.
+def _batch_else_rows(fn, *arrays) -> tuple:
+    """``fn(*arrays)``: a tuple of arrays with one row per input row kept.
 
-    Homogeneity makes the eigenvalue equal the average in an eigenstate.  If
-    the batch raises, the seeds are evaluated one by one and those that raise
-    are dropped.
+    ``fn`` runs on the whole batch; if that raises
+    :class:`SingularObservableError` or :class:`ValidationError`, it runs on
+    each one-row slice instead, the rows that raise are dropped and the
+    results are concatenated in row order.
     """
     try:
-        return seeds, obs.value_batch(seeds)
+        return fn(*arrays)
     except (SingularObservableError, ValidationError):
         pass
-    lam0 = np.empty(len(seeds))
-    keep = np.ones(len(seeds), dtype=bool)
-    for i, s in enumerate(seeds):
+    rows = []
+    for i in range(len(arrays[0])):
         try:
-            lam0[i] = obs.value(s)
+            rows.append(fn(*(a[i:i + 1] for a in arrays)))
         except (SingularObservableError, ValidationError):
-            keep[i] = False
-    return seeds[keep], lam0[keep]
+            pass
+    if not rows:  # every row raised: the result of no rows
+        return fn(*(a[:0] for a in arrays))
+    return tuple(np.concatenate(c) for c in zip(*rows))
 
 
 def _kept(resid: np.ndarray, values: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -230,8 +233,7 @@ def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
 
     Rows are normalised and gauge-fixed as by ``StateVector.normalized`` and
     ``gauge_fixed`` (largest modulus, first index on ties, made real and
-    non-negative); a zero or non-finite row is dropped.  Raises where
-    :func:`_records_per_row` would drop a row for an exception.
+    non-negative); a zero or non-finite row is dropped.
     """
     n2 = np.einsum("bi,bi->b", z.conj(), z).real
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,24 +246,6 @@ def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
         return lam, u, np.empty(0)
     resid = np.linalg.norm(obs.gradient_batch(u) - lam[:, None] * u, axis=1)
     keep = _kept(resid, obs.value_batch(u), lam)
-    return lam[keep], u[keep], resid[keep]
-
-
-def _records_per_row(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
-    """The arrays of :func:`_records_batch`, one ``StateVector`` per row."""
-    rows = []
-    for zi, li in zip(z, lam):
-        try:
-            state = StateVector(zi).normalized().gauge_fixed()
-            g = wirtinger_gradient(obs, state)
-        except (SingularObservableError, ValidationError):
-            continue
-        resid = float(np.linalg.norm(g - li * state.amplitudes))
-        rows.append((li, state.amplitudes, resid, obs.value(state)))
-    if not rows:
-        return lam[:0], z[:0], np.empty(0)
-    lam, u, resid, values = (np.array(c) for c in zip(*rows))
-    keep = _kept(resid, values, lam)
     return lam[keep], u[keep], resid[keep]
 
 
@@ -307,47 +291,36 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     non-finite, or stalls: a step of at most ``STALL_STEP`` at a residual of
     at least ``STALL_RESIDUAL``), for at most 60 Gauss-Newton iterations; a
     seed converges when its final residual is below 1e-10.  Seed values, the
-    Newton steps and the checks of the converged states each run on the whole
-    batch, with a seed-by-seed path where the batch raises.  The states are
-    compared for distinctness as arrays; only the distinct solutions become
-    records.
+    Newton refinement and the checks of the converged states each run on the
+    whole batch; where a batch raises :class:`SingularObservableError` or
+    :class:`ValidationError`, that stage runs again one row at a time and
+    drops the rows that raise (a seed dropped in the Newton stage counts as
+    seeded and not converged).  The states are compared for distinctness as
+    arrays; only the distinct solutions become records.
 
     Pass a ``diagnostics`` dict to receive the counters ``seeds``,
     ``converged``, ``dropped_nonconverged``, ``dropped_residual``,
     ``distinct``, ``newton_stalled`` (seeds the stall rule took out of the
     loop), ``newton_iterations`` (Newton iterations run) and ``newton_rows``
     (seed rows refined, summed over those iterations); the last two include a
-    batch attempt given up for the seed-by-seed path.
+    batch attempt given up for the row-by-row path.
     """
-    seeds, lam0 = _seed_values(obs, _seed_states(dim, _checked_grid(grid)))
-
+    # Homogeneity makes the eigenvalue equal the average in an eigenstate.
+    seeds, lam0 = _batch_else_rows(lambda s: (s, obs.value_batch(s)),
+                                   _seed_states(dim, _checked_grid(grid)))
     counts = {"newton_iterations": 0, "newton_rows": 0}
-    try:
-        z, lam, ok, stalled = _gauss_newton(seeds, lam0, obs.gradient_batch, dim, counts)
-    except (SingularObservableError, ValidationError):
-        # Singular families: refine seed-by-seed so one bad region cannot
-        # poison the whole batch.
-        rows = []
-        for i in range(len(seeds)):
-            try:
-                rows.append(_gauss_newton(seeds[i:i + 1], lam0[i:i + 1],
-                                          obs.gradient_batch, dim, counts))
-            except (SingularObservableError, ValidationError):
-                rows.append((seeds[i:i + 1], lam0[i:i + 1], [False], [False]))
-        z, lam, ok, stalled = (np.concatenate(c) for c in zip(*rows))
-
-    try:
-        lam_k, u, resid = _records_batch(obs, z[ok], lam[ok])
-    except (SingularObservableError, ValidationError):
-        lam_k, u, resid = _records_per_row(obs, z[ok], lam[ok])
+    z, lam, ok, stalled = _batch_else_rows(
+        lambda s, v: _gauss_newton(s, v, obs.gradient_batch, dim, counts), seeds, lam0)
+    lam_k, u, resid = _batch_else_rows(lambda zs, ls: _records_batch(obs, zs, ls),
+                                       z[ok], lam[ok])
     merged = [EigenstateRecord(float(lam_k[i]), StateVector(u[i]), float(resid[i]))
               for i in _distinct(lam_k, u, resid)]
 
     if diagnostics is not None:
         diagnostics.update({
-            "seeds": int(len(z)),
+            "seeds": len(seeds),
             "converged": int(np.sum(ok)),
-            "dropped_nonconverged": int(len(z) - np.sum(ok)),
+            "dropped_nonconverged": len(seeds) - int(np.sum(ok)),
             "dropped_residual": int(np.sum(ok)) - len(lam_k),
             "distinct": len(merged),
             "newton_stalled": int(np.sum(stalled)),

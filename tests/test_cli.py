@@ -208,6 +208,15 @@ STATIC_VIOLATIONS = {
                                 "rho_diag": [1.0]}, "eps_levels and rho_diag"),
     "rho-diag-length": ({"experiment": "reduced-flow-variants",
                          "rho_diag": [0.5, 0.25, 0.25]}, "eps_levels and rho_diag"),
+    "probability-eps-zero": ({"experiment": "probability-inconsistency", "eps": 0},
+                             "eps must be nonzero"),
+    "diagonal-state-length": ({"experiment": "diagonal-census", "state": [1.0, 0.0, 0.0]},
+                              "state"),
+    "diagonal-state-zero": ({"experiment": "diagonal-census", "state": [0.0, [0.0, 0.0]]},
+                            "state"),
+    "eigenfrequency-state-zero": ({"experiment": "eigenfrequency", "e_levels": [0.0, 1.0],
+                                   "eps_levels": [0.5, -0.5], "state": [0.0, 0.0]},
+                                  "state must be nonzero"),
 }
 
 
@@ -358,7 +367,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated")
 
 
-def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypatch, capsys):
+def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypatch, capfd):
     inf = float("inf")
     # static: refused by the schema pass, exit 2, before anything runs
     bad = [
@@ -378,7 +387,7 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
     for sc, message in bad:
         # json.dumps writes inf as the token Infinity, which json.load reads back
         assert _run_dict(tmp_path, {"scenarios": [good, dict(sc, name="bad")]}) == 2, sc
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert "config error: scenario 'bad'" in err and message in err, sc
         assert not (tmp_path / "out").exists()
     # dynamic: the grid is only refused when the scenario runs, exit 1
@@ -390,16 +399,26 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
                  "dt": 0.01, "e_levels": [0.0] * 10, "eps_levels": [0.0] * 10,
                  "state": [1.0] + [0.0] * 9}
     huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
+    # too few samples for the fits: one at t_end = 0, two at t_end = 1e-300
+    short = [({"experiment": exp, "name": f"{exp}-{t_end:g}", "t_end": t_end}, "too short")
+             for exp, t_end in [("gisin-telegraph", 0.0), ("mobility-telegraph", 0.0),
+                                ("reduced-flow-variants", 0.0),
+                                ("reduced-flow-variants", 1e-300)]]
+    dynamic = [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
+               (huge_atom, "state dimension")] + short
     monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
-    assert _run_dict(tmp_path, {"scenarios": [too_fine, long_wave, huge_atom, good]}) == 1
+    assert _run_dict(tmp_path, {"scenarios": [sc for sc, _ in dynamic] + [good]}) == 1
     out = tmp_path / "out"
-    for sc, message in [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
-                        (huge_atom, "state dimension")]:
+    for sc, message in dynamic:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]
         assert message in rep["error"], sc["name"]
     assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+    # LAPACK writes its DLASCL complaint to the file descriptors, not to sys.stderr
+    printed = "".join(capfd.readouterr())
+    for noise in ("Traceback", "RuntimeWarning", "DLASCL"):
+        assert noise not in printed
 
 
 def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, capsys):

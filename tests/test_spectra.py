@@ -157,7 +157,8 @@ _NEWTON_FAMILIES = [
                          + [pytest.param(obs, (32, 16), id=name + "-32x16")
                             for name, obs in _NEWTON_FAMILIES])
 def test_per_seed_newton_matches_the_full_batch_loop(obs, grid, monkeypatch):
-    seeds, lam0 = spectra._seed_values(obs, spectra._seed_states(2, grid))
+    seeds, lam0 = spectra._batch_else_rows(lambda s: (s, obs.value_batch(s)),
+                                           spectra._seed_states(2, grid))
     counts = {"newton_iterations": 0, "newton_rows": 0}
     z, lam, ok, stalled = spectra._gauss_newton(seeds, lam0, obs.gradient_batch, 2, counts)
     z_ref, lam_ref, ok_ref, updates = _full_batch_gauss_newton(seeds, lam0,
@@ -200,25 +201,27 @@ def _value_only(obs):
     (_value_only(canonical(0.0, 1.0, 1.0)), 2, (2, 2)),
 ], ids=["canonical", "singular", "weinberg-d4", "value-only"])
 def test_record_checks_agree_batched_and_per_row(obs, dim, grid, monkeypatch):
-    per_row_calls = []
-    per_row = spectra._records_per_row
+    records_batch, rows_per_call = spectra._records_batch, []
 
-    def spy(*args):
-        per_row_calls.append(1)
-        return per_row(*args)
+    def spy(o, z, lam):
+        rows_per_call.append(len(z))
+        return records_batch(o, z, lam)
 
-    monkeypatch.setattr(spectra, "_records_per_row", spy)
+    monkeypatch.setattr(spectra, "_records_batch", spy)
     diag_batch = {}
     batch = find_eigenstates(obs, dim, grid=grid, diagnostics=diag_batch)
-    assert not per_row_calls
+    assert len(rows_per_call) == 1
 
-    def refuse(*_args):
-        raise SingularObservableError("batch refused")
+    def one_row_at_a_time(o, z, lam):
+        if len(z) > 1:
+            raise SingularObservableError("batch refused")
+        return spy(o, z, lam)
 
-    monkeypatch.setattr(spectra, "_records_batch", refuse)
+    monkeypatch.setattr(spectra, "_records_batch", one_row_at_a_time)
+    rows_per_call.clear()
     diag_rows = {}
     rows = find_eigenstates(obs, dim, grid=grid, diagnostics=diag_rows)
-    assert per_row_calls
+    assert rows_per_call and set(rows_per_call) == {1}
     assert diag_batch == diag_rows
     assert len(batch) == len(rows) >= 2
     for a, b in zip(batch, rows):
@@ -251,23 +254,26 @@ def _greedy_records(records):
     return merged
 
 
-@pytest.mark.parametrize("obs, dim, path", [
-    (canonical(0.0, 1.0, 1.0), 2, "_records_batch"),
-    (singular_inverse(), 2, "_records_batch"),
-    (nlqm.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2)), 4, "_records_batch"),
-    (canonical(0.0, 1.0, 1.0), 2, "_records_per_row"),
+@pytest.mark.parametrize("obs, dim, per_row", [
+    (canonical(0.0, 1.0, 1.0), 2, False),
+    (singular_inverse(), 2, False),
+    (nlqm.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2)), 4, False),
+    (canonical(0.0, 1.0, 1.0), 2, True),
 ], ids=["canonical", "singular", "weinberg-d4", "per-row"])
-def test_array_dedup_gives_the_record_dedup(obs, dim, path, monkeypatch):
+def test_array_dedup_gives_the_record_dedup(obs, dim, per_row, monkeypatch):
     captured = []
-    checks = getattr(spectra, path)
-    monkeypatch.setattr(spectra, path, lambda *a: captured.append(checks(*a)) or captured[-1])
-    if path == "_records_per_row":
-        def refuse(*_args):
-            raise SingularObservableError("batch refused")
+    checks = spectra._records_batch
 
-        monkeypatch.setattr(spectra, "_records_batch", refuse)
+    def spy(o, z, lam):
+        if per_row and len(z) > 1:  # the census then checks the rows one at a time
+            raise SingularObservableError("batch refused")
+        captured.append(checks(o, z, lam))
+        return captured[-1]
+
+    monkeypatch.setattr(spectra, "_records_batch", spy)
     recs = find_eigenstates(obs, dim)
-    (lam, u, resid), = captured
+    assert per_row or len(captured) == 1
+    lam, u, resid = (np.concatenate(c) for c in zip(*captured))
     ref = _greedy_records([spectra.EigenstateRecord(float(lam[i]), StateVector(u[i]),
                                                     float(resid[i])) for i in range(len(lam))])
     assert len(lam) > len(recs) == len(ref) >= 2
@@ -278,6 +284,9 @@ def test_array_dedup_gives_the_record_dedup(obs, dim, path, monkeypatch):
 
 def test_seed_by_seed_fallback_gives_the_batch_census():
     obs = canonical(0.0, 1.0, 1.0)
+    diag_ref = {}
+    ref = find_eigenstates(obs, 2, grid=(8, 4), diagnostics=diag_ref)
+    refused_seed = spectra._seed_states(2, (8, 4))[5]  # converges in the batch census
 
     def one_seed_at_a_time(z):
         # the probes of one seed are 2 nvar = 10 rows
@@ -285,16 +294,41 @@ def test_seed_by_seed_fallback_gives_the_batch_census():
             raise SingularObservableError("batch refused")
         return obs.analytic_gradient(z)
 
-    fussy = HomogeneousObservable(evaluator=obs.evaluator,
-                                  analytic_gradient=one_seed_at_a_time, batched=True)
-    diag, diag_ref = {}, {}
-    recs = find_eigenstates(fussy, 2, grid=(8, 4), diagnostics=diag)
-    ref = find_eigenstates(obs, 2, grid=(8, 4), diagnostics=diag_ref)
-    assert [diag[k] for k in ("seeds", "converged", "distinct")] == \
-        [diag_ref[k] for k in ("seeds", "converged", "distinct")]
-    # one row per iteration; the refused batch attempt ran none
-    assert diag["newton_rows"] == diag["newton_iterations"] > diag_ref["newton_iterations"]
-    npt.assert_allclose([r.eigenvalue for r in recs], [r.eigenvalue for r in ref], atol=1e-12)
+    def also_refusing_one_seed(z):
+        if np.any(np.max(np.abs(z - refused_seed), axis=-1) < 1e-3):
+            raise SingularObservableError("region refused")
+        return one_seed_at_a_time(z)
+
+    for gradient, dropped in ((one_seed_at_a_time, 0), (also_refusing_one_seed, 1)):
+        fussy = HomogeneousObservable(evaluator=obs.evaluator,
+                                      analytic_gradient=gradient, batched=True)
+        diag = {}
+        recs = find_eigenstates(fussy, 2, grid=(8, 4), diagnostics=diag)
+        # a seed dropped inside the Newton loop still counts as seeded, not converged
+        assert diag["seeds"] == diag_ref["seeds"]
+        assert diag["converged"] == diag_ref["converged"] - dropped
+        assert diag["dropped_nonconverged"] == diag_ref["dropped_nonconverged"] + dropped
+        assert diag["distinct"] == diag_ref["distinct"]
+        # one row per iteration; the refused batch attempt ran none
+        assert diag["newton_rows"] == diag["newton_iterations"] > diag_ref["newton_iterations"]
+        npt.assert_allclose([r.eigenvalue for r in recs], [r.eigenvalue for r in ref],
+                            atol=1e-12)
+        for a, b in zip(recs, ref):
+            npt.assert_allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_census_of_an_observable_raising_at_every_seed_is_empty():
+    def nowhere(*_args):
+        raise SingularObservableError("nowhere defined")
+
+    obs = canonical(0.0, 1.0, 1.0)
+    no_value = HomogeneousObservable(evaluator=nowhere)
+    no_gradient = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=nowhere,
+                                        batched=True)
+    for fussy, seeds in ((no_value, 0), (no_gradient, 14)):
+        diag = {}
+        assert find_eigenstates(fussy, 2, grid=(2, 2), diagnostics=diag) == []
+        assert (diag["seeds"], diag["converged"], diag["dropped_nonconverged"]) == (seeds, 0, seeds)
 
 
 def test_eigenstates_satisfy_the_defining_equation():
