@@ -29,6 +29,7 @@ from .core import (
     DensityMatrix,
     StateVector,
     ValidationError,
+    _amplitudes,
     _checked_density,
     reduced_states,
     rotate_subsystem,
@@ -44,7 +45,7 @@ from .observables import (
     moment_power,
     nonlinear_operator,
 )
-from .dynamics import IntegrationError, _rk4, _step_grid, integrate_nls
+from .dynamics import IntegrationError, _fit_times, _rk4, _step_grid, integrate_nls
 
 __all__ = [
     "TelegraphParams",
@@ -199,7 +200,7 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
     ``value_batch`` call.
     """
     def builder(z):
-        zv = z.amplitudes if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
+        zv = _amplitudes(z)
         zs = np.atleast_2d(zv)
         n = np.real(np.sum(zs.conj() * zs, axis=-1))
         if np.any(n < SLICE_FLOOR):
@@ -289,11 +290,9 @@ class ReducedFlowTrajectory:
 
     def offdiagonal_phase_rate(self, i: int = 0, j: int = 1) -> float:
         """Linear-fit phase velocity of the (i, j) matrix element."""
-        if self.times.size < 4:
-            raise ValidationError("trajectory too short for a phase-rate fit "
-                                  f"({self.times.size} samples, at least 4 needed)")
+        t = _fit_times(self.times, "a phase-rate fit")
         phase = np.unwrap(np.angle(self.rhos[:, i, j]))
-        slope, _ = np.polyfit(self.times, phase, 1)
+        slope, _ = np.polyfit(t, phase, 1)
         return float(slope)
 
 
@@ -396,10 +395,7 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     (amplitude, omega, offset).
     """
     y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.size < 4:
-        raise ValidationError(f"trajectory too short for a sinusoid fit ({t.size} samples, "
-                              "at least 4 needed)")
+    t = _fit_times(t, "a sinusoid fit")
     yc = y - np.mean(y)
     spec = np.abs(np.fft.rfft(yc * np.hanning(y.size)))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(y.size, d=t[1] - t[0])

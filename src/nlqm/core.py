@@ -199,12 +199,18 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
 
 
+def _amplitudes(psi) -> np.ndarray:
+    """The amplitudes of a ``StateVector``, else ``psi`` (a state or a stack) as
+    a complex array."""
+    if isinstance(psi, StateVector):
+        return psi.amplitudes
+    return np.asarray(psi, dtype=complex)
+
+
 def _operand(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return state.amplitudes
     if isinstance(state, (DensityMatrix, HermitianOperator)):
         return state.entries
-    return np.asarray(state, dtype=complex)
+    return _amplitudes(state)
 
 
 def partial_trace(state: Union[StateVector, DensityMatrix], keep: int) -> DensityMatrix:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateVector, ValidationError, sigma1, sigma2, sigma3, identity2
+from .core import StateVector, ValidationError, _amplitudes, sigma1, sigma2, sigma3, identity2
 
 __all__ = [
     "IntegrationError",
@@ -130,6 +130,22 @@ def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
             f"{nsteps + 1:,} samples of {width} entries exceed the cap of "
             f"{MAX_SAMPLE_ENTRIES:,} sample entries (dt = {dt:g}, t_end = {t_end:g})")
     return nsteps, (t_end / nsteps if nsteps else 0.0)
+
+
+def _fit_times(times, fit: str) -> np.ndarray:
+    """The sample times of a fit as floats.
+
+    Raises :class:`ValidationError` ("too short") unless there are at least 4
+    samples over a span whose square does not underflow to 0, where
+    ``np.polyfit``'s column scaling would divide by zero.
+    """
+    t = np.asarray(times, dtype=float)
+    span = float(t[-1] - t[0]) if t.size else 0.0
+    if t.size < 4 or span * span == 0.0:
+        raise ValidationError(f"trajectory too short for {fit}: {t.size} samples over a span "
+                              f"of {span:g} (needs at least 4, over a span whose square "
+                              "does not underflow)")
+    return t
 
 
 def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
@@ -334,7 +350,7 @@ def default_timestep(hbuilder: Callable, psi0) -> float:
 
     ``psi0`` may be a ``(B, d)`` stack; the fastest row sets the step.
     """
-    z = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    z = _amplitudes(psi0)
     h = _as_matrix(hbuilder(z))
     top = float(np.max(np.abs(np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0))))
     return (2.0 * np.pi / 200.0) / max(top, 1e-6)
@@ -346,7 +362,7 @@ def canonical_frequencies(e_levels, eps_levels, psi0) -> np.ndarray:
     omega_k = E_k + 2 <eps> eps_k - <eps>^2, with <eps> the normalized average
     of the eps levels in ``psi0`` (a constant of motion).
     """
-    z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    z0 = _amplitudes(psi0)
     e = np.asarray(e_levels, dtype=float)
     eps = np.asarray(eps_levels, dtype=float)
     avg = float(np.sum(eps * np.abs(z0) ** 2) / float(np.vdot(z0, z0).real))
@@ -356,7 +372,7 @@ def canonical_frequencies(e_levels, eps_levels, psi0) -> np.ndarray:
 def canonical_solution(e_levels, eps_levels, psi0, times) -> Trajectory:
     """Exact solution psi_k(t) = psi_k(0) exp(-i omega_k t) for the diagonal
     family, at the rates of :func:`canonical_frequencies`."""
-    z0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    z0 = _amplitudes(psi0)
     omega = canonical_frequencies(e_levels, eps_levels, z0)
     times = np.asarray(times, dtype=float)
     amps = z0 * np.exp(-1j * omega * times[:, None])
@@ -451,7 +467,7 @@ def neo_hamiltonian(a: float, eps: float, base=None) -> Callable:
     b = np.zeros((2, 2), dtype=complex) if base is None else _as_matrix(base)
 
     def builder(z):
-        zv = z.amplitudes if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
+        zv = _amplitudes(z)
         n = float(np.vdot(zv, zv).real)
         s1, s2, s3 = (float(np.vdot(zv, s @ zv).real) / n for s in (sigma1, sigma2, sigma3))
         return (b - 0.5 * eps * s3 ** 2 * identity2

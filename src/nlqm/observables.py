@@ -17,8 +17,13 @@ computes gradients, these operator matrices, the *-product
 used by the rest of the package.
 
 Derivatives fall back to central finite differences in the underlying real
-coordinates, ``d/dpsi = (d/dx - i d/dy)/2``, whenever no analytic closed form
-is attached, so arbitrary user-registered evaluators work out of the box.
+coordinates, ``d/dpsibar = (d/dx + i d/dy)/2`` and ``d/dpsi = (d/dx - i
+d/dy)/2``, whenever no analytic closed form is attached, so arbitrary
+user-registered evaluators work out of the box.  One stencil serves every
+route and sends its ``4d`` probes ``psi +- h e_n``, ``psi +- i h e_n`` to the
+function in one call: the gradient is the stencil of the values at
+``h = 1e-5 (1 + |psi|)``, the operator that of the analytic gradient at the
+same step or, without one, of the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HermitianOperator, StateVector, ValidationError, sigma3
+from .core import HermitianOperator, ValidationError, _amplitudes, sigma3
 
 GRADIENT_STEP = 1e-5
 HESSIAN_STEP = 1e-4
@@ -54,12 +59,6 @@ __all__ = [
 
 class SingularObservableError(ArithmeticError):
     """The evaluator is singular (or guarded) at the requested state."""
-
-
-def _unwrap(psi) -> np.ndarray:
-    if isinstance(psi, StateVector):
-        return psi.amplitudes
-    return np.asarray(psi, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class HomogeneousObservable:
     batched: bool = False
 
     def value(self, psi) -> float:
-        z = _unwrap(psi)
+        z = _amplitudes(psi)
         return self._checked_value(complex(self.evaluator(z, z.conj())), z)
 
     __call__ = value
@@ -187,112 +186,87 @@ class HomogeneousObservable:
 # Wirtinger differentiation
 
 
-def _numeric_gradient(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
-    h = GRADIENT_STEP * (1.0 + np.linalg.norm(z))
-    dim = z.size
-    g = np.empty(dim, dtype=complex)
-    for m in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[m] = 1.0
-        dre = (obs.value(z + h * e) - obs.value(z - h * e)) / (2.0 * h)
-        dim_ = (obs.value(z + 1j * h * e) - obs.value(z - 1j * h * e)) / (2.0 * h)
-        # dA/dpsibar = (d/dx + i d/dy)/2
-        g[m] = 0.5 * (dre + 1j * dim_)
-    return g
+def _central_differences(f: Callable, z: np.ndarray, h: float):
+    """Central differences of ``f`` at ``z`` along ``x_n`` and along ``y_n``, n on
+    the first axis; the ``4d`` probes ``z +- h e_n`` and ``z +- i h e_n`` go to
+    ``f`` in one call, as a ``(4d, d)`` stack."""
+    d = z.size
+    e = h * np.eye(d)
+    probes = np.stack([z + e, z - e, z + 1j * e, z - 1j * e], axis=1).reshape(4 * d, d)
+    v = np.asarray(f(probes))
+    v = v.reshape((d, 4) + v.shape[1:])
+    return (v[:, 0] - v[:, 1]) / (2.0 * h), (v[:, 2] - v[:, 3]) / (2.0 * h)
+
+
+def _numeric_gradient(obs: HomogeneousObservable, z: np.ndarray, h: float) -> np.ndarray:
+    # dA/dpsibar = (d/dx + i d/dy)/2
+    dx, dy = _central_differences(obs.value_batch, z, h)
+    return 0.5 * (dx + 1j * dy)
 
 
 def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
     """The vector ``dA/dpsibar_m`` at ``psi`` (equals ``A_hat psi``).
 
     Uses the analytic gradient when the observable carries one, otherwise
-    central differences with step ``1e-5 * (1 + |psi|)``.
+    central differences of the values at step ``1e-5 * (1 + |psi|)``, their
+    ``4d`` probes in one :meth:`~HomogeneousObservable.value_batch` call.
     """
-    z = _unwrap(psi)
+    z = _amplitudes(psi)
     if obs.analytic_gradient is not None:
         return np.asarray(obs.analytic_gradient(z), dtype=complex)
-    return _numeric_gradient(obs, z)
+    return _numeric_gradient(obs, z, GRADIENT_STEP * (1.0 + np.linalg.norm(z)))
 
 
-def _hessian_from_gradient(grad: Callable, z: np.ndarray) -> np.ndarray:
-    h = GRADIENT_STEP * (1.0 + np.linalg.norm(z))
-    dim = z.size
-    m = np.empty((dim, dim), dtype=complex)
-    for n in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[n] = 1.0
-        dre = (np.asarray(grad(z + h * e)) - np.asarray(grad(z - h * e))) / (2.0 * h)
-        dim_ = (np.asarray(grad(z + 1j * h * e)) - np.asarray(grad(z - 1j * h * e))) / (2.0 * h)
-        # column n: d g_m / dpsi_n = (d/dx - i d/dy)/2 applied to g
-        m[:, n] = 0.5 * (dre - 1j * dim_)
-    return m
-
-
-def _hessian_from_values(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
-    # Pure second differences need a larger step than the gradient: at 1e-5 the
-    # roundoff noise (~1e-7) would exceed the hermiticity gate.
-    h = HESSIAN_STEP * (1.0 + np.linalg.norm(z))
-    dim = z.size
-    out = np.empty((dim, dim), dtype=complex)
-
-    def d2(ea, eb):
-        return (obs.value(z + h * (ea + eb)) - obs.value(z + h * (ea - eb))
-                - obs.value(z + h * (eb - ea)) + obs.value(z - h * (ea + eb))) / (4.0 * h * h)
-
-    basis = np.eye(dim, dtype=complex)
-    for m_ in range(dim):
-        xm, ym = basis[m_], 1j * basis[m_]
-        for n_ in range(dim):
-            xn, yn = basis[n_], 1j * basis[n_]
-            # A_hat[m,n] = (A_xx + A_yy + i(A_yx - A_xy))/4 in the (m,n) block
-            out[m_, n_] = 0.25 * (d2(xm, xn) + d2(ym, yn) + 1j * (d2(ym, xn) - d2(xm, yn)))
-    return out
-
-
-def _raw_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
-    if obs.analytic_operator is not None:
-        return np.asarray(obs.analytic_operator(z), dtype=complex)
+def _numeric_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
     if obs.analytic_gradient is not None:
-        return _hessian_from_gradient(obs.analytic_gradient, z)
-    return _hessian_from_values(obs, z)
+        h = GRADIENT_STEP * (1.0 + np.linalg.norm(z))
+        grad = obs.gradient_batch
+    else:
+        # Differences of differences need a larger step than the gradient: at
+        # 1e-5 the roundoff noise (~1e-7) would exceed the hermiticity gate.
+        h = HESSIAN_STEP * (1.0 + np.linalg.norm(z))
+        grad = lambda zs: np.array([_numeric_gradient(obs, row, h) for row in zs])
+    dx, dy = _central_differences(grad, z, h)
+    # entry (m, n): d g_m / dpsi_n = (d/dx_n - i d/dy_n)/2 applied to g
+    return 0.5 * (dx - 1j * dy).T
 
 
 def nonlinear_operator(obs: HomogeneousObservable, psi):
     """The Hermitian matrix ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
 
-    Raises when the pre-symmetrization residual exceeds the 1e-8 gate
-    (genuine non-Hermiticity is a bug, not noise).
+    Uses ``analytic_operator`` when the observable carries one; otherwise the
+    stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``4d`` probes in
+    one call: of :meth:`~HomogeneousObservable.gradient_batch` at step
+    ``1e-5 * (1 + |psi|)`` when there is an analytic gradient, else of the
+    numeric gradient at ``1e-4 * (1 + |psi|)`` (the ``16 d^2`` value probes of
+    a second-difference stencil).  Raises when the pre-symmetrization residual
+    exceeds the 1e-8 gate (genuine non-Hermiticity is a bug, not noise).
 
     Given a ``(K, d)`` stack of states, returns the ``(K, d, d)`` ndarray of
     their operators, built with one :meth:`~HomogeneousObservable.operator_batch`
-    call when the observable has ``analytic_operator`` (else row by row).
-    Every row gets the single-state checks (the gate, then finite entries)
-    and is symmetrized; the first row that fails raises what a single-state
-    call raises for it.
+    call when the observable has ``analytic_operator`` (else row by row).  A
+    single state is gated as a one-row stack: every row gets the gate, which a
+    non-finite entry fails as a NaN or infinite residual, and is symmetrized;
+    the first row that fails raises what a single-state call raises for it.
     """
-    z = _unwrap(psi)
-    if z.ndim == 1:
-        m = _raw_hessian(obs, z)
-    elif obs.analytic_operator is not None:
-        m = obs.operator_batch(z)
+    z = _amplitudes(psi)
+    if obs.analytic_operator is None:
+        m = np.array([_numeric_hessian(obs, row) for row in z.reshape(-1, z.shape[-1])])
+    elif z.ndim == 1:   # a stack's roundoff may differ from the state's own call
+        m = np.asarray(obs.analytic_operator(z), dtype=complex)[None]
     else:
-        m = np.stack([_raw_hessian(obs, row) for row in z])
+        m = obs.operator_batch(z)
     mh = np.swapaxes(m, -1, -2).conj()
-    resid = np.max(np.abs(m - mh), axis=(-2, -1))
+    dev = np.abs(m - mh)
     out = (m + mh) / 2.0
-    if z.ndim == 1:
-        if resid > HERMITICITY_GATE:
-            raise ValidationError(
-                f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid:.3e}")
-        return HermitianOperator(out)
-    gated = resid > HERMITICITY_GATE
-    bad = gated | ~np.all(np.isfinite(out), axis=(-2, -1))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        if gated[k]:
+    if not dev.max() <= HERMITICITY_GATE:   # a NaN residual fails too
+        resid = dev.max(axis=(-2, -1))
+        k = int(np.argmin(resid <= HERMITICITY_GATE))
+        if resid[k] > HERMITICITY_GATE:
             raise ValidationError(
                 f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid[k]:.3e}")
         HermitianOperator(out[k])   # raises the non-finite entries error
-    return out
+    return HermitianOperator(out[0]) if z.ndim == 1 else out
 
 
 def star_product(a: HomogeneousObservable, b: HomogeneousObservable, psi) -> complex:
@@ -310,7 +284,7 @@ def barstar_moment(a: HomogeneousObservable, psi, k: int) -> float:
     """Normalized bar-star moment ``<psi| A_hat^k psi> / <psi|psi>``."""
     if k < 1:
         raise ValidationError(f"moment order must be >= 1, got {k}")
-    z = _unwrap(psi)
+    z = _amplitudes(psi)
     ahat = nonlinear_operator(a, z).entries
     w = z
     for _ in range(k):

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateVector, ValidationError
+from .core import StateVector, ValidationError, _amplitudes
+from .dynamics import _fit_times
 from .observables import (
     HomogeneousObservable,
     SingularObservableError,
@@ -349,9 +350,7 @@ def eigenfrequencies(trajectory, tol: float = 1e-6):
     catalog families); otherwise the discrete-Fourier peak is taken, and the
     requested tolerance must be resolvable within the trajectory duration.
     """
-    t = np.asarray(trajectory.times)
-    if t.size < 4:
-        raise ValidationError("trajectory too short for frequency extraction")
+    t = _fit_times(trajectory.times, "frequency extraction")
     z = trajectory.amplitudes()
     span = t[-1] - t[0]
     out = []
@@ -400,7 +399,7 @@ def moment_probabilities(obs: HomogeneousObservable, psi, method: str) -> Moment
         raise ValidationError("moment_probabilities requires the degenerate case E1 = E2")
     e = params["e1"]
     eps = params["eps"]
-    z = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
+    z = _amplitudes(psi)
     n = float(np.vdot(z, z).real)
 
     def first_moment():

@@ -39,8 +39,10 @@ def test_bundled_configs_cover_every_experiment():
 
 @pytest.mark.parametrize("path", CONFIG_FILES,
                          ids=[os.path.basename(p) for p in CONFIG_FILES])
-def test_bundled_config_passes(path, tmp_path):
+def test_bundled_config_passes(path, tmp_path, capfd):
     assert main(["run", path, "--out", str(tmp_path)]) == 0
+    # no traceback, warning or LAPACK line, which LAPACK writes to the descriptor
+    assert capfd.readouterr().err == ""
     reports = sorted(tmp_path.glob("*.report.json"))
     assert len(reports) == len(_scenarios(path))
     for rp in reports:
@@ -399,22 +401,32 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
                  "dt": 0.01, "e_levels": [0.0] * 10, "eps_levels": [0.0] * 10,
                  "state": [1.0] + [0.0] * 9}
     huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
-    # too few samples for the fits: one at t_end = 0, two at t_end = 1e-300
+    # too few samples for the fits: one at t_end = 0, two at t_end = 1e-300;
+    # four at dt = 1e-300, over a span whose square underflows
+    wave = {"e_levels": [0.0, 1.0], "eps_levels": [0.4, -0.4], "state": [0.8, [0.0, 0.6]]}
     short = [({"experiment": exp, "name": f"{exp}-{t_end:g}", "t_end": t_end}, "too short")
              for exp, t_end in [("gisin-telegraph", 0.0), ("mobility-telegraph", 0.0),
                                 ("reduced-flow-variants", 0.0),
                                 ("reduced-flow-variants", 1e-300)]]
+    short += [(dict(extra, experiment=exp, name=f"{exp}-dt-tiny", dt=1e-300, t_end=3e-300),
+               "too short")
+              for exp, extra in [("reduced-flow-variants", {}), ("eigenfrequency", wave),
+                                 ("gisin-telegraph", {}), ("mobility-telegraph", {})]]
+    # four samples whose squared span is subnormal still fit
+    tiny_ok = {"experiment": "reduced-flow-variants", "name": "reduced-dt-1e-160",
+               "dt": 1e-160, "t_end": 3e-160}
     dynamic = [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
                (huge_atom, "state dimension")] + short
     monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
-    assert _run_dict(tmp_path, {"scenarios": [sc for sc, _ in dynamic] + [good]}) == 1
+    assert _run_dict(tmp_path, {"scenarios": [sc for sc, _ in dynamic] + [tiny_ok, good]}) == 1
     out = tmp_path / "out"
     for sc, message in dynamic:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]
         assert message in rep["error"], sc["name"]
-    assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+    for name in ("reduced-dt-1e-160", "valid"):
+        assert json.loads((out / f"{name}.report.json").read_text())["passed"] is True
     # LAPACK writes its DLASCL complaint to the file descriptors, not to sys.stderr
     printed = "".join(capfd.readouterr())
     for noise in ("Traceback", "RuntimeWarning", "DLASCL"):

@@ -126,6 +126,30 @@ def test_nonlinear_operator_matches_value_level_differencing(rng):
     m_num = nonlinear_operator(_stripped(obs), z).entries
     m_ana = nonlinear_operator(obs, z).entries
     npt.assert_allclose(m_ana, m_num, atol=5e-7)
+    # every catalog entry, both differencing routes: from the analytic gradient
+    # (step 1e-5) and from the values alone (step 1e-4), at unit-norm states;
+    # the singular family at <sigma3> = 0.84, where the gradient route's
+    # truncation error stays under the hermiticity gate
+    pair = np.array([0.6, 0.48j, -0.36, 0.52 - 0.1j]) / np.sqrt(1.0004)
+    states = {"any": PROBE, "away-from-sigma3-kernel": np.array([0.96, 0.28j])}
+    two_level = len(standard_catalog(include_composite=False))
+    for k, (obs, domain) in enumerate(standard_catalog()):
+        z = states[domain] if k < two_level else pair   # the composites are pairs
+        routes = ((replace(obs, analytic_operator=None), 1e-8), (_stripped(obs), 5e-7))
+        if obs.analytic_operator is not None:
+            m_ana = nonlinear_operator(obs, z).entries
+            scale = np.max(np.abs(m_ana))
+            for differenced, tol in routes:
+                npt.assert_allclose(nonlinear_operator(differenced, z).entries, m_ana,
+                                    atol=tol * scale, rtol=0, err_msg=obs.label)
+        else:
+            # the purity-weighted pair: no closed-form operator to compare with,
+            # but any M(psi) must reproduce the gradient and the value
+            g = np.asarray(obs.analytic_gradient(z))
+            for differenced, tol in routes:
+                m = nonlinear_operator(differenced, z).entries
+                npt.assert_allclose(m @ z, g, atol=tol, rtol=0, err_msg=obs.label)
+                assert abs(np.vdot(z, m @ z) - obs.value(z)) < tol, obs.label
 
 
 def test_hermiticity_gate_rejects_asymmetric_operator():

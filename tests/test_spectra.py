@@ -375,6 +375,20 @@ def test_eigenfrequencies_match_the_diagonal_closed_form():
     npt.assert_allclose([p[0] for p in pairs], predicted, atol=1e-6)
 
 
+def test_eigenfrequencies_fourier_fallback_takes_the_dominant_tone():
+    def two_tone(t_end):
+        t = np.linspace(0.0, t_end, int(10 * t_end) + 1)
+        comp = 0.9 * np.exp(-0.7j * t) + 0.3 * np.exp(-2.1j * t)
+        return nlqm.Trajectory(times=t, amplitudes=comp[:, None])
+
+    # the unwrapped phase is not linear, so the discrete-Fourier peak is taken
+    [(omega, weight)] = eigenfrequencies(two_tone(2000.0), tol=1e-2)
+    assert omega == pytest.approx(0.7, abs=2.0 * np.pi / 2000.0)
+    assert weight == pytest.approx(0.9 ** 2 + 0.3 ** 2, rel=1e-3)
+    with pytest.raises(ValidationError, match="frequency resolution insufficient"):
+        eigenfrequencies(two_tone(20.0), tol=1e-2)
+
+
 def test_empty_component_reports_zero_frequency():
     t = np.linspace(0.0, 10.0, 501)
     states = [StateVector(np.array([np.exp(-0.5j * tk), 0.0])) for tk in t]
