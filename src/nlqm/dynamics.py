@@ -5,10 +5,11 @@ Hermitian operator of a (1,1)-homogeneous average-energy functional.  Every
 flow here runs on one fixed-step classical Runge-Kutta core (:func:`_rk4`)
 over a leading batch axis, so a stack of trajectories integrates as one.  The
 norm is *not* re-imposed along the way — its conservation (exact for the true
-flow because H_hat is Hermitian) is monitored as an accuracy check instead:
-every accepted sample is checked for norm drift and blow-up as it is taken,
-and its H_hat for hermiticity once per block of samples, row by row, always
-before an error leaves the loop.
+flow because H_hat is Hermitian) is monitored as an accuracy check instead.
+Blow-up is checked at every step, as it happens; the hermiticity of H_hat, the
+norm drift and any user records are checked once per block of accepted
+samples, row by row, always before an error leaves the loop, so the earliest
+violation is the one reported.
 
 Also here: the closed-form solution for diagonal quadratic families, the
 two-level Bloch system with spontaneous-emission and mean-field terms (in two
@@ -149,21 +150,25 @@ def _fit_times(times, fit: str) -> np.ndarray:
 
 
 def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
-         on_step: Optional[Callable] = None, on_block: Optional[Callable] = None,
-         block: int = MONITOR_BLOCK, first: Optional[Callable] = None) -> np.ndarray:
+         on_block: Callable, block: int = MONITOR_BLOCK,
+         first: Optional[Callable] = None) -> np.ndarray:
     """Fixed-step RK4 from ``y0`` over ``times``: the one integrator of the package.
 
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
     each step's Python overhead.  Returns the preallocated ``(len(times),) +
     y0.shape`` samples (sized by the caller through :func:`_step_grid`).
-    ``on_step(k, y)`` guards every accepted sample; ``on_block(lo, hi,
-    samples)`` monitors them ``block`` at a time, read-only, and gets the
-    pending ones on the way out, error or not, so the earliest violation it
-    finds wins.  ``first`` replaces ``rhs`` in the first stage.
+    Blow-up is checked every step: the stages run under ``np.errstate(over=,
+    divide=, invalid="raise")``, and a ``FloatingPointError`` there, like a
+    non-finite sample, raises "solution blew up at t = ...".  Every other
+    monitor is ``on_block(lo, hi, samples)``: it sees the accepted samples
+    ``block`` at a time, read-only, under the caller's error state, and gets
+    the pending ones on the way out, error or not, so the earliest violation
+    it finds wins.  ``first`` replaces ``rhs`` in the first stage.
     """
     nsteps = times.size - 1
     samples = np.empty((nsteps + 1,) + y0.shape, dtype=y0.dtype)
     first = rhs if first is None else first
+    caller = np.geterr()
     y = y0
     filled = monitored = 0
 
@@ -173,30 +178,40 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
             lo, monitored = monitored, min(filled, monitored + block)
             view = samples[lo:monitored]
             view.flags.writeable = False
-            on_block(lo, monitored, view)
+            with np.errstate(**caller):
+                on_block(lo, monitored, view)
 
     try:
-        for step in range(nsteps + 1):
-            samples[step] = y
-            filled = step + 1
-            if on_step is not None:
-                on_step(step, y)
-            if on_block is not None and filled - monitored == block:
-                flush()
-            if step == nsteps:
-                break
-            k1 = first(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                raise IntegrationError(f"solution blew up at t = {times[step + 1]:g}")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for step in range(nsteps + 1):
+                samples[step] = y
+                filled = step + 1
+                if filled - monitored == block:
+                    flush()
+                if step == nsteps:
+                    break
+                try:
+                    k1 = first(y)
+                    k2 = rhs(y + 0.5 * dt * k1)
+                    k3 = rhs(y + 0.5 * dt * k2)
+                    k4 = rhs(y + dt * k3)
+                    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    blown = not np.isfinite(y).all()
+                except FloatingPointError:
+                    blown = True
+                if blown:
+                    raise IntegrationError(f"solution blew up at t = {times[step + 1]:g}")
     finally:
         # an error found here replaces the loop's own, which came later
-        if on_block is not None:
-            flush()
+        flush()
     return samples
+
+
+def _sqnorms(z: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, each bit for bit as ``np.vdot(row,
+    row).real`` (one BLAS dot per row); ``inf`` where one overflows, unwarned."""
+    with np.errstate(all="ignore"):
+        return np.matmul(z.conj()[..., None, :], z[..., :, None])[..., 0, 0].real
 
 
 def _at(times, k: int, rows: int) -> str:
@@ -256,7 +271,11 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     ``round(t_end/dt)`` steps, so the final time is hit exactly.  Every
     accepted sample's matrix is checked for hermiticity and its norm against
     a drift budget proportional to the step count; violations raise
-    :class:`IntegrationError` rather than silently renormalizing.
+    :class:`IntegrationError` rather than silently renormalizing.  Blow-up
+    is caught at its step; hermiticity, norm and records are checked per
+    block of samples, in that order within a sample, and the earliest
+    violation wins: the loop may run up to a block past a norm violation,
+    and a blow-up there does not hide it.
 
     ``flow`` maps z to ``hbuilder(z) @ z``, the Wirtinger gradient
     dH/dpsibar (for a :class:`HomogeneousObservable`, its
@@ -272,7 +291,9 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     ``hbuilder(z) @ z`` (the reference path).
 
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
-    step including t = 0.
+    step including t = 0, one block at a time under the caller's
+    floating-point error state, and never past the first sample that breaks
+    the norm budget.
 
     ``psi0`` is one state, validated as a :class:`StateVector`, or a
     ``(B, d)`` stack of B states integrated together.  A stack needs
@@ -297,27 +318,13 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     extra = record or {}
     rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ["norm", "hvalue", *extra]}
     rows = len(z0) if z0.ndim == 2 else 1
-    sqnorm = ((lambda z: np.vdot(z, z).real) if z0.ndim == 1
-              else (lambda z: np.einsum("bi,bi->b", z.conj(), z).real))
-    n0 = sqnorm(z0)
-
-    def guards(step, z):
-        norm = sqnorm(z)
-        over = np.abs(norm - n0) > budget
-        if over.any():
-            k = int(np.argmax(over))
-            raise IntegrationError(
-                f"norm drift {np.ravel(np.abs(norm - n0))[k]:.3e} exceeded budget "
-                f"{budget:.3e} at {_at(times, step * rows + k, rows)}; reduce dt")
-        rec["norm"][step] = norm
-        for name, f in extra.items():
-            rec[name][step] = float(f(times[step], z))
+    n0 = _sqnorms(z0)
 
     def rhs(zv):
         return -1j * np.asarray(flow(zv), dtype=complex)
 
     if flow is not None:
-        def monitor(lo, hi, block):
+        def hvalues(lo, block):
             if z0.ndim == 2:
                 each = np.stack([np.asarray(flow(z), dtype=complex) for z in block[0]])
                 dev = float(np.max(np.abs(np.asarray(flow(block[0]), dtype=complex) - each)))
@@ -325,23 +332,53 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
                     raise ValidationError(
                         f"flow's stacked result differs from single-state calls by "
                         f"{dev:.3e} at t = {times[lo]:g}; it must map a (B, d) stack row by row")
-            rec["hvalue"][lo:hi] = _monitored_hvalues(hbuilder, block, times[lo:hi])
+            return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)])
 
-        core = dict(on_block=monitor)
+        core = {}
     else:
         flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
         hz = [None]
 
-        def monitor(lo, hi, block):
+        def hvalues(lo, block):
             # the block is one sample; its build also feeds k1
             z = block[0]
             h = _as_matrix(hbuilder(z))
-            _check_hermitian(h[None], times[lo:hi])
+            _check_hermitian(h[None], times[lo:lo + 1])
             hz[0] = h @ z
-            rec["hvalue"][lo] = float(np.vdot(z, hz[0]).real)
+            return float(np.vdot(z, hz[0]).real)
 
-        core = dict(on_block=monitor, block=1, first=lambda zv: (-1j) * hz[0])
-    amps = _rk4(rhs, z0, times, dt_eff, on_step=guards, **core)
+        core = dict(block=1, first=lambda zv: (-1j) * hz[0])
+
+    def monitor(lo, hi, block):
+        # Within a sample: hermiticity, then the norm budget, then the records;
+        # the builder sees no sample past the first violation of the others.
+        norm = _sqnorms(block)
+        drift = np.abs(norm - n0)
+        over = drift > budget
+        end = len(block)
+        if over.any():
+            over = over.reshape(end, rows)
+            end = int(np.argmax(over.any(axis=1)))
+        failed = None
+        for k in range(end if extra else 0):
+            try:
+                for name, f in extra.items():
+                    rec[name][lo + k] = float(f(times[lo + k], block[k]))
+            except Exception as err:   # deferred: a violation in an earlier sample wins
+                failed, end = err, k
+                break
+        hval = hvalues(lo, block[:end + 1])
+        if failed is not None:
+            raise failed
+        if end < len(block):
+            row = int(np.argmax(over[end]))
+            raise IntegrationError(
+                f"norm drift {drift.reshape(over.shape)[end, row]:.3e} exceeded budget "
+                f"{budget:.3e} at {_at(times, (lo + end) * rows + row, rows)}; reduce dt")
+        rec["norm"][lo:hi] = norm
+        rec["hvalue"][lo:hi] = hval
+
+    amps = _rk4(rhs, z0, times, dt_eff, on_block=monitor, **core)
     return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
 
@@ -434,7 +471,9 @@ def _bloch_rhs(p: BlochParams, r: np.ndarray) -> np.ndarray:
 
 
 def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTrajectory:
-    """Fixed-step RK4 for the Bloch system; guards against runaway length."""
+    """Fixed-step RK4 for the Bloch system; guards against runaway length
+    (|r|^2 over 4 |r0|^2 + 1), checked per block of samples, the first
+    runaway sample named."""
     r = np.asarray(r0, dtype=float).copy()
     if r.shape != (3,):
         raise ValidationError("Bloch state must be a 3-vector (u, v, w)")
@@ -442,13 +481,15 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
     times = np.arange(nsteps + 1) * dt_eff
     cap = 4.0 * float(np.dot(r, r)) + 1.0
 
-    def runaway(step, r):
-        if float(np.dot(r, r)) > cap:
+    def runaway(lo, hi, block):
+        lsq = _sqnorms(block)
+        over = lsq > cap
+        if over.any():
+            k = int(np.argmax(over))
             raise IntegrationError(
-                f"Bloch vector length ran away at t = {times[step]:g} "
-                f"(|r|^2 = {float(np.dot(r, r)):g})")
+                f"Bloch vector length ran away at t = {times[lo + k]:g} (|r|^2 = {lsq[k]:g})")
 
-    out = _rk4(lambda r: _bloch_rhs(params, r), r, times, dt_eff, on_step=runaway)
+    out = _rk4(lambda r: _bloch_rhs(params, r), r, times, dt_eff, on_block=runaway)
     return BlochTrajectory(times=times, r=out)
 
 

@@ -354,10 +354,12 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     c = float(coeff)
     name = label or f"{c:g}*<M>^{p}/n^{p - 1}"
 
+    mat_t = mat.T
+
     def _mu_n(z, zc):
-        mz = z @ mat.T
-        mu = (zc * mz).sum(axis=-1).real
-        n = (z * zc).sum(axis=-1).real
+        mz = z @ mat_t
+        mu = np.add.reduce(zc * mz, axis=-1).real
+        n = np.add.reduce(z * zc, axis=-1).real
         return mz, mu, n
 
     def _guard(mu, n):
@@ -371,13 +373,11 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         return c * mu ** p / n ** (p - 1)
 
     def grad(z):
-        zc = np.conj(z)
-        mz, mu, n = _mu_n(z, zc)
+        z = np.asarray(z)
+        mz, mu, n = _mu_n(z, z.conj())
         _guard(mu, n)
         s = mu / n
-        a = np.asarray(p * s ** (p - 1))[..., None]
-        b = np.asarray((p - 1) * s ** p)[..., None]
-        return c * (a * mz - b * z)
+        return c * ((p * s ** (p - 1))[..., None] * mz - ((p - 1) * s ** p)[..., None] * z)
 
     def op(z):
         zc = np.conj(z)

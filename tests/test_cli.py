@@ -433,6 +433,49 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
         assert noise not in printed
 
 
+def _failed_reports(tmp_path, scenarios):
+    """Run the scenarios in one config, expect exit 1, return name -> report."""
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 1
+    return {sc["name"]: json.loads((tmp_path / "out" / f"{sc['name']}.report.json").read_text())
+            for sc in scenarios}
+
+
+def test_unstable_grids_fail_on_the_norm_budget_and_print_nothing(tmp_path, capfd):
+    # each step is far past RK4's stability limit: the first sample breaks
+    # the norm budget, and the loop overflows before its block is monitored
+    wave = {"eps_levels": [0.4, -0.4], "state": [0.8, [0.0, 0.6]]}
+    cases = [
+        ({"experiment": "atom-inversion", "name": "atom-fock", "description": "weinberg-fock",
+          "dt": 10, "t_end": 1000}, "7.444e+06", "10"),
+        ({"experiment": "atom-inversion", "name": "atom-lifted", "description": "polchinski",
+          "dt": 40, "t_end": 4000}, "2.236e+11", "40"),
+        (dict(wave, experiment="eigenfrequency", name="wave", e_levels=[0, 30], dt=3,
+              t_end=300), "2.756e+12", "3"),
+        ({"experiment": "gisin-telegraph", "name": "gisin", "eps": 30, "dt": 4, "t_end": 400},
+         "3.147e+04", "4"),
+    ]
+    reports = _failed_reports(tmp_path, [sc for sc, _, _ in cases])
+    assert capfd.readouterr().err == ""
+    for sc, drift, t in cases:
+        rep = reports[sc["name"]]
+        assert rep["passed"] is False and rep["error_type"] == "IntegrationError"
+        assert rep["error"] == (f"norm drift {drift} exceeded budget 1.000e-04 at t = {t}; "
+                                "reduce dt")
+
+
+def test_overflowing_mixture_flows_report_their_first_broken_invariant(tmp_path, capfd):
+    # the samples after the first broken one overflow; their invariants are
+    # non-finite and count as broken, without a RuntimeWarning
+    reports = _failed_reports(tmp_path, [
+        {"experiment": "reduced-flow-variants", "name": "levels", "eps_levels": [1e6, -1e6]},
+        {"experiment": "intention-paradox", "name": "paradox", "f": 1e6},
+    ])
+    assert capfd.readouterr().err == ""
+    assert reports["levels"]["error"] == ("reduced flow failed to conserve purity at t = 0.01 "
+                                          "(0.625 -> 8.88889e+69); reduce dt")
+    assert reports["paradox"]["error"] == "sigma1 average drifted at t = 0.00199974; reduce dt"
+
+
 def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, capsys):
     def broken(_params):
         raise RuntimeError("runner broke")

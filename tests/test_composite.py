@@ -155,6 +155,46 @@ def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     assert np.max(np.abs(batched.analytic_gradient(phis[-1]))) > 1e-9
 
 
+def _slice_sum_gradient_reference(h_sub, u, dims, sub_slot, z):
+    """``weinberg_composite``'s closed-form gradient as first written, call for call."""
+    z = np.asarray(z, dtype=complex)
+    t = z.reshape(z.shape[:-1] + dims)
+    sl = np.swapaxes(t @ u.conj(), -1, -2) if sub_slot == 0 else u.conj().T @ t
+    live = np.real(np.sum(sl.conj() * sl, axis=-1)) >= SLICE_FLOOR
+    gm = np.zeros(sl.shape, dtype=complex)
+    if np.any(live):
+        gm[live] = h_sub.gradient_batch(sl[live])
+    if sub_slot == 0:
+        return (np.swapaxes(gm, -1, -2) @ u.T).reshape(z.shape)
+    return (u @ gm).reshape(z.shape)
+
+
+@pytest.mark.parametrize("sub_slot", [0, 1])
+@pytest.mark.parametrize("d_sub, d_rest", [(2, 1), (2, 2), (2, 5), (5, 2)])
+def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_sub, d_rest):
+    a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    batched = (bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
+               + moment_power(m @ m.conj().T, 3, coeff=-0.4))
+    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    # states built from their slices; with d_rest > 1 the last slice of the
+    # single state and of the stack's first two rows sits below the floor
+    phis = _rand(rng, 8 * d_rest * d_sub).reshape(8, d_rest, d_sub)
+    if d_rest > 1:
+        phis[:3, -1] *= 1e-8
+    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
+    zs = t.reshape(8, -1)
+    for h_sub in (batched, replace(batched, batched=False)):
+        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+        for z in (zs[0], zs[1:]):
+            ref = _slice_sum_gradient_reference(h_sub, u, dims, sub_slot, z)
+            got = obs.analytic_gradient(z)
+            assert got.shape == z.shape
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(ref).view(np.uint64))
+
+
 @pytest.mark.parametrize("sub_slot", [0, 1])
 def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
     d_sub, d_rest, rows = 2, 3, 5
@@ -428,6 +468,33 @@ def test_intention_paradox_reports_the_sigma1_drift():
     # one step of dt = 1 at rate 2 l2 f = 6 breaks the sigma1 constant of motion
     with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 10;"):
         intention_paradox(ParadoxParams(0.0, 1.0, 3.0, 10.0), 1.0)
+
+
+def _landing_on(bad):
+    """A stand-in for ``composite._rk4`` whose first step lands on ``bad``:
+    its monitor sees the start, ``bad``, then the start again."""
+    def rk4(rhs, y0, times, dt, *, on_block):
+        samples = np.stack([y0, bad] + [y0] * (times.size - 2))
+        samples.flags.writeable = False
+        on_block(0, times.size, samples)
+        return samples
+    return rk4
+
+
+def test_mixture_monitors_count_a_non_finite_invariant_as_broken(monkeypatch):
+    # a finite sample whose first broken invariant is nan (2e308 - 2e308 in
+    # the epshat average with the trace kept, 0/0 in the sigma1 average): it
+    # is the one reported, and no RuntimeWarning is raised on the way
+    eh = np.diag([2.0, 2.0, 0.0])
+    rho0 = np.diag([0.5, 0.3, 0.2]) + 0j
+    bad = np.diag([1e308, -1e308, 1.0]) + 0j
+    monkeypatch.setattr(nlqm.composite, "_rk4", _landing_on(bad))
+    with pytest.raises(IntegrationError,
+                       match=r"conserve epshat average at t = 0\.01 \(.* -> nan\); reduce dt"):
+        polchinski_reduced_flow("plain", eh, rho0, 0.05, 0.01)
+    monkeypatch.setattr(nlqm.composite, "_rk4", _landing_on(np.diag([0.5, -0.5]) + 0j))
+    with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 0\.01;"):
+        intention_paradox(ParadoxParams(0.5, 0.5, 1.0, 0.05), 0.01)
 
 
 def test_maximally_mixed_decomposition_sums_to_identity(rng):

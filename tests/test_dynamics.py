@@ -275,6 +275,35 @@ def test_block_monitor_reports_the_earliest_violation_in_a_pending_block():
                       record={"late": late}, **kwargs)
 
 
+def test_norm_violation_wins_over_a_later_blow_up_in_its_block():
+    # dz/dt = g z grows by about 4e10 a step at g dt = 1000: the norm budget
+    # breaks at t = 0.1, and the stages overflow at t = 2.9, inside the same
+    # block of samples, before the block is monitored
+    grow = lambda z: z @ BASE.T + 1e4j * z
+    assert nlqm.dynamics.MONITOR_BLOCK > 29
+    with pytest.raises(IntegrationError, match=r"norm drift .* at t = 0\.1; reduce dt"):
+        integrate_nls(_cornered(lambda z: False), PAIR, t_end=10.0, dt=0.1, flow=grow)
+    # without an earlier violation the overflow itself is reported, at its step
+    with pytest.raises(IntegrationError, match=r"solution blew up at t = 0\.1$"):
+        nlqm.dynamics._rk4(lambda y: 1e300 * y, np.ones(2), np.arange(101) * 0.1, 0.1,
+                           on_block=lambda lo, hi, block: None)
+
+
+def test_monitors_run_under_the_callers_error_state():
+    seen = []
+
+    def over(t, z):
+        seen.append(np.geterr()["over"])
+        return 0.0
+
+    for state in ("warn", "ignore"):
+        seen.clear()
+        with np.errstate(over=state):
+            integrate_nls(lambda z: BASE, PAIR, t_end=1.0, dt=0.1,
+                          flow=lambda z: z @ BASE.T, record={"over": over})
+        assert seen == [state] * 11
+
+
 def test_block_monitor_rejects_a_builder_that_mishandles_stacks():
     def flattening(z):
         # np.vdot flattens a stack: one average over all of its rows

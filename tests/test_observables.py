@@ -276,6 +276,37 @@ def test_gradient_and_operator_batches_match_per_row_calls(name, rng):
             npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
 
 
+def _bits(a):
+    """The raw IEEE words of a complex array, so -0.0 and 0.0 differ too."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _moment_power_gradient_reference(mat, p, c, z):
+    """``moment_power``'s closed-form gradient as first written, call for call."""
+    zc = np.conj(z)
+    mz = z @ mat.T
+    mu = (zc * mz).sum(axis=-1).real
+    n = (z * zc).sum(axis=-1).real
+    s = mu / n
+    a = np.asarray(p * s ** (p - 1))[..., None]
+    b = np.asarray((p - 1) * s ** p)[..., None]
+    return c * (a * mz - b * z)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, -1])
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_moment_power_gradient_is_bit_identical_to_its_reference(p, d, rng):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = m + m.conj().T
+    obs = moment_power(m, p, coeff=0.7)
+    for z in (rng.normal(size=d) + 1j * rng.normal(size=d),
+              rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))):
+        ref = _moment_power_gradient_reference(np.array(m), p, 0.7, z)
+        got = obs.analytic_gradient(z)
+        assert got.shape == z.shape
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
 def _skewed(z):
     # Hermitian part plus a skew corner 1e-9 |psi_0|^2, past the gate once
     # |psi_0|^2 > 10, and no finite value for 4 < |psi_0|^2 < 6
