@@ -317,14 +317,15 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     if variant not in ("plain", "purity-weighted"):
         raise ValidationError(f"unknown variant {variant!r}")
 
-    # Tr(a b) as one contraction: np.vdot(b^dagger, a).
+    # Tr(a b) as one contraction: np.vdot(b^dagger, a); numpy quotients, so a
+    # vanishing trace is a stage floating-point error ("solution blew up").
     eh_dag = np.ascontiguousarray(eh.conj().T)
 
     def coeff(r):
-        tr = float(r.trace().real)
-        c = float(np.vdot(eh_dag, r).real) / tr
+        tr = r.trace().real
+        c = np.vdot(eh_dag, r).real / tr
         if variant == "purity-weighted":
-            c *= float(np.vdot(r.conj().T, r).real) / tr ** 2
+            c *= np.vdot(r.conj().T, r).real / tr ** 2
         return c
 
     def rhs(r):
@@ -603,11 +604,12 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     rho0 = l1 * 0.5 * eye + l2 * m
 
     # Tr(r sigma) as one contraction, np.vdot(sigma^dagger, r) = np.vdot(sigma, r)
-    # for the Hermitian Pauli matrices (and sum(sigma * r) for symmetric ones).
+    # for the Hermitian Pauli matrices (and sum(sigma * r) for symmetric ones);
+    # a numpy quotient, so a vanishing trace is a floating-point error.
     def xval(r):
-        return float(np.vdot(sigma1, r).real) / float(r.trace().real)
+        return np.vdot(sigma1, r).real / r.trace().real
 
-    x0 = xval(rho0)
+    x0 = float(xval(rho0))
 
     def rhs(r):
         return -2j * f * xval(r) * (sigma1 @ r - r @ sigma1)

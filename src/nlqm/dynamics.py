@@ -47,8 +47,8 @@ MAX_STEPS = 1_000_000
 # Entries of one preallocated sample array, (nsteps + 1) x entries per sample
 # (128 MB as complex).
 MAX_SAMPLE_ENTRIES = 8_000_000
-# Accepted wave-flow samples per operator build on the flow path; a
-# (MONITOR_BLOCK, d, d) complex stack is 102 kB at d = 10.
+# Accepted samples per block-monitor call of every RK4 loop; the wave flow
+# builds one (MONITOR_BLOCK, d, d) complex stack per block, 102 kB at d = 10.
 MONITOR_BLOCK = 64
 
 
@@ -150,8 +150,7 @@ def _fit_times(times, fit: str) -> np.ndarray:
 
 
 def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
-         on_block: Callable, block: int = MONITOR_BLOCK,
-         first: Optional[Callable] = None) -> np.ndarray:
+         on_block: Callable) -> np.ndarray:
     """Fixed-step RK4 from ``y0`` over ``times``: the one integrator of the package.
 
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
@@ -161,13 +160,12 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
     divide=, invalid="raise")``, and a ``FloatingPointError`` there, like a
     non-finite sample, raises "solution blew up at t = ...".  Every other
     monitor is ``on_block(lo, hi, samples)``: it sees the accepted samples
-    ``block`` at a time, read-only, under the caller's error state, and gets
-    the pending ones on the way out, error or not, so the earliest violation
-    it finds wins.  ``first`` replaces ``rhs`` in the first stage.
+    ``MONITOR_BLOCK`` at a time, read-only, under the caller's error state,
+    and gets the pending ones on the way out, error or not, so the earliest
+    violation it finds wins.
     """
     nsteps = times.size - 1
     samples = np.empty((nsteps + 1,) + y0.shape, dtype=y0.dtype)
-    first = rhs if first is None else first
     caller = np.geterr()
     y = y0
     filled = monitored = 0
@@ -175,7 +173,7 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
     def flush():
         nonlocal monitored
         while monitored < filled:
-            lo, monitored = monitored, min(filled, monitored + block)
+            lo, monitored = monitored, min(filled, monitored + MONITOR_BLOCK)
             view = samples[lo:monitored]
             view.flags.writeable = False
             with np.errstate(**caller):
@@ -186,12 +184,12 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: float, *,
             for step in range(nsteps + 1):
                 samples[step] = y
                 filled = step + 1
-                if filled - monitored == block:
+                if filled - monitored == MONITOR_BLOCK:
                     flush()
                 if step == nsteps:
                     break
                 try:
-                    k1 = first(y)
+                    k1 = rhs(y)
                     k2 = rhs(y + 0.5 * dt * k1)
                     k3 = rhs(y + 0.5 * dt * k2)
                     k4 = rhs(y + dt * k3)
@@ -277,18 +275,15 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     violation wins: the loop may run up to a block past a norm violation,
     and a blow-up there does not hide it.
 
-    ``flow`` maps z to ``hbuilder(z) @ z``, the Wirtinger gradient
-    dH/dpsibar (for a :class:`HomogeneousObservable`, its
-    ``analytic_gradient``; the contract is not checked).  With it, the four
-    RK4 stages call only ``flow``, and every ``MONITOR_BLOCK`` accepted
-    samples (and at the end) ``hbuilder`` gets the block's K states in one
-    ``(K, d)`` call.  It must return the ``(K, d, d)`` stack, or one
-    ``(d, d)`` matrix that does not depend on the state; the first state is
-    also built alone, and a stack that disagrees with it raises
-    :class:`ValidationError`.  The stack is hermiticity-checked row by row
-    and gives the ``hvalue`` record.  Without ``flow`` the blocks hold one
-    sample whose single-state build also gives k1, and k2-k4 use
-    ``hbuilder(z) @ z`` (the reference path).
+    The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
+    the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
+    its ``analytic_gradient``; the contract is not checked); without it they
+    use ``hbuilder(z) @ z`` itself.  Every ``MONITOR_BLOCK`` accepted samples
+    (and at the end) ``hbuilder`` gets the block's K states in one ``(K, d)``
+    call.  It must return the ``(K, d, d)`` stack, or one ``(d, d)`` matrix
+    that does not depend on the state; the first state is also built alone,
+    and a stack that disagrees with it raises :class:`ValidationError`.  The
+    stack is hermiticity-checked row by row and gives the ``hvalue`` record.
 
     ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
     step including t = 0, one block at a time under the caller's
@@ -320,34 +315,21 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     rows = len(z0) if z0.ndim == 2 else 1
     n0 = _sqnorms(z0)
 
+    if flow is None:
+        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
+
     def rhs(zv):
         return -1j * np.asarray(flow(zv), dtype=complex)
 
-    if flow is not None:
-        def hvalues(lo, block):
-            if z0.ndim == 2:
-                each = np.stack([np.asarray(flow(z), dtype=complex) for z in block[0]])
-                dev = float(np.max(np.abs(np.asarray(flow(block[0]), dtype=complex) - each)))
-                if not dev <= 1e-12 * (1.0 + float(np.max(np.abs(each)))):
-                    raise ValidationError(
-                        f"flow's stacked result differs from single-state calls by "
-                        f"{dev:.3e} at t = {times[lo]:g}; it must map a (B, d) stack row by row")
-            return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)])
-
-        core = {}
-    else:
-        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
-        hz = [None]
-
-        def hvalues(lo, block):
-            # the block is one sample; its build also feeds k1
-            z = block[0]
-            h = _as_matrix(hbuilder(z))
-            _check_hermitian(h[None], times[lo:lo + 1])
-            hz[0] = h @ z
-            return float(np.vdot(z, hz[0]).real)
-
-        core = dict(block=1, first=lambda zv: (-1j) * hz[0])
+    def hvalues(lo, block):
+        if z0.ndim == 2:
+            each = np.stack([np.asarray(flow(z), dtype=complex) for z in block[0]])
+            dev = float(np.max(np.abs(np.asarray(flow(block[0]), dtype=complex) - each)))
+            if not dev <= 1e-12 * (1.0 + float(np.max(np.abs(each)))):
+                raise ValidationError(
+                    f"flow's stacked result differs from single-state calls by "
+                    f"{dev:.3e} at t = {times[lo]:g}; it must map a (B, d) stack row by row")
+        return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)])
 
     def monitor(lo, hi, block):
         # Within a sample: hermiticity, then the norm budget, then the records;
@@ -378,7 +360,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         rec["norm"][lo:hi] = norm
         rec["hvalue"][lo:hi] = hval
 
-    amps = _rk4(rhs, z0, times, dt_eff, on_block=monitor, **core)
+    amps = _rk4(rhs, z0, times, dt_eff, on_block=monitor)
     return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
 
@@ -504,11 +486,15 @@ def neo_hamiltonian(a: float, eps: float, base=None) -> Callable:
 
     with normalized averages.  The average energy <H_hat> contains no
     damping contribution; the a-terms enter only through the commutator.
+    A ``(K, 2)`` stack of states is mapped row by row to a ``(K, 2, 2)``
+    stack, each matrix bit for bit its single-state build.
     """
     b = np.zeros((2, 2), dtype=complex) if base is None else _as_matrix(base)
 
     def builder(z):
         zv = _amplitudes(z)
+        if zv.ndim == 2:
+            return np.stack([builder(row) for row in zv])
         n = float(np.vdot(zv, zv).real)
         s1, s2, s3 = (float(np.vdot(zv, s @ zv).real) / n for s in (sigma1, sigma2, sigma3))
         return (b - 0.5 * eps * s3 ** 2 * identity2

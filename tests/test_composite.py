@@ -444,6 +444,17 @@ def test_reduced_flow_reports_the_first_broken_invariant():
                                 [[0.75, 0.2], [0.2, 0.25]], 20.0, 0.2)
 
 
+@pytest.mark.parametrize("variant", ("plain", "purity-weighted"))
+def test_reduced_flow_reports_a_vanishing_stage_trace_as_a_blow_up(variant):
+    # the second stage's argument has entries near 1e18 and a trace that
+    # cancels to exactly 0: the quotient by it is a stage error, not a
+    # ZeroDivisionError
+    eh = 1e10 * np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, -1.0]])
+    rho0 = np.array([[0.7, 0.4], [0.4, 0.3]])
+    with pytest.raises(IntegrationError, match=r"solution blew up at t = 0\.01$"):
+        polchinski_reduced_flow(variant, eh, rho0, 1.0, 0.01)
+
+
 def test_intention_paradox_scaling_with_the_mixture_weight():
     """Final sigma3 = (l2/2) cos(2 l2 f t): the identity part sets the clock."""
     t_end = 0.5 * np.pi  # 2 f t = pi

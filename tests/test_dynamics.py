@@ -208,15 +208,18 @@ def test_flow_path_builds_the_operator_once_per_step():
     z0[1] = 1.0
     nsteps = 200
     block = nlqm.dynamics.MONITOR_BLOCK
-    integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005, flow=obs.analytic_gradient)
     # one stacked build per block of accepted samples, plus its first row alone
     nblocks = -(-(nsteps + 1) // block)
-    assert len(calls) == 2 * nblocks
     sizes = [min(block, nsteps + 1 - k * block) for k in range(nblocks)]
-    assert calls == [s for k in sizes for s in ((k, dim), (dim,))]
+    monitored = [s for k in sizes for s in ((k, dim), (dim,))]
+    integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005, flow=obs.analytic_gradient)
+    assert calls == monitored
+    # without flow the four stages build one state each, between the same blocks
     calls.clear()
     integrate_nls(counted, z0, t_end=nsteps * 0.005, dt=0.005)
-    assert len(calls) == 4 * nsteps + 1
+    assert len(calls) == 4 * nsteps + 2 * nblocks
+    stacked = [k for k, s in enumerate(calls) if len(s) == 2]
+    assert [s for k in stacked for s in calls[k:k + 2]] == monitored
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +314,9 @@ def test_block_monitor_rejects_a_builder_that_mishandles_stacks():
         return BASE + 0.3 * s3 * nlqm.sigma3 + 0.5 * nlqm.sigma1
 
     psi0 = np.array([0.8, 0.6j])
-    with pytest.raises(ValidationError, match="single-state build"):
-        integrate_nls(flattening, psi0, 1.0, 0.01, flow=lambda z: flattening(z) @ z)
-    # the step path builds one state at a time and runs
-    assert integrate_nls(flattening, psi0, 1.0, 0.01).times.size == 101
+    for flow in (lambda z: flattening(z) @ z, None):
+        with pytest.raises(ValidationError, match="single-state build"):
+            integrate_nls(flattening, psi0, 1.0, 0.01, flow=flow)
     with pytest.raises(ValidationError, match="stack"):
         integrate_nls(lambda z: np.eye(3), psi0, 1.0, 0.01, flow=lambda z: z)
 
@@ -545,3 +547,26 @@ def test_neo_hamiltonian_wave_flow_reproduces_rotating_bloch():
     tr = integrate_bloch(BlochParams(delta, omega, a, eps, rotating_frame=True),
                          [u[0], v[0], w[0]], 20.0, 0.01)
     assert np.max(np.abs(np.stack([u, v, w], axis=1) - tr.r)) < 1e-6
+
+
+def test_neo_hamiltonian_maps_a_stack_row_by_row_for_the_block_monitor(rng, monkeypatch):
+    base = 0.5 * (0.3 * nlqm.sigma3 - nlqm.sigma1)
+    builder = neo_hamiltonian(0.2, 0.3, base=base)
+    zs = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    stack = builder(zs)
+    assert stack.shape == (5, 2, 2)
+    for z, h in zip(zs, stack):
+        npt.assert_array_equal(h, builder(z))
+
+    # the wave flow builds each block of samples as one stack, checks its
+    # hermiticity as a stack, and records hvalue at every sample
+    checked = []
+    check = nlqm.dynamics._check_hermitian
+    monkeypatch.setattr(nlqm.dynamics, "_check_hermitian",
+                        lambda h, *args: checked.append(h.shape) or check(h, *args))
+    psi0 = np.array([np.cos(1.1), np.sin(1.1) * np.exp(0.7j)])
+    traj = integrate_nls(builder, psi0, t_end=1.0, dt=0.01)
+    block = nlqm.dynamics.MONITOR_BLOCK
+    assert checked == [(block, 2, 2), (101 - block, 2, 2)]
+    hvalue = [np.vdot(z, builder(z) @ z).real for z in traj.amplitudes()]
+    npt.assert_allclose(traj.recorded["hvalue"], hvalue, rtol=0, atol=1e-14)
