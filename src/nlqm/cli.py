@@ -16,10 +16,10 @@ LF line endings, sorted JSON keys, and no randomness anywhere in the library.
 The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
-itself was unusable.  One schema pass checks every scenario before anything
-runs or is written: value kinds (every real and complex number finite) and
-each experiment's static rules.  Limits met only by running (the step,
-sample, state-size and seed caps, the Fock leak, a fixed point) exit 1.
+or the output directory was unusable.  One schema pass checks every scenario
+before anything runs or is written: value kinds (every real and complex number
+finite) and each experiment's static rules.  Limits met only by running (the
+step, sample, state-size and seed caps, the Fock leak, a fixed point) exit 1.
 """
 from __future__ import annotations
 
@@ -160,7 +160,8 @@ def _validated(scenario: dict, exp: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns (header, rows, metrics, passed).
+# Experiment runners.  Each returns (columns, metrics, passed): columns maps the
+# CSV column names, "t" first, to 1-D arrays of one length, in CSV order.
 
 
 def _family_observable(p):
@@ -189,14 +190,14 @@ def _run_eigen_census(p):
     obs = _family_observable(p)
     diag = {}
     recs = find_eigenstates(obs, 2, grid=tuple(p["grid"]), diagnostics=diag)
-    rows = []
-    for i, r in enumerate(recs):
-        w = np.abs(r.state.amplitudes) ** 2
-        rows.append([float(i), r.eigenvalue, r.residual, float(w[0]), float(w[1])])
+    w = np.abs(np.reshape([r.state.amplitudes for r in recs], (-1, 2))) ** 2
+    columns = {"t": np.arange(len(recs), dtype=float),
+               "eigenvalue": [r.eigenvalue for r in recs],
+               "residual": [r.residual for r in recs],
+               "weight_0": w[:, 0], "weight_1": w[:, 1]}
     metrics = {"count": len(recs), **diag}
     passed = p["expected_count"] < 0 or len(recs) == p["expected_count"]
-    return (["t", "eigenvalue", "residual", "weight_0", "weight_1"],
-            rows, metrics, passed)
+    return columns, metrics, passed
 
 
 def _run_diagonal_census(p):
@@ -204,9 +205,8 @@ def _run_diagonal_census(p):
     z = np.asarray(p["state"], dtype=complex)
     vals = diagonal_values(obs, z)
     n = float(np.vdot(z, z).real)
-    rows = [[float(i), v] for i, v in enumerate(vals)]
     metrics = {"average": obs.value(z) / n, "count": len(vals)}
-    return ["t", "diagonal_value"], rows, metrics, True
+    return {"t": np.arange(len(vals), dtype=float), "diagonal_value": vals}, metrics, True
 
 
 def _check_levels(p):
@@ -222,15 +222,13 @@ def _run_eigenfrequency(p):
     obs = bilinear(np.diag(e)) + moment_power(np.diag(eps.astype(complex)), 2)
     builder = lambda z: nonlinear_operator(obs, z)
     traj = integrate_nls(builder, z0, p["t_end"], p["dt"], flow=obs.analytic_gradient)
-    rows, devs = [], []
-    predicted = canonical_frequencies(e, eps, z0).tolist()
-    for k, ((om, weight), pred) in enumerate(zip(eigenfrequencies(traj), predicted)):
-        dev = abs(om - pred) if weight > 1e-10 else 0.0
-        devs.append(dev)
-        rows.append([float(k), weight, om, pred, dev])
-    metrics = {"max_deviation": max(devs)}
-    return (["t", "weight", "omega_measured", "omega_predicted", "deviation"],
-            rows, metrics, max(devs) < p["tol"])
+    om, weight = np.array(eigenfrequencies(traj)).T
+    pred = canonical_frequencies(e, eps, z0)
+    dev = np.where(weight > 1e-10, np.abs(om - pred), 0.0)
+    columns = {"t": np.arange(len(om), dtype=float), "weight": weight,
+               "omega_measured": om, "omega_predicted": pred, "deviation": dev}
+    metrics = {"max_deviation": float(np.max(dev))}
+    return columns, metrics, metrics["max_deviation"] < p["tol"]
 
 
 def _check_sweep(p):
@@ -243,27 +241,26 @@ def _run_probability_inconsistency(p):
     obs = canonical(p["e"], p["e"], p["eps"])
     thetas = np.linspace(0.0, np.pi / 2.0, p["samples"])
     e, eps = p["e"], p["eps"]
-    rows, disc, closed_dev = [], [], []
-    for th in thetas:
+
+    def point(th):  # scalar arithmetic: a vectorised closed form moves last bits
         z = np.array([np.cos(th), np.sin(th)], dtype=complex)
         mp = moment_probabilities(obs, z, "first-moment")
         p_first = float(mp.probabilities[1])
         p_star = float(mp.other_probabilities[1])
         s2 = float(np.cos(2.0 * th) ** 2)
-        cf_first = s2
         cf_star = ((4.0 * eps ** 2 + 2.0 * e * eps) * s2
                    - 3.0 * eps ** 2 * s2 ** 2) / (2.0 * e * eps + eps ** 2)
-        disc.append(mp.discrepancy)
-        closed_dev.append(max(abs(p_first - cf_first), abs(p_star - cf_star)))
-        rows.append([float(th), p_first, p_star, mp.discrepancy])
+        return (p_first, p_star, mp.discrepancy,
+                max(abs(p_first - s2), abs(p_star - cf_star)))
+
+    p_first, p_star, disc, closed_dev = np.array([point(th) for th in thetas]).T
     metrics = {"max_discrepancy": float(np.max(disc)),
                "closed_form_deviation": float(np.max(closed_dev))}
-    return (["t", "p_first_moment", "p_star_square", "discrepancy"],
-            rows, metrics, float(np.max(closed_dev)) < 1e-9)
+    return ({"t": thetas, "p_first_moment": p_first, "p_star_square": p_star,
+             "discrepancy": disc}, metrics, metrics["closed_form_deviation"] < 1e-9)
 
 
-def _telegraph_rows(rep):
-    rows = [[float(t), float(s)] for t, s in zip(rep.times, rep.signal)]
+def _telegraph(rep):
     metrics = {
         "fitted_frequency": rep.fitted_frequency,
         "fitted_amplitude": rep.fitted_amplitude,
@@ -274,7 +271,7 @@ def _telegraph_rows(rep):
           < 1e-2 * max(rep.predicted_frequency, 1e-12)
           and abs(rep.fitted_amplitude - rep.predicted_amplitude)
           < 2e-2 * max(rep.predicted_amplitude, 1e-12))
-    return ["t", "signal"], rows, metrics, ok
+    return {"t": rep.times, "signal": rep.signal}, metrics, ok
 
 
 def _run_gisin(p):
@@ -282,12 +279,12 @@ def _run_gisin(p):
         composite.TelegraphParams(alpha=p["alpha"], beta=p["beta"], eps=p["eps"],
                                   e1=p["e1"], e2=p["e2"]),
         p["t_end"], p["dt"])
-    return _telegraph_rows(rep)
+    return _telegraph(rep)
 
 
 def _run_mobility(p):
     rep = composite.mobility_telegraph(p["eps"], p["tilt"], p["t_end"], p["dt"])
-    return _telegraph_rows(rep)
+    return _telegraph(rep)
 
 
 def _check_pair(p):
@@ -299,10 +296,9 @@ def _run_no_signaling(p):
     u = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
     rep = composite.no_signaling_check(p["description"], u, p["t_end"], p["dt"],
                                        eps=p["eps"], e1=p["e1"], e2=p["e2"])
-    rows = [[float(t), float(d)] for t, d in zip(rep.times, rep.deviations)]
     metrics = {"max_deviation": rep.max_deviation}
     ok = rep.max_deviation < 1e-8 if p["expect"] == "silent" else rep.max_deviation > 1e-2
-    return ["t", "deviation"], rows, metrics, ok
+    return {"t": rep.times, "deviation": rep.deviations}, metrics, ok
 
 
 def _run_reduced_flow(p):
@@ -313,8 +309,6 @@ def _run_reduced_flow(p):
     plain = composite.polchinski_reduced_flow("plain", eps, rho0, p["t_end"], p["dt"])
     purity = composite.polchinski_reduced_flow("purity-weighted", eps, rho0,
                                                p["t_end"], p["dt"])
-    rows = [[float(t), a.real, a.imag, b.real, b.imag]
-            for t, a, b in zip(plain.times, plain.rhos[:, 0, 1], purity.rhos[:, 0, 1])]
     rate_a = plain.offdiagonal_phase_rate()
     rate_b = purity.offdiagonal_phase_rate()
     if abs(rate_a) < 1e-12:
@@ -327,8 +321,9 @@ def _run_reduced_flow(p):
     ratio = rate_b / rate_a
     metrics = {"rate_plain": rate_a, "rate_purity": rate_b,
                "ratio": ratio, "predicted_ratio": predicted}
-    return (["t", "re_plain", "im_plain", "re_purity", "im_purity"],
-            rows, metrics, abs(ratio - predicted) < 1e-4)
+    a, b = plain.rhos[:, 0, 1], purity.rhos[:, 0, 1]
+    return ({"t": plain.times, "re_plain": a.real, "im_plain": a.imag, "re_purity": b.real,
+             "im_purity": b.imag}, metrics, abs(ratio - predicted) < 1e-4)
 
 
 def _run_atom_inversion(p):
@@ -340,8 +335,7 @@ def _run_atom_inversion(p):
     z0 = atom_mod.product_state(params, p["level"], p["photons"])
     series = atom_mod.inversion_trajectory(builder, z0, p["t_end"], p["dt"])
     metrics = {"leak": series.leak}
-    header = ["t", "w"]
-    rows = [[float(t), float(w)] for t, w in zip(series.times, series.w)]
+    columns = {"t": series.times, "w": series.w}
     passed = True
     if p["compare"] != "none":
         n_prime = -0.5 if p["level"] == 0 else 0.5
@@ -357,10 +351,9 @@ def _run_atom_inversion(p):
             wc = -wc
         dev = float(np.max(np.abs(series.w - wc)))
         metrics[key] = dev
-        header.append("w_closed")
-        rows = [r + [float(w)] for r, w in zip(rows, wc)]
+        columns["w_closed"] = wc
         passed = dev < p["tol"]
-    return header, rows, metrics, passed
+    return columns, metrics, passed
 
 
 def _run_bloch(p):
@@ -368,8 +361,7 @@ def _run_bloch(p):
     bp = BlochParams(delta=p["delta"], omega=p["omega"], a=p["a"], eps=p["eps"],
                      rotating_frame=(p["mode"] == "rotating"))
     btraj = integrate_bloch(bp, r0, p["t_end"], p["dt"])
-    header = ["t", "u", "v", "w"]
-    rows = [[float(t)] + [float(x) for x in r] for t, r in zip(btraj.times, btraj.r)]
+    columns = {"t": btraj.times, **dict(zip(("u", "v", "w"), btraj.r.T))}
     metrics = {"final_length_squared": float(np.dot(btraj.r[-1], btraj.r[-1]))}
     passed = True
     if p["compare_wave"]:
@@ -387,26 +379,24 @@ def _run_bloch(p):
                        for s in paulis], axis=1)
         dev = float(np.max(np.abs(btraj.r - rw)))
         metrics["wave_deviation"] = dev
-        header += ["u_wave", "v_wave", "w_wave"]
-        rows = [r + [float(x) for x in rv] for r, rv in zip(rows, rw)]
+        columns.update(zip(("u_wave", "v_wave", "w_wave"), rw.T))
         if p["mode"] == "rotating" or p["a"] == 0.0:
             passed = dev < p["tol"]
-    return header, rows, metrics, passed
+    return columns, metrics, passed
 
 
 def _run_intention(p):
     rep = composite.intention_paradox(
         composite.ParadoxParams(lambda1=p["lambda1"], lambda2=p["lambda2"],
                                 f=p["f"], t=p["t"]), p["dt"])
-    rows = [[float(t), float(s), float(w)] for t, s, w in
-            zip(rep.times, rep.sigma3_series, rep.sigma3_predicted_series)]
     metrics = {"x_value": rep.x_value,
                "analytic_gap": rep.analytic_gap,
                "duality_gap": rep.duality_gap,
                "sigma3_final": rep.sigma3_final,
                "sigma3_predicted": rep.sigma3_predicted}
     passed = rep.analytic_gap < 1e-8 and rep.duality_gap < 1e-8
-    return ["t", "sigma3", "sigma3_predicted"], rows, metrics, passed
+    return {"t": rep.times, "sigma3": rep.sigma3_series,
+            "sigma3_predicted": rep.sigma3_predicted_series}, metrics, passed
 
 
 # name: (description, fields, runner, static rule run by the schema pass or None)
@@ -536,16 +526,12 @@ EXPERIMENTS = {
 # Output plumbing
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and the float array ``rows`` at 17 significant digits."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _jsonable(v):
@@ -614,13 +600,18 @@ def _cmd_run(args) -> int:
         return 2
 
     out = args.out or os.environ.get("NLQM_OUT") or os.path.join(".", "nlqm-out")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:  # a file in the way, or a path through one
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     all_ok = True
     for name, exp, params in prepared:
         runner = EXPERIMENTS[exp][2]
         report = {"experiment": exp, "name": name, "params": params}
         try:
-            header, rows, metrics, passed = runner(params)
+            columns, metrics, passed = runner(params)
+            rows = np.column_stack(list(columns.values()))
         except Exception as e:  # one failed scenario never stops the run
             if not isinstance(e, _EXPECTED_ERRORS):
                 import traceback  # only on this path: it adds to every start-up
@@ -634,7 +625,7 @@ def _cmd_run(args) -> int:
             all_ok = False
             continue
         csv_name = f"{name}.csv"
-        _write_csv(os.path.join(out, csv_name), header, rows)
+        _write_csv(os.path.join(out, csv_name), list(columns), rows)
         report["csv"] = csv_name
         report["metrics"] = metrics
         report["passed"] = bool(passed)
@@ -672,7 +663,7 @@ def _cmd_compare(args) -> int:
         val = float(np.max(np.abs(diff))) if diff.size else 0.0
     else:
         val = float(np.sqrt(np.sum(diff ** 2)))
-    print(f"{args.norm} difference: {_fmt(val)}")
+    print(f"{args.norm} difference: {val:.17g}")
     return 0 if val <= args.tol else 1
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import glob
+import importlib.util
 import io
 import json
 import lzma
@@ -20,9 +21,9 @@ from nlqm.cli import EXPERIMENTS, main
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs"))
 CONFIG_FILES = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+BENCH_DIR = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 # the benchmark's recorded outputs of the bundled configs, <name>.csv.xz
-REFERENCE_DIR = os.path.normpath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference"))
+REFERENCE_DIR = os.path.join(BENCH_DIR, "reference")
 
 
 def _scenarios(path):
@@ -79,6 +80,39 @@ def test_csv_has_lf_endings_and_roundtrip_floats(tmp_path):
     assert lines[0].split(",")[0] == "t"
     for cell in lines[1].split(","):
         assert format(float(cell), ".17g") == cell
+
+
+def test_write_csv_pins_the_bytes(tmp_path):
+    columns = {"t": [-0.0, 0.1], "x": [5e-324, 3.0], "y": [1.7976931348623157e308, -1.0]}
+    path = tmp_path / "pinned.csv"
+    nlqm.cli._write_csv(str(path), list(columns), np.column_stack(list(columns.values())))
+    assert path.read_bytes() == (b"t,x,y\n"
+                                 b"-0,4.9406564584124654e-324,1.7976931348623157e+308\n"
+                                 b"0.10000000000000001,3,-1\n")
+    nlqm.cli._write_csv(str(path), ["t", "x"], np.column_stack([np.empty(0), np.empty(0)]))
+    assert path.read_bytes() == b"t,x\n"
+
+
+def test_benchmark_tracer_hooks_into_the_package(tmp_path):
+    # the benchmark wraps package functions by name; a renamed or re-signatured
+    # hook would make its per-layer metrics read 0 or its traced run fail
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  os.path.join(BENCH_DIR, "tracer.py"))
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        traced_main = tracer.install()
+        assert tracer.missing == []
+        cfg = os.path.join(CONFIG_DIR, "probability-inconsistency.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert traced_main(["run", cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    [csv_path] = tmp_path.glob("*.csv")
+    data_lines = len(csv_path.read_text().splitlines()) - 1
+    assert tracer.rows_written == data_lines == 41
+    assert tracer.bytes_written == sum(p.stat().st_size for p in tmp_path.iterdir())
 
 
 def _write_csv(path, header, rows):
@@ -238,6 +272,30 @@ def _bundled_scenario(exp):
                 if sc["experiment"] == exp)
 
 
+def test_vectorised_columns_match_the_per_row_arithmetic(monkeypatch):
+    seen = {}
+    for name in ("find_eigenstates", "eigenfrequencies"):
+        def spy(*args, _name=name, _fn=getattr(nlqm.cli, name), **kwargs):
+            seen[_name] = _fn(*args, **kwargs)
+            return seen[_name]
+        monkeypatch.setattr(nlqm.cli, name, spy)
+    [(_, _, p)] = nlqm.cli._schema_pass(_bundled_scenario("eigen-census"))
+    columns, _, _ = nlqm.cli._run_eigen_census(p)
+    for i, rec in enumerate(seen["find_eigenstates"]):
+        w = np.abs(rec.state.amplitudes) ** 2
+        assert [columns["weight_0"][i], columns["weight_1"][i]] == [w[0], w[1]]
+    [(_, _, p)] = nlqm.cli._schema_pass({
+        "experiment": "eigenfrequency", "e_levels": [0.0, 1.0, 2.0],
+        "eps_levels": [0.4, -0.4, 0.1], "state": [0.8, 0.0, 0.6], "t_end": 5.0})
+    columns, metrics, _ = nlqm.cli._run_eigenfrequency(p)
+    predicted = nlqm.cli.canonical_frequencies(p["e_levels"], p["eps_levels"],
+                                               p["state"]).tolist()
+    devs = [abs(om - pred) if weight > 1e-10 else 0.0
+            for (om, weight), pred in zip(seen["eigenfrequencies"], predicted)]
+    assert columns["deviation"].tolist() == devs and devs[1] == 0.0 < devs[0]
+    assert metrics["max_deviation"] == max(devs)
+
+
 @pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
 def test_field_defaults_pass_the_schema_unchanged(exp):
     _, fields, _, _ = EXPERIMENTS[exp]
@@ -251,7 +309,7 @@ def test_field_defaults_pass_the_schema_unchanged(exp):
 
 
 def _stub_runner(_params):
-    return ["t"], [[0.0]], {}, True
+    return {"t": [0.0]}, {}, True
 
 
 _STUBBED = {exp: (desc, fields, _stub_runner, check)
@@ -492,6 +550,18 @@ def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, cap
     assert rep["error"] == "runner broke"
     assert "Traceback" in capsys.readouterr().err
     assert json.loads((out / "valid.report.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "path-through-a-file"])
+def test_unusable_out_dir_is_a_usage_error(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    cfg = os.path.join(CONFIG_DIR, "probability-inconsistency.json")
+    assert main(["run", cfg, "--out", str(blocker / below)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("output error: ") and "Traceback" not in err
+    assert blocker.read_text() == "x"
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
