@@ -326,6 +326,13 @@ def _run_reduced_flow(p):
              "im_purity": b.imag}, metrics, abs(ratio - predicted) < 1e-4)
 
 
+def _check_atom(p):
+    _rule(p["compare"] == "none" or p["level"] in (0, 1),
+          "compare needs level 0 or 1 (the coupled pair)")
+    _rule(p["photons"] < p["n_max"],
+          "photons must be below n_max (the top Fock layer is the truncation sentinel)")
+
+
 def _run_atom_inversion(p):
     params = atom_mod.AtomFieldParams(
         omega_levels=tuple(p["omega_levels"]),
@@ -491,9 +498,7 @@ EXPERIMENTS = {
          Field("compare", "str", default="elliptic",
                choices=("none", "elliptic", "cos")),
          Field("tol", "real", default=1e-4)),
-        _run_atom_inversion,
-        lambda p: _rule(p["compare"] == "none" or p["level"] in (0, 1),
-                        "compare needs level 0 or 1 (the coupled pair)")),
+        _run_atom_inversion, _check_atom),
     "bloch-neoclassical": (
         "damped-driven Bloch forms against the nonlinear wave equation",
         (Field("delta", "real", default=0.0),

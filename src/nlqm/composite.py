@@ -118,7 +118,9 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
 
     With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
     dependence on ``rest_basis`` is the whole point: it is what
-    :func:`no_signaling_check` measures.
+    :func:`no_signaling_check` measures.  In the computational basis
+    (``rest_basis`` exactly the identity) the slices are a reshape of the
+    state and the operator is block diagonal, bit for bit up to zero signs.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
@@ -126,12 +128,15 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     dim_total = d_sub * d_rest
     uc, uc_t, u_t = u.conj(), u.conj().T, u.T
+    rotate = not np.array_equal(u, np.eye(d_rest))
 
     def live_slices(z: np.ndarray):
         """The slices Phi_r of each complex state, shape ``(..., d_rest,
         d_sub)``, and the mask of those at or above the floor."""
         t = z.reshape(z.shape[:-1] + dims)
-        sl = (t @ uc).swapaxes(-1, -2) if sub_slot == 0 else uc_t @ t
+        if rotate:
+            t = t @ uc if sub_slot == 0 else uc_t @ t
+        sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
         return sl, np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
 
     def value(z, zc):
@@ -155,15 +160,19 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             gm = np.zeros(sl.shape, dtype=complex)
             if live.any():
                 gm[live] = gradient(sl[live])
-            if sub_slot == 0:
-                return (gm.swapaxes(-1, -2) @ u_t).reshape(z.shape)
-            return (u @ gm).reshape(z.shape)
+            g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
+            if rotate:
+                g = g @ u_t if sub_slot == 0 else u @ g
+            return g.reshape(z.shape)
 
     op = None
     if h_sub.analytic_operator is not None:
         # full = sum_r block_r (x) |u_r><u_r| (factors swapped for slot 1),
-        # contracted over r in one einsum.
+        # contracted over r in one einsum; for the identity, block r is the
+        # (r, r) entry of the rest index pair.
         layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
+        r = np.arange(d_rest)
+        diagonal = np.s_[..., :, r, :, r] if sub_slot == 0 else np.s_[..., r, :, r, :]
 
         def op(z):
             z = np.asarray(z, dtype=complex)
@@ -171,7 +180,11 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
             if np.any(live):
                 blocks[live] = h_sub.operator_batch(sl[live])
-            full = np.einsum(layout, blocks, u, uc)
+            if rotate:
+                full = np.einsum(layout, blocks, u, uc)
+            else:
+                full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
+                full[diagonal] = np.moveaxis(blocks, -3, 0)
             return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
     return HomogeneousObservable(

@@ -238,6 +238,10 @@ STATIC_VIOLATIONS = {
     "level-with-compare": ({"experiment": "atom-inversion", "level": 2,
                             "omega_levels": [0.0, 1.0, 2.0], "eps_levels": [-0.5, 0.5, 0.0]},
                            "level"),
+    "photons-at-the-top-layer": ({"experiment": "atom-inversion", "photons": 4, "n_max": 4},
+                                 "photons must be below n_max"),
+    "photons-above-the-top-layer": ({"experiment": "atom-inversion", "photons": 3,
+                                     "n_max": 2, "compare": "none"}, "photons"),
     "mixture-weights": ({"experiment": "intention-paradox", "lambda1": 0.7, "lambda2": 0.7},
                         "lambda1, lambda2"),
     "reduced-flow-one-level": ({"experiment": "reduced-flow-variants", "eps_levels": [1.0],

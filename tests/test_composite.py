@@ -155,18 +155,29 @@ def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     assert np.max(np.abs(batched.analytic_gradient(phis[-1]))) > 1e-9
 
 
-def _slice_sum_gradient_reference(h_sub, u, dims, sub_slot, z):
-    """``weinberg_composite``'s closed-form gradient as first written, call for call."""
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z):
+    """Value, gradient and operator of the slice sum by an explicit change of
+    basis into ``u``: the general path of ``weinberg_composite``, step for step."""
     z = np.asarray(z, dtype=complex)
     t = z.reshape(z.shape[:-1] + dims)
     sl = np.swapaxes(t @ u.conj(), -1, -2) if sub_slot == 0 else u.conj().T @ t
-    live = np.real(np.sum(sl.conj() * sl, axis=-1)) >= SLICE_FLOOR
+    live = np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
+    vals = np.zeros(live.shape)
     gm = np.zeros(sl.shape, dtype=complex)
-    if np.any(live):
+    blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
+    if live.any():
+        vals[live] = h_sub.value_batch(sl[live])
         gm[live] = h_sub.gradient_batch(sl[live])
-    if sub_slot == 0:
-        return (np.swapaxes(gm, -1, -2) @ u.T).reshape(z.shape)
-    return (u @ gm).reshape(z.shape)
+        blocks[live] = h_sub.operator_batch(sl[live])
+    grad = np.swapaxes(gm, -1, -2) @ u.T if sub_slot == 0 else u @ gm
+    layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
+    full = np.einsum(layout, blocks, u, u.conj())
+    return (vals.sum(axis=-1), grad.reshape(z.shape),
+            full.reshape(z.shape[:-1] + (z.shape[-1], z.shape[-1])))
 
 
 @pytest.mark.parametrize("sub_slot", [0, 1])
@@ -188,11 +199,59 @@ def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_s
     for h_sub in (batched, replace(batched, batched=False)):
         obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
         for z in (zs[0], zs[1:]):
-            ref = _slice_sum_gradient_reference(h_sub, u, dims, sub_slot, z)
+            ref = _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z)[1]
             got = obs.analytic_gradient(z)
             assert got.shape == z.shape
-            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                                  np.ascontiguousarray(ref).view(np.uint64))
+            assert np.array_equal(_bits(got), _bits(ref))
+
+
+def _slice_sum_cases(rng, d_sub):
+    a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    herm, pos = m + m.conj().T, m @ m.conj().T + np.eye(d_sub)
+    return {"p2": moment_power(herm, 2, coeff=0.7),
+            "p3": moment_power(herm, 3, coeff=-0.4),
+            # positive definite, so every slice stays clear of the singular guard
+            "p-1": moment_power(pos, -1, coeff=0.3),
+            "sum": (bilinear(a + a.conj().T) + moment_power(herm, 2, coeff=0.7)
+                    + moment_power(m @ m.conj().T, 3, coeff=-0.4))}
+
+
+@pytest.mark.parametrize("sub_slot", [0, 1])
+@pytest.mark.parametrize("d_sub, d_rest", [(2, 1), (2, 2), (2, 5), (5, 2)])
+@pytest.mark.parametrize("family", ["p2", "p3", "p-1", "sum"])
+def test_identity_rest_basis_matches_the_change_of_basis_reference(rng, sub_slot, d_sub,
+                                                                  d_rest, family):
+    h_sub = _slice_sum_cases(rng, d_sub)[family]
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    # states built from their slices: row 0 has an exactly zero slice, row 1 a
+    # starved one (below the floor), row 2 only live ones
+    phis = _rand(rng, 3 * d_rest * d_sub).reshape(3, d_rest, d_sub)
+    phis[0, -1] = 0.0
+    phis[1, 0] *= 1e-8
+    zs = (np.swapaxes(phis, 1, 2) if sub_slot == 0 else phis).reshape(3, -1)
+    states = (zs[0], zs[1], zs[2], zs)
+
+    def triple(obs, z):
+        return (obs.evaluator(z, z.conj()), obs.analytic_gradient(z),
+                obs.analytic_operator(z))
+
+    # the computational basis: a reshape, equal up to the sign of a zero
+    eye = np.eye(d_rest)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, eye, sub_slot=sub_slot)
+    for z in states:
+        for got, ref in zip(triple(obs, z), _slice_sum_reference(h_sub, eye, d_sub, dims,
+                                                                 sub_slot, z)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+    # any other basis, even one a hair from the identity, keeps the change of
+    # basis, bit for bit (with d_rest = 1 both of these are the identity)
+    others = [np.eye(d_rest)[::-1], np.eye(d_rest) + 1e-17] if d_rest > 1 else []
+    for u in others:
+        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+        for z in states:
+            for got, ref in zip(triple(obs, z), _slice_sum_reference(h_sub, u, d_sub, dims,
+                                                                     sub_slot, z)):
+                assert np.array_equal(_bits(got), _bits(ref))
 
 
 @pytest.mark.parametrize("sub_slot", [0, 1])

@@ -222,6 +222,43 @@ def test_flow_path_builds_the_operator_once_per_step():
     assert [s for k in stacked for s in calls[k:k + 2]] == monitored
 
 
+def _rk4_with_minus_i_in_the_stages(flow, z0, times):
+    """Reference RK4 for i dz/dt = flow(z) that multiplies every stage by -1j."""
+    dt = times[1]
+    rhs = lambda z: -1j * np.asarray(flow(z), dtype=complex)
+    out = [z0]
+    for _ in times[1:]:
+        y = out[-1]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        out.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ("atom-linear", "atom-polchinski", "atom-weinberg-fock",
+                                  "gisin-stack", "neo-no-flow"))
+def test_complex_step_keeps_the_samples_of_minus_i_stages(case, rng):
+    # -i rides in the step (RK4 in tau = -i t): a product with -i is exact, so
+    # the samples are those of stages that multiply by -1j, up to zero signs
+    if case.startswith("atom-"):
+        builder, obs, _ = _flow_case(case)
+        z0, flow = nlqm.product_state(builder.params, 0, 1), obs.analytic_gradient
+    elif case == "gisin-stack":
+        builder, obs, dim = _flow_case("gisin-slice-sum")
+        z0 = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        z0 /= np.linalg.norm(z0, axis=1)[:, None]
+        flow = obs.analytic_gradient
+    else:
+        builder = neo_hamiltonian(0.2, 0.3, base=0.5 * (0.3 * nlqm.sigma3 - nlqm.sigma1))
+        z0, flow = np.array([0.6, 0.8j]), None
+    traj = integrate_nls(builder, z0, t_end=0.5, dt=0.005, flow=flow)
+    ref = _rk4_with_minus_i_in_the_stages(flow or (lambda z: builder(z) @ z), z0, traj.times)
+    assert traj.times.size == 101
+    assert np.array_equal(traj.amplitudes(), ref)
+
+
 # ---------------------------------------------------------------------------
 # The block monitor of the flow path
 
