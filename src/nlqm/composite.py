@@ -119,8 +119,8 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
     dependence on ``rest_basis`` is the whole point: it is what
     :func:`no_signaling_check` measures.  In the computational basis
-    (``rest_basis`` exactly the identity) the slices are a reshape of the
-    state and the operator is block diagonal, bit for bit up to zero signs.
+    (``rest_basis`` exactly the identity) the slices and the gradient are
+    reshapes of the state, bit for bit up to zero signs.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
@@ -168,11 +168,8 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     op = None
     if h_sub.analytic_operator is not None:
         # full = sum_r block_r (x) |u_r><u_r| (factors swapped for slot 1),
-        # contracted over r in one einsum; for the identity, block r is the
-        # (r, r) entry of the rest index pair.
+        # contracted over r in one einsum.
         layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
-        r = np.arange(d_rest)
-        diagonal = np.s_[..., :, r, :, r] if sub_slot == 0 else np.s_[..., r, :, r, :]
 
         def op(z):
             z = np.asarray(z, dtype=complex)
@@ -180,11 +177,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
             if np.any(live):
                 blocks[live] = h_sub.operator_batch(sl[live])
-            if rotate:
-                full = np.einsum(layout, blocks, u, uc)
-            else:
-                full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
-                full[diagonal] = np.moveaxis(blocks, -3, 0)
+            full = np.einsum(layout, blocks, u, uc)
             return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
     return HomogeneousObservable(

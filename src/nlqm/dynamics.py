@@ -157,7 +157,10 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     each step's Python overhead.  The step ``dt`` may be complex: the wave
     flow dy/dt = -i f(y) is RK4 in tau = -i t with the step -i dt, which
     spares a ``-1j *`` multiply per stage; a product with -i is exact, so
-    the stages keep their bits up to the sign of an exact zero.  Returns the
+    the stages keep their bits up to the sign of an exact zero.  That needs
+    ``dt`` a Python complex (its ``dt / 6.0`` divides only the imaginary
+    part, where numpy's complex divide multiplies by a rounded 1/6) and
+    ``rhs`` returning a complex128 array (it is not cast).  Returns the
     preallocated ``(len(times),) + y0.shape`` samples (sized by the caller
     through :func:`_step_grid`).
     Blow-up is checked every step: the stages run under ``np.errstate(over=,
@@ -281,7 +284,8 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
 
     The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
-    its ``analytic_gradient``; the contract is not checked); without it they
+    its ``analytic_gradient``; the contract is not checked) and must return
+    a complex128 ndarray of z's shape, which is not cast; without it they
     use ``hbuilder(z) @ z`` itself; the step is ``-1j * dt`` (RK4 in tau =
     -i t, see :func:`_rk4`).  Every ``MONITOR_BLOCK`` accepted samples (and
     at the end) ``hbuilder`` gets the block's K states in one ``(K, d)``
@@ -362,7 +366,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         rec["norm"][lo:hi] = norm
         rec["hvalue"][lo:hi] = hval
 
-    amps = _rk4(flow, z0, times, -1j * dt_eff, on_block=monitor)
+    amps = _rk4(flow, z0, times, complex(-1j * dt_eff), on_block=monitor)
     return Trajectory(times=times, amplitudes=amps, recorded=rec)
 
 

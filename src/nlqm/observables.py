@@ -375,13 +375,9 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     def grad(z):
         z = np.asarray(z)
         mz, mu, n = _mu_n(z, z.conj())
-        if p < 0:
-            _guard(mu, n)
+        _guard(mu, n)
         s = mu / n
-        a, b = p * s ** (p - 1), (p - 1) * s ** p
-        if z.ndim == 1:   # scalar coefficients: the same multiply loops, no broadcast axis
-            return c * (a * mz - b * z)
-        return c * (a[..., None] * mz - b[..., None] * z)
+        return c * ((p * s ** (p - 1))[..., None] * mz - ((p - 1) * s ** p)[..., None] * z)
 
     def op(z):
         zc = np.conj(z)
