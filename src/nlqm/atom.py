@@ -206,12 +206,11 @@ class InversionSeries:
 
 
 def inversion_trajectory(builder: Callable, psi0, t_end: float,
-                         dt: Optional[float] = None,
-                         leak_tol: float = LEAK_TOL) -> InversionSeries:
+                         dt: Optional[float] = None) -> InversionSeries:
     """Integrate the atom-field flow and extract the inversion.
 
     The top Fock layer acts as the truncation sentinel: if its population
-    fraction ever exceeds ``leak_tol`` the run aborts, naming the cutoff —
+    fraction ever exceeds ``LEAK_TOL`` the run aborts, naming the cutoff —
     results leaking into the last layer are artifacts of the cutoff, not
     physics.
     """
@@ -224,10 +223,10 @@ def inversion_trajectory(builder: Callable, psi0, t_end: float,
     w = 2.0 * np.einsum("ti,ij,tj->t", amps.conj(), r3_full, amps).real / norms
     top = amps.reshape(amps.shape[0], p.n_levels, p.field_dim)[:, :, p.n_max]
     leak = float(np.max(np.sum(np.abs(top) ** 2, axis=1) / norms))
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         raise IntegrationError(
             f"top Fock layer reached population fraction {leak:.3e} "
-            f"(tolerance {leak_tol:g}); raise n_max beyond {p.n_max}")
+            f"(tolerance {LEAK_TOL:g}); raise n_max beyond {p.n_max}")
     return InversionSeries(times=traj.times, w=w, leak=leak, trajectory=traj)
 
 

@@ -288,12 +288,11 @@ def _run_mobility(p):
 
 
 def _check_pair(p):
-    composite._check_preparation(p["alpha"], p["beta"])
+    composite._preparation_unitary(p["alpha"], p["beta"])
 
 
 def _run_no_signaling(p):
-    a, b = p["alpha"], p["beta"]
-    u = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+    u = composite._preparation_unitary(p["alpha"], p["beta"])
     rep = composite.no_signaling_check(p["description"], u, p["t_end"], p["dt"],
                                        eps=p["eps"], e1=p["e1"], e2=p["e2"])
     metrics = {"max_deviation": rep.max_deviation}

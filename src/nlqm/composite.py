@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     _amplitudes,
     _checked_density,
+    _unitary,
     reduced_states,
     rotate_subsystem,
     sigma1,
@@ -88,16 +89,6 @@ def lift_operator(m, dims, slot: int) -> np.ndarray:
     raise ValidationError(f"slot must be 0 or 1, got {slot}")
 
 
-def _check_unitary(u: np.ndarray, d: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValidationError(f"basis matrix must be {d}x{d}, got {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if dev > 1e-10:
-        raise ValidationError(f"basis matrix is not unitary (deviation {dev:.3e})")
-    return u
-
-
 def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
                        rest_basis, *, sub_slot: int = 0) -> HomogeneousObservable:
     """Slice-sum extension of a one-particle functional to a pair.
@@ -124,7 +115,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
-    u = _check_unitary(rest_basis, d_rest)
+    u = _unitary(rest_basis, d_rest)
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     dim_total = d_sub * d_rest
     uc, uc_t, u_t = u.conj(), u.conj().T, u.T
@@ -377,11 +368,18 @@ class TelegraphParams:
     e2: float = 0.0
 
 
-def _check_preparation(alpha: complex, beta: complex) -> None:
-    """ValidationError unless |alpha|^2 + |beta|^2 = 1 (to 1e-10)."""
-    a, b = abs(alpha), abs(beta)
-    if abs(a * a + b * b - 1.0) > 1e-10:  # a * a: inf, not OverflowError, for huge a
-        raise ValidationError("preparation requires |alpha|^2 + |beta|^2 = 1")
+def _preparation_unitary(alpha: complex, beta: complex) -> np.ndarray:
+    """The preparation ``[[alpha, -conj(beta)], [beta, conj(alpha)]]``.
+
+    :class:`ValidationError` unless |alpha|^2 + |beta|^2 = 1, checked as the
+    unitarity of this matrix to 1e-12 by the check :func:`rotate_subsystem`
+    makes, so a preparation accepted here is accepted there.
+    """
+    u = np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex)
+    try:
+        return _unitary(u, 2)
+    except ValidationError as err:
+        raise ValidationError(f"preparation requires |alpha|^2 + |beta|^2 = 1 ({err})") from None
 
 
 @dataclass
@@ -465,7 +463,7 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
     purely by the distant preparation basis.
     """
     a, b = complex(params.alpha), complex(params.beta)
-    _check_preparation(a, b)
+    _preparation_unitary(a, b)
     h_sub = canonical(params.e2, params.e2, params.eps)
     total = (bilinear(params.e1 * np.eye(4))
              + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
@@ -519,7 +517,7 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     the slice-sum extension shows an order-one deviation for a generic
     rotation (rotations preserving the slice structure produce none).
     """
-    u = _check_unitary(remote_u, 2)
+    u = _unitary(remote_u, 2)
     if description == "weinberg":
         pair = weinberg_composite(canonical(e2, e2, eps), 2, 2, np.eye(2), sub_slot=1)
     elif description in ("polchinski-plain", "polchinski-purity"):
@@ -667,7 +665,6 @@ def maximally_mixed_decomposition(u) -> list:
     A documented counterpoint to :func:`intention_paradox`: linear dynamics
     cannot distinguish these ensembles, the nonlinear mixture flow can.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _unitary(u)
     d = u.shape[0]
-    _check_unitary(u, d)
     return [(1.0 / d, StateVector(u[:, k])) for k in range(d)]

@@ -264,17 +264,27 @@ def reduced_states(amplitudes, dims, keep: int) -> np.ndarray:
     return rho
 
 
+def _unitary(u, d=None) -> np.ndarray:
+    """``u`` as a fresh complex array; :class:`ValidationError` unless it is
+    finite, square (``d x d`` when ``d`` is given) and unitary within 1e-12,
+    max |u u^dag - 1| <= ``HERMITICITY_TOL``."""
+    u = _as_complex_array(u, "u")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0 or d not in (None, u.shape[0]):
+        want = "square" if d is None else f"{d}x{d}"
+        raise ValidationError(f"u must be {want}, got shape {u.shape}")
+    with np.errstate(all="ignore"):   # huge entries overflow to a residual of inf or NaN
+        resid = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    if not resid <= HERMITICITY_TOL:
+        raise ValidationError(f"u is not unitary: max |u u^dag - 1| = {resid:.3e}")
+    return u
+
+
 def rotate_subsystem(state, u, slot: int):
     """Apply the unitary ``u`` on tensor factor ``slot``, identity elsewhere.
 
     Rejects non-unitary input with the residual in the error message.
     """
-    u = _as_complex_array(u, "u")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"u must be square, got shape {u.shape}")
-    resid = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if resid > HERMITICITY_TOL:
-        raise ValidationError(f"u is not unitary: max |u u^dag - 1| = {resid:.3e}")
+    u = _unitary(u)
     if isinstance(state, StateVector):
         dims = state.dims
         if not 0 <= slot < len(dims):

@@ -6,10 +6,10 @@ flow here runs on one fixed-step classical Runge-Kutta core (:func:`_rk4`)
 over a leading batch axis, so a stack of trajectories integrates as one.  The
 norm is *not* re-imposed along the way — its conservation (exact for the true
 flow because H_hat is Hermitian) is monitored as an accuracy check instead.
-Blow-up is checked at every step, as it happens; the hermiticity of H_hat, the
-norm drift and any user records are checked once per block of accepted
-samples, row by row, always before an error leaves the loop, so the earliest
-violation is the one reported.
+Blow-up is checked at every step, as it happens; the hermiticity of H_hat and
+the norm drift are checked once per block of accepted samples, row by row,
+always before an error leaves the loop, so the earliest violation is the one
+reported.
 
 Also here: the closed-form solution for diagonal quadratic families, the
 two-level Bloch system with spontaneous-emission and mean-field terms (in two
@@ -62,20 +62,15 @@ class Trajectory:
     The samples are one complex array of shape ``(len(times), d)``, row k the
     amplitudes at ``times[k]``, or ``(len(times), B, d)`` for B trajectories
     integrated as a stack.  :meth:`amplitudes` returns that array itself,
-    read-only; ``states`` builds a :class:`StateVector` per row on demand.
-    Construct from ``amplitudes=`` (taken over without a copy and made
-    read-only) or from a list of ``states``; every entry must be finite.
+    read-only.  Construct from ``amplitudes=`` (taken over without a copy and
+    made read-only); every entry must be finite.
 
-    ``recorded`` always carries ``norm`` (squared norm) and ``hvalue`` (the
-    energy functional's value) sampled at every accepted step, plus any
-    user-supplied recorder outputs.
+    ``recorded`` maps names to per-sample arrays: :func:`integrate_nls` fills
+    ``norm`` (squared norm) and ``hvalue`` (the energy functional's value) at
+    every accepted step, :func:`canonical_solution` only ``norm``.
     """
 
-    def __init__(self, times, states=None, recorded=None, *, amplitudes=None):
-        if (states is None) == (amplitudes is None):
-            raise ValidationError("give exactly one of states and amplitudes")
-        if amplitudes is None:
-            amplitudes = np.stack([s.amplitudes for s in states])
+    def __init__(self, times, recorded=None, *, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex)
         self.times = np.asarray(times, dtype=float)
         if amps.ndim not in (2, 3) or amps.shape[0] != self.times.size or amps.shape[-1] == 0:
@@ -90,10 +85,6 @@ class Trajectory:
     def amplitudes(self) -> np.ndarray:
         """The ``(len(times), [B,] d)`` sample array, read-only and not copied."""
         return self._amplitudes
-
-    @property
-    def states(self) -> list:
-        return [StateVector(z) for z in self._amplitudes]
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -266,8 +257,7 @@ def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarr
     return np.sum(zs.conj() * hz, axis=1).real.reshape(block.shape[:-1])
 
 
-def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None,
-                  record: Optional[dict] = None, *,
+def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None, *,
                   flow: Optional[Callable] = None) -> Trajectory:
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
@@ -277,10 +267,10 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     accepted sample's matrix is checked for hermiticity and its norm against
     a drift budget proportional to the step count; violations raise
     :class:`IntegrationError` rather than silently renormalizing.  Blow-up
-    is caught at its step; hermiticity, norm and records are checked per
-    block of samples, in that order within a sample, and the earliest
-    violation wins: the loop may run up to a block past a norm violation,
-    and a blow-up there does not hide it.
+    is caught at its step; hermiticity and norm are checked per block of
+    samples, in that order within a sample, and the earliest violation
+    wins: the loop may run up to a block past a norm violation, and a
+    blow-up there does not hide it.
 
     The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
@@ -292,26 +282,21 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     call.  It must return the ``(K, d, d)`` stack, or one ``(d, d)`` matrix
     that does not depend on the state; the first state is also built alone,
     and a stack that disagrees with it raises :class:`ValidationError`.  The
-    stack is hermiticity-checked row by row and gives the ``hvalue`` record.
-
-    ``record`` maps names to callables ``f(t, psi) -> float`` sampled at every
-    step including t = 0, one block at a time under the caller's
-    floating-point error state, and never past the first sample that breaks
-    the norm budget.
+    stack is hermiticity-checked row by row and gives the ``hvalue`` record;
+    the builder sees no sample past the first that breaks the norm budget.
 
     ``psi0`` is one state, validated as a :class:`StateVector`, or a
     ``(B, d)`` stack of B states integrated together.  A stack needs
-    ``flow``, takes no ``record``, and per block ``flow`` of its first
-    sample must match per-row calls to 1e-12 (else :class:`ValidationError`).
+    ``flow``, and per block ``flow`` of its first sample must match per-row
+    calls to 1e-12 (else :class:`ValidationError`).
     Every monitor runs per row (hermiticity in one ``(K*B, d)`` build per
     block), and the earliest violation over all rows is reported with its
     row.  The :class:`Trajectory` holds the one sample array, ``(nsteps + 1,
     [B,] d)``; ``recorded`` entries are ``(nsteps + 1, [B])``.
     """
     z0 = np.asarray(getattr(psi0, "amplitudes", psi0))
-    if z0.ndim == 2 and (flow is None or record or not len(z0)):
-        raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=, "
-                              "and takes no record")
+    if z0.ndim == 2 and (flow is None or not len(z0)):
+        raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=")
     z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if z0.ndim == 2
           else StateVector(z0).amplitudes)
     if dt is None:
@@ -319,8 +304,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
     nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0, width=z0.size)
     times = np.arange(nsteps + 1) * dt_eff
     budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
-    extra = record or {}
-    rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ["norm", "hvalue", *extra]}
+    rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ("norm", "hvalue")}
     rows = len(z0) if z0.ndim == 2 else 1
     n0 = _sqnorms(z0)
 
@@ -338,8 +322,8 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)])
 
     def monitor(lo, hi, block):
-        # Within a sample: hermiticity, then the norm budget, then the records;
-        # the builder sees no sample past the first violation of the others.
+        # Within a sample: hermiticity, then the norm budget; the builder sees
+        # no sample past the first that breaks the budget.
         norm = _sqnorms(block)
         drift = np.abs(norm - n0)
         over = drift > budget
@@ -347,17 +331,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         if over.any():
             over = over.reshape(end, rows)
             end = int(np.argmax(over.any(axis=1)))
-        failed = None
-        for k in range(end if extra else 0):
-            try:
-                for name, f in extra.items():
-                    rec[name][lo + k] = float(f(times[lo + k], block[k]))
-            except Exception as err:   # deferred: a violation in an earlier sample wins
-                failed, end = err, k
-                break
         hval = hvalues(lo, block[:end + 1])
-        if failed is not None:
-            raise failed
         if end < len(block):
             row = int(np.argmax(over[end]))
             raise IntegrationError(

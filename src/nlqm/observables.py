@@ -162,22 +162,6 @@ class HomogeneousObservable:
             batched=a.batched and b.batched,
         )
 
-    def __mul__(self, scalar):
-        c = float(scalar)
-        a = self
-        grad = None if a.analytic_gradient is None else (lambda z: c * a.analytic_gradient(z))
-        op = None if a.analytic_operator is None else (lambda z: c * a.analytic_operator(z))
-        return HomogeneousObservable(
-            evaluator=lambda z, zc: c * a.evaluator(z, zc),
-            label=f"{c:g}*{a.label}",
-            analytic_gradient=grad,
-            analytic_operator=op,
-            params=dict(a.params),
-            batched=a.batched,
-        )
-
-    __rmul__ = __mul__
-
     def relabeled(self, label: str) -> "HomogeneousObservable":
         return replace(self, label=label)
 
@@ -317,12 +301,7 @@ def norm_functional() -> HomogeneousObservable:
 
 def bilinear(m, label: str = "") -> HomogeneousObservable:
     """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``."""
-    mat = m.entries if isinstance(m, HermitianOperator) else np.asarray(m, dtype=complex)
-    resid = float(np.max(np.abs(mat - mat.conj().T)))
-    if resid > 1e-12:
-        raise ValidationError(f"bilinear matrix not Hermitian: residual {resid:.3e}")
-    mat = np.array(mat)
-    mat.flags.writeable = False
+    mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
     return HomogeneousObservable(
         evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat.T), axis=-1)),
         label=label or "bilinear",
@@ -345,11 +324,7 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     and singular inverse (p=-1) catalog entries.  Negative powers guard a disk
     ``|s| < 1e-6`` around the singular set and report instead of evaluating.
     """
-    mat = m.entries if isinstance(m, HermitianOperator) else np.asarray(m, dtype=complex)
-    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-12:
-        raise ValidationError("moment_power matrix must be Hermitian")
-    mat = np.array(mat)
-    mat.flags.writeable = False
+    mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
     p = int(power)
     c = float(coeff)
     name = label or f"{c:g}*<M>^{p}/n^{p - 1}"

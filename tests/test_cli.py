@@ -115,6 +115,20 @@ def test_benchmark_tracer_hooks_into_the_package(tmp_path):
     assert tracer.bytes_written == sum(p.stat().st_size for p in tmp_path.iterdir())
 
 
+def test_benchmark_kernel_sheet_runs_on_the_package():
+    # the kernel sheet calls package functions with their keywords (such as
+    # polchinski_functional's slot=); a removed one would fail traced runs
+    spec = importlib.util.spec_from_file_location("bench_kernels",
+                                                  os.path.join(BENCH_DIR, "kernels.py"))
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    kernels.BLOCKS = 1
+    kernels.BLOCK_SECONDS = 0.0
+    sheet = kernels.kernel_sheet(0)
+    assert len(sheet) == 30
+    assert all(np.isfinite(v) and v > 0.0 for v in sheet.values()), sheet
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -233,6 +247,17 @@ STATIC_VIOLATIONS = {
                                    "beta": [0.0, 0.5]}, "alpha"),
     "gisin-unnormalized": ({"experiment": "gisin-telegraph", "alpha": 0.5, "beta": 0.5},
                            "alpha"),
+    # |alpha|^2 + |beta|^2 - 1 = 3e-11: within 1e-10 but not within the 1e-12
+    # of the unitary check in rotate_subsystem, which would fail it at run time
+    "no-signaling-off-unit-by-3e-11": ({"experiment": "no-signaling",
+                                        "alpha": 0.8660254037844386,
+                                        "beta": 0.50000000003}, "alpha"),
+    # |alpha|^2 + |beta|^2 - 1 = 9.9987e-13 but max |u u^dag - 1| = 1.000e-12
+    # in rounding: the schema checks the unitary that the run rotates by
+    "no-signaling-at-the-1e-12-edge": ({"experiment": "no-signaling",
+                                        "alpha": [-0.4120707207100302, 0.7617071098089582],
+                                        "beta": [-0.46748018826881305, 0.17737607949539044]},
+                                       "alpha"),
     "r0-two-components": ({"experiment": "bloch-neoclassical", "r0": [0.0, -1.0]}, "r0"),
     "r0-not-unit": ({"experiment": "bloch-neoclassical", "r0": [0.0, 0.0, -0.5]}, "r0"),
     "level-with-compare": ({"experiment": "atom-inversion", "level": 2,

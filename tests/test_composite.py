@@ -309,6 +309,27 @@ def test_weinberg_composite_rejects_non_unitary_basis():
                            np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("u, message", (
+    # u u^dag - 1 = 3e-11 on the diagonal: the preparation (alpha, beta) =
+    # (sqrt(3)/2, 0.50000000003) as the no-signaling experiment builds it
+    ([[ALPHA, -0.50000000003], [0.50000000003, ALPHA]], "not unitary"),
+    # finite entries whose products overflow: an off-diagonal inf - inf = NaN
+    ([[1e200, 1e200], [1e200, -1e200]], "not unitary"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite"),
+    (np.eye(3)[:2], "must be"),
+    (np.zeros((0, 0)), "must be"),
+), ids=("off-by-3e-11", "overflow", "nan", "2x3", "0x0"))
+def test_every_unitary_input_takes_the_one_check(u, message):
+    with pytest.raises(ValidationError, match=message):
+        nlqm.rotate_subsystem(StateVector(np.ones(4) / 2.0, dims=(2, 2)), u, slot=0)
+    with pytest.raises(ValidationError, match=message):
+        weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, u)
+    with pytest.raises(ValidationError, match=message):
+        no_signaling_check("weinberg", u, 1.0, 0.01, eps=0.5)
+    with pytest.raises(ValidationError, match=message):
+        maximally_mixed_decomposition(u)
+
+
 def test_vanishing_slice_contributes_nothing():
     obs = weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2), sub_slot=1)
     # only the first spectator column is populated

@@ -4,6 +4,7 @@ Expected numbers below were frozen from closed forms evaluated by hand at
 simple states (moduli 0.8/0.6 keep every intermediate a short decimal).
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -88,10 +89,25 @@ def test_norm_functional_is_the_two_sided_unit():
     assert star_product(a, n, z) == pytest.approx(a.value(z), abs=1e-12)
 
 
+@pytest.mark.parametrize("make", (bilinear, lambda m: moment_power(m, 2)),
+                         ids=("bilinear", "moment_power"))
+@pytest.mark.parametrize("m", (
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    np.zeros((2, 3)),
+    [[0.0, 1.0], [0.0, 0.0]],
+), ids=("nan", "inf", "2x3", "non-hermitian"))
+def test_catalog_matrices_are_validated_as_hermitian_operators(make, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            make(m)
+
+
 def test_observable_arithmetic_composes_derivatives(rng):
     a = bilinear(nlqm.sigma1, label="<s1>")
     b = moment_power(nlqm.sigma3, 2, 0.5)
-    c = 2.0 * a + b
+    c = a + a + b
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert c.value(z) == pytest.approx(2.0 * a.value(z) + b.value(z), rel=1e-13)
     gc = np.asarray(c.analytic_gradient(z))

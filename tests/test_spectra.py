@@ -354,8 +354,8 @@ def test_eigenfrequencies_on_synthetic_rotation():
     t = np.linspace(0.0, 30.0, 3001)
     z0 = np.array([0.8, 0.6])
     w = np.array([0.7, -1.3])
-    states = [StateVector(z0 * np.exp(-1j * w * tk)) for tk in t]
-    traj = nlqm.Trajectory(times=t, states=states, recorded={})
+    amps = np.array([z0 * np.exp(-1j * w * tk) for tk in t])
+    traj = nlqm.Trajectory(times=t, amplitudes=amps, recorded={})
     pairs = eigenfrequencies(traj)
     freqs = [p[0] for p in pairs]
     weights = [p[1] for p in pairs]
@@ -391,8 +391,8 @@ def test_eigenfrequencies_fourier_fallback_takes_the_dominant_tone():
 
 def test_empty_component_reports_zero_frequency():
     t = np.linspace(0.0, 10.0, 501)
-    states = [StateVector(np.array([np.exp(-0.5j * tk), 0.0])) for tk in t]
-    traj = nlqm.Trajectory(times=t, states=states, recorded={})
+    amps = np.array([[np.exp(-0.5j * tk), 0.0] for tk in t])
+    traj = nlqm.Trajectory(times=t, amplitudes=amps, recorded={})
     pairs = eigenfrequencies(traj)
     assert pairs[0][0] == pytest.approx(0.5, abs=1e-6)
     assert pairs[1] == (0.0, 0.0)
