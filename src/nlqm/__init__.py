@@ -72,7 +72,6 @@ from .composite import (
     gradient_flow_operator,
     intention_paradox,
     lift_operator,
-    maximally_mixed_decomposition,
     mobility_telegraph,
     no_signaling_check,
     polchinski_functional,

@@ -64,7 +64,6 @@ __all__ = [
     "mobility_telegraph",
     "no_signaling_check",
     "intention_paradox",
-    "maximally_mixed_decomposition",
 ]
 
 SLICE_FLOOR = 1e-14
@@ -657,14 +656,3 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
         sigma3_predicted=0.5 * l2 * np.cos(angle),
         sigma3_predicted_series=0.5 * l2 * np.cos(2.0 * l2 * f * times),
     )
-
-
-def maximally_mixed_decomposition(u) -> list:
-    """Ensemble {(1/d, u|k>)} — every unitary u yields the same mixture 1/d.
-
-    A documented counterpoint to :func:`intention_paradox`: linear dynamics
-    cannot distinguish these ensembles, the nonlinear mixture flow can.
-    """
-    u = _unitary(u)
-    d = u.shape[0]
-    return [(1.0 / d, StateVector(u[:, k])) for k in range(d)]

@@ -1,8 +1,7 @@
 """Finite-dimensional complex linear algebra for the nonlinear-QM laboratory.
 
-States, density matrices and Hermitian operators carry explicit tensor-factor
-dimensions so that composite-system bookkeeping (partial traces, subsystem
-rotations) stays honest.  Conventions used throughout the package:
+States carry explicit tensor-factor dimensions so that composite-system bookkeeping
+(partial traces, subsystem rotations) stays honest.  Conventions used throughout:
 
 * natural units, ``hbar = 1``;
 * tensor factors are ordered row-major: the first factor is the slowest index,
@@ -15,7 +14,6 @@ rotations) stays honest.  Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -81,10 +79,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -94,18 +88,13 @@ class StateVector:
             raise ValidationError("cannot normalize a zero state")
         return StateVector(self.amplitudes / np.sqrt(n2), self.dims)
 
-    def gauge_fixed(self) -> "StateVector":
-        """Multiply by the global phase making the largest-modulus component
-        real and non-negative."""
-        k = int(np.argmax(np.abs(self.amplitudes)))
-        pivot = self.amplitudes[k]
-        if abs(pivot) == 0.0:
-            return self
-        return StateVector(self.amplitudes * (abs(pivot) / pivot), self.dims)
 
-    def factor_matrix(self) -> np.ndarray:
-        """The amplitudes reshaped to one axis per tensor factor."""
-        return self.amplitudes.reshape(self.dims)
+def _hermiticity_residual(m: np.ndarray) -> float:
+    """max |m - m^dag| over the last two axes of finite ``m``, taken on m/4 and
+    scaled back by 4 in Python floats: entries near 1e308 give no overflow
+    warning, and a residual in the normal range keeps its bits."""
+    q = 0.25 * m
+    return 4.0 * float(np.max(np.abs(q - np.swapaxes(q, -1, -2).conj())))
 
 
 def _checked_density(values, stacked: bool = False) -> np.ndarray:
@@ -119,7 +108,7 @@ def _checked_density(values, stacked: bool = False) -> np.ndarray:
     m = _as_complex_array(values, "entries")
     if m.ndim != (3 if stacked else 2) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-    resid = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+    resid = _hermiticity_residual(m)
     if resid > HERMITICITY_TOL:
         raise ValidationError(f"density matrix not Hermitian: max |rho - rho^dag| = {resid:.3e}")
     tr = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
@@ -135,21 +124,14 @@ def _checked_density(values, stacked: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive matrix with tensor-factor dimensions."""
+    """Hermitian positive matrix."""
 
     entries: np.ndarray
-    dims: tuple = ()
 
     def __post_init__(self):
         m = _checked_density(self.entries)
-        dims = _normalize_dims(self.dims, m.shape[0])
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -169,15 +151,11 @@ class HermitianOperator:
         m = _as_complex_array(self.entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator must be square, got shape {m.shape}")
-        resid = float(np.max(np.abs(m - m.conj().T)))
+        resid = _hermiticity_residual(m)
         if resid > HERMITICITY_TOL:
             raise ValidationError(f"operator not Hermitian: max |A - A^dag| = {resid:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -207,37 +185,11 @@ def _amplitudes(psi) -> np.ndarray:
     return np.asarray(psi, dtype=complex)
 
 
-def _operand(state) -> np.ndarray:
-    if isinstance(state, (DensityMatrix, HermitianOperator)):
-        return state.entries
-    return _amplitudes(state)
-
-
-def partial_trace(state: Union[StateVector, DensityMatrix], keep: int) -> DensityMatrix:
-    """Reduced density matrix of tensor factor ``keep``; all other factors are
-    traced out.  A ``StateVector`` input is promoted to its projector."""
-    if isinstance(state, StateVector):
-        dims = state.dims
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    elif isinstance(state, DensityMatrix):
-        dims = state.dims
-        rho = state.entries
-    else:
-        raise TypeError("partial_trace expects a StateVector or DensityMatrix")
-    if len(dims) < 2:
-        raise ValidationError("partial_trace requires at least two tensor factors")
-    if not 0 <= keep < len(dims):
-        raise ValidationError(f"keep index {keep} out of range for {len(dims)} factors")
-    t = rho.reshape(dims + dims)
-    pos = keep
-    remaining = list(dims)
-    while len(remaining) > 1:
-        j = 0 if pos != 0 else 1
-        t = np.trace(t, axis1=j, axis2=j + len(remaining))
-        del remaining[j]
-        if j < pos:
-            pos -= 1
-    return DensityMatrix(t, (remaining[0],))
+def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
+    """Reduced density matrix of factor ``keep`` of a two-factor pure state."""
+    if not isinstance(state, StateVector):
+        raise TypeError("partial_trace expects a StateVector")
+    return DensityMatrix(reduced_states(state.amplitudes[None], state.dims, keep)[0])
 
 
 def reduced_states(amplitudes, dims, keep: int) -> np.ndarray:
@@ -246,8 +198,7 @@ def reduced_states(amplitudes, dims, keep: int) -> np.ndarray:
     ``amplitudes`` has shape ``(T, d0*d1)`` (for instance a trajectory's
     samples) and ``dims = (d0, d1)``.  Returns the ``(T, dk, dk)`` stack
     ``rho_t = Tr_other |psi_t><psi_t|``, each matrix of which passes the same
-    checks as a :class:`DensityMatrix`; the array is read-only.  Equal to
-    :func:`partial_trace` applied sample by sample.
+    checks as a :class:`DensityMatrix`; the array is read-only.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2 or min(dims) <= 0:
@@ -279,39 +230,26 @@ def _unitary(u, d=None) -> np.ndarray:
     return u
 
 
-def rotate_subsystem(state, u, slot: int):
+def rotate_subsystem(state: StateVector, u, slot: int) -> StateVector:
     """Apply the unitary ``u`` on tensor factor ``slot``, identity elsewhere.
 
     Rejects non-unitary input with the residual in the error message.
     """
     u = _unitary(u)
-    if isinstance(state, StateVector):
-        dims = state.dims
-        if not 0 <= slot < len(dims):
-            raise ValidationError(f"slot {slot} out of range for {len(dims)} factors")
-        if dims[slot] != u.shape[0]:
-            raise ValidationError(f"u dimension {u.shape[0]} does not match factor {dims[slot]}")
-        t = state.factor_matrix()
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [slot])), 0, slot)
-        return StateVector(t.reshape(-1), dims)
-    if isinstance(state, DensityMatrix):
-        dims = state.dims
-        nd = len(dims)
-        if not 0 <= slot < nd:
-            raise ValidationError(f"slot {slot} out of range for {nd} factors")
-        if dims[slot] != u.shape[0]:
-            raise ValidationError(f"u dimension {u.shape[0]} does not match factor {dims[slot]}")
-        t = state.entries.reshape(dims + dims)
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [slot])), 0, slot)
-        t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [slot + nd])), 0, slot + nd)
-        n = state.dim
-        return DensityMatrix(t.reshape(n, n), dims)
-    raise TypeError("rotate_subsystem expects a StateVector or DensityMatrix")
+    if not isinstance(state, StateVector):
+        raise TypeError("rotate_subsystem expects a StateVector")
+    dims = state.dims
+    if not 0 <= slot < len(dims):
+        raise ValidationError(f"slot {slot} out of range for {len(dims)} factors")
+    if dims[slot] != u.shape[0]:
+        raise ValidationError(f"u dimension {u.shape[0]} does not match factor {dims[slot]}")
+    t = np.moveaxis(np.tensordot(u, state.amplitudes.reshape(dims), axes=([1], [slot])), 0, slot)
+    return StateVector(t.reshape(-1), dims)
 
 
 def expectation(state, op) -> float:
     """Normalized average: <psi|A psi>/<psi|psi> or Tr(rho A)/Tr(rho)."""
-    a = _operand(op)
+    a = np.asarray(op, dtype=complex)
     if isinstance(state, StateVector):
         z = state.amplitudes
         if a.shape != (z.size, z.size):

@@ -128,15 +128,15 @@ def _fit_times(times, fit: str) -> np.ndarray:
     """The sample times of a fit as floats.
 
     Raises :class:`ValidationError` ("too short") unless there are at least 4
-    samples over a span whose square does not underflow to 0, where
-    ``np.polyfit``'s column scaling would divide by zero.
+    samples over a span whose square is neither zero, where ``np.polyfit``'s
+    column scaling divides by zero, nor subnormal, where it loses precision.
     """
     t = np.asarray(times, dtype=float)
     span = float(t[-1] - t[0]) if t.size else 0.0
-    if t.size < 4 or span * span == 0.0:
+    if t.size < 4 or span * span < np.finfo(float).tiny:
         raise ValidationError(f"trajectory too short for {fit}: {t.size} samples over a span "
                               f"of {span:g} (needs at least 4, over a span whose square "
-                              "does not underflow)")
+                              "is neither zero nor subnormal)")
     return t
 
 
@@ -413,9 +413,6 @@ class BlochParams:
 class BlochTrajectory:
     times: np.ndarray
     r: np.ndarray  # shape (nsteps+1, 3)
-
-    def length_squared(self) -> np.ndarray:
-        return np.sum(self.r ** 2, axis=1)
 
 
 def _bloch_rhs(p: BlochParams, r: np.ndarray) -> np.ndarray:

@@ -232,9 +232,9 @@ def _kept(resid: np.ndarray, values: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
     """``(lam, u, resid)`` of the converged rows ``(z, lam)`` that pass, as one batch.
 
-    Rows are normalised and gauge-fixed as by ``StateVector.normalized`` and
-    ``gauge_fixed`` (largest modulus, first index on ties, made real and
-    non-negative); a zero or non-finite row is dropped.
+    Rows are normalised, and one multiply by |p|/p makes the largest-modulus
+    entry p (the first on ties) real to rounding and non-negative; a zero or
+    non-finite row is dropped.
     """
     n2 = np.einsum("bi,bi->b", z.conj(), z).real
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -204,13 +204,13 @@ def test_c10_structural_property_sweep():
     for mode in (False, True):
         p = BlochParams(delta=0.2, omega=1.0, a=0.0, eps=0.3, rotating_frame=mode)
         tr = integrate_bloch(p, [0.6, 0.0, -0.8], t_end=20.0, dt=0.01)
-        L = tr.length_squared()
+        L = np.sum(tr.r ** 2, axis=1)
         assert np.max(np.abs(L - L[0])) < 1e-9
 
     p = BlochParams(delta=0.0, omega=1.0, a=0.2, eps=0.3, rotating_frame=False)
     dt = 0.01
     tr = integrate_bloch(p, [0.0, 0.0, -1.0], t_end=20.0, dt=dt)
-    L = tr.length_squared()
+    L = np.sum(tr.r ** 2, axis=1)
     dL = (-L[4:] + 8 * L[3:-1] - 8 * L[1:-3] + L[:-4]) / (12 * dt)
     v, w = tr.r[2:-2, 1], tr.r[2:-2, 2]
     assert np.max(np.abs(dL + 2 * p.a * w * v ** 2)) < 1e-6

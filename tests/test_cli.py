@@ -489,19 +489,22 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
                  "state": [1.0] + [0.0] * 9}
     huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
     # too few samples for the fits: one at t_end = 0, two at t_end = 1e-300;
-    # four at dt = 1e-300, over a span whose square underflows
+    # four at dt = 1e-300 and at dt = 1e-160, over a span whose square is
+    # zero or subnormal (at 1e-160 the telegraphs used to fit a frequency
+    # near 3e160 and eigenfrequency passed on 3 steps)
     wave = {"e_levels": [0.0, 1.0], "eps_levels": [0.4, -0.4], "state": [0.8, [0.0, 0.6]]}
     short = [({"experiment": exp, "name": f"{exp}-{t_end:g}", "t_end": t_end}, "too short")
              for exp, t_end in [("gisin-telegraph", 0.0), ("mobility-telegraph", 0.0),
                                 ("reduced-flow-variants", 0.0),
                                 ("reduced-flow-variants", 1e-300)]]
-    short += [(dict(extra, experiment=exp, name=f"{exp}-dt-tiny", dt=1e-300, t_end=3e-300),
+    short += [(dict(extra, experiment=exp, name=f"{exp}-dt-{dt:g}", dt=dt, t_end=3 * dt),
                "too short")
+              for dt in (1e-300, 1e-160)
               for exp, extra in [("reduced-flow-variants", {}), ("eigenfrequency", wave),
                                  ("gisin-telegraph", {}), ("mobility-telegraph", {})]]
-    # four samples whose squared span is subnormal still fit
-    tiny_ok = {"experiment": "reduced-flow-variants", "name": "reduced-dt-1e-160",
-               "dt": 1e-160, "t_end": 3e-160}
+    # four samples whose squared span is a normal float still fit
+    tiny_ok = {"experiment": "reduced-flow-variants", "name": "reduced-dt-1e-150",
+               "dt": 1e-150, "t_end": 3e-150}
     dynamic = [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
                (huge_atom, "state dimension")] + short
     monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
@@ -512,7 +515,7 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]
         assert message in rep["error"], sc["name"]
-    for name in ("reduced-dt-1e-160", "valid"):
+    for name in ("reduced-dt-1e-150", "valid"):
         assert json.loads((out / f"{name}.report.json").read_text())["passed"] is True
     # LAPACK writes its DLASCL complaint to the file descriptors, not to sys.stderr
     printed = "".join(capfd.readouterr())

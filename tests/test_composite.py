@@ -28,7 +28,6 @@ from nlqm import (
     gradient_flow_operator,
     intention_paradox,
     lift_operator,
-    maximally_mixed_decomposition,
     mobility_telegraph,
     moment_power,
     no_signaling_check,
@@ -326,8 +325,6 @@ def test_every_unitary_input_takes_the_one_check(u, message):
         weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, u)
     with pytest.raises(ValidationError, match=message):
         no_signaling_check("weinberg", u, 1.0, 0.01, eps=0.5)
-    with pytest.raises(ValidationError, match=message):
-        maximally_mixed_decomposition(u)
 
 
 def test_vanishing_slice_contributes_nothing():
@@ -586,10 +583,3 @@ def test_mixture_monitors_count_a_non_finite_invariant_as_broken(monkeypatch):
     monkeypatch.setattr(nlqm.composite, "_rk4", _landing_on(np.diag([0.5, -0.5]) + 0j))
     with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 0\.01;"):
         intention_paradox(ParadoxParams(0.5, 0.5, 1.0, 0.05), 0.01)
-
-
-def test_maximally_mixed_decomposition_sums_to_identity(rng):
-    q, _ = np.linalg.qr(_rand(rng, (3, 3)).reshape(3, 3))
-    ensemble = maximally_mixed_decomposition(q)
-    total = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in ensemble)
-    npt.assert_allclose(total, np.eye(3) / 3.0, atol=1e-12)

@@ -339,6 +339,22 @@ def test_eigenstates_satisfy_the_defining_equation():
             assert np.max(np.abs(g - rec.eigenvalue * z)) < 1e-9
 
 
+def test_records_fix_the_global_phase():
+    # the largest-modulus entry of each record is real (to one rounding of the
+    # phase multiply) and non-negative, and a global phase on the converged
+    # rows leaves the records as they were
+    for obs in (canonical(0.0, 1.0, 1.0), cubic(0.0, 1.0, 0.6), singular_inverse()):
+        recs = find_eigenstates(obs, 2)
+        u = np.array([r.state.amplitudes for r in recs])
+        lam = np.array([r.eigenvalue for r in recs])
+        pivots = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+        assert np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
+        for phase in np.exp(1j * np.array([0.3, 1.3, np.pi, -2.0])):
+            lam_k, u_k, _ = spectra._records_batch(obs, u * phase, lam)
+            npt.assert_array_equal(lam_k, lam)
+            npt.assert_allclose(u_k, u, rtol=0, atol=1e-12)
+
+
 def test_diagonal_values_at_interior_state():
     obs = canonical(0.0, 1.0, 1.0)
     z = np.array([np.sqrt(0.625), np.sqrt(0.375)])
