@@ -13,16 +13,14 @@ from nlqm import composite
 ALPHA, BETA = np.sqrt(3.0) / 2.0, 0.5
 
 # --- the telegraph itself ---------------------------------------------------
-params = composite.TelegraphParams(alpha=ALPHA, beta=BETA, eps=0.1)
-rep = composite.gisin_telegraph(params, 40.0, 0.05)
+rep = composite.gisin_telegraph(ALPHA, BETA, 0.1, 40.0, 0.05)
 print("slice-sum pair extension, eps=0.1, alpha=sqrt(3)/2, beta=1/2")
 print(f"  predicted signal:  amplitude {rep.predicted_amplitude:.6f},"
       f" frequency {rep.predicted_frequency:.6f}")
 print(f"  fitted from data:  amplitude {rep.fitted_amplitude:.6f},"
       f" frequency {rep.fitted_frequency:.6f}")
 
-plain = composite.gisin_telegraph(
-    composite.TelegraphParams(alpha=1.0, beta=0.0, eps=0.1), 40.0, 0.05)
+plain = composite.gisin_telegraph(1.0, 0.0, 0.1, 40.0, 0.05)
 print(f"  plain singlet (alpha=1): max |signal| = "
       f"{np.max(np.abs(plain.signal)):.2e}  — silent, as it must be")
 

@@ -63,10 +63,8 @@ from .dynamics import (
 )
 from .composite import (
     NoSignalingReport,
-    ParadoxParams,
     ParadoxReport,
     ReducedFlowTrajectory,
-    TelegraphParams,
     TelegraphReport,
     gisin_telegraph,
     gradient_flow_operator,

@@ -21,12 +21,12 @@ preparation tells the two extensions apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import StateVector, ValidationError
-from .observables import HomogeneousObservable, bilinear, moment_power, nonlinear_operator
+from .core import ValidationError
+from .observables import bilinear, moment_power, nonlinear_operator
 from .dynamics import (
     IntegrationError,
     Trajectory,
@@ -170,7 +170,7 @@ def build_atom_field(description: str, p: AtomFieldParams) -> Callable:
     ``description`` is one of ``linear`` (ladder only), ``polchinski``
     (lifted-moment nonlinearity) or ``weinberg-fock`` (Fock-sliced
     nonlinearity).  The returned callable carries the assembled functional as
-    ``.observable`` and echoes ``.params`` and ``.description``.
+    ``.observable`` and echoes ``p`` as ``.params``.
     """
     hlin = linear_hamiltonian(p)
     epshat = np.diag(np.asarray(p.eps_levels, dtype=complex))
@@ -191,7 +191,6 @@ def build_atom_field(description: str, p: AtomFieldParams) -> Callable:
 
     builder.observable = obs
     builder.params = p
-    builder.description = description
     return builder
 
 
@@ -205,8 +204,7 @@ class InversionSeries:
     trajectory: Trajectory
 
 
-def inversion_trajectory(builder: Callable, psi0, t_end: float,
-                         dt: Optional[float] = None) -> InversionSeries:
+def inversion_trajectory(builder: Callable, psi0, t_end: float, dt: float) -> InversionSeries:
     """Integrate the atom-field flow and extract the inversion.
 
     The top Fock layer acts as the truncation sentinel: if its population

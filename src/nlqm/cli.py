@@ -244,9 +244,9 @@ def _run_probability_inconsistency(p):
 
     def point(th):  # scalar arithmetic: a vectorised closed form moves last bits
         z = np.array([np.cos(th), np.sin(th)], dtype=complex)
-        mp = moment_probabilities(obs, z, "first-moment")
-        p_first = float(mp.probabilities[1])
-        p_star = float(mp.other_probabilities[1])
+        mp = moment_probabilities(obs, z)
+        p_first = float(mp.first_moment[1])
+        p_star = float(mp.star_square[1])
         s2 = float(np.cos(2.0 * th) ** 2)
         cf_star = ((4.0 * eps ** 2 + 2.0 * e * eps) * s2
                    - 3.0 * eps ** 2 * s2 ** 2) / (2.0 * e * eps + eps ** 2)
@@ -275,10 +275,8 @@ def _telegraph(rep):
 
 
 def _run_gisin(p):
-    rep = composite.gisin_telegraph(
-        composite.TelegraphParams(alpha=p["alpha"], beta=p["beta"], eps=p["eps"],
-                                  e1=p["e1"], e2=p["e2"]),
-        p["t_end"], p["dt"])
+    rep = composite.gisin_telegraph(p["alpha"], p["beta"], p["eps"], p["t_end"], p["dt"],
+                                    e1=p["e1"], e2=p["e2"])
     return _telegraph(rep)
 
 
@@ -392,9 +390,7 @@ def _run_bloch(p):
 
 
 def _run_intention(p):
-    rep = composite.intention_paradox(
-        composite.ParadoxParams(lambda1=p["lambda1"], lambda2=p["lambda2"],
-                                f=p["f"], t=p["t"]), p["dt"])
+    rep = composite.intention_paradox(p["lambda1"], p["lambda2"], p["f"], p["t"], p["dt"])
     metrics = {"x_value": rep.x_value,
                "analytic_gap": rep.analytic_gap,
                "duality_gap": rep.duality_gap,

@@ -21,12 +21,11 @@ signal with a closed-form frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     StateVector,
     ValidationError,
     _amplitudes,
@@ -49,9 +48,7 @@ from .observables import (
 from .dynamics import IntegrationError, _fit_times, _rk4, _step_grid, integrate_nls
 
 __all__ = [
-    "TelegraphParams",
     "TelegraphReport",
-    "ParadoxParams",
     "ParadoxReport",
     "ReducedFlowTrajectory",
     "NoSignalingReport",
@@ -175,7 +172,6 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         label=f"slice-sum[{h_sub.label or 'h'}; slot {sub_slot}]",
         analytic_gradient=grad,
         analytic_operator=op,
-        params={"d_sub": d_sub, "d_rest": d_rest, "sub_slot": sub_slot},
         batched=h_sub.batched,
     )
 
@@ -269,7 +265,6 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         evaluator=value,
         label=f"moment-pair[purity-weighted, eps={eps:g}]",
         analytic_gradient=grad,
-        params={"e2": e2, "eps": eps, "variant": variant},
         batched=True,
     )
 
@@ -280,7 +275,6 @@ class ReducedFlowTrajectory:
 
     times: np.ndarray
     rhos: np.ndarray  # (nsteps+1, d, d)
-    variant: str
 
     def offdiagonal_phase_rate(self, i: int = 0, j: int = 1) -> float:
         """Linear-fit phase velocity of the (i, j) matrix element."""
@@ -303,7 +297,8 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     time; the earliest violation is reported.  Diagonal mixtures in the
     epshat eigenbasis are fixed points — seed an off-diagonal perturbation to
     see the variant-dependent rotation rate.  ``rho0`` must pass the density
-    matrix checks of :class:`DensityMatrix`, else :class:`ValidationError`.
+    matrix checks of :class:`DensityMatrix` and have finite invariants, else
+    :class:`ValidationError`.
     """
     eh = np.asarray(epshat, dtype=complex)
     rho = _checked_density(getattr(rho0, "entries", rho0))
@@ -333,9 +328,14 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
                          (eh.T * rs).sum(axis=(1, 2)).real,
                          (np.swapaxes(rs, 1, 2) * rs).sum(axis=(1, 2)).real], axis=1)
 
+    # a rho0 too large to square has a non-finite purity: refused, unwarned
+    with np.errstate(all="ignore"):
+        consts0 = invariants(rho[None])[0]
+    if not np.isfinite(consts0).all():
+        raise ValidationError("rho0's trace, epshat average and purity must be finite, got "
+                              + ", ".join(f"{c:g}" for c in consts0))
     nsteps, dt_eff = _step_grid(t_end, dt, width=d * d)
     times = np.arange(nsteps + 1) * dt_eff
-    consts0 = invariants(rho[None])[0]
 
     def conserved(lo, hi, block):
         # a sample too large to square gives a non-finite invariant, which fails
@@ -349,22 +349,11 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
                 f"at t = {times[lo + k]:g} ({consts0[j]:g} -> {consts[k, j]:g}); reduce dt")
 
     out = _rk4(rhs, rho, times, dt_eff, on_block=conserved)
-    return ReducedFlowTrajectory(times=times, rhos=out, variant=variant)
+    return ReducedFlowTrajectory(times=times, rhos=out)
 
 
 # ---------------------------------------------------------------------------
 # Telegraph scenarios
-
-
-@dataclass(frozen=True)
-class TelegraphParams:
-    """Entangled-pair preparation (alpha, beta) and family constants."""
-
-    alpha: complex
-    beta: complex
-    eps: float
-    e1: float = 0.0
-    e2: float = 0.0
 
 
 def _preparation_unitary(alpha: complex, beta: complex) -> np.ndarray:
@@ -449,7 +438,8 @@ def _telegraph(total: HomogeneousObservable, t0: np.ndarray, keep: int, t_end: f
                            predicted_amplitude=predicted_amplitude)
 
 
-def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> TelegraphReport:
+def gisin_telegraph(alpha: complex, beta: complex, eps: float, t_end: float, dt: float, *,
+                    e1: float = 0.0, e2: float = 0.0) -> TelegraphReport:
     """Entangled-pair telegraph under the slice-sum extension.
 
     One particle is linear, the partner carries the quadratic-moment
@@ -459,16 +449,17 @@ def gisin_telegraph(params: TelegraphParams, t_end: float, dt: float) -> Telegra
         omega = 4 eps (|alpha|^2 - |beta|^2)
 
     with amplitude 2 |Re(conj(alpha) beta)| — a nonzero local signal created
-    purely by the distant preparation basis.
+    purely by the distant preparation basis.  ``e1`` weighs the pair's norm
+    and ``e2`` both levels of the partner's family.
     """
-    a, b = complex(params.alpha), complex(params.beta)
+    a, b = complex(alpha), complex(beta)
     _preparation_unitary(a, b)
-    h_sub = canonical(params.e2, params.e2, params.eps)
-    total = (bilinear(params.e1 * np.eye(4))
+    h_sub = canonical(e2, e2, eps)
+    total = (bilinear(e1 * np.eye(4))
              + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
     t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
     return _telegraph(total, t0, 1, t_end, dt,
-                      abs(4.0 * params.eps * (abs(a) ** 2 - abs(b) ** 2)),
+                      abs(4.0 * eps * (abs(a) ** 2 - abs(b) ** 2)),
                       abs(2.0 * (a.conjugate() * b).real))
 
 
@@ -499,7 +490,6 @@ def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> Tele
 
 @dataclass
 class NoSignalingReport:
-    description: str
     times: np.ndarray
     deviations: np.ndarray
     max_deviation: float
@@ -540,7 +530,6 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     rho = reduced_states(traj.amplitudes().reshape(-1, 4), (2, 2), keep=1)
     devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
     return NoSignalingReport(
-        description=description,
         times=traj.times,
         deviations=devs,
         max_deviation=float(np.max(devs)),
@@ -549,16 +538,6 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
 
 # ---------------------------------------------------------------------------
 # Mixture intention paradox
-
-
-@dataclass(frozen=True)
-class ParadoxParams:
-    """Mixture weights, coupling and horizon for the intention scenario."""
-
-    lambda1: float
-    lambda2: float
-    f: float
-    t: float
 
 
 def _check_weights(lambda1: float, lambda2: float) -> None:
@@ -572,18 +551,15 @@ class ParadoxReport:
     times: np.ndarray
     sigma3_series: np.ndarray
     x_value: float
-    rho_final: DensityMatrix
-    rho_analytic: DensityMatrix
     analytic_gap: float
-    schrodinger_population: float
-    heisenberg_population: float
     duality_gap: float
     sigma3_final: float
     sigma3_predicted: float
     sigma3_predicted_series: np.ndarray
 
 
-def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
+def intention_paradox(lambda1: float, lambda2: float, f: float, t: float,
+                      dt: float) -> ParadoxReport:
     """Mixture dynamics whose rate is set by how the mixture was composed.
 
     The density matrix rho0 = l1 (1/2) + l2 M, M = [[3/4, 1/4], [1/4, 1/4]],
@@ -596,11 +572,11 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
 
     The identity component — the part one would attribute to the "other"
     ensemble member — sets the rotation rate of the rest: the outcome at fixed
-    t depends on l2 even though the l1 part is maximally mixed.  The report
-    carries both Schrodinger and Heisenberg populations of the initial up
-    projector; their agreement (duality_gap) is an integrator check.
+    t depends on l2 even though the l1 part is maximally mixed.  The
+    report's duality_gap, between the Schrodinger and Heisenberg populations
+    of the initial up projector, is an integrator check.
     """
-    l1, l2, f, t_end = params.lambda1, params.lambda2, params.f, params.t
+    l1, l2, t_end = lambda1, lambda2, t
     _check_weights(l1, l2)
     eye = np.eye(2, dtype=complex)
     m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
@@ -642,15 +618,13 @@ def intention_paradox(params: ParadoxParams, dt: float) -> ParadoxReport:
     p_up_t = 0.5 * (eye + np.cos(angle) * sigma3 + np.sin(angle) * sigma2)
     schrod = float(np.trace(rho @ p_up0).real)
     heis = float(np.trace(rho0 @ p_up_t).real)
+    _checked_density(rho)
+    _checked_density(rho_exact)
     return ParadoxReport(
         times=times,
         sigma3_series=s3_series,
         x_value=x0,
-        rho_final=DensityMatrix(rho),
-        rho_analytic=DensityMatrix(rho_exact),
         analytic_gap=float(np.max(np.abs(rho - rho_exact))),
-        schrodinger_population=schrod,
-        heisenberg_population=heis,
         duality_gap=float(abs(schrod - heis)),
         sigma3_final=float(np.trace(rho @ sigma3).real),
         sigma3_predicted=0.5 * l2 * np.cos(angle),

@@ -101,7 +101,7 @@ def _checked_density(values, stacked: bool = False) -> np.ndarray:
     """The density-matrix checks, on one matrix or on each matrix of a stack.
 
     Finite entries, square shape (``(d, d)``, or ``(T, d, d)`` when
-    ``stacked``), hermiticity within 1e-12, a real positive trace and a
+    ``stacked``), hermiticity within 1e-12, a finite real positive trace and a
     smallest eigenvalue of at least -1e-10 (one batched ``eigvalsh``).
     Returns the validated complex array (a fresh copy).
     """
@@ -111,10 +111,11 @@ def _checked_density(values, stacked: bool = False) -> np.ndarray:
     resid = _hermiticity_residual(m)
     if resid > HERMITICITY_TOL:
         raise ValidationError(f"density matrix not Hermitian: max |rho - rho^dag| = {resid:.3e}")
-    tr = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
-    bad = (np.abs(tr.imag) > HERMITICITY_TOL) | (tr.real <= 0.0)
+    with np.errstate(over="ignore"):  # a trace past the float range is refused, unwarned
+        tr = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    bad = (np.abs(tr.imag) > HERMITICITY_TOL) | (tr.real <= 0.0) | ~np.isfinite(tr)
     if np.any(bad):
-        raise ValidationError("density matrix trace must be real and positive, "
+        raise ValidationError("density matrix trace must be real and positive (and finite), "
                               f"got {complex(tr[bad][0])}")
     lo = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
     if lo < -POSITIVITY_TOL:

@@ -102,17 +102,17 @@ def _check_horizon(t_end: float, dt: float):
     return t_end, dt
 
 
-def _step_grid(t_end: float, dt: float, min_steps: int = 1, width: int = 1):
+def _step_grid(t_end: float, dt: float, width: int = 1):
     """Fixed RK4 step grid ``(nsteps, dt_eff)`` that lands exactly on t_end.
 
-    ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and ``min_steps`` for
-    t_end = 0; ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
+    ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and 0 for t_end = 0
+    (one sample); ``dt_eff = t_end/nsteps`` (0 without steps).  Raises
     :class:`ValidationError` unless dt > 0 and t_end >= 0 are finite, with a
     finite ratio, and the grid has at most ``MAX_STEPS`` steps and at most
     ``MAX_SAMPLE_ENTRIES`` sample entries (``nsteps + 1`` samples of ``width``).
     """
     t_end, dt = _check_horizon(t_end, dt)
-    nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else min_steps
+    nsteps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     if nsteps > MAX_STEPS:
         raise ValidationError(
             f"step grid of {nsteps:.3g} steps exceeds the cap of {MAX_STEPS:,} "
@@ -257,7 +257,7 @@ def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarr
     return np.sum(zs.conj() * hz, axis=1).real.reshape(block.shape[:-1])
 
 
-def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = None, *,
+def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
                   flow: Optional[Callable] = None) -> Trajectory:
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
@@ -299,9 +299,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: Optional[float] = 
         raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=")
     z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if z0.ndim == 2
           else StateVector(z0).amplitudes)
-    if dt is None:
-        dt = default_timestep(hbuilder, z0)
-    nsteps, dt_eff = _step_grid(t_end, dt, min_steps=0, width=z0.size)
+    nsteps, dt_eff = _step_grid(t_end, dt, width=z0.size)
     times = np.arange(nsteps + 1) * dt_eff
     budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
     rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ("norm", "hvalue")}
@@ -452,7 +450,7 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
     return BlochTrajectory(times=times, r=out)
 
 
-def neo_hamiltonian(a: float, eps: float, base=None) -> Callable:
+def neo_hamiltonian(a: float, eps: float, base) -> Callable:
     """Wave-equation counterpart of the Bloch precession form.
 
     Returns a builder psi -> H_hat(psi) whose flow reproduces the
@@ -461,12 +459,13 @@ def neo_hamiltonian(a: float, eps: float, base=None) -> Callable:
         H_hat = base - (eps/2)<s3>^2 - (a/4)<s2> s1 + (a/4)<s1> s2
                      + eps <s3> s3
 
-    with normalized averages.  The average energy <H_hat> contains no
+    with normalized averages and ``base`` the linear part (a 2x2 matrix, or
+    a wrapper with ``.entries``).  The average energy <H_hat> contains no
     damping contribution; the a-terms enter only through the commutator.
     A ``(K, 2)`` stack of states is mapped row by row to a ``(K, 2, 2)``
     stack, each matrix bit for bit its single-state build.
     """
-    b = np.zeros((2, 2), dtype=complex) if base is None else _as_matrix(base)
+    b = _as_matrix(base)
 
     def builder(z):
         zv = _amplitudes(z)

@@ -74,7 +74,10 @@ class HomogeneousObservable:
     analytic_operator:
         Optional map ``psi -> Hermitian matrix`` (the Wirtinger Hessian).
     params:
-        Named real family parameters, kept for reporting.
+        The family constants ``e1``, ``e2``, ``eps`` and ``power``, set only
+        by :func:`power_family` (so also by :func:`canonical` and
+        :func:`cubic`) and read by :func:`~nlqm.spectra.moment_probabilities`;
+        empty for every other observable, a sum included.
     batched:
         True when the evaluator and both analytic derivatives (where given)
         also accept a ``(B, d)`` batch of states on a *leading* axis and
@@ -95,8 +98,6 @@ class HomogeneousObservable:
     def value(self, psi) -> float:
         z = _amplitudes(psi)
         return self._checked_value(complex(self.evaluator(z, z.conj())), z)
-
-    __call__ = value
 
     def _checked_value(self, v: complex, z: np.ndarray) -> float:
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
@@ -158,7 +159,6 @@ class HomogeneousObservable:
             label=f"({a.label} + {b.label})",
             analytic_gradient=grad,
             analytic_operator=op,
-            params={**a.params, **b.params},
             batched=a.batched and b.batched,
         )
 
@@ -242,7 +242,7 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
         m = obs.operator_batch(z)
     mh = np.swapaxes(m, -1, -2).conj()
     dev = np.abs(m - mh)
-    out = (m + mh) / 2.0
+    out = 0.5 * m + 0.5 * mh   # halves first: entries near 1e308 do not overflow
     if not dev.max() <= HERMITICITY_GATE:   # a NaN residual fails too
         resid = dev.max(axis=(-2, -1))
         k = int(np.argmin(resid <= HERMITICITY_GATE))
@@ -307,7 +307,6 @@ def bilinear(m, label: str = "") -> HomogeneousObservable:
         label=label or "bilinear",
         analytic_gradient=lambda z: z @ mat.T,
         analytic_operator=lambda z: _stacked(mat, z),
-        params={},
         batched=True,
     )
 
@@ -373,7 +372,6 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         label=name,
         analytic_gradient=grad,
         analytic_operator=op,
-        params={"power": float(p), "coeff": c},
         batched=True,
     )
 
@@ -406,29 +404,25 @@ def singular_inverse(coeff: float = 1.0) -> HomogeneousObservable:
     return moment_power(sigma3, -1, coeff, label=f"{coeff:g}*n^2/<sigma3>")
 
 
-def standard_catalog(include_composite: bool = True) -> list:
+def standard_catalog() -> list:
     """Representative instances of every catalog family, for property sweeps.
 
     Each entry is ``(observable, domain)`` where ``domain`` is 'any' or
     'away-from-sigma3-kernel' (the singular family is only defined off the
-    ``<sigma3>=0`` set).  With ``include_composite`` the density-matrix
-    functionals and a Weinberg subsystem lift (4-dimensional) are appended.
+    ``<sigma3>=0`` set).  The six two-level entries come first, then the two
+    moment-pair functionals and a Weinberg subsystem lift (4-dimensional).
     """
-    entries = [
+    from . import composite  # local import to avoid a cycle
+
+    return [
         (norm_functional(), "any"),
         (bilinear(sigma3, label="<sigma3>"), "any"),
         (canonical(0.0, 1.0, 1.0), "any"),
         (cubic(0.3, 0.9, 0.4), "any"),
         (power_family(0.0, 1.0, 0.7, power=4), "any"),
         (singular_inverse(), "away-from-sigma3-kernel"),
+        (composite.polchinski_functional(0.5, sigma3, (2, 2), variant="plain", eps=0.3), "any"),
+        (composite.polchinski_functional(0.5, sigma3, (2, 2), variant="purity-weighted",
+                                         eps=0.3), "any"),
+        (composite.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2)), "any"),
     ]
-    if include_composite:
-        from . import composite  # local import to avoid a cycle
-
-        entries.append((composite.polchinski_functional(0.5, sigma3, (2, 2), variant="plain",
-                                                        eps=0.3), "any"))
-        entries.append((composite.polchinski_functional(0.5, sigma3, (2, 2),
-                                                        variant="purity-weighted", eps=0.3), "any"))
-        entries.append((composite.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2,
-                                                     np.eye(2)), "any"))
-    return entries

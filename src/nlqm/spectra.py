@@ -65,12 +65,11 @@ class EigenstateRecord:
 
 @dataclass
 class MomentProbabilities:
-    """Probability vector for the degenerate family by one moment method."""
+    """Both moment rules' probabilities ``(p_E, p_{E+eps})`` for the degenerate
+    family, and the distance of their ``p_{E+eps}``."""
 
-    method: str
-    values: tuple
-    probabilities: np.ndarray
-    other_probabilities: np.ndarray
+    first_moment: np.ndarray
+    star_square: np.ndarray
     discrepancy: float
 
 
@@ -383,14 +382,16 @@ def eigenfrequencies(trajectory, tol: float = 1e-6):
 # Moment probabilities
 
 
-def moment_probabilities(obs: HomogeneousObservable, psi, method: str) -> MomentProbabilities:
+def moment_probabilities(obs: HomogeneousObservable, psi) -> MomentProbabilities:
     """Probabilities for the degenerate family E1 = E2 = E by moment matching.
 
-    ``first-moment`` solves ``<H> = E p_E + (E+eps) p_{E+eps}``; ``star-square``
-    solves the analogous equation with the *-square ``<H*H>`` and the squared
-    values.  Both are computed from the machinery (functional value and
-    *-product), not from substituted closed forms.  The two disagree for
-    genuinely nonlinear states — the discrepancy is part of the report.
+    The first-moment rule solves ``<H> = E p_E + (E+eps) p_{E+eps}``; the
+    star-square rule solves the analogous equation with the *-square
+    ``<H*H>`` and the squared values.  Both are computed from the machinery
+    (functional value and *-product), not from substituted closed forms.  The
+    two disagree for genuinely nonlinear states — the discrepancy is part of
+    the report.  ``obs.params`` must hold the constants that
+    :func:`~nlqm.observables.power_family` sets, else :class:`ValidationError`.
     """
     params = obs.params
     if "e1" not in params or "e2" not in params or "eps" not in params:
@@ -402,32 +403,14 @@ def moment_probabilities(obs: HomogeneousObservable, psi, method: str) -> Moment
     z = _amplitudes(psi)
     n = float(np.vdot(z, z).real)
 
-    def first_moment():
-        mean = obs.value(z) / n
-        return (mean - e) / eps
-
-    def star_square():
-        denom = 2.0 * e * eps + eps ** 2
-        if abs(denom) < 1e-12 * max(1.0, e ** 2):
-            raise SingularObservableError(
-                f"star-square method singular: (E+eps)^2 - E^2 = {denom:.3e}")
-        msq = star_product(obs, obs, z).real / n
-        return (msq - e ** 2) / denom
-
-    if method == "first-moment":
-        p = first_moment()
-        q = star_square()
-    elif method == "star-square":
-        p = star_square()
-        q = first_moment()
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    probs = np.array([1.0 - p, p])
-    others = np.array([1.0 - q, q])
+    p = (obs.value(z) / n - e) / eps
+    denom = 2.0 * e * eps + eps ** 2
+    if abs(denom) < 1e-12 * max(1.0, e ** 2):
+        raise SingularObservableError(
+            f"star-square method singular: (E+eps)^2 - E^2 = {denom:.3e}")
+    q = (star_product(obs, obs, z).real / n - e ** 2) / denom
     return MomentProbabilities(
-        method=method,
-        values=(e, e + eps),
-        probabilities=probs,
-        other_probabilities=others,
+        first_moment=np.array([1.0 - p, p]),
+        star_square=np.array([1.0 - q, q]),
         discrepancy=float(abs(p - q)),
     )

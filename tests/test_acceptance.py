@@ -7,9 +7,8 @@ for the per-criterion pass/fail listing.
 import numpy as np
 
 import nlqm
-from nlqm import (AtomFieldParams, BlochParams, ParadoxParams, TelegraphParams,
-                  build_atom_field, canonical, composite, elliptic_inversion,
-                  find_eigenstates, integrate_bloch, integrate_nls,
+from nlqm import (AtomFieldParams, BlochParams, build_atom_field, canonical, composite,
+                  elliptic_inversion, find_eigenstates, integrate_bloch, integrate_nls,
                   inversion_trajectory, moment_probabilities, neo_hamiltonian,
                   nonlinear_operator, power_family, product_state,
                   standard_catalog, wirtinger_gradient)
@@ -61,13 +60,13 @@ def test_c03_two_probability_rules_disagree():
     forms yet assign different outcome probabilities."""
     e, eps, th = 1.0, 0.1, np.pi / 8.0
     z = np.array([np.cos(th), np.sin(th)], dtype=complex)
-    mp = moment_probabilities(canonical(e, e, eps), z, "first-moment")
+    mp = moment_probabilities(canonical(e, e, eps), z)
     s2 = np.cos(2 * th) ** 2
     cf_first = s2
     cf_star = ((4 * eps ** 2 + 2 * e * eps) * s2
                - 3 * eps ** 2 * s2 ** 2) / (2 * e * eps + eps ** 2)
-    assert abs(mp.probabilities[1] - cf_first) < 1e-12
-    assert abs(mp.other_probabilities[1] - cf_star) < 1e-12
+    assert abs(mp.first_moment[1] - cf_first) < 1e-12
+    assert abs(mp.star_square[1] - cf_star) < 1e-12
     assert mp.discrepancy > 0.01
     assert abs(mp.discrepancy - 1.0 / 28.0) < 1e-12
 
@@ -76,8 +75,7 @@ def test_c04_gisin_telegraph_signal():
     """The slice-sum pair extension turns the remote mixture choice into a
     local sine at frequency 4*eps*X with amplitude 2*Re(conj(alpha)*beta)."""
     alpha, beta, eps = np.sqrt(3.0) / 2.0, 0.5, 0.1
-    rep = composite.gisin_telegraph(
-        TelegraphParams(alpha=alpha, beta=beta, eps=eps), 10.0 * np.pi, 0.05)
+    rep = composite.gisin_telegraph(alpha, beta, eps, 10.0 * np.pi, 0.05)
     predicted = 2.0 * np.real(np.conj(alpha) * beta) * np.sin(
         rep.predicted_frequency * rep.times)
     assert np.max(np.abs(rep.signal - predicted)) < 1e-6
@@ -157,9 +155,7 @@ def test_c09_intention_paradox_scaling():
     """At 2 f t = pi the mixture weight sets the outcome: lambda2 = 0, 1/2, 1
     leaves sigma3 unchanged, zeroed, flipped."""
     for lam2 in (0.0, 0.5, 1.0):
-        rep = composite.intention_paradox(
-            ParadoxParams(lambda1=1.0 - lam2, lambda2=lam2,
-                          f=1.0, t=np.pi / 2.0), 0.001)
+        rep = composite.intention_paradox(1.0 - lam2, lam2, 1.0, np.pi / 2.0, 0.001)
         assert rep.analytic_gap < 1e-8
         assert rep.duality_gap < 1e-8
         predicted = 0.5 * lam2 * np.cos(lam2 * np.pi)

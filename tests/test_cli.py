@@ -566,6 +566,41 @@ def test_overflowing_mixture_flows_report_their_first_broken_invariant(tmp_path,
     assert reports["paradox"]["error"] == "sigma1 average drifted at t = 0.00199974; reduce dt"
 
 
+def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_path, capfd):
+    # a level near the float range is symmetrised without overflow and then
+    # blows up in the first step; a mixture whose trace or purity overflows is
+    # refused before the first step
+    reports = _failed_reports(tmp_path, [
+        {"experiment": "eigenfrequency", "name": "levels", "e_levels": [1e308, -1e308],
+         "eps_levels": [0.5, -0.5], "state": [0.6, 0.8]},
+        {"experiment": "reduced-flow-variants", "name": "trace", "rho_diag": [1e308, 1e308]},
+        {"experiment": "reduced-flow-variants", "name": "purity", "rho_diag": [1e200, 1e200]},
+        {"experiment": "reduced-flow-variants", "name": "seeded", "rho_diag": [1e160, 0.5e160],
+         "delta": 1e150},
+    ])
+    assert capfd.readouterr().err == ""
+    assert reports["levels"]["error"] == "solution blew up at t = 0.01"
+    assert reports["trace"]["error"] == ("density matrix trace must be real and positive "
+                                         "(and finite), got (inf+0j)")
+    for name in ("purity", "seeded"):
+        assert reports[name]["error_type"] == "ValidationError"
+        assert reports[name]["error"].startswith(
+            "rho0's trace, epshat average and purity must be finite, got ")
+        assert reports[name]["error"].endswith(", inf")
+
+
+def test_a_zero_horizon_writes_one_sample(tmp_path, capfd):
+    # at t_end = 0 no flow takes a step: the Bloch and wave-flow columns of
+    # bloch-neoclassical both hold the one sample at t = 0
+    assert _run_dict(tmp_path, {"scenarios": [
+        {"experiment": "bloch-neoclassical", "name": "bloch", "t_end": 0},
+        {"experiment": "intention-paradox", "name": "paradox", "t": 0}]}) == 0
+    assert capfd.readouterr().err == ""
+    for name in ("bloch", "paradox"):
+        lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,")
+
+
 def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, capsys):
     def broken(_params):
         raise RuntimeError("runner broke")

@@ -18,9 +18,7 @@ from nlqm import (
     DensityMatrix,
     HomogeneousObservable,
     IntegrationError,
-    ParadoxParams,
     StateVector,
-    TelegraphParams,
     ValidationError,
     bilinear,
     canonical,
@@ -371,8 +369,7 @@ def test_gradient_flow_operator_completion(rng):
 
 
 def test_gisin_telegraph_frequency_and_amplitude():
-    rep = gisin_telegraph(TelegraphParams(alpha=ALPHA, beta=BETA, eps=0.1),
-                          t_end=40.0, dt=0.05)
+    rep = gisin_telegraph(ALPHA, BETA, 0.1, t_end=40.0, dt=0.05)
     assert rep.predicted_frequency == pytest.approx(0.2, abs=1e-14)
     assert rep.fitted_frequency == pytest.approx(0.2, abs=1e-8)
     assert rep.fitted_amplitude == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-8)
@@ -382,15 +379,14 @@ def test_gisin_telegraph_frequency_and_amplitude():
 
 
 def test_gisin_telegraph_is_silent_for_the_plain_singlet():
-    rep = gisin_telegraph(TelegraphParams(alpha=1.0, beta=0.0, eps=0.1),
-                          t_end=20.0, dt=0.05)
+    rep = gisin_telegraph(1.0, 0.0, 0.1, t_end=20.0, dt=0.05)
     assert rep.predicted_amplitude == 0.0
     assert np.max(np.abs(rep.signal)) < 1e-10
 
 
 def test_gisin_telegraph_validates_the_preparation():
     with pytest.raises(ValidationError):
-        gisin_telegraph(TelegraphParams(alpha=1.0, beta=0.5, eps=0.1), 1.0, 0.1)
+        gisin_telegraph(1.0, 0.5, 0.1, 1.0, 0.1)
 
 
 def test_mobility_telegraph_frequency_and_amplitude():
@@ -536,26 +532,25 @@ def test_intention_paradox_scaling_with_the_mixture_weight():
     """Final sigma3 = (l2/2) cos(2 l2 f t): the identity part sets the clock."""
     t_end = 0.5 * np.pi  # 2 f t = pi
     for l2 in (0.0, 0.5, 1.0):
-        rep = intention_paradox(ParadoxParams(lambda1=1.0 - l2, lambda2=l2,
-                                              f=1.0, t=t_end), dt=0.001)
+        rep = intention_paradox(1.0 - l2, l2, 1.0, t_end, dt=0.001)
         assert rep.analytic_gap < 1e-8
         assert rep.duality_gap < 1e-8
         assert rep.x_value == pytest.approx(l2 / 2.0, abs=1e-12)
         assert rep.sigma3_final == pytest.approx(0.5 * l2 * np.cos(l2 * np.pi), abs=1e-8)
     # l2 = 1 flips the initial sigma3 component exactly
-    rep = intention_paradox(ParadoxParams(0.0, 1.0, 1.0, t_end), dt=0.001)
+    rep = intention_paradox(0.0, 1.0, 1.0, t_end, dt=0.001)
     assert rep.sigma3_final == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_intention_paradox_rejects_bad_weights():
     with pytest.raises(ValidationError):
-        intention_paradox(ParadoxParams(0.7, 0.7, 1.0, 1.0), dt=0.01)
+        intention_paradox(0.7, 0.7, 1.0, 1.0, dt=0.01)
 
 
 def test_intention_paradox_reports_the_sigma1_drift():
     # one step of dt = 1 at rate 2 l2 f = 6 breaks the sigma1 constant of motion
     with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 10;"):
-        intention_paradox(ParadoxParams(0.0, 1.0, 3.0, 10.0), 1.0)
+        intention_paradox(0.0, 1.0, 3.0, 10.0, 1.0)
 
 
 def _landing_on(bad):
@@ -582,4 +577,4 @@ def test_mixture_monitors_count_a_non_finite_invariant_as_broken(monkeypatch):
         polchinski_reduced_flow("plain", eh, rho0, 0.05, 0.01)
     monkeypatch.setattr(nlqm.composite, "_rk4", _landing_on(np.diag([0.5, -0.5]) + 0j))
     with pytest.raises(IntegrationError, match=r"sigma1 average drifted at t = 0\.01;"):
-        intention_paradox(ParadoxParams(0.5, 0.5, 1.0, 0.05), 0.01)
+        intention_paradox(0.5, 0.5, 1.0, 0.05, 0.01)

@@ -90,6 +90,16 @@ def test_huge_entries_are_refused_without_an_overflow_warning():
             nlqm.polchinski_reduced_flow("plain", nlqm.sigma3, huge + np.eye(2), 0.05, 0.01)
 
 
+def test_mixtures_too_large_to_sum_or_square_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"trace must be real and positive \(and finite\)"):
+            DensityMatrix(np.diag([1e308, 1e308]))
+        for rho0 in (np.diag([1e200, 1e200]), np.array([[1e160, 1e150], [1e150, 0.5e160]])):
+            with pytest.raises(ValidationError, match=r"purity must be finite, got .*, inf$"):
+                nlqm.polchinski_reduced_flow("plain", nlqm.sigma3, rho0, 0.05, 0.01)
+
+
 def test_hermiticity_residual_is_bit_for_bit_in_the_normal_range(rng):
     # the quarter scale is exact, so the residual is max |m - m^dag| itself
     for shape in ((2, 2), (4, 4), (3, 5, 5)):

@@ -99,7 +99,7 @@ def test_validation_of_step_arguments():
             nlqm.polchinski_reduced_flow("plain", nlqm.sigma3, np.diag([0.75, 0.25]),
                                          t_end, dt)
         with pytest.raises(ValidationError):
-            nlqm.intention_paradox(nlqm.ParadoxParams(0.5, 0.5, 1.0, t_end), dt)
+            nlqm.intention_paradox(0.5, 0.5, 1.0, t_end, dt)
 
 
 def test_trajectory_amplitudes_are_one_read_only_array():
@@ -130,9 +130,9 @@ def test_step_counts_are_unchanged_on_valid_grids():
         assert integrate_nls(builder, z0, t_end, dt).times.size == steps + 1
         assert integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0],
                                t_end, dt).times.size == steps + 1
-    # t_end = 0: the wave flow takes no step, the other loops one of size 0
+    # t_end = 0: no loop takes a step
     assert integrate_nls(builder, z0, 0.0, 0.1).times.size == 1
-    assert integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0], 0.0, 0.1).times.size == 2
+    assert integrate_bloch(BlochParams(0.0, 1.0), [0.0, 0.0, -1.0], 0.0, 0.1).times.size == 1
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,8 @@ def test_nonlinear_operator_matches_value_level_differencing(rng):
     # truncation error stays under the hermiticity gate
     pair = np.array([0.6, 0.48j, -0.36, 0.52 - 0.1j]) / np.sqrt(1.0004)
     states = {"any": PROBE, "away-from-sigma3-kernel": np.array([0.96, 0.28j])}
-    two_level = len(standard_catalog(include_composite=False))
     for k, (obs, domain) in enumerate(standard_catalog()):
-        z = states[domain] if k < two_level else pair   # the composites are pairs
+        z = states[domain] if k < 6 else pair   # the six two-level entries come first
         routes = ((replace(obs, analytic_operator=None), 1e-8), (_stripped(obs), 5e-7))
         if obs.analytic_operator is not None:
             m_ana = nonlinear_operator(obs, z).entries
@@ -176,6 +175,14 @@ def test_hermiticity_gate_rejects_asymmetric_operator():
     )
     with pytest.raises(ValidationError, match="[Hh]ermitian"):
         nonlinear_operator(bad, PROBE)
+
+
+def test_symmetrisation_near_the_float_range_does_not_overflow():
+    huge = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = nonlinear_operator(bilinear(huge), [0.6, 0.8]).entries
+    assert np.array_equal(m, huge)
 
 
 def test_singular_inverse_guard():

@@ -16,6 +16,7 @@ from nlqm import (
     SingularObservableError,
     StateVector,
     ValidationError,
+    bilinear,
     canonical,
     canonical_solution,
     cubic,
@@ -418,24 +419,28 @@ def test_moment_probabilities_disagree_for_the_degenerate_family():
     obs = canonical(1.0, 1.0, 0.1)
     theta = np.pi / 4  # <sigma3> = cos(theta), squared 1/2
     z = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    first = moment_probabilities(obs, z, "first-moment")
-    star = moment_probabilities(obs, z, "star-square")
-    assert first.probabilities[1] == pytest.approx(0.5, abs=1e-12)
-    assert star.probabilities[1] == pytest.approx(0.5357142857142857, abs=1e-12)
-    assert first.discrepancy == pytest.approx(abs(0.5 - 0.5357142857142857), abs=1e-12)
+    mp = moment_probabilities(obs, z)
+    npt.assert_allclose(mp.first_moment, [0.5, 0.5], rtol=0, atol=1e-12)
+    npt.assert_allclose(mp.star_square, [1.0 - 0.5357142857142857, 0.5357142857142857],
+                        rtol=0, atol=1e-12)
+    assert mp.discrepancy == pytest.approx(abs(0.5 - 0.5357142857142857), abs=1e-12)
     # both rules agree at the poles, where the state is an eigenstate
     pole = np.array([1.0, 0.0j])
-    fp = moment_probabilities(obs, pole, "first-moment")
-    assert fp.discrepancy < 1e-12
+    assert moment_probabilities(obs, pole).discrepancy < 1e-12
+
+
+def test_a_sum_of_observables_carries_no_family_constants():
+    # the constants belong to the family power_family built; the sum is
+    # another functional, so moment_probabilities refuses it
+    obs = canonical(1.0, 1.0, 0.1) + bilinear(nlqm.sigma1)
+    assert obs.params == {}
+    with pytest.raises(ValidationError, match="two-level family"):
+        moment_probabilities(obs, np.array([np.cos(0.3), np.sin(0.3)]))
 
 
 def test_moment_probabilities_validation():
     with pytest.raises(ValidationError):
-        moment_probabilities(canonical(0.0, 1.0, 0.1), np.array([1.0, 0.0j]),
-                             "first-moment")  # not degenerate
-    with pytest.raises(ValidationError):
-        moment_probabilities(canonical(1.0, 1.0, 0.1), np.array([1.0, 0.0j]), "median")
+        moment_probabilities(canonical(0.0, 1.0, 0.1), np.array([1.0, 0.0j]))  # not degenerate
     # eps = -2E makes (E+eps)^2 = E^2: the star-square rule loses its denominator
     with pytest.raises(SingularObservableError):
-        moment_probabilities(canonical(1.0, 1.0, -2.0), np.array([0.9, 0.1j]),
-                             "star-square")
+        moment_probabilities(canonical(1.0, 1.0, -2.0), np.array([0.9, 0.1j]))
