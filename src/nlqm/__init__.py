@@ -80,7 +80,6 @@ from .atom import (
     AtomFieldParams,
     InversionSeries,
     atom_r3,
-    atom_rplus,
     build_atom_field,
     elliptic_inversion,
     field_annihilator,

@@ -27,19 +27,13 @@ import numpy as np
 
 from .core import ValidationError
 from .observables import bilinear, moment_power, nonlinear_operator
-from .dynamics import (
-    IntegrationError,
-    Trajectory,
-    integrate_nls,
-    jacobi_elliptic,
-)
+from .dynamics import IntegrationError, integrate_nls, jacobi_elliptic
 from .composite import weinberg_composite
 
 __all__ = [
     "AtomFieldParams",
     "InversionSeries",
     "atom_r3",
-    "atom_rplus",
     "field_annihilator",
     "linear_hamiltonian",
     "build_atom_field",
@@ -128,13 +122,6 @@ def atom_r3(n_levels: int) -> np.ndarray:
     return m
 
 
-def atom_rplus(n_levels: int) -> np.ndarray:
-    """|1><0|: raises the lower coupled level to the upper."""
-    m = np.zeros((n_levels, n_levels), dtype=complex)
-    m[1, 0] = 1.0
-    return m
-
-
 def field_annihilator(n_max: int) -> np.ndarray:
     """Truncated mode annihilator, a|n> = sqrt(n)|n-1>, on 0..n_max."""
     d = n_max + 1
@@ -145,7 +132,8 @@ def linear_hamiltonian(p: AtomFieldParams) -> np.ndarray:
     k, f = p.n_levels, p.field_dim
     a = field_annihilator(p.n_max)
     nhat = a.conj().T @ a
-    rp = atom_rplus(k)
+    rp = np.zeros((k, k), dtype=complex)
+    rp[1, 0] = 1.0   # R+ = |1><0| raises the lower coupled level
     h = (np.kron(np.diag(np.asarray(p.omega_levels, dtype=complex)), np.eye(f))
          + np.kron(np.eye(k), p.omega * nhat)
          + 0.5j * complex(p.q) * np.kron(rp, a)
@@ -196,12 +184,11 @@ def build_atom_field(description: str, p: AtomFieldParams) -> Callable:
 
 @dataclass
 class InversionSeries:
-    """Population inversion w(t) = 2 <R3> with its source trajectory."""
+    """Population inversion w(t) = 2 <R3>."""
 
     times: np.ndarray
     w: np.ndarray
     leak: float
-    trajectory: Trajectory
 
 
 def inversion_trajectory(builder: Callable, psi0, t_end: float, dt: float) -> InversionSeries:
@@ -225,7 +212,7 @@ def inversion_trajectory(builder: Callable, psi0, t_end: float, dt: float) -> In
         raise IntegrationError(
             f"top Fock layer reached population fraction {leak:.3e} "
             f"(tolerance {LEAK_TOL:g}); raise n_max beyond {p.n_max}")
-    return InversionSeries(times=traj.times, w=w, leak=leak, trajectory=traj)
+    return InversionSeries(times=traj.times, w=w, leak=leak)
 
 
 def elliptic_inversion(omega_rabi: float, varsigma: float, times) -> np.ndarray:

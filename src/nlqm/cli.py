@@ -186,6 +186,11 @@ _FAMILY_FIELDS = (
 )
 
 
+def _check_family(p):
+    _rule(p["family"] != "even-power" or (p["power"] >= 2 and p["power"] % 2 == 0),
+          "power must be even and at least 2 for the even-power family")
+
+
 def _run_eigen_census(p):
     obs = _family_observable(p)
     diag = {}
@@ -207,6 +212,12 @@ def _run_diagonal_census(p):
     n = float(np.vdot(z, z).real)
     metrics = {"average": obs.value(z) / n, "count": len(vals)}
     return {"t": np.arange(len(vals), dtype=float), "diagonal_value": vals}, metrics, True
+
+
+def _check_diagonal(p):
+    _check_family(p)
+    _rule(len(p["state"]) == 2 and _nonzero(p["state"]),
+          "state must be a nonzero two-component vector (the families are two-level)")
 
 
 def _check_levels(p):
@@ -411,16 +422,13 @@ EXPERIMENTS = {
             Field("expected_count", "int", default=-1,
                   help="fail unless this many distinct states (-1 disables)"),
         ),
-        _run_eigen_census, None),
+        _run_eigen_census, _check_family),
     "diagonal-census": (
         "eigenvalues of the state-dependent operator at a given state",
         _FAMILY_FIELDS + (
             Field("state", "complex_list", required=True, help="amplitude vector"),
         ),
-        _run_diagonal_census,
-        lambda p: _rule(len(p["state"]) == 2 and _nonzero(p["state"]),
-                        "state must be a nonzero two-component vector "
-                        "(the families are two-level)")),
+        _run_diagonal_census, _check_diagonal),
     "eigenfrequency": (
         "trajectory phase rates of a diagonal family vs the closed form",
         (Field("e_levels", "real_list", required=True),

@@ -20,7 +20,7 @@ signal with a closed-form frequency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,16 +73,13 @@ SLICE_FLOOR = 1e-14
 def lift_operator(m, dims, slot: int) -> np.ndarray:
     """Embed a one-particle matrix into the pair space: m (x) 1 or 1 (x) m."""
     m = np.asarray(m, dtype=complex)
-    d0, d1 = dims
-    if slot == 0:
-        if m.shape != (d0, d0):
-            raise ValidationError(f"operator shape {m.shape} does not fit slot 0 of {dims}")
-        return np.kron(m, np.eye(d1))
-    if slot == 1:
-        if m.shape != (d1, d1):
-            raise ValidationError(f"operator shape {m.shape} does not fit slot 1 of {dims}")
-        return np.kron(np.eye(d0), m)
-    raise ValidationError(f"slot must be 0 or 1, got {slot}")
+    if slot not in (0, 1):
+        raise ValidationError(f"slot must be 0 or 1, got {slot}")
+    if m.shape != (dims[slot],) * 2:
+        raise ValidationError(f"operator shape {m.shape} does not fit slot {slot} of {dims}")
+    factors = [np.eye(dims[0]), np.eye(dims[1])]
+    factors[slot] = m
+    return np.kron(*factors)
 
 
 def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
@@ -227,7 +224,7 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
     lifted = lift_operator(epshat, dims, slot)
     if variant == "plain":
         obs = bilinear(e2 * np.eye(d0 * d1)) + moment_power(lifted, 2, coeff=eps)
-        return obs.relabeled(f"moment-pair[plain, eps={eps:g}]")
+        return replace(obs, label=f"moment-pair[plain, eps={eps:g}]")
     if variant != "purity-weighted":
         raise ValidationError(f"unknown variant {variant!r}")
 

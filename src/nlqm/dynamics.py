@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateVector, ValidationError, _amplitudes, sigma1, sigma2, sigma3, identity2
+from .core import (StateVector, ValidationError, _amplitudes, _hermiticity_residual, sigma1,
+                   sigma2, sigma3, identity2)
 
 __all__ = [
     "IntegrationError",
@@ -218,14 +219,14 @@ def _at(times, k: int, rows: int) -> str:
 
 def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
     """Raise at the first non-Hermitian matrix of ``h``, ``rows`` per sample time."""
-    dev = np.abs(h - np.swapaxes(h, 1, 2).conj()).max(axis=(1, 2))
-    # a non-finite matrix (deviation nan) fails too
-    ok = dev <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2)))
+    resid = _hermiticity_residual(h)
+    # a non-finite matrix (residual nan) fails too
+    ok = resid <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2))) / 4
     if not ok.all():
         k = int(np.argmin(ok))
         raise IntegrationError(
             f"builder returned a non-Hermitian matrix at {_at(times, k, rows)} "
-            f"(deviation {dev[k]:.3e})")
+            f"(deviation {4.0 * float(resid[k]):.3e})")
 
 
 def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarray:
@@ -401,11 +402,6 @@ class BlochParams:
     eps: float = 0.0
     rotating_frame: bool = False
 
-    def omega_tilde(self, r) -> np.ndarray:
-        """State-dependent precession vector (-a v/2, a u/2, 2 eps w)."""
-        u, v, w = r
-        return np.array([-0.5 * self.a * v, 0.5 * self.a * u, 2.0 * self.eps * w])
-
 
 @dataclass
 class BlochTrajectory:
@@ -415,7 +411,7 @@ class BlochTrajectory:
 
 def _bloch_rhs(p: BlochParams, r: np.ndarray) -> np.ndarray:
     u, v, w = r
-    wt1, wt2, wt3 = p.omega_tilde(r)
+    wt1, wt2, wt3 = -0.5 * p.a * v, 0.5 * p.a * u, 2.0 * p.eps * w   # omega_tilde
     du = -p.delta * v - wt3 * v + wt2 * w
     dw = -p.omega * v - wt2 * u + wt1 * v
     if p.rotating_frame:
@@ -491,12 +487,19 @@ def ellipk(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise ValidationError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    a, b = 1.0, float(np.sqrt(1.0 - k * k))
-    for _ in range(64):
-        if abs(a - b) < 1e-16 * a:
-            break
-        a, b = 0.5 * (a + b), float(np.sqrt(a * b))
-    return float(np.pi / (2.0 * a))
+    a, _ = _agm_ladder(k, np.sqrt(1.0 - k * k))
+    return float(np.pi / (2.0 * a[-1]))
+
+
+def _agm_ladder(k: float, kp: float):
+    """The AGM ladders a_n and c_n from a_0 = 1, b_0 = k', c_0 = k, until c_n
+    <= 1e-16 or 31 steps (DLMF 19.8)."""
+    a, c, b = [1.0], [float(k)], float(kp)
+    while c[-1] > 1e-16 and len(a) < 32:
+        a.append(0.5 * (a[-1] + b))
+        c.append(0.5 * (a[-2] - b))
+        b = float(np.sqrt(a[-2] * b))
+    return a, c
 
 
 def jacobi_elliptic(u, k: float):
@@ -517,16 +520,7 @@ def jacobi_elliptic(u, k: float):
     if kp < 1e-12:
         return np.tanh(u), 1.0 / np.cosh(u), 1.0 / np.cosh(u)
 
-    a_list = [1.0]
-    b_val = float(kp)
-    c_list = [float(k)]
-    while c_list[-1] > 1e-16 and len(a_list) < 32:
-        a_next = 0.5 * (a_list[-1] + b_val)
-        c_next = 0.5 * (a_list[-1] - b_val)
-        b_val = float(np.sqrt(a_list[-1] * b_val))
-        a_list.append(a_next)
-        c_list.append(c_next)
-
+    a_list, c_list = _agm_ladder(k, kp)
     nlev = len(a_list) - 1
     phi = (2.0 ** nlev) * a_list[nlev] * u
     phi_prev = phi

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HermitianOperator, ValidationError, _amplitudes, sigma3
+from .core import HermitianOperator, ValidationError, _amplitudes, _hermiticity_residual, sigma3
 
 GRADIENT_STEP = 1e-5
 HESSIAN_STEP = 1e-4
@@ -162,9 +162,6 @@ class HomogeneousObservable:
             batched=a.batched and b.batched,
         )
 
-    def relabeled(self, label: str) -> "HomogeneousObservable":
-        return replace(self, label=label)
-
 
 # ---------------------------------------------------------------------------
 # Wirtinger differentiation
@@ -240,15 +237,13 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
         m = np.asarray(obs.analytic_operator(z), dtype=complex)[None]
     else:
         m = obs.operator_batch(z)
-    mh = np.swapaxes(m, -1, -2).conj()
-    dev = np.abs(m - mh)
-    out = 0.5 * m + 0.5 * mh   # halves first: entries near 1e308 do not overflow
-    if not dev.max() <= HERMITICITY_GATE:   # a NaN residual fails too
-        resid = dev.max(axis=(-2, -1))
-        k = int(np.argmin(resid <= HERMITICITY_GATE))
-        if resid[k] > HERMITICITY_GATE:
-            raise ValidationError(
-                f"non-Hermitian Hessian for {obs.label or 'observable'}: residual {resid[k]:.3e}")
+    out = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()   # halves first: no overflow
+    resid = _hermiticity_residual(m)
+    if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too
+        k = int(np.argmin(resid <= HERMITICITY_GATE / 4))
+        if resid[k] > HERMITICITY_GATE / 4:
+            raise ValidationError(f"non-Hermitian Hessian for {obs.label or 'observable'}: "
+                                  f"residual {4.0 * float(resid[k]):.3e}")
         HermitianOperator(out[k])   # raises the non-finite entries error
     return HermitianOperator(out[0]) if z.ndim == 1 else out
 
@@ -390,13 +385,13 @@ def power_family(e1: float, e2: float, eps: float, power: int = 2) -> Homogeneou
 def canonical(e1: float, e2: float, eps: float) -> HomogeneousObservable:
     """The quadratic family ``<H0> + eps <sigma3>^2 / n``."""
     obs = power_family(e1, e2, eps, power=2)
-    return obs.relabeled(f"canonical(E1={e1:g},E2={e2:g},eps={eps:g})")
+    return replace(obs, label=f"canonical(E1={e1:g},E2={e2:g},eps={eps:g})")
 
 
 def cubic(e1: float, e2: float, eps: float) -> HomogeneousObservable:
     """The cubic family ``<H0> + eps <sigma3>^3 / n^2``."""
     obs = power_family(e1, e2, eps, power=3)
-    return obs.relabeled(f"cubic(E1={e1:g},E2={e2:g},eps={eps:g})")
+    return replace(obs, label=f"cubic(E1={e1:g},E2={e2:g},eps={eps:g})")
 
 
 def singular_inverse(coeff: float = 1.0) -> HomogeneousObservable:

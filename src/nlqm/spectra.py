@@ -391,11 +391,15 @@ def moment_probabilities(obs: HomogeneousObservable, psi) -> MomentProbabilities
     (functional value and *-product), not from substituted closed forms.  The
     two disagree for genuinely nonlinear states — the discrepancy is part of
     the report.  ``obs.params`` must hold the constants that
-    :func:`~nlqm.observables.power_family` sets, else :class:`ValidationError`.
+    :func:`~nlqm.observables.power_family` sets, with an even power of at least
+    2 (the rules' outcomes E and E + eps), else :class:`ValidationError`.
     """
     params = obs.params
     if "e1" not in params or "e2" not in params or "eps" not in params:
         raise ValidationError("moment_probabilities needs a two-level family with E1, E2, eps")
+    if params["power"] < 2 or params["power"] % 2 != 0:
+        raise ValidationError("moment_probabilities needs an even power of at least 2, "
+                              f"got {params['power']:g}")
     if abs(params["e1"] - params["e2"]) > 1e-12:
         raise ValidationError("moment_probabilities requires the degenerate case E1 = E2")
     e = params["e1"]

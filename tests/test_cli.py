@@ -282,6 +282,11 @@ STATIC_VIOLATIONS = {
     "eigenfrequency-state-zero": ({"experiment": "eigenfrequency", "e_levels": [0.0, 1.0],
                                    "eps_levels": [0.5, -0.5], "state": [0.0, 0.0]},
                                   "state must be nonzero"),
+    # each of these ran another family than the one named
+    **{f"{exp}-even-power-{power}": (dict(extra, experiment=exp, family="even-power", power=power),
+                                     "power must be even and at least 2")
+       for exp, extra in (("eigen-census", {}), ("diagonal-census", {"state": [0.6, 0.8]}))
+       for power in (3, 1, 0, -1, -2)},
 }
 
 

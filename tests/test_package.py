@@ -1,4 +1,5 @@
-"""Static checks of the package source: no unused imports, one export list.
+"""Static checks of the package source: no unused imports, no member that only
+tests read, one export list.
 
 Nothing in the toolchain lints Python, so these walk the modules' syntax
 trees with ``ast`` instead.
@@ -7,12 +8,14 @@ trees with ``ast`` instead.
 import ast
 import glob
 import os
+import re
 
 import pytest
 
 import nlqm
 
 SRC_DIR = os.path.dirname(os.path.abspath(nlqm.__file__))
+ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
 MODULES = sorted(os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC_DIR, "*.py"))
                  if not p.endswith("__init__.py"))
 
@@ -57,6 +60,67 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_does_not_use(name):
     assert unused_imports(_tree(name)) == []
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def class_members(tree) -> dict:
+    """``Class.member`` -> member name for every method, property and dataclass
+    field of the classes in ``tree``; dunder names are exempt."""
+    found = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        is_dataclass = any(_decorator_name(d) == "dataclass" for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif (is_dataclass and isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                found[f"{cls.name}.{name}"] = name
+    return found
+
+
+def unread_members(defining, reading, text: str = "") -> list:
+    """Members of the classes in the ``defining`` trees that no ``reading``
+    tree reads as an attribute and ``text`` never names as ``.member``."""
+    reads = {n.attr for tree in reading for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    reads |= set(re.findall(r"\.(\w+)", text))
+    return sorted(qual for tree in defining for qual, name in class_members(tree).items()
+                  if name not in reads)
+
+
+def test_the_check_finds_a_member_nothing_reads():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class P:\n    kept: int\n    planted: int\n"
+                     "    def __post_init__(self):\n        pass\n"
+                     "    @property\n    def size(self):\n        return self.kept\n"
+                     "    def unused(self):\n        return 0\n"
+                     "class Q:\n    label: str\n    def run(self):\n        self.planted = 1\n")
+    reader = ast.parse("def f(p, q):\n    return p.size, q.run()\n")
+    assert unread_members([tree], [tree, reader]) == ["P.planted", "P.unused"]
+    assert unread_members([tree], [tree, reader], "call `p.unused()`") == ["P.planted"]
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    sources = sorted(glob.glob(os.path.join(SRC_DIR, "*.py")))
+    scripts = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))
+                     + glob.glob(os.path.join(ROOT, "bench", "*.py")))
+    assert scripts, "demos/ and bench/ not found beside tests/"
+    trees = {}
+    for path in sources + scripts:
+        with open(path) as fh:
+            trees[path] = ast.parse(fh.read())
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    assert unread_members([trees[p] for p in sources], trees.values(), readme) == []
 
 
 def test_the_package_reexports_exactly_its_modules_public_names():

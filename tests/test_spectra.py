@@ -444,3 +444,10 @@ def test_moment_probabilities_validation():
     # eps = -2E makes (E+eps)^2 = E^2: the star-square rule loses its denominator
     with pytest.raises(SingularObservableError):
         moment_probabilities(canonical(1.0, 1.0, -2.0), np.array([0.9, 0.1j]))
+    # the two rules fit only even powers of at least 2, whose probabilities lie in [0, 1]
+    z = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)])
+    for obs in (cubic(1.0, 1.0, 0.1), power_family(1.0, 1.0, 0.1, power=-2)):
+        with pytest.raises(ValidationError, match="even power of at least 2"):
+            moment_probabilities(obs, z)
+    npt.assert_allclose(moment_probabilities(power_family(1.0, 1.0, 0.1, power=4), z)
+                        .first_moment, [0.9375, 0.0625], rtol=1e-12)
