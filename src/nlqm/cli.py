@@ -187,8 +187,8 @@ _FAMILY_FIELDS = (
 
 
 def _check_family(p):
-    _rule(p["family"] != "even-power" or (p["power"] >= 2 and p["power"] % 2 == 0),
-          "power must be even and at least 2 for the even-power family")
+    _rule(p["family"] != "even-power" or (2 <= p["power"] <= 64 and p["power"] % 2 == 0),
+          "power must be even and at least 2 (and at most 64) for the even-power family")
 
 
 def _run_eigen_census(p):

@@ -44,6 +44,7 @@ from .observables import (
     canonical,
     moment_power,
     nonlinear_operator,
+    wirtinger_gradient,
 )
 from .dynamics import IntegrationError, _fit_times, _rk4, _step_grid, integrate_nls
 
@@ -96,9 +97,8 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     gradient re-embeds the slice gradients through the basis, and the
     state-dependent operator is the basis-conjugated direct sum of slice
     operators.  Slices carrying squared norm below ``SLICE_FLOOR`` contribute
-    nothing (value, gradient and operator alike).  The gradient and operator
-    pass all remaining slices to ``h_sub`` as one batch
-    (:meth:`HomogeneousObservable.gradient_batch`, ``operator_batch``).
+    nothing (value, gradient and operator alike).  The value, gradient and
+    operator pass all remaining slices to ``h_sub`` as one stack.
 
     With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
     dependence on ``rest_basis`` is the whole point: it is what
@@ -129,21 +129,17 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             raise ValidationError(f"state must have length {dim_total}")
         sl, live = live_slices(z)
         vals = np.zeros(live.shape)
-        if np.any(live):
-            vals[live] = h_sub.value_batch(sl[live])
+        vals[live] = h_sub.value(sl[live])
         return vals.sum(axis=-1)
 
     grad = None
     if h_sub.analytic_gradient is not None:
-        # a batched h_sub's gradient called directly: this runs at every RK4 stage
-        gradient = h_sub.analytic_gradient if h_sub.batched else h_sub.gradient_batch
-
         def grad(z):
             z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
             gm = np.zeros(sl.shape, dtype=complex)
             if live.any():
-                gm[live] = gradient(sl[live])
+                gm[live] = h_sub.analytic_gradient(sl[live])
             g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
             if rotate:
                 g = g @ u_t if sub_slot == 0 else u @ g
@@ -160,7 +156,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             sl, live = live_slices(z)
             blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
             if np.any(live):
-                blocks[live] = h_sub.operator_batch(sl[live])
+                blocks[live] = h_sub.analytic_operator(sl[live])
             full = np.einsum(layout, blocks, u, uc)
             return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
@@ -169,7 +165,6 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         label=f"slice-sum[{h_sub.label or 'h'}; slot {sub_slot}]",
         analytic_gradient=grad,
         analytic_operator=op,
-        batched=h_sub.batched,
     )
 
 
@@ -183,8 +178,8 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
     same wave flow; this one needs only the gradient, so it serves functionals
     with no closed-form second derivatives (the purity-weighted extension).
     The builder also maps a ``(K, d)`` stack of states to the ``(K, d, d)``
-    stack of their generators, with one ``gradient_batch`` and one
-    ``value_batch`` call.
+    stack of their generators, with one :func:`wirtinger_gradient` and one
+    :meth:`~HomogeneousObservable.value` call.
     """
     def builder(z):
         zv = _amplitudes(z)
@@ -192,8 +187,8 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
         n = np.real(np.sum(zs.conj() * zs, axis=-1))
         if np.any(n < SLICE_FLOOR):
             raise SingularObservableError("gradient flow undefined at the zero vector")
-        g = obs.gradient_batch(zs)
-        h = obs.value_batch(zs)
+        g = wirtinger_gradient(obs, zs)
+        h = obs.value(zs)
         zc = zs.conj()
         m = ((g[:, :, None] * zc[:, None, :] + zs[:, :, None] * g.conj()[:, None, :])
              / n[:, None, None]
@@ -262,7 +257,6 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         evaluator=value,
         label=f"moment-pair[purity-weighted, eps={eps:g}]",
         analytic_gradient=grad,
-        batched=True,
     )
 
 

@@ -96,7 +96,7 @@ def _checked_density(values, stacked: bool = False) -> np.ndarray:
 
     Finite entries, square shape (``(d, d)``, or ``(T, d, d)`` when
     ``stacked``), hermiticity within 1e-12, a finite real positive trace and a
-    smallest eigenvalue of at least -1e-10 (one batched ``eigvalsh``).
+    smallest eigenvalue of at least -1e-10 (one stacked ``eigvalsh``).
     Returns the validated complex array (a fresh copy).
     """
     m = _as_complex_array(values, "entries")

@@ -16,14 +16,20 @@ computes gradients, these operator matrices, the *-product
 ``<psi| A_hat^k psi>/<psi|psi>``, and hosts the catalog of concrete families
 used by the rest of the package.
 
+Each callable of an observable maps one state ``(d,)`` or a ``(B, d)`` stack,
+row by row, to the value, gradient or operator of each: shapes ``()``,
+``(d,)`` and ``(d, d)``, with a leading ``B`` for a stack.  A state reaches it
+as a 1-D array, never as a one-row stack; a result of another shape raises a
+``ValidationError`` that names both shapes.
+
 Derivatives fall back to central finite differences in the underlying real
 coordinates, ``d/dpsibar = (d/dx + i d/dy)/2`` and ``d/dpsi = (d/dx - i
-d/dy)/2``, whenever no analytic closed form is attached, so arbitrary
-user-registered evaluators work out of the box.  One stencil serves every
-route and sends its ``4d`` probes ``psi +- h e_n``, ``psi +- i h e_n`` to the
-function in one call: the gradient is the stencil of the values at
-``h = 1e-5 (1 + |psi|)``, the operator that of the analytic gradient at the
-same step or, without one, of the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
+d/dy)/2``, whenever no analytic closed form is attached, so an evaluator alone
+is a complete observable.  One stencil serves every route and sends its ``4d``
+probes ``psi +- h e_n``, ``psi +- i h e_n`` to the function in one call: the
+gradient is the stencil of the values at ``h = 1e-5 (1 + |psi|)``, the
+operator that of the analytic gradient at the same step or, without one, of
+the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
 """
 from __future__ import annotations
 
@@ -61,6 +67,15 @@ class SingularObservableError(ArithmeticError):
     """The evaluator is singular (or guarded) at the requested state."""
 
 
+def _shaped(obs, out, z: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``out`` as a complex array, refused unless it has ``shape``."""
+    out = np.asarray(out, dtype=complex)
+    if out.shape != shape:
+        raise ValidationError(f"{obs.label or 'observable'} mapped states of shape {z.shape} "
+                              f"to {what} of shape {out.shape}, not {shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class HomogeneousObservable:
     """A real (1,1)-homogeneous functional with optional analytic derivatives.
@@ -68,9 +83,9 @@ class HomogeneousObservable:
     Parameters
     ----------
     evaluator:
-        Map ``(psi, psibar) -> real scalar``.
+        Map ``(psi, psibar) -> real value`` (of a state or a stack, see above).
     analytic_gradient:
-        Optional map ``psi -> dA/dpsibar`` (complex vector).
+        Optional map ``psi -> dA/dpsibar`` (complex vectors).
     analytic_operator:
         Optional map ``psi -> Hermitian matrix`` (the Wirtinger Hessian).
     params:
@@ -78,14 +93,6 @@ class HomogeneousObservable:
         by :func:`power_family` (so also by :func:`canonical` and
         :func:`cubic`) and read by :func:`~nlqm.spectra.moment_probabilities`;
         empty for every other observable, a sum included.
-    batched:
-        True when the evaluator and both analytic derivatives (where given)
-        also accept a ``(B, d)`` batch of states on a *leading* axis and
-        return ``(B,)``, ``(B, d)`` and ``(B, d, d)`` (catalog families do,
-        and so does a slice sum of a batched one).  :meth:`value_batch`,
-        :meth:`gradient_batch` and :meth:`operator_batch` then make one
-        call, and so does :func:`nonlinear_operator` on a stack of states;
-        otherwise they loop.
     """
 
     evaluator: Callable
@@ -93,52 +100,26 @@ class HomogeneousObservable:
     analytic_gradient: Optional[Callable] = None
     analytic_operator: Optional[Callable] = None
     params: dict = field(default_factory=dict)
-    batched: bool = False
 
-    def value(self, psi) -> float:
+    def value(self, psi):
+        """The real value at one state (a float) or at each row of a stack (an
+        array; an empty stack is not evaluated).  A non-finite value raises
+        :class:`SingularObservableError`, a non-real one :class:`ValidationError`,
+        at the first bad row of a stack what that row alone raises."""
         z = _amplitudes(psi)
-        return self._checked_value(complex(self.evaluator(z, z.conj())), z)
-
-    def _checked_value(self, v: complex, z: np.ndarray) -> float:
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise SingularObservableError(
-                f"{self.label or 'observable'} is singular at state {np.array2string(z, precision=6)}")
-        if abs(v.imag) > 1e-10 * max(1.0, abs(v.real)):
-            raise ValidationError(
-                f"{self.label or 'observable'} returned a non-real value {v!r}")
-        return v.real
-
-    def value_batch(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over a leading batch axis.
-
-        Every row gets :meth:`value`'s checks; the first row that fails one
-        raises what :meth:`value` raises for it.
-        """
-        if not self.batched:
-            return np.array([self.value(row) for row in z])
-        v = np.asarray(self.evaluator(z, z.conj()), dtype=complex)
-        good = np.isfinite(v) & (np.abs(v.imag) <= 1e-10 * np.maximum(1.0, np.abs(v.real)))
+        if z.ndim == 2 and len(z) == 0:
+            return np.empty(0)
+        v = _shaped(self, self.evaluator(z, z.conj()), z, z.shape[:-1], "values")
+        flat = v.reshape(-1)
+        good = np.isfinite(flat) & (np.abs(flat.imag) <= 1e-10 * np.maximum(1.0, np.abs(flat.real)))
         if not np.all(good):
             k = int(np.argmin(good))
-            self._checked_value(complex(v[k]), z[k])
-        return v.real
-
-    def gradient_batch(self, z: np.ndarray) -> np.ndarray:
-        """``dA/dpsibar`` of each row of a ``(B, d)`` batch, shape ``(B, d)``."""
-        if self.batched and self.analytic_gradient is not None:
-            return np.asarray(self.analytic_gradient(z), dtype=complex)
-        return np.stack([wirtinger_gradient(self, row) for row in z])
-
-    def operator_batch(self, z: np.ndarray) -> np.ndarray:
-        """``analytic_operator`` of each row of a ``(B, d)`` batch, ``(B, d, d)``.
-
-        Needs ``analytic_operator``.  Like it, these are the raw Hessians,
-        not gated or symmetrized as by :func:`nonlinear_operator`.
-        """
-        if self.batched:
-            return np.asarray(self.analytic_operator(z), dtype=complex)
-        return np.stack([np.asarray(self.analytic_operator(row), dtype=complex)
-                         for row in z])
+            bad, row = complex(flat[k]), z.reshape(-1, z.shape[-1])[k]
+            if not np.isfinite(bad):
+                raise SingularObservableError(f"{self.label or 'observable'} is singular at "
+                                              f"state {np.array2string(row, precision=6)}")
+            raise ValidationError(f"{self.label or 'observable'} returned a non-real value {bad!r}")
+        return float(v.real) if z.ndim == 1 else v.real
 
     def __add__(self, other):
         if not isinstance(other, HomogeneousObservable):
@@ -159,7 +140,6 @@ class HomogeneousObservable:
             label=f"({a.label} + {b.label})",
             analytic_gradient=grad,
             analytic_operator=op,
-            batched=a.batched and b.batched,
         )
 
 
@@ -181,27 +161,30 @@ def _central_differences(f: Callable, z: np.ndarray, h: float):
 
 def _numeric_gradient(obs: HomogeneousObservable, z: np.ndarray, h: float) -> np.ndarray:
     # dA/dpsibar = (d/dx + i d/dy)/2
-    dx, dy = _central_differences(obs.value_batch, z, h)
+    dx, dy = _central_differences(obs.value, z, h)
     return 0.5 * (dx + 1j * dy)
 
 
 def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
-    """The vector ``dA/dpsibar_m`` at ``psi`` (equals ``A_hat psi``).
+    """The vector ``dA/dpsibar_m`` at ``psi`` (equals ``A_hat psi``), or the
+    ``(B, d)`` gradients of a stack.
 
     Uses the analytic gradient when the observable carries one, otherwise
-    central differences of the values at step ``1e-5 * (1 + |psi|)``, their
-    ``4d`` probes in one :meth:`~HomogeneousObservable.value_batch` call.
+    central differences of the values at step ``1e-5 * (1 + |psi|)`` per
+    state, its ``4d`` probes in one :meth:`~HomogeneousObservable.value` call.
     """
     z = _amplitudes(psi)
     if obs.analytic_gradient is not None:
-        return np.asarray(obs.analytic_gradient(z), dtype=complex)
-    return _numeric_gradient(obs, z, GRADIENT_STEP * (1.0 + np.linalg.norm(z)))
+        return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+    if z.ndim == 1:
+        return _numeric_gradient(obs, z, GRADIENT_STEP * (1.0 + np.linalg.norm(z)))
+    return np.array([wirtinger_gradient(obs, row) for row in z], dtype=complex).reshape(z.shape)
 
 
 def _numeric_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
     if obs.analytic_gradient is not None:
         h = GRADIENT_STEP * (1.0 + np.linalg.norm(z))
-        grad = obs.gradient_batch
+        grad = lambda zs: wirtinger_gradient(obs, zs)
     else:
         # Differences of differences need a larger step than the gradient: at
         # 1e-5 the roundoff noise (~1e-7) would exceed the hermiticity gate.
@@ -217,26 +200,24 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
 
     Uses ``analytic_operator`` when the observable carries one; otherwise the
     stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``4d`` probes in
-    one call: of :meth:`~HomogeneousObservable.gradient_batch` at step
-    ``1e-5 * (1 + |psi|)`` when there is an analytic gradient, else of the
-    numeric gradient at ``1e-4 * (1 + |psi|)`` (the ``16 d^2`` value probes of
-    a second-difference stencil).  Raises when the pre-symmetrization residual
-    exceeds the 1e-8 gate (genuine non-Hermiticity is a bug, not noise).
+    one call: of the analytic gradient at step ``1e-5 * (1 + |psi|)`` when
+    there is one, else of the numeric gradient at ``1e-4 * (1 + |psi|)`` (the
+    ``16 d^2`` value probes of a second-difference stencil).  Raises when the
+    pre-symmetrization residual exceeds the 1e-8 gate (genuine
+    non-Hermiticity is a bug, not noise).
 
     Given a ``(K, d)`` stack of states, returns the ``(K, d, d)`` ndarray of
-    their operators, built with one :meth:`~HomogeneousObservable.operator_batch`
-    call when the observable has ``analytic_operator`` (else row by row).  A
-    single state is gated as a one-row stack: every row gets the gate, which a
+    their operators, built with one ``analytic_operator`` call when the
+    observable has one (else row by row).  Every row gets the gate, which a
     non-finite entry fails as a NaN or infinite residual, and is symmetrized;
     the first row that fails raises what a single-state call raises for it.
     """
     z = _amplitudes(psi)
+    d = z.shape[-1]
     if obs.analytic_operator is None:
-        m = np.array([_numeric_hessian(obs, row) for row in z.reshape(-1, z.shape[-1])])
-    elif z.ndim == 1:   # a stack's roundoff may differ from the state's own call
-        m = np.asarray(obs.analytic_operator(z), dtype=complex)[None]
+        m = np.array([_numeric_hessian(obs, row) for row in z.reshape(-1, d)])
     else:
-        m = obs.operator_batch(z)
+        m = _shaped(obs, obs.analytic_operator(z), z, z.shape + (d,), "operators").reshape(-1, d, d)
     out = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()   # halves first: no overflow
     resid = _hermiticity_residual(m)
     if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too
@@ -290,7 +271,6 @@ def norm_functional() -> HomogeneousObservable:
         label="n",
         analytic_gradient=lambda z: np.array(z, copy=True),
         analytic_operator=lambda z: _stacked(np.eye(np.shape(z)[-1], dtype=complex), z),
-        batched=True,
     )
 
 
@@ -302,7 +282,6 @@ def bilinear(m, label: str = "") -> HomogeneousObservable:
         label=label or "bilinear",
         analytic_gradient=lambda z: z @ mat.T,
         analytic_operator=lambda z: _stacked(mat, z),
-        batched=True,
     )
 
 
@@ -367,7 +346,6 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         label=name,
         analytic_gradient=grad,
         analytic_operator=op,
-        batched=True,
     )
 
 

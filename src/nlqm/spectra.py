@@ -28,6 +28,7 @@ from .observables import (
     SingularObservableError,
     star_product,
     nonlinear_operator,
+    wirtinger_gradient,
 )
 
 __all__ = [
@@ -114,9 +115,9 @@ def _pack(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _residual_batch(x: np.ndarray, grad, dim: int, anchors: np.ndarray) -> np.ndarray:
     z = x[:, :dim] + 1j * x[:, dim:2 * dim]
     lam = x[:, 2 * dim]
-    g = grad(z)
-    r = g - lam[:, None] * z
-    norm_eq = np.sum(np.abs(z) ** 2, axis=1) - 1.0
+    with np.errstate(all="ignore"):   # a row whose residual is not finite is a dropped seed
+        r = grad(z) - lam[:, None] * z
+        norm_eq = np.sum(np.abs(z) ** 2, axis=1) - 1.0
     gauge = z[np.arange(z.shape[0]), anchors].imag
     return np.concatenate([r.real, r.imag, norm_eq[:, None], gauge[:, None]], axis=1)
 
@@ -244,8 +245,8 @@ def _records_batch(obs: HomogeneousObservable, z: np.ndarray, lam: np.ndarray):
     u, lam = u[good], lam[good]
     if len(u) == 0:
         return lam, u, np.empty(0)
-    resid = np.linalg.norm(obs.gradient_batch(u) - lam[:, None] * u, axis=1)
-    keep = _kept(resid, obs.value_batch(u), lam)
+    resid = np.linalg.norm(wirtinger_gradient(obs, u) - lam[:, None] * u, axis=1)
+    keep = _kept(resid, obs.value(u), lam)
     return lam[keep], u[keep], resid[keep]
 
 
@@ -306,11 +307,12 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     batch attempt given up for the row-by-row path.
     """
     # Homogeneity makes the eigenvalue equal the average in an eigenstate.
-    seeds, lam0 = _batch_else_rows(lambda s: (s, obs.value_batch(s)),
+    seeds, lam0 = _batch_else_rows(lambda s: (s, obs.value(s)),
                                    _seed_states(dim, _checked_grid(grid)))
     counts = {"newton_iterations": 0, "newton_rows": 0}
     z, lam, ok, stalled = _batch_else_rows(
-        lambda s, v: _gauss_newton(s, v, obs.gradient_batch, dim, counts), seeds, lam0)
+        lambda s, v: _gauss_newton(s, v, lambda z: wirtinger_gradient(obs, z), dim, counts),
+        seeds, lam0)
     lam_k, u, resid = _batch_else_rows(lambda zs, ls: _records_batch(obs, zs, ls),
                                        z[ok], lam[ok])
     merged = [EigenstateRecord(float(lam_k[i]), StateVector(u[i]), float(resid[i]))

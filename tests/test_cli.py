@@ -287,6 +287,11 @@ STATIC_VIOLATIONS = {
                                      "power must be even and at least 2")
        for exp, extra in (("eigen-census", {}), ("diagonal-census", {"state": [0.6, 0.8]}))
        for power in (3, 1, 0, -1, -2)},
+    # <sigma3>^p / n^(p-1) leaves the float range once |ln n| (p - 1) > 708
+    **{f"{exp}-even-power-{power}": (dict(extra, experiment=exp, family="even-power", power=power),
+                                     "(and at most 64)")
+       for exp, extra in (("eigen-census", {}), ("diagonal-census", {"state": [0.6, 0.8]}))
+       for power in (66, 1000, 10 ** 20)},
 }
 
 
@@ -592,6 +597,21 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
         assert reports[name]["error"].startswith(
             "rho0's trace, epshat average and purity must be finite, got ")
         assert reports[name]["error"].endswith(", inf")
+
+
+def test_censuses_near_the_float_range_pass_and_print_nothing(tmp_path, capfd):
+    # a seed whose state overflows in the Newton loop is dropped without a
+    # RuntimeWarning; 64 is the largest power of the even-power family
+    scenarios = [{"experiment": "eigen-census", "name": f"{key}-{i}", "family": "canonical",
+                  key: level} for i, level in enumerate((1e154, -1e154)) for key in ("e1", "e2")]
+    scenarios += [{"experiment": "eigen-census", "name": "power-64", "family": "even-power",
+                   "power": 64},
+                  {"experiment": "diagonal-census", "name": "power-64-small", "power": 64,
+                   "family": "even-power", "state": [0.003, 0.004]}]
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    assert capfd.readouterr().err == ""
+    metrics = json.loads((tmp_path / "out" / "e1-0.report.json").read_text())["metrics"]
+    assert (metrics["count"], metrics["seeds"], metrics["newton_stalled"]) == (2, 522, 520)
 
 
 def test_a_zero_horizon_writes_one_sample(tmp_path, capfd):

@@ -6,8 +6,6 @@ Telegraph expectations come from the closed forms: the rotated singlet
 variant oscillates at 4 eps cos(2 tilt) with amplitude sin(2 tilt).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,7 +124,7 @@ def _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z):
 def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
-    batched = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
+    h_sub = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
     u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
     # build the state from its slices so that the last one sits below the floor
     phis = _rand(rng, d_rest * d_sub).reshape(d_rest, d_sub)
@@ -136,20 +134,18 @@ def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     starved = np.zeros((d_rest, d_sub), dtype=complex)
     starved[-1] = phis[-1]
     skipped = (starved.T @ u.T if sub_slot == 0 else u @ starved).reshape(-1)
-    # the slices go to h_sub as one batch, or one by one when it takes no batch
-    for h_sub in (batched, replace(batched, batched=False)):
-        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
-        got = np.asarray(obs.analytic_operator(z))
-        npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
-                            rtol=0, atol=1e-14)
-        npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
-                            _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z),
-                            rtol=0, atol=1e-14)
-        # the starved slice really was skipped: its block would not vanish
-        assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
-        assert np.max(np.abs(obs.analytic_gradient(skipped))) == 0.0
-    assert np.max(np.abs(batched.analytic_operator(phis[-1]))) > 0.1
-    assert np.max(np.abs(batched.analytic_gradient(phis[-1]))) > 1e-9
+    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    got = np.asarray(obs.analytic_operator(z))
+    npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
+                        rtol=0, atol=1e-14)
+    npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
+                        _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z),
+                        rtol=0, atol=1e-14)
+    # the starved slice really was skipped: its block would not vanish
+    assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
+    assert np.max(np.abs(obs.analytic_gradient(skipped))) == 0.0
+    assert np.max(np.abs(h_sub.analytic_operator(phis[-1]))) > 0.1
+    assert np.max(np.abs(h_sub.analytic_gradient(phis[-1]))) > 1e-9
 
 
 def _bits(x):
@@ -167,9 +163,9 @@ def _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z):
     gm = np.zeros(sl.shape, dtype=complex)
     blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
     if live.any():
-        vals[live] = h_sub.value_batch(sl[live])
-        gm[live] = h_sub.gradient_batch(sl[live])
-        blocks[live] = h_sub.operator_batch(sl[live])
+        vals[live] = h_sub.value(sl[live])
+        gm[live] = wirtinger_gradient(h_sub, sl[live])
+        blocks[live] = h_sub.analytic_operator(sl[live])
     grad = np.swapaxes(gm, -1, -2) @ u.T if sub_slot == 0 else u @ gm
     layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
     full = np.einsum(layout, blocks, u, u.conj())
@@ -182,8 +178,8 @@ def _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z):
 def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_sub, d_rest):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
-    batched = (bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
-               + moment_power(m @ m.conj().T, 3, coeff=-0.4))
+    h_sub = (bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
+             + moment_power(m @ m.conj().T, 3, coeff=-0.4))
     u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     # states built from their slices; with d_rest > 1 the last slice of the
@@ -193,13 +189,12 @@ def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_s
         phis[:3, -1] *= 1e-8
     t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
     zs = t.reshape(8, -1)
-    for h_sub in (batched, replace(batched, batched=False)):
-        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
-        for z in (zs[0], zs[1:]):
-            ref = _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z)[1]
-            got = obs.analytic_gradient(z)
-            assert got.shape == z.shape
-            assert np.array_equal(_bits(got), _bits(ref))
+    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    for z in (zs[0], zs[1:]):
+        ref = _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z)[1]
+        got = obs.analytic_gradient(z)
+        assert got.shape == z.shape
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 def _slice_sum_cases(rng, d_sub):
@@ -257,14 +252,13 @@ def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
     u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
     h_sub = canonical(0.2, 0.9, 0.6)
     obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
-    assert obs.batched
     # states built from their slices; one slice of row 2 sits below the floor
     phis = _rand(rng, rows * d_rest * d_sub).reshape(rows, d_rest, d_sub)
     phis[2, -1] *= 1e-8
     t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
     zs = t.reshape(rows, -1)
-    vals, grads = obs.value_batch(zs), obs.gradient_batch(zs)
-    ops = obs.operator_batch(zs)
+    vals, grads = obs.value(zs), wirtinger_gradient(obs, zs)
+    ops = obs.analytic_operator(zs)
     assert vals.shape == (rows,) and grads.shape == zs.shape
     assert ops.shape == (rows, d_sub * d_rest, d_sub * d_rest)
     for k, z in enumerate(zs):
@@ -294,7 +288,7 @@ def test_gradient_flow_operator_takes_stacks(rng):
         for k, z in enumerate(zs):
             m = flowop(z)
             npt.assert_allclose(ms[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
-        npt.assert_allclose(np.einsum("kij,kj->ki", ms, zs), obs.gradient_batch(zs),
+        npt.assert_allclose(np.einsum("kij,kj->ki", ms, zs), wirtinger_gradient(obs, zs),
                             atol=1e-12)
         with pytest.raises(nlqm.SingularObservableError):
             flowop(np.concatenate([zs, np.zeros((1, 4))]))
@@ -440,10 +434,9 @@ def test_no_signaling_integrates_the_pair_as_one_stack(desc, monkeypatch):
 
 def test_purity_weighted_functional_takes_stacks(rng):
     obs = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted", eps=0.3)
-    assert obs.batched
     zs = _rand(rng, 12).reshape(3, 4)
-    npt.assert_allclose(obs.value_batch(zs), [obs.value(z) for z in zs], rtol=1e-14)
-    npt.assert_allclose(obs.gradient_batch(zs), [obs.analytic_gradient(z) for z in zs],
+    npt.assert_allclose(obs.value(zs), [obs.value(z) for z in zs], rtol=1e-14)
+    npt.assert_allclose(wirtinger_gradient(obs, zs), [obs.analytic_gradient(z) for z in zs],
                         rtol=0, atol=1e-14)
 
 

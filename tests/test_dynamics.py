@@ -52,6 +52,40 @@ def test_rk4_matches_the_diagonal_closed_form():
     assert dev < 1e-8
 
 
+def test_rk4_converges_at_fourth_order_to_every_exact_closed_form():
+    """The accuracy ledger: the error against each exact solution at dt, dt/2
+    and dt/4 falls by 2^4 per halving, for one state and for a stack alike."""
+    e_levels, eps_levels = [0.0, 1.0], [0.5, -0.5]
+    obs = (bilinear(np.diag(np.asarray(e_levels, dtype=complex)))
+           + moment_power(np.diag(np.asarray(eps_levels, dtype=complex)), 2))
+    single = np.array([0.8, 0.6j])
+    stack = np.array([single, [0.6, 0.8], [np.sqrt(0.5), -1j * np.sqrt(0.5)]])
+
+    def diagonal(z0, dt):
+        traj = integrate_nls(lambda z: nonlinear_operator(obs, z), z0, 10.0, dt,
+                             flow=obs.analytic_gradient)
+        exact = np.stack([canonical_solution(e_levels, eps_levels, z, traj.times).amplitudes()
+                          for z in np.atleast_2d(z0)], axis=1)
+        return np.max(np.abs(traj.amplitudes() - exact.reshape(traj.amplitudes().shape)))
+
+    def atom(dt):   # the linear ladder from |0, 1 photon>: w = -cos(q t)
+        p = AtomFieldParams(omega_levels=(0.0, 1.0), eps_levels=(-0.25, 0.25),
+                            omega=1.0, q=1.0, n_max=6)
+        series = nlqm.inversion_trajectory(build_atom_field("linear", p),
+                                           nlqm.product_state(p, 0, 1), 10.0, dt)
+        return np.max(np.abs(series.w + np.cos(series.times)))
+
+    cases = {"diagonal": (lambda dt: diagonal(single, dt), 0.08),
+             "diagonal stack": (lambda dt: diagonal(stack, dt), 0.08),
+             "atom linear": (atom, 0.08),
+             "intention paradox": (lambda dt: nlqm.intention_paradox(
+                 0.0, 1.0, 1.0, np.pi / 2, dt).analytic_gap, 0.02)}
+    for name, (error, dt) in cases.items():
+        errors = np.array([error(dt / 2 ** k) for k in range(3)])
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all((3.8 <= orders) & (orders <= 4.2)), (name, errors, orders)
+
+
 def test_norm_and_energy_are_recorded_and_conserved():
     z0 = np.array([0.8, 0.6j])
     traj = integrate_nls(_diagonal_builder([0.0, 1.0], [0.5, -0.5]), z0,

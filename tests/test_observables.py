@@ -243,11 +243,9 @@ def _norm_with_imaginary_part(z, zc):
 def test_value_batch_agrees_with_scalar_loop(rng):
     zs = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
     obs = canonical(0.2, 1.3, 0.8)
-    vals = obs.value_batch(zs)
+    vals = obs.value(zs)
     for k in range(zs.shape[0]):
         assert vals[k] == pytest.approx(obs.value(zs[k]), rel=1e-13)
-    looped = HomogeneousObservable(evaluator=obs.evaluator, label="per-row")
-    npt.assert_array_equal(looped.value_batch(zs), [looped.value(z) for z in zs])
 
     # the first bad row raises exactly what value raises for it
     zero_first = np.array([[0.0, 0.6j], [0.0, 0.0]])
@@ -255,16 +253,14 @@ def test_value_batch_agrees_with_scalar_loop(rng):
     for evaluator, bad in [(_norm_over_first_weight, zero_first),
                            (_norm_with_imaginary_part, zs[:2])]:
         rows = np.concatenate([equal_moduli[None, :] * (1.0 + np.arange(3))[:, None], bad])
-        for batched in (True, False):
-            odd = HomogeneousObservable(evaluator=evaluator, label="odd", batched=batched)
-            with pytest.raises((SingularObservableError, ValidationError)) as scalar:
-                odd.value(bad[0])
-            with pytest.raises(scalar.type) as batch:
-                odd.value_batch(rows)
-            assert type(batch.value) is scalar.type
-            assert str(batch.value) == str(scalar.value)
-            npt.assert_allclose(odd.value_batch(rows[:3]),
-                                [odd.value(z) for z in rows[:3]], rtol=1e-15)
+        odd = HomogeneousObservable(evaluator=evaluator, label="odd")
+        with pytest.raises((SingularObservableError, ValidationError)) as scalar:
+            odd.value(bad[0])
+        with pytest.raises(scalar.type) as batch:
+            odd.value(rows)
+        assert type(batch.value) is scalar.type
+        assert str(batch.value) == str(scalar.value)
+        npt.assert_allclose(odd.value(rows[:3]), [odd.value(z) for z in rows[:3]], rtol=1e-15)
 
 
 def _batch_case(name, rng):
@@ -276,7 +272,6 @@ def _batch_case(name, rng):
         return bilinear(herm), 3
     if name.startswith("moment"):
         return moment_power(herm, int(name[len("moment"):]), coeff=0.7), 3
-    # the slice sum of a batched family is batched too
     return nlqm.weinberg_composite(canonical(0.1, 0.9, 0.4), 2, 2, np.eye(2)), 4
 
 
@@ -284,19 +279,16 @@ def _batch_case(name, rng):
                                   "slice-sum"])
 def test_gradient_and_operator_batches_match_per_row_calls(name, rng):
     obs, d = _batch_case(name, rng)
-    assert obs.batched
     zs = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    # the slice sum also through the per-row path
-    for o in [obs] + ([replace(obs, batched=False)] if name == "slice-sum" else []):
-        grads = o.gradient_batch(zs)
-        ops = o.operator_batch(zs)
-        assert grads.shape == (6, d) and ops.shape == (6, d, d)
-        # one batched product against per-row ones: equal up to summation order
-        for k, z in enumerate(zs):
-            g, m = wirtinger_gradient(o, z), o.analytic_operator(z)
-            npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
-            npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
+    grads = wirtinger_gradient(obs, zs)
+    ops = obs.analytic_operator(zs)
+    assert grads.shape == (6, d) and ops.shape == (6, d, d)
+    # one stacked product against per-row ones: equal up to summation order
+    for k, z in enumerate(zs):
+        g, m = wirtinger_gradient(obs, z), obs.analytic_operator(z)
+        npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
+        npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
 
 
 def _bits(a):
@@ -343,8 +335,7 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
     zs = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     obs = canonical(0.2, 1.3, 0.8)
-    cases = [obs,                                   # one operator_batch call
-             replace(obs, batched=False),           # per-row analytic operators
+    cases = [obs,                                   # one analytic_operator call
              replace(obs, analytic_operator=None),  # Hessian from the gradient
              HomogeneousObservable(evaluator=obs.evaluator)]  # from values
     for o in cases:
@@ -357,7 +348,7 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
 
     # the first bad row raises what a single-state call raises for it
     skew = HomogeneousObservable(evaluator=lambda z, zc: 0.0, label="skew",
-                                 analytic_operator=_skewed, batched=True)
+                                 analytic_operator=_skewed)
     fine, gated, worse = [1.0, 0.0], [4.0, 0.0], [5.0, 0.0]
     nonfinite = [2.2, 0.0]
     nonlinear_operator(skew, np.array([fine, [3.0, 0.0]]))
@@ -369,6 +360,43 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
         with pytest.raises(ValidationError) as stacked:
             nonlinear_operator(skew, np.array(rows, dtype=complex))
         assert str(stacked.value) == str(single.value)
+
+
+def test_one_state_reaches_each_callable_as_a_vector_and_a_stack_must_map_rows():
+    # <sigma3> with each callable written for one state only
+    shapes = []
+
+    def seen(f):
+        def call(z, *rest):
+            shapes.append(np.shape(z))
+            return f(z, *rest)
+        return call
+
+    obs = HomogeneousObservable(
+        evaluator=seen(lambda z, zc: abs(z[0]) ** 2 - abs(z[1]) ** 2), label="one-state",
+        analytic_gradient=seen(lambda z: np.array([z[0], -z[1]])),
+        analytic_operator=seen(lambda z: np.diag([1.0, -1.0])))
+    assert obs.value(PROBE) == pytest.approx(0.28, abs=1e-15)
+    npt.assert_array_equal(wirtinger_gradient(obs, PROBE), [0.8, -0.6j])
+    npt.assert_array_equal(nonlinear_operator(obs, PROBE).entries, np.diag([1.0, -1.0]))
+    assert shapes == [(2,)] * 3
+    stack = np.array([PROBE] * 3)
+    for call, what in ((obs.value, "values of shape (2,), not (3,)"),
+                       (lambda zs: wirtinger_gradient(obs, zs),
+                        "gradients of shape (2, 2), not (3, 2)"),
+                       (lambda zs: nonlinear_operator(obs, zs),
+                        "operators of shape (2, 2), not (3, 2, 2)")):
+        with pytest.raises(ValidationError) as refused:
+            call(stack)
+        assert str(refused.value) == f"one-state mapped states of shape (3, 2) to {what}"
+
+
+def test_an_empty_stack_is_not_evaluated():
+    def nowhere(*_args):
+        raise AssertionError("evaluated an empty stack")
+
+    out = HomogeneousObservable(evaluator=nowhere).value(np.zeros((0, 2), dtype=complex))
+    assert out.shape == (0,) and out.dtype == float
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +429,14 @@ def test_star_product_complex_and_antisymmetric_pair():
 
 
 def _star_functional(a, b, label):
-    def ev(z, zc):
+    def one(z):
         v = star_product(a, b, z)
         if abs(v.imag) > 1e-9 * max(1.0, abs(v.real)):
             raise ValidationError(f"{label} is not real at this state")
         return v.real
+
+    def ev(z, zc):   # star_product takes one state: map the rows of a stack
+        return one(z) if z.ndim == 1 else np.array([one(row) for row in z])
     return HomogeneousObservable(evaluator=ev, label=label)
 
 
@@ -453,3 +484,25 @@ def test_standard_catalog_entries_are_consistent(rng):
             m = nonlinear_operator(obs, z).entries
             npt.assert_allclose(m, m.conj().T, atol=1e-9)
             assert abs(np.vdot(z, m @ z).real - a) < 1e-6 * (1.0 + abs(a)), obs.label
+
+
+def test_standard_catalog_entries_take_stacks(rng):
+    """On a stack, value, gradient and operator are the per-row calls'."""
+    for obs, domain in standard_catalog():
+        dim = 4 if ("pair" in obs.label or "slice-sum" in obs.label) else 2
+        zs = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
+        if domain == "away-from-sigma3-kernel":   # |<sigma3>| / n >= cos(1.2)
+            theta, phi = rng.uniform(0.0, 0.6, size=5), rng.uniform(0.0, 6.0, size=5)
+            zs = np.stack([np.cos(theta), np.exp(1j * phi) * np.sin(theta)], axis=1)
+        vals, grads = obs.value(zs), wirtinger_gradient(obs, zs)
+        ops = nonlinear_operator(obs, zs)
+        assert vals.shape == (5,) and grads.shape == (5, dim) and ops.shape == (5, dim, dim)
+        for k, z in enumerate(zs):
+            v, g = obs.value(z), wirtinger_gradient(obs, z)
+            m = nonlinear_operator(obs, z).entries
+            npt.assert_allclose(vals[k], v, rtol=0, atol=1e-14 * (1.0 + abs(v)),
+                                err_msg=obs.label)
+            npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))),
+                                err_msg=obs.label)
+            npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))),
+                                err_msg=obs.label)

@@ -158,12 +158,12 @@ _NEWTON_FAMILIES = [
                          + [pytest.param(obs, (32, 16), id=name + "-32x16")
                             for name, obs in _NEWTON_FAMILIES])
 def test_per_seed_newton_matches_the_full_batch_loop(obs, grid, monkeypatch):
-    seeds, lam0 = spectra._batch_else_rows(lambda s: (s, obs.value_batch(s)),
+    seeds, lam0 = spectra._batch_else_rows(lambda s: (s, obs.value(s)),
                                            spectra._seed_states(2, grid))
+    grad = lambda z: nlqm.wirtinger_gradient(obs, z)
     counts = {"newton_iterations": 0, "newton_rows": 0}
-    z, lam, ok, stalled = spectra._gauss_newton(seeds, lam0, obs.gradient_batch, 2, counts)
-    z_ref, lam_ref, ok_ref, updates = _full_batch_gauss_newton(seeds, lam0,
-                                                               obs.gradient_batch, 2)
+    z, lam, ok, stalled = spectra._gauss_newton(seeds, lam0, grad, 2, counts)
+    z_ref, lam_ref, ok_ref, updates = _full_batch_gauss_newton(seeds, lam0, grad, 2)
     npt.assert_array_equal(ok, ok_ref)
     assert ok.sum() >= 2
     # On the default grid the reference's extra iterations move some interior
@@ -176,7 +176,7 @@ def test_per_seed_newton_matches_the_full_batch_loop(obs, grid, monkeypatch):
     # the stall rule changes no converged row: the same loop without it
     monkeypatch.setattr(spectra, "STALL_STEP", -np.inf)
     z_all, lam_all, ok_all, none = spectra._gauss_newton(
-        seeds, lam0, obs.gradient_batch, 2, {"newton_iterations": 0, "newton_rows": 0})
+        seeds, lam0, grad, 2, {"newton_iterations": 0, "newton_rows": 0})
     assert not none.any()
     npt.assert_array_equal(ok_all, ok)
     npt.assert_array_equal(z_all[ok], z[ok])
@@ -301,8 +301,7 @@ def test_seed_by_seed_fallback_gives_the_batch_census():
         return one_seed_at_a_time(z)
 
     for gradient, dropped in ((one_seed_at_a_time, 0), (also_refusing_one_seed, 1)):
-        fussy = HomogeneousObservable(evaluator=obs.evaluator,
-                                      analytic_gradient=gradient, batched=True)
+        fussy = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=gradient)
         diag = {}
         recs = find_eigenstates(fussy, 2, grid=(8, 4), diagnostics=diag)
         # a seed dropped inside the Newton loop still counts as seeded, not converged
@@ -324,8 +323,7 @@ def test_census_of_an_observable_raising_at_every_seed_is_empty():
 
     obs = canonical(0.0, 1.0, 1.0)
     no_value = HomogeneousObservable(evaluator=nowhere)
-    no_gradient = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=nowhere,
-                                        batched=True)
+    no_gradient = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=nowhere)
     for fussy, seeds in ((no_value, 0), (no_gradient, 14)):
         diag = {}
         assert find_eigenstates(fussy, 2, grid=(2, 2), diagnostics=diag) == []
