@@ -24,6 +24,7 @@ from .core import (
     tensor_state,
 )
 from .observables import (
+    ContractError,
     HomogeneousObservable,
     SingularObservableError,
     barstar_moment,

@@ -40,6 +40,7 @@ from .core import (
 from .observables import (
     HomogeneousObservable,
     SingularObservableError,
+    _shaped,
     bilinear,
     canonical,
     moment_power,
@@ -113,6 +114,19 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     dim_total = d_sub * d_rest
     uc, uc_t, u_t = u.conj(), u.conj().T, u.T
     rotate = not np.array_equal(u, np.eye(d_rest))
+    # On a stack of exactly d_sub slices a one-state h_sub can return the right
+    # shapes, so its callables are checked once on d_sub + 1 generic rows
+    # (not where h_sub is singular).
+    probe = np.arange(1.0, d_sub + 2)[:, None] + 1j * np.arange(1.0, d_sub + 1)
+    calls = (lambda z: h_sub.evaluator(z, z.conj()), h_sub.analytic_gradient,
+             h_sub.analytic_operator)
+    for k, (f, what) in enumerate(zip(calls, ("values", "gradients", "operators"))):
+        try:
+            with np.errstate(all="ignore"):
+                if f is not None:
+                    _shaped(h_sub, f(probe), probe, (d_sub + 1,) + (d_sub,) * k, what)
+        except SingularObservableError:
+            pass
 
     def live_slices(z: np.ndarray):
         """The slices Phi_r of each complex state, shape ``(..., d_rest,
@@ -139,7 +153,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             sl, live = live_slices(z)
             gm = np.zeros(sl.shape, dtype=complex)
             if live.any():
-                gm[live] = h_sub.analytic_gradient(sl[live])
+                gm[live] = wirtinger_gradient(h_sub, sl[live])
             g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
             if rotate:
                 g = g @ u_t if sub_slot == 0 else u @ g
@@ -156,7 +170,9 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             sl, live = live_slices(z)
             blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
             if np.any(live):
-                blocks[live] = h_sub.analytic_operator(sl[live])
+                s = sl[live]
+                blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s, s.shape + (d_sub,),
+                                       "operators")
             full = np.einsum(layout, blocks, u, uc)
             return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 

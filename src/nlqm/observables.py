@@ -20,7 +20,9 @@ Each callable of an observable maps one state ``(d,)`` or a ``(B, d)`` stack,
 row by row, to the value, gradient or operator of each: shapes ``()``,
 ``(d,)`` and ``(d, d)``, with a leading ``B`` for a stack.  A state reaches it
 as a 1-D array, never as a one-row stack; a result of another shape raises a
-``ValidationError`` that names both shapes.
+:class:`ContractError` (a ``ValidationError``) that names both shapes.  The
+check sees shapes only: a callable written for one state that indexes its
+entries (``z[0]``) gets the right shape on a stack of exactly ``d`` rows.
 
 Derivatives fall back to central finite differences in the underlying real
 coordinates, ``d/dpsibar = (d/dx + i d/dy)/2`` and ``d/dpsi = (d/dx - i
@@ -46,6 +48,7 @@ HERMITICITY_GATE = 1e-8
 SINGULAR_GUARD = 1e-6
 
 __all__ = [
+    "ContractError",
     "HomogeneousObservable",
     "SingularObservableError",
     "wirtinger_gradient",
@@ -67,12 +70,16 @@ class SingularObservableError(ArithmeticError):
     """The evaluator is singular (or guarded) at the requested state."""
 
 
+class ContractError(ValidationError):
+    """A callable of an observable mapped a state or stack to a wrong shape."""
+
+
 def _shaped(obs, out, z: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """``out`` as a complex array, refused unless it has ``shape``."""
     out = np.asarray(out, dtype=complex)
     if out.shape != shape:
-        raise ValidationError(f"{obs.label or 'observable'} mapped states of shape {z.shape} "
-                              f"to {what} of shape {out.shape}, not {shape}")
+        raise ContractError(f"{obs.label or 'observable'} mapped states of shape {z.shape} "
+                            f"to {what} of shape {out.shape}, not {shape}")
     return out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .core import StateVector, ValidationError, _amplitudes
 from .dynamics import _fit_times
 from .observables import (
+    ContractError,
     HomogeneousObservable,
     SingularObservableError,
     star_product,
@@ -207,16 +208,21 @@ def _batch_else_rows(fn, *arrays) -> tuple:
     ``fn`` runs on the whole batch; if that raises
     :class:`SingularObservableError` or :class:`ValidationError`, it runs on
     each one-row slice instead, the rows that raise are dropped and the
-    results are concatenated in row order.
+    results are concatenated in row order.  A :class:`ContractError` (a
+    callable that breaks the stack contract) is not a row's domain: it raises.
     """
     try:
         return fn(*arrays)
+    except ContractError:
+        raise
     except (SingularObservableError, ValidationError):
         pass
     rows = []
     for i in range(len(arrays[0])):
         try:
             rows.append(fn(*(a[i:i + 1] for a in arrays)))
+        except ContractError:
+            raise
         except (SingularObservableError, ValidationError):
             pass
     if not rows:  # every row raised: the result of no rows
@@ -296,8 +302,9 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
     whole batch; where a batch raises :class:`SingularObservableError` or
     :class:`ValidationError`, that stage runs again one row at a time and
     drops the rows that raise (a seed dropped in the Newton stage counts as
-    seeded and not converged).  The states are compared for distinctness as
-    arrays; only the distinct solutions become records.
+    seeded and not converged); a :class:`~nlqm.observables.ContractError`
+    raises.  The states are compared for distinctness as arrays; only the
+    distinct solutions become records.
 
     Pass a ``diagnostics`` dict to receive the counters ``seeds``,
     ``converged``, ``dropped_nonconverged``, ``dropped_residual``,

@@ -6,6 +6,8 @@ Telegraph expectations come from the closed forms: the rotated singlet
 variant oscillates at 4 eps cos(2 tilt) with amplitude sin(2 tilt).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,9 +15,11 @@ import pytest
 import nlqm
 from nlqm.composite import SLICE_FLOOR
 from nlqm import (
+    ContractError,
     DensityMatrix,
     HomogeneousObservable,
     IntegrationError,
+    SingularObservableError,
     StateVector,
     ValidationError,
     bilinear,
@@ -292,6 +296,47 @@ def test_gradient_flow_operator_takes_stacks(rng):
                             atol=1e-12)
         with pytest.raises(nlqm.SingularObservableError):
             flowop(np.concatenate([zs, np.zeros((1, 4))]))
+
+
+def _one_state_sigma3(guard=lambda z: None):
+    """<sigma3> with each callable written for one state, behind ``guard``."""
+    def guarded(f):
+        def call(z, *rest):
+            guard(z)
+            return f(z, *rest)
+        return call
+
+    return {"evaluator": guarded(lambda z, zc: abs(z[0]) ** 2 - abs(z[1]) ** 2),
+            "analytic_gradient": guarded(lambda z: np.array([z[0], -z[1]])),
+            "analytic_operator": guarded(lambda z: np.diag([1.0, -1.0]))}
+
+
+def test_weinberg_composite_checks_its_subsystem_on_one_more_row_than_it_has_entries():
+    # on exactly d_sub = 2 slices z[0] is a row and every shape comes out right
+    # (values of the wrong slices), so the lift checks h_sub on 3 rows
+    s3 = bilinear(nlqm.sigma3)
+    for name, f in _one_state_sigma3().items():
+        h_sub = replace(s3, label="one-state", **{name: f})
+        with pytest.raises(ContractError, match=r"one-state mapped states of shape \(3, 2\)"):
+            weinberg_composite(h_sub, 2, 2, np.eye(2))
+
+
+def test_weinberg_composite_checks_the_slice_results_of_a_subsystem_singular_at_the_probe(rng):
+    def inside_the_unit_disk(z):
+        if np.any(np.abs(z) >= 1.0):
+            raise SingularObservableError("defined inside the unit disk only")
+
+    pair = weinberg_composite(HomogeneousObservable(label="one-state",
+                                                    **_one_state_sigma3(inside_the_unit_disk)),
+                              2, 3, np.eye(3))
+    z = 0.1 * _rand(rng, 6)
+    for call, what in ((lambda: pair.value(z), r"values of shape \(2,\), not \(3,\)"),
+                       (lambda: pair.analytic_gradient(z),
+                        r"gradients of shape \(2, 2\), not \(3, 2\)"),
+                       (lambda: pair.analytic_operator(z),
+                        r"operators of shape \(2, 2\), not \(3, 2, 2\)")):
+        with pytest.raises(ContractError, match=rf"mapped states of shape \(3, 2\) to {what}"):
+            call()
 
 
 def test_weinberg_composite_rejects_non_unitary_basis():

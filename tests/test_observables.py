@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import nlqm
 from nlqm import (
+    ContractError,
     HomogeneousObservable,
     SingularObservableError,
     ValidationError,
@@ -386,7 +387,7 @@ def test_one_state_reaches_each_callable_as_a_vector_and_a_stack_must_map_rows()
                         "gradients of shape (2, 2), not (3, 2)"),
                        (lambda zs: nonlinear_operator(obs, zs),
                         "operators of shape (2, 2), not (3, 2, 2)")):
-        with pytest.raises(ValidationError) as refused:
+        with pytest.raises(ContractError) as refused:
             call(stack)
         assert str(refused.value) == f"one-state mapped states of shape (3, 2) to {what}"
 

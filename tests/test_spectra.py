@@ -12,6 +12,7 @@ import pytest
 import nlqm
 from nlqm import spectra
 from nlqm import (
+    ContractError,
     HomogeneousObservable,
     SingularObservableError,
     StateVector,
@@ -328,6 +329,21 @@ def test_census_of_an_observable_raising_at_every_seed_is_empty():
         diag = {}
         assert find_eigenstates(fussy, 2, grid=(2, 2), diagnostics=diag) == []
         assert (diag["seeds"], diag["converged"], diag["dropped_nonconverged"]) == (seeds, 0, seeds)
+
+
+def test_census_of_a_one_state_observable_raises_the_shape_error():
+    # np.vdot flattens the 18 seeds to one number, and a one-state gradient
+    # indexes rows: neither is a seed outside the domain, so neither is dropped
+    s3 = bilinear(nlqm.sigma3)
+    one_value = HomogeneousObservable(evaluator=lambda z, zc: float(np.vdot(z, z).real),
+                                      label="one-state")
+    one_gradient = HomogeneousObservable(evaluator=s3.evaluator, label="one-state",
+                                         analytic_gradient=lambda z: np.array([z[0], -z[1]]))
+    for obs, what in ((one_value, r"values of shape \(\), not \(18,\)"),
+                      (one_gradient, r"gradients of shape \(2, 2\), not \(18, 2\)")):
+        with pytest.raises(ContractError, match=rf"one-state mapped states of shape "
+                                                rf"\(18, 2\) to {what}"):
+            find_eigenstates(obs, 2, grid=(4, 2))
 
 
 def test_eigenstates_satisfy_the_defining_equation():
