@@ -13,7 +13,9 @@ Every scenario writes ``<name>.csv`` (first column is always ``t``: the time
 grid, or the sweep/record coordinate for time-free experiments) and
 ``<name>.report.json``.  Output is byte-reproducible: fixed float formatting,
 LF line endings, sorted JSON keys, and no randomness anywhere in the library.
-The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
+Mixture scenarios that share a time grid run as one RK4 stack (``_GROUPED``)
+and write the bytes they write alone.  The output directory is ``--out``,
+else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
 or the output directory was unusable.  One schema pass checks every scenario
@@ -309,14 +311,16 @@ def _run_no_signaling(p):
     return {"t": rep.times, "deviation": rep.deviations}, metrics, ok
 
 
-def _run_reduced_flow(p):
+def _mixture(p):
+    """A reduced-flow scenario's epshat and rho0."""
     eps = np.diag(np.asarray(p["eps_levels"], dtype=complex))
     rho0 = np.diag(np.asarray(p["rho_diag"], dtype=complex))
     rho0[0, 1] += p["delta"]
     rho0[1, 0] += p["delta"]
-    plain = composite.polchinski_reduced_flow("plain", eps, rho0, p["t_end"], p["dt"])
-    purity = composite.polchinski_reduced_flow("purity-weighted", eps, rho0,
-                                               p["t_end"], p["dt"])
+    return eps, rho0
+
+
+def _reduced_flow_result(rho0, plain, purity):
     rate_a = plain.offdiagonal_phase_rate()
     rate_b = purity.offdiagonal_phase_rate()
     if abs(rate_a) < 1e-12:
@@ -332,6 +336,28 @@ def _run_reduced_flow(p):
     a, b = plain.rhos[:, 0, 1], purity.rhos[:, 0, 1]
     return ({"t": plain.times, "re_plain": a.real, "im_plain": a.imag, "re_purity": b.real,
              "im_purity": b.imag}, metrics, abs(ratio - predicted) < 1e-4)
+
+
+_VARIANTS = ("plain", "purity-weighted")
+
+
+def _run_reduced_flow(p):
+    """A scenario alone, as the fallback of its group: each flow is one call, so
+    a broken invariant is reported as that flow reports it, without a row."""
+    eps, rho0 = _mixture(p)
+    plain, purity = (composite.polchinski_reduced_flow(v, eps, rho0, p["t_end"], p["dt"])
+                     for v in _VARIANTS)
+    return _reduced_flow_result(rho0, plain, purity)
+
+
+def _run_reduced_flows(ps):
+    """Both flows of every scenario of ``ps`` (one grid, one level count) as one stack."""
+    eps, rho0 = (np.repeat(np.stack(m), 2, axis=0) for m in zip(*map(_mixture, ps)))
+    traj = composite.polchinski_reduced_flow(_VARIANTS * len(ps), eps, rho0, ps[0]["t_end"],
+                                             ps[0]["dt"])
+    flow = lambda k: composite.ReducedFlowTrajectory(traj.times, traj.rhos[:, k])
+    return [_reduced_flow_result(rho0[2 * b], flow(2 * b), flow(2 * b + 1))
+            for b in range(len(ps))]
 
 
 def _check_atom(p):
@@ -400,16 +426,24 @@ def _run_bloch(p):
     return columns, metrics, passed
 
 
+def _run_intentions(ps):
+    """The scenarios of ``ps`` (one grid) as one stack."""
+    rep = composite.intention_paradox(*([p[k] for p in ps] for k in ("lambda1", "lambda2", "f")),
+                                      ps[0]["t"], ps[0]["dt"])
+    results = []
+    for b in range(len(ps)):
+        metrics = {"x_value": rep.x_value[b], "analytic_gap": rep.analytic_gap[b],
+                   "duality_gap": rep.duality_gap[b], "sigma3_final": rep.sigma3_final[b],
+                   "sigma3_predicted": rep.sigma3_predicted[b]}
+        passed = metrics["analytic_gap"] < 1e-8 and metrics["duality_gap"] < 1e-8
+        results.append(({"t": rep.times, "sigma3": rep.sigma3_series[:, b],
+                         "sigma3_predicted": rep.sigma3_predicted_series[:, b]},
+                        metrics, passed))
+    return results
+
+
 def _run_intention(p):
-    rep = composite.intention_paradox(p["lambda1"], p["lambda2"], p["f"], p["t"], p["dt"])
-    metrics = {"x_value": rep.x_value,
-               "analytic_gap": rep.analytic_gap,
-               "duality_gap": rep.duality_gap,
-               "sigma3_final": rep.sigma3_final,
-               "sigma3_predicted": rep.sigma3_predicted}
-    passed = rep.analytic_gap < 1e-8 and rep.duality_gap < 1e-8
-    return {"t": rep.times, "sigma3": rep.sigma3_series,
-            "sigma3_predicted": rep.sigma3_predicted_series}, metrics, passed
+    return _run_intentions([p])[0]
 
 
 # name: (description, fields, runner, static rule run by the schema pass or None)
@@ -530,6 +564,16 @@ EXPERIMENTS = {
 }
 
 
+# name: (grid key, group runner).  The scenarios of one experiment whose keys
+# are exactly equal form a group, which the group runner integrates as one RK4
+# stack: it maps their params to their results, in order (see _group_outcomes).
+_GROUPED = {
+    "reduced-flow-variants": (lambda p: (p["t_end"], p["dt"], len(p["eps_levels"])),
+                              _run_reduced_flows),
+    "intention-paradox": (lambda p: (p["t"], p["dt"]), _run_intentions),
+}
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing
 
@@ -564,6 +608,41 @@ def _write_report(path: str, report: dict) -> None:
 # scenario too, and also prints its traceback to stderr.
 _EXPECTED_ERRORS = (ValidationError, IntegrationError, SingularObservableError,
                     np.linalg.LinAlgError)
+
+
+def _attempt(run, arg):
+    """``run(arg)``, or the exception it raised: one failed scenario never stops
+    the run.  An exception outside ``_EXPECTED_ERRORS`` also prints its traceback."""
+    try:
+        return run(arg)
+    except Exception as e:
+        if not isinstance(e, _EXPECTED_ERRORS):
+            import traceback  # only on this path: it adds to every start-up
+
+            traceback.print_exc(file=sys.stderr)
+        return e
+
+
+def _with_rows(result):
+    """A runner's result as ``(header, rows, metrics, passed)``; the rows are a
+    copy, so a waiting member holds no view of its group's stack."""
+    columns, metrics, passed = result
+    return list(columns), np.column_stack(list(columns.values())), metrics, passed
+
+
+def _group_outcomes(exp: str, ps: list) -> list:
+    """``(header, rows, metrics, passed)``, or the exception raised, of each
+    scenario of one group.
+
+    A group of a ``_GROUPED`` experiment runs as one call of its group runner.
+    If that raises an expected error, every member runs alone, so a failing
+    member's outcome is its solo run's; any other error is every member's.
+    """
+    if exp in _GROUPED:
+        out = _attempt(lambda q: [_with_rows(r) for r in _GROUPED[exp][1](q)], ps)
+        if not isinstance(out, _EXPECTED_ERRORS):
+            return out if isinstance(out, list) else [out] * len(ps)
+    return [_attempt(lambda p: _with_rows(EXPERIMENTS[exp][2](p)), p) for p in ps]
 
 
 def _schema_pass(cfg) -> list:
@@ -613,27 +692,29 @@ def _cmd_run(args) -> int:
     except OSError as e:  # a file in the way, or a path through one
         print(f"output error: {e}", file=sys.stderr)
         return 2
-    all_ok = True
-    for name, exp, params in prepared:
-        runner = EXPERIMENTS[exp][2]
+    groups = {}
+    for i, (_, exp, params) in enumerate(prepared):
+        key = (exp, _GROUPED[exp][0](params)) if exp in _GROUPED else i
+        groups.setdefault(key, []).append(i)
+    first = {members[0]: members for members in groups.values()}
+    pending, all_ok = {}, True
+    for i, (name, exp, params) in enumerate(prepared):
+        if i in first:  # the group runs at its first member; the others wait their turn
+            members = first[i]
+            pending.update(zip(members, _group_outcomes(exp, [prepared[k][2] for k in members])))
+        outcome = pending.pop(i)
         report = {"experiment": exp, "name": name, "params": params}
-        try:
-            columns, metrics, passed = runner(params)
-            rows = np.column_stack(list(columns.values()))
-        except Exception as e:  # one failed scenario never stops the run
-            if not isinstance(e, _EXPECTED_ERRORS):
-                import traceback  # only on this path: it adds to every start-up
-
-                traceback.print_exc(file=sys.stderr)
+        if isinstance(outcome, Exception):
             report["passed"] = False
-            report["error_type"] = type(e).__name__
-            report["error"] = str(e)
+            report["error_type"] = type(outcome).__name__
+            report["error"] = str(outcome)
             _write_report(os.path.join(out, f"{name}.report.json"), report)
-            print(f"{name}: FAIL ({exp}) — {e}")
+            print(f"{name}: FAIL ({exp}) — {outcome}")
             all_ok = False
             continue
+        header, rows, metrics, passed = outcome
         csv_name = f"{name}.csv"
-        _write_csv(os.path.join(out, csv_name), list(columns), rows)
+        _write_csv(os.path.join(out, csv_name), header, rows)
         report["csv"] = csv_name
         report["metrics"] = metrics
         report["passed"] = bool(passed)

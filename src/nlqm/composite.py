@@ -47,7 +47,7 @@ from .observables import (
     nonlinear_operator,
     wirtinger_gradient,
 )
-from .dynamics import IntegrationError, _fit_times, _rk4, _step_grid, integrate_nls
+from .dynamics import IntegrationError, _at, _fit_times, _rk4, _step_grid, integrate_nls
 
 __all__ = [
     "TelegraphReport",
@@ -281,17 +281,27 @@ class ReducedFlowTrajectory:
     """Reduced-density-matrix flow with its per-step conserved quantities."""
 
     times: np.ndarray
-    rhos: np.ndarray  # (nsteps+1, d, d)
+    rhos: np.ndarray  # (nsteps+1, d, d), or (nsteps+1, B, d, d) for a stack
 
     def offdiagonal_phase_rate(self, i: int = 0, j: int = 1) -> float:
-        """Linear-fit phase velocity of the (i, j) matrix element."""
+        """Linear-fit phase velocity of the (i, j) matrix element of one flow."""
+        if self.rhos.ndim != 3:
+            raise ValidationError("fit one flow of a stack: "
+                                  "ReducedFlowTrajectory(times, rhos[:, k])")
         t = _fit_times(self.times, "a phase-rate fit")
         phase = np.unwrap(np.angle(self.rhos[:, i, j]))
         slope, _ = np.polyfit(t, phase, 1)
         return float(slope)
 
 
-def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
+def _trace_products(at: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(a b) of each matrix of a ``(B, d, d)`` stack ``b``, given ``at``, the
+    rows of a^T flattened to ``(B or 1, 1, d*d)``: one stacked ``matmul``, each
+    bit for bit ``np.vdot(a^dagger, b).real`` (the idiom of ``dynamics._sqnorms``)."""
+    return np.matmul(at, b.reshape(len(b), -1, 1))[:, 0, 0].real
+
+
+def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
                             dt: float) -> ReducedFlowTrajectory:
     """Autonomous reduced flow of the moment extension on one subsystem.
 
@@ -306,42 +316,61 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
     see the variant-dependent rotation rate.  ``rho0`` must pass the density
     matrix checks of :class:`DensityMatrix` and have finite invariants, else
     :class:`ValidationError`.
-    """
-    eh = np.asarray(epshat, dtype=complex)
-    rho = _checked_density(getattr(rho0, "entries", rho0))
-    d = rho.shape[0]
-    if eh.shape != (d, d):
-        raise ValidationError("epshat and rho0 must be square matrices of equal size")
-    if variant not in ("plain", "purity-weighted"):
-        raise ValidationError(f"unknown variant {variant!r}")
 
-    # Tr(a b) as one contraction: np.vdot(b^dagger, a); numpy quotients, so a
-    # vanishing trace is a stage floating-point error ("solution blew up").
-    eh_dag = np.ascontiguousarray(eh.conj().T)
+    A ``(B, d, d)`` ``rho0`` runs B flows as one RK4 stack: ``variant`` is
+    then one name or a sequence of B, ``epshat`` one ``(d, d)`` matrix or a
+    ``(B, d, d)`` stack, and ``rhos`` is ``(nsteps + 1, B, d, d)``.  Each
+    member's samples are bit for bit those of its own call; the invariants
+    are checked per row, and a violation names its row ("at t = 0.5 in row
+    2").  The sample cap counts the whole stack.
+    """
+    entries = getattr(rho0, "entries", rho0)
+    stacked = np.ndim(entries) == 3
+    rs = _checked_density(entries, stacked=stacked)
+    rs = rs if stacked else rs[None]
+    rows, d = rs.shape[:2]
+    eh = np.asarray(epshat, dtype=complex)
+    if eh.shape != (d, d) and not (stacked and eh.shape == rs.shape):
+        raise ValidationError("epshat and rho0 must be square matrices of equal size")
+    names = [variant] * rows if isinstance(variant, str) or not stacked else list(variant)
+    if len(names) != rows:
+        raise ValidationError(f"need one variant or {rows}, got {len(names)}")
+    for v in names:
+        if v not in ("plain", "purity-weighted"):
+            raise ValidationError(f"unknown variant {v!r}")
+    weighted = np.array(names) == "purity-weighted"
+    any_weighted = bool(weighted.any())
+
+    # Numpy quotients, so a vanishing trace is a stage floating-point error
+    # ("solution blew up").
+    eh_t = np.swapaxes(eh, -1, -2)
+    eh_rows = np.ascontiguousarray(np.broadcast_to(eh_t, rs.shape)).reshape(rows, 1, d * d)
 
     def coeff(r):
-        tr = r.trace().real
-        c = np.vdot(eh_dag, r).real / tr
-        if variant == "purity-weighted":
-            c *= np.vdot(r.conj().T, r).real / tr ** 2
+        tr = r.trace(axis1=1, axis2=2).real
+        c = _trace_products(eh_rows, r) / tr
+        if any_weighted:
+            purity = _trace_products(r.swapaxes(1, 2).reshape(rows, 1, -1), r)
+            c = c * np.where(weighted, purity / tr ** 2, 1.0)
         return c
 
     def rhs(r):
-        return -2j * coeff(r) * (eh @ r - r @ eh)
+        return (-2j * coeff(r))[:, None, None] * (eh @ r - r @ eh)
 
     def invariants(rs):
-        """(trace, epshat average, purity) of each matrix of a (K, d, d) stack."""
-        return np.stack([np.trace(rs, axis1=1, axis2=2).real,
-                         (eh.T * rs).sum(axis=(1, 2)).real,
-                         (np.swapaxes(rs, 1, 2) * rs).sum(axis=(1, 2)).real], axis=1)
+        """(trace, epshat average, purity) of each matrix of a (..., d, d) stack."""
+        return np.stack([np.trace(rs, axis1=-2, axis2=-1).real,
+                         (eh_t * rs).sum(axis=(-2, -1)).real,
+                         (np.swapaxes(rs, -1, -2) * rs).sum(axis=(-2, -1)).real], axis=-1)
 
     # a rho0 too large to square has a non-finite purity: refused, unwarned
     with np.errstate(all="ignore"):
-        consts0 = invariants(rho[None])[0]
-    if not np.isfinite(consts0).all():
+        consts0 = invariants(rs)
+    finite = np.isfinite(consts0).all(axis=1)
+    if not finite.all():
         raise ValidationError("rho0's trace, epshat average and purity must be finite, got "
-                              + ", ".join(f"{c:g}" for c in consts0))
-    nsteps, dt_eff = _step_grid(t_end, dt, width=d * d)
+                              + ", ".join(f"{c:g}" for c in consts0[np.argmin(finite)]))
+    nsteps, dt_eff = _step_grid(t_end, dt, width=rs.size)
     times = np.arange(nsteps + 1) * dt_eff
 
     def conserved(lo, hi, block):
@@ -353,10 +382,11 @@ def polchinski_reduced_flow(variant: str, epshat, rho0, t_end: float,
             k, j = divmod(int(np.argmax(broken)), 3)
             raise IntegrationError(
                 f"reduced flow failed to conserve {('trace', 'epshat average', 'purity')[j]} "
-                f"at t = {times[lo + k]:g} ({consts0[j]:g} -> {consts[k, j]:g}); reduce dt")
+                f"at {_at(times, lo * rows + k, rows)} ({consts0[k % rows, j]:g} -> "
+                f"{consts.reshape(-1, 3)[k, j]:g}); reduce dt")
 
-    out = _rk4(rhs, rho, times, dt_eff, on_block=conserved)
-    return ReducedFlowTrajectory(times=times, rhos=out)
+    out = _rk4(rhs, rs, times, dt_eff, on_block=conserved)
+    return ReducedFlowTrajectory(times=times, rhos=out if stacked else out[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +585,9 @@ def _check_weights(lambda1: float, lambda2: float) -> None:
 
 @dataclass
 class ParadoxReport:
+    """One mixture's report; for a stack of B, every number is a ``(B,)`` array
+    and every series ``(len(times), B)``."""
+
     times: np.ndarray
     sigma3_series: np.ndarray
     x_value: float
@@ -565,8 +598,7 @@ class ParadoxReport:
     sigma3_predicted_series: np.ndarray
 
 
-def intention_paradox(lambda1: float, lambda2: float, f: float, t: float,
-                      dt: float) -> ParadoxReport:
+def intention_paradox(lambda1, lambda2, f, t: float, dt: float) -> ParadoxReport:
     """Mixture dynamics whose rate is set by how the mixture was composed.
 
     The density matrix rho0 = l1 (1/2) + l2 M, M = [[3/4, 1/4], [1/4, 1/4]],
@@ -582,58 +614,75 @@ def intention_paradox(lambda1: float, lambda2: float, f: float, t: float,
     t depends on l2 even though the l1 part is maximally mixed.  The
     report's duality_gap, between the Schrodinger and Heisenberg populations
     of the initial up projector, is an integrator check.
+
+    Sequences of B values for ``lambda1``, ``lambda2`` and ``f`` (a number is
+    shared by every member) run B mixtures as one RK4 stack, and the report
+    holds one row per member, each bit for bit its own call.  The sigma1
+    average is checked per row, and a drift names its row ("at t = 0.5 in
+    row 2").
     """
-    l1, l2, t_end = lambda1, lambda2, t
-    _check_weights(l1, l2)
+    l1, l2, f = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                      for v in (lambda1, lambda2, f)))
+    if l1.ndim > 1:
+        raise ValidationError("lambda1, lambda2 and f must be numbers or sequences of one length")
+    row = slice(None) if l1.ndim else 0
+    l1, l2, f = np.atleast_1d(l1, l2, f)
+    for a, b in zip(l1, l2):
+        _check_weights(a, b)
+    rows = len(l1)
+    col = lambda v: v[:, None, None]
     eye = np.eye(2, dtype=complex)
     m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    rho0 = l1 * 0.5 * eye + l2 * m
+    rho0 = col(l1) * 0.5 * eye + col(l2) * m
 
-    # Tr(r sigma) as one contraction, np.vdot(sigma^dagger, r) = np.vdot(sigma, r)
-    # for the Hermitian Pauli matrices (and sum(sigma * r) for symmetric ones);
-    # a numpy quotient, so a vanishing trace is a floating-point error.
+    # Tr(r sigma1) per row; sigma1 is real and symmetric, so its flattened
+    # rows are those of sigma1^T.  A numpy quotient, so a vanishing trace is a
+    # floating-point error.
+    s1_rows = sigma1.reshape(1, 1, 4)
+
     def xval(r):
-        return np.vdot(sigma1, r).real / r.trace().real
+        return _trace_products(s1_rows, r) / r.trace(axis1=1, axis2=2).real
 
-    x0 = float(xval(rho0))
+    x0 = xval(rho0)
 
     def rhs(r):
-        return -2j * f * xval(r) * (sigma1 @ r - r @ sigma1)
+        return col(-2j * f * xval(r)) * (sigma1 @ r - r @ sigma1)
 
-    nsteps, dt_eff = _step_grid(t_end, dt, width=4)
-    times = np.linspace(0.0, t_end, nsteps + 1)
-    s3_series = np.empty(nsteps + 1)
+    nsteps, dt_eff = _step_grid(t, dt, width=4 * rows)
+    times = np.linspace(0.0, t, nsteps + 1)
+    s3_series = np.empty((nsteps + 1, rows))
 
     def drift(lo, hi, block):
         # a vanishing trace or an overflow gives a non-finite average, which fails
         with np.errstate(all="ignore"):
-            s3_series[lo:hi] = (sigma3 * block).sum(axis=(1, 2)).real
-            x = (sigma1 * block).sum(axis=(1, 2)).real / np.trace(block, axis1=1, axis2=2).real
+            s3_series[lo:hi] = (sigma3 * block).sum(axis=(-2, -1)).real
+            x = ((sigma1 * block).sum(axis=(-2, -1)).real
+                 / np.trace(block, axis1=-2, axis2=-1).real)
         drifted = ~(np.abs(x - x0) <= 1e-9)
         if drifted.any():
-            raise IntegrationError(
-                f"sigma1 average drifted at t = {times[lo + int(np.argmax(drifted))]:g}; "
-                f"reduce dt")
+            raise IntegrationError(f"sigma1 average drifted at "
+                                   f"{_at(times, lo * rows + int(np.argmax(drifted)), rows)}; "
+                                   f"reduce dt")
 
     rho = _rk4(rhs, rho0, times, dt_eff, on_block=drift)[-1]
 
-    angle = 2.0 * l2 * f * t_end
-    rho_exact = (l1 * 0.5 * eye
-                 + (l2 / 4.0) * (2.0 * eye + sigma1
-                                 + np.cos(angle) * sigma3 - np.sin(angle) * sigma2))
+    angle = 2.0 * l2 * f * t
+    cos, sin = col(np.cos(angle)), col(np.sin(angle))
+    rho_exact = (col(l1) * 0.5 * eye
+                 + col(l2 / 4.0) * (2.0 * eye + sigma1 + cos * sigma3 - sin * sigma2))
     p_up0 = 0.5 * (eye + sigma3)
-    p_up_t = 0.5 * (eye + np.cos(angle) * sigma3 + np.sin(angle) * sigma2)
-    schrod = float(np.trace(rho @ p_up0).real)
-    heis = float(np.trace(rho0 @ p_up_t).real)
-    _checked_density(rho)
-    _checked_density(rho_exact)
+    p_up_t = 0.5 * (eye + cos * sigma3 + sin * sigma2)
+    schrod = np.trace(rho @ p_up0, axis1=1, axis2=2).real
+    heis = np.trace(rho0 @ p_up_t, axis1=1, axis2=2).real
+    _checked_density(rho, stacked=True)
+    _checked_density(rho_exact, stacked=True)
     return ParadoxReport(
         times=times,
-        sigma3_series=s3_series,
-        x_value=x0,
-        analytic_gap=float(np.max(np.abs(rho - rho_exact))),
-        duality_gap=float(abs(schrod - heis)),
-        sigma3_final=float(np.trace(rho @ sigma3).real),
-        sigma3_predicted=0.5 * l2 * np.cos(angle),
-        sigma3_predicted_series=0.5 * l2 * np.cos(2.0 * l2 * f * times),
+        sigma3_series=s3_series[:, row],
+        x_value=x0[row],
+        analytic_gap=np.abs(rho - rho_exact).max(axis=(1, 2))[row],
+        duality_gap=np.abs(schrod - heis)[row],
+        sigma3_final=np.trace(rho @ sigma3, axis1=1, axis2=2).real[row],
+        sigma3_predicted=(0.5 * l2 * np.cos(angle))[row],
+        sigma3_predicted_series=(0.5 * l2 * np.cos(2.0 * l2 * f * times[:, None]))[:, row],
     )

@@ -19,6 +19,7 @@ needs.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -237,23 +238,28 @@ def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarr
     The first state is also built alone and must agree with the stack to
     1e-12 (1 + max|h|), so a builder that mishandles stacks fails loudly.
     Returns the energy values <z|Ĥ(z)|z>, shaped ``(K, [B])``.
+    The builds and their checks keep the caller's error state but show no
+    RuntimeWarning: a matrix that overflows is non-finite, and the builder's
+    own checks or the hermiticity check refuse it.
     """
     d = block.shape[-1]
     zs = block.reshape(-1, d)
-    h = _as_matrix(hbuilder(zs))
-    if h.shape == (d, d):
-        h = h[None]      # checked once, at the block's first sample
-    elif h.shape != (zs.shape[0], d, d):
-        raise ValidationError(
-            f"builder mapped a {zs.shape} stack of states to shape {h.shape}; "
-            f"expected {(zs.shape[0], d, d)} or {(d, d)}")
-    first = _as_matrix(hbuilder(zs[0]))
-    dev = float(np.max(np.abs(h[0] - first)))
-    if dev > 1e-12 * (1.0 + float(np.max(np.abs(first)))):
-        raise ValidationError(
-            f"builder's stacked result differs from a single-state build by {dev:.3e} "
-            f"at t = {times[0]:g}; it must map a (K, d) stack row by row")
-    _check_hermitian(h, times, zs.shape[0] // len(times))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        h = _as_matrix(hbuilder(zs))
+        if h.shape == (d, d):
+            h = h[None]      # checked once, at the block's first sample
+        elif h.shape != (zs.shape[0], d, d):
+            raise ValidationError(
+                f"builder mapped a {zs.shape} stack of states to shape {h.shape}; "
+                f"expected {(zs.shape[0], d, d)} or {(d, d)}")
+        first = _as_matrix(hbuilder(zs[0]))
+        dev = float(np.max(np.abs(h[0] - first)))
+        if dev > 1e-12 * (1.0 + float(np.max(np.abs(first)))):
+            raise ValidationError(
+                f"builder's stacked result differs from a single-state build by {dev:.3e} "
+                f"at t = {times[0]:g}; it must map a (K, d) stack row by row")
+        _check_hermitian(h, times, zs.shape[0] // len(times))
     hz = np.matmul(h, zs[:, :, None])[:, :, 0]
     return np.sum(zs.conj() * hz, axis=1).real.reshape(block.shape[:-1])
 

@@ -587,9 +587,15 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
         {"experiment": "reduced-flow-variants", "name": "purity", "rho_diag": [1e200, 1e200]},
         {"experiment": "reduced-flow-variants", "name": "seeded", "rho_diag": [1e160, 0.5e160],
          "delta": 1e150},
+        # the wave monitor's operator build overflows: refused as non-finite
+        {"experiment": "atom-inversion", "name": "atom-up", "eps_levels": [1e154, 0.5]},
+        {"experiment": "atom-inversion", "name": "atom-down", "eps_levels": [-1e154, 0.5]},
     ])
     assert capfd.readouterr().err == ""
     assert reports["levels"]["error"] == "solution blew up at t = 0.01"
+    for name in ("atom-up", "atom-down"):
+        assert reports[name]["error_type"] == "ValidationError"
+        assert reports[name]["error"] == "entries contains non-finite entries"
     assert reports["trace"]["error"] == ("density matrix trace must be real and positive "
                                          "(and finite), got (inf+0j)")
     for name in ("purity", "seeded"):
@@ -597,6 +603,78 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
         assert reports[name]["error"].startswith(
             "rho0's trace, epshat average and purity must be finite, got ")
         assert reports[name]["error"].endswith(", inf")
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _solo_runs(tmp_path, scenarios, capsys):
+    """Run each scenario in a config of its own, into one directory; return
+    the exit codes, the outputs and the stdout lines."""
+    codes, lines = [], []
+    for sc in scenarios:
+        cfg = tmp_path / f"solo-{sc['name']}.json"
+        cfg.write_text(json.dumps(sc))
+        codes.append(main(["run", str(cfg), "--out", str(tmp_path / "solo")]))
+        lines += capsys.readouterr().out.splitlines()
+    return codes, _outputs(tmp_path / "solo"), lines
+
+
+def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(tmp_path, capsys, monkeypatch):
+    # the bundled reduced-flow and paradox scenarios, one more reduced flow on
+    # another grid and one more mixture with another f, interleaved
+    flows, mixtures = (_scenarios(os.path.join(CONFIG_DIR, f"{stem}.json"))
+                       for stem in ("reduced-flow-variants", "intention-paradox"))
+    scenarios = [flows[0], mixtures[0],
+                 {"experiment": "reduced-flow-variants", "name": "other-grid", "t_end": 4.0},
+                 mixtures[1], flows[1], mixtures[2],
+                 dict(mixtures[1], name="other-f", f=1.5)]
+    stacks = []
+
+    def spy(fn):  # records the members of each call: its variants or its lambda1
+        real = getattr(nlqm.composite, fn)
+
+        def call(*args):
+            stacks.append((fn, len(np.atleast_1d(args[0]))))
+            return real(*args)
+        monkeypatch.setattr(nlqm.composite, fn, call)
+
+    spy("polchinski_reduced_flow")
+    spy("intention_paradox")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
+    # both bundled flows and their variants as one stack of 4, the other grid
+    # as one of 2, and the four mixtures as one stack
+    assert stacks == [("polchinski_reduced_flow", 4), ("intention_paradox", 4),
+                      ("polchinski_reduced_flow", 2)]
+    assert lines == [f"{sc['name']}: pass ({sc['experiment']})" for sc in scenarios]
+    codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
+    assert codes == [0] * len(scenarios) and solo_lines == lines
+    assert len(grouped) == 2 * len(scenarios) and solo == grouped
+
+
+def test_a_failing_group_member_fails_only_its_own_report(tmp_path, capsys):
+    # levels of +-3 turn too fast for dt = 0.01 and break the purity
+    # invariant; the group falls back to solo runs, so the member reports what
+    # it reports alone and the others keep the bytes of their group
+    good = [{"experiment": "reduced-flow-variants", "name": "mixed", "t_end": 5.0},
+            {"experiment": "reduced-flow-variants", "name": "pure", "t_end": 5.0,
+             "eps_levels": [1.0, 0.0], "rho_diag": [0.5, 0.5], "delta": 0.5}]
+    wide = {"experiment": "reduced-flow-variants", "name": "wide", "t_end": 5.0,
+            "eps_levels": [3.0, -3.0], "delta": 0.01}
+    assert _run_dict(tmp_path, {"scenarios": [good[0], wide, good[1]]}) == 1
+    mixed = _outputs(tmp_path / "out")
+    assert capsys.readouterr().out.splitlines()[0::2] == ["mixed: pass (reduced-flow-variants)",
+                                                          "pure: pass (reduced-flow-variants)"]
+    report = json.loads(mixed["wide.report.json"])
+    assert report["passed"] is False and report["error_type"] == "IntegrationError"
+    assert report["error"].startswith("reduced flow failed to conserve purity at t = 0.18 (")
+    codes, solo, _ = _solo_runs(tmp_path, [wide], capsys)
+    assert codes == [1] and solo["wide.report.json"] == mixed.pop("wide.report.json")
+    (tmp_path / "out").rename(tmp_path / "with-wide")
+    assert _run_dict(tmp_path, {"scenarios": good}) == 0
+    assert _outputs(tmp_path / "out") == mixed
 
 
 def test_censuses_near_the_float_range_pass_and_print_nothing(tmp_path, capfd):

@@ -591,11 +591,80 @@ def test_intention_paradox_reports_the_sigma1_drift():
         intention_paradox(0.0, 1.0, 3.0, 10.0, 1.0)
 
 
+def test_stacked_mixture_flows_match_their_members_bit_for_bit():
+    # per-member variant, epshat and rho0; per-member weights and f
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    rho0 = a @ np.swapaxes(a, 1, 2).conj()
+    rho0 /= np.trace(rho0, axis1=1, axis2=2)[:, None, None]
+    eh = np.stack([np.diag(rng.uniform(-0.4, 0.4, 3)) for _ in range(3)])
+    variants = ["plain", "purity-weighted", "purity-weighted"]
+    stack = polchinski_reduced_flow(variants, eh, rho0, 1.0, 0.01)
+    assert stack.rhos.shape == (101, 3, 3, 3)
+    with pytest.raises(ValidationError, match="fit one flow of a stack"):
+        stack.offdiagonal_phase_rate()
+    for b in range(3):
+        alone = polchinski_reduced_flow(variants[b], eh[b], rho0[b], 1.0, 0.01)
+        assert alone.rhos.shape == (101, 3, 3)
+        assert np.array_equal(stack.rhos[:, b], alone.rhos)
+    l1, l2, f = [0.0, 0.3, 0.8], [1.0, 0.7, 0.2], [1.0, 0.5, 2.0]
+    stack = intention_paradox(l1, l2, f, 0.5, 0.01)
+    assert stack.sigma3_series.shape == (51, 3)
+    for b in range(3):
+        alone = intention_paradox(l1[b], l2[b], f[b], 0.5, 0.01)
+        assert isinstance(alone.analytic_gap, float) and alone.sigma3_series.shape == (51,)
+        for name in ("sigma3_series", "sigma3_predicted_series", "x_value", "analytic_gap",
+                     "duality_gap", "sigma3_final", "sigma3_predicted"):
+            assert np.array_equal(getattr(stack, name)[..., b], getattr(alone, name)), name
+
+
+def test_a_stacked_mixture_flow_names_the_row_that_breaks_its_monitor():
+    # levels of +-3 turn too fast for dt = 0.01: as a plain flow, row 2 breaks
+    # the purity invariant at t = 0.18, as it does alone, where no row is named
+    rho0 = np.array([[0.75, 0.01], [0.01, 0.25]])
+    eh = np.stack([np.diag([1.0, -1.0])] * 2 + [np.diag([3.0, -3.0])])
+    variants = ["purity-weighted", "plain", "plain"]
+    with pytest.raises(IntegrationError) as alone:
+        polchinski_reduced_flow("plain", eh[2], rho0, 5.0, 0.01)
+    assert str(alone.value).startswith("reduced flow failed to conserve purity at t = 0.18 (")
+    with pytest.raises(IntegrationError) as stacked:
+        polchinski_reduced_flow(variants, eh, np.stack([rho0] * 3), 5.0, 0.01)
+    assert str(stacked.value) == str(alone.value).replace(" (", " in row 2 (", 1)
+    # purity-weighted, the same member breaks it at t = 2.89, past the first block
+    with pytest.raises(IntegrationError) as alone:
+        polchinski_reduced_flow("purity-weighted", eh[2], rho0, 5.0, 0.01)
+    assert str(alone.value).startswith("reduced flow failed to conserve purity at t = 2.89 (")
+    with pytest.raises(IntegrationError) as stacked:
+        polchinski_reduced_flow(["plain", "purity-weighted"], eh[1:], np.stack([rho0] * 2), 5.0,
+                                0.01)
+    assert str(stacked.value) == str(alone.value).replace(" (", " in row 1 (", 1)
+    with pytest.raises(IntegrationError, match=r"^sigma1 average drifted at t = 0\.1; "):
+        intention_paradox(0.0, 1.0, 300.0, 0.5, 0.01)
+    with pytest.raises(IntegrationError,
+                       match=r"^sigma1 average drifted at t = 0\.1 in row 1; reduce dt$"):
+        intention_paradox([0.5, 0.0, 0.5], [0.5, 1.0, 0.5], [1.0, 300.0, 1.0], 0.5, 0.01)
+
+
+def test_stacked_mixture_flows_refuse_mismatched_members():
+    rho0 = np.stack([np.diag([0.75, 0.25])] * 2)
+    with pytest.raises(ValidationError, match="need one variant or 2, got 3"):
+        polchinski_reduced_flow(["plain"] * 3, nlqm.sigma3, rho0, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="unknown variant 'other'"):
+        polchinski_reduced_flow(["plain", "other"], nlqm.sigma3, rho0, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="square matrices of equal size"):
+        polchinski_reduced_flow("plain", np.stack([nlqm.sigma3] * 3), rho0, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="must be >= 0 and sum to 1"):
+        intention_paradox([0.5, 0.7], [0.5, 0.7], 1.0, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="numbers or sequences of one length"):
+        intention_paradox([[0.5]], [[0.5]], 1.0, 1.0, 0.01)
+
+
 def _landing_on(bad):
     """A stand-in for ``composite._rk4`` whose first step lands on ``bad``:
-    its monitor sees the start, ``bad``, then the start again."""
+    its monitor sees the start, ``bad``, then the start again.  A one-member
+    call integrates a one-row stack, so ``bad`` takes the shape of ``y0``."""
     def rk4(rhs, y0, times, dt, *, on_block):
-        samples = np.stack([y0, bad] + [y0] * (times.size - 2))
+        samples = np.stack([y0, bad.reshape(y0.shape)] + [y0] * (times.size - 2))
         samples.flags.writeable = False
         on_block(0, times.size, samples)
         return samples

@@ -86,6 +86,10 @@ def test_huge_entries_are_refused_without_an_overflow_warning():
         with pytest.raises(nlqm.IntegrationError, match=r"non-Hermitian matrix .*\(deviation inf\)"):
             nlqm.integrate_nls(lambda z: huge, np.array([0.6, 0.8]), 0.05, 0.01,
                                flow=lambda z: np.zeros_like(z))
+        # a non-finite one, whose residual inf - inf is nan
+        with pytest.raises(nlqm.IntegrationError, match=r"non-Hermitian matrix .*\(deviation nan\)"):
+            nlqm.integrate_nls(lambda z: np.full((2, 2), np.inf), np.array([0.6, 0.8]), 0.05,
+                               0.01, flow=lambda z: np.zeros_like(z))
 
 
 def test_mixtures_too_large_to_sum_or_square_are_refused_without_a_warning():

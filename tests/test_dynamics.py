@@ -75,11 +75,27 @@ def test_rk4_converges_at_fourth_order_to_every_exact_closed_form():
                                            nlqm.product_state(p, 0, 1), 10.0, dt)
         return np.max(np.abs(series.w + np.cos(series.times)))
 
+    def reduced_flow(dt):
+        # c(rho) is conserved, so rho(t) = exp(-2ict epshat) rho0 exp(2ict epshat):
+        # for a diagonal epshat, entry jk turns at -2c (e_j - e_k)
+        e, rho0 = np.array([1.0, -1.0]), np.array([[0.75, 0.05], [0.05, 0.25]])
+        traj = nlqm.polchinski_reduced_flow(["plain", "purity-weighted"], np.diag(e),
+                                            np.stack([rho0, rho0]), 2.0, dt)
+        c = np.array([0.5, 0.5 * np.sum(rho0 * rho0)])   # Tr(rho0 epshat), times Tr(rho0^2)
+        exact = rho0 * np.exp(-2j * c[:, None, None] * (e[:, None] - e)
+                              * traj.times[:, None, None, None])
+        return np.abs(traj.rhos - exact).max(axis=(0, 2, 3))
+
     cases = {"diagonal": (lambda dt: diagonal(single, dt), 0.08),
              "diagonal stack": (lambda dt: diagonal(stack, dt), 0.08),
              "atom linear": (atom, 0.08),
              "intention paradox": (lambda dt: nlqm.intention_paradox(
-                 0.0, 1.0, 1.0, np.pi / 2, dt).analytic_gap, 0.02)}
+                 0.0, 1.0, 1.0, np.pi / 2, dt).analytic_gap, 0.02),
+             # one error per member of each stack
+             "intention paradox stack": (lambda dt: nlqm.intention_paradox(
+                 [0.0, 0.25, 0.5], [1.0, 0.75, 0.5], [1.0, 1.5, 2.0], np.pi / 2,
+                 dt).analytic_gap, 0.02),
+             "reduced flow stack": (reduced_flow, 0.04)}
     for name, (error, dt) in cases.items():
         errors = np.array([error(dt / 2 ** k) for k in range(3)])
         orders = np.log2(errors[:-1] / errors[1:])
