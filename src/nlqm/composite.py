@@ -99,7 +99,11 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     state-dependent operator is the basis-conjugated direct sum of slice
     operators.  Slices carrying squared norm below ``SLICE_FLOOR`` contribute
     nothing (value, gradient and operator alike).  The value, gradient and
-    operator pass all remaining slices to ``h_sub`` as one stack.
+    operator pass all remaining slices to ``h_sub`` as one stack.  The
+    gradient, the wave flow's kernel, calls ``h_sub.analytic_gradient`` on
+    that stack directly (with the shape check of
+    :func:`~nlqm.observables.wirtinger_gradient`, not through it) and not at
+    all when no slice is live.
 
     With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
     dependence on ``rest_basis`` is the whole point: it is what
@@ -128,13 +132,20 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         except SingularObservableError:
             pass
 
+    def slices_of(a: np.ndarray) -> np.ndarray:
+        """The ``(..., d_rest, d_sub)`` view of states ``a`` in the
+        computational basis of the spectator slot."""
+        t = a.reshape(a.shape[:-1] + dims)
+        return t.swapaxes(-1, -2) if sub_slot == 0 else t
+
     def live_slices(z: np.ndarray):
         """The slices Phi_r of each complex state, shape ``(..., d_rest,
         d_sub)``, and the mask of those at or above the floor."""
-        t = z.reshape(z.shape[:-1] + dims)
         if rotate:
-            t = t @ uc if sub_slot == 0 else uc_t @ t
-        sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
+            t = z.reshape(z.shape[:-1] + dims)
+            sl = (t @ uc).swapaxes(-1, -2) if sub_slot == 0 else uc_t @ t
+        else:
+            sl = slices_of(z)
         return sl, np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
 
     def value(z, zc):
@@ -147,16 +158,22 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         return vals.sum(axis=-1)
 
     grad = None
-    if h_sub.analytic_gradient is not None:
+    h_grad = h_sub.analytic_gradient
+    if h_grad is not None:
         def grad(z):
             z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
-            gm = np.zeros(sl.shape, dtype=complex)
-            if live.any():
-                gm[live] = wirtinger_gradient(h_sub, sl[live])
-            g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
+            s = sl[live]
             if rotate:
-                g = g @ u_t if sub_slot == 0 else u @ g
+                gm = np.zeros(sl.shape, dtype=complex)
+            else:
+                out = np.zeros(z.shape, dtype=complex)
+                gm = slices_of(out)   # a view: the slice gradients land in out
+            if len(s):
+                gm[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
+            if not rotate:
+                return out
+            g = gm.swapaxes(-1, -2) @ u_t if sub_slot == 0 else u @ gm
             return g.reshape(z.shape)
 
     op = None

@@ -55,7 +55,16 @@ MONITOR_BLOCK = 64
 
 
 class IntegrationError(RuntimeError):
-    """Integration left its validity envelope (drift, hermiticity, blow-up)."""
+    """Integration left its validity envelope (drift, hermiticity, blow-up).
+
+    A blow-up sets ``t``, the sample time it was caught at, and, on a stack
+    of two or more rows, ``row``, the first row that went non-finite (the
+    row its message names); both are None otherwise.
+    """
+
+    def __init__(self, message: str, *, t: Optional[float] = None, row: Optional[int] = None):
+        super().__init__(message)
+        self.t, self.row = t, row
 
 
 class Trajectory:
@@ -147,7 +156,9 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     """Fixed-step RK4 from ``y0`` over ``times``: the one integrator of the package.
 
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
-    each step's Python overhead.  The step ``dt`` may be complex: the wave
+    each step's Python overhead; a ``y0`` of two or more axes is read as a
+    stack (a state is 1-D, and the mixture flows stack even one density
+    matrix).  The step ``dt`` may be complex: the wave
     flow dy/dt = -i f(y) is RK4 in tau = -i t with the step -i dt, which
     spares a ``-1j *`` multiply per stage; a product with -i is exact, so
     the stages keep their bits up to the sign of an exact zero.  That needs
@@ -158,7 +169,8 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     through :func:`_step_grid`).
     Blow-up is checked every step: the stages run under ``np.errstate(over=,
     divide=, invalid="raise")``, and a ``FloatingPointError`` there, like a
-    non-finite sample, raises "solution blew up at t = ...".  Every other
+    non-finite sample, raises "solution blew up at t = ...", which names
+    the row of a stack (see :func:`_blown_up`).  Every other
     monitor is ``on_block(lo, hi, samples)``: it sees the accepted samples
     ``MONITOR_BLOCK`` at a time, read-only, under the caller's error state,
     and gets the pending ones on the way out, error or not, so the earliest
@@ -189,20 +201,46 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
                 if step == nsteps:
                     break
                 try:
-                    k1 = rhs(y)
-                    k2 = rhs(y + 0.5 * dt * k1)
-                    k3 = rhs(y + 0.5 * dt * k2)
-                    k4 = rhs(y + dt * k3)
-                    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    blown = not np.isfinite(y).all()
+                    y_next = _step(rhs, y, dt)
+                    blown = not np.isfinite(y_next).all()
                 except FloatingPointError:
                     blown = True
                 if blown:
-                    raise IntegrationError(f"solution blew up at t = {times[step + 1]:g}")
+                    raise _blown_up(rhs, y, dt, times, step + 1)
+                y = y_next
     finally:
         # an error found here replaces the loop's own, which came later
         flush()
     return samples
+
+
+def _step(rhs: Callable, y: np.ndarray, dt: complex) -> np.ndarray:
+    """One RK4 step from ``y``."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _blown_up(rhs: Callable, y: np.ndarray, dt: complex, times, k: int) -> IntegrationError:
+    """The error for the RK4 step from ``y`` that blew up at ``times[k]``.
+
+    On a stack of two or more rows the step is redone with floating-point
+    errors ignored, and the first row it leaves non-finite is named ("in row
+    2"; a non-finite stage reaches the result through its sum); a redo that
+    finds none, or raises, names no row.
+    """
+    row, rows = None, len(y) if y.ndim > 1 else 1
+    if rows > 1:
+        try:
+            with np.errstate(all="ignore"):
+                bad = ~np.isfinite(np.reshape(_step(rhs, y, dt), (rows, -1))).all(axis=1)
+            row = int(np.argmax(bad)) if bad.any() else None
+        except (ArithmeticError, ValueError):   # it only locates the row
+            pass
+    where = f"t = {times[k]:g}" if row is None else _at(times, k * rows + row, rows)
+    return IntegrationError(f"solution blew up at {where}", t=float(times[k]), row=row)
 
 
 def _sqnorms(z: np.ndarray) -> np.ndarray:

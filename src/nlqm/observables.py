@@ -137,8 +137,9 @@ class HomogeneousObservable:
             return a.evaluator(z, zc) + b.evaluator(z, zc)
 
         grad = None
-        if a.analytic_gradient is not None and b.analytic_gradient is not None:
-            grad = lambda z: a.analytic_gradient(z) + b.analytic_gradient(z)
+        ga, gb = a.analytic_gradient, b.analytic_gradient
+        if ga is not None and gb is not None:
+            grad = lambda z: ga(z) + gb(z)
         op = None
         if a.analytic_operator is not None and b.analytic_operator is not None:
             op = lambda z: a.analytic_operator(z) + b.analytic_operator(z)
@@ -284,10 +285,11 @@ def norm_functional() -> HomogeneousObservable:
 def bilinear(m, label: str = "") -> HomogeneousObservable:
     """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``."""
     mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
+    mat_t = mat.T   # one transposed view, taken once: the same matmul as z @ mat.T
     return HomogeneousObservable(
-        evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat.T), axis=-1)),
+        evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat_t), axis=-1)),
         label=label or "bilinear",
-        analytic_gradient=lambda z: z @ mat.T,
+        analytic_gradient=lambda z: z @ mat_t,
         analytic_operator=lambda z: _stacked(mat, z),
     )
 
@@ -302,7 +304,11 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
 
     which cover the quadratic (p=2), cubic (p=3), general even-power (p=2N)
     and singular inverse (p=-1) catalog entries.  Negative powers guard a disk
-    ``|s| < 1e-6`` around the singular set and report instead of evaluating.
+    ``|s| < 1e-6`` around the singular set and report instead of evaluating
+    (no other power runs the guard).  The gradient is the wave flow's kernel,
+    called at every RK4 stage: for one state ``s`` stays a numpy scalar, for
+    a stack it is one column, and both give each row the bits of the same
+    expression.
     """
     mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
     p = int(power)
@@ -310,34 +316,32 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     name = label or f"{c:g}*<M>^{p}/n^{p - 1}"
 
     mat_t = mat.T
+    pf, qf = float(p), float(p - 1)   # the same products, without an int conversion
 
     def _mu_n(z, zc):
         mz = z @ mat_t
         mu = np.add.reduce(zc * mz, axis=-1).real
         n = np.add.reduce(z * zc, axis=-1).real
-        return mz, mu, n
-
-    def _guard(mu, n):
         if p < 0 and np.any(np.abs(mu / n) < SINGULAR_GUARD):
             raise SingularObservableError(
                 f"{name}: |<M>| = {np.min(np.abs(mu / n)):.3e} inside the singular guard disk")
+        return mz, mu, n
 
     def ev(z, zc):
         _, mu, n = _mu_n(z, zc)
-        _guard(mu, n)
         return c * mu ** p / n ** (p - 1)
 
     def grad(z):
         z = np.asarray(z)
         mz, mu, n = _mu_n(z, z.conj())
-        _guard(mu, n)
         s = mu / n
-        return c * ((p * s ** (p - 1))[..., None] * mz - ((p - 1) * s ** p)[..., None] * z)
+        if z.ndim > 1:
+            s = s[..., None]
+        return c * (pf * s ** (p - 1) * mz - qf * s ** p * z)
 
     def op(z):
         zc = np.conj(z)
         mz, mu, n = _mu_n(z, zc)
-        _guard(mu, n)
         s = mu / n
         sm = np.asarray(s)[..., None, None]
         dim = z.shape[-1]

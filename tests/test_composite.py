@@ -201,6 +201,72 @@ def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_s
         assert np.array_equal(_bits(got), _bits(ref))
 
 
+def _slice_sum_gradient_through_wirtinger(h_sub, u, dims, sub_slot, z):
+    """The slice-sum gradient as it ran through ``wirtinger_gradient``: the
+    computational basis by reshapes, any other by the change of basis."""
+    z = np.asarray(z, dtype=complex)
+    rotate = not np.array_equal(u, np.eye(len(u)))
+    t = z.reshape(z.shape[:-1] + dims)
+    if rotate:
+        t = t @ u.conj() if sub_slot == 0 else u.conj().T @ t
+    sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
+    live = np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
+    gm = np.zeros(sl.shape, dtype=complex)
+    if live.any():
+        gm[live] = wirtinger_gradient(h_sub, sl[live])
+    g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
+    if rotate:
+        g = g @ u.T if sub_slot == 0 else u @ g
+    return g.reshape(z.shape)
+
+
+def _spied(h_sub):
+    """``h_sub`` whose analytic gradient records each stack it is called on."""
+    calls = []
+
+    def grad(z):
+        calls.append(np.array(z))
+        return h_sub.analytic_gradient(z)
+
+    return replace(h_sub, analytic_gradient=grad), calls
+
+
+@pytest.mark.parametrize("sub_slot", [0, 1])
+@pytest.mark.parametrize("d_sub, d_rest", [(2, 1), (2, 5), (3, 2)])
+@pytest.mark.parametrize("basis", ["identity", "rotated"])
+def test_slice_sum_gradient_keeps_the_bits_of_the_wirtinger_path(rng, sub_slot, d_sub,
+                                                                 d_rest, basis):
+    m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
+    h_sub = canonical(0.1, 0.9, 0.4) if d_sub == 2 else moment_power(m + m.conj().T, 2)
+    u = (np.eye(d_rest) if basis == "identity"
+         else np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))[0])
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    # states built from their slices: row 0 with an exactly zero slice, row 1
+    # with a starved one (its only one at d_rest = 1), row 2 all live, row 3
+    # all dead (the zero state)
+    phis = _rand(rng, 4 * d_rest * d_sub).reshape(4, d_rest, d_sub)
+    phis[0, -1] = 0.0
+    phis[1, 0] *= 1e-8
+    phis[3] = 0.0
+    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
+    zs = t.reshape(4, -1)
+    spy, calls = _spied(h_sub)
+    obs = weinberg_composite(spy, d_sub, d_rest, u, sub_slot=sub_slot)
+    for z in (*zs, zs, zs[3:]):
+        calls.clear()
+        got = obs.analytic_gradient(z)
+        ours = list(calls)
+        ref = _slice_sum_gradient_through_wirtinger(spy, u, dims, sub_slot, z)
+        assert got.shape == z.shape and got.dtype == np.complex128
+        assert got.view(float).tobytes() == ref.view(float).tobytes()
+        # one call per gradient, on the live slices the reference sends it,
+        # and none where the reference sends none (every slice dead)
+        theirs = calls[len(ours):]
+        assert len(ours) == len(theirs) <= 1
+        if ours:
+            assert np.array_equal(ours[0], theirs[0])
+
+
 def _slice_sum_cases(rng, d_sub):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)

@@ -450,6 +450,62 @@ def test_the_earliest_violation_over_all_rows_wins():
             integrate_nls(builder, stack, t_end=10.0, dt=0.1, flow=damped)
 
 
+def test_a_stack_that_blows_up_names_its_row():
+    # f = 1e6 overflows the stages of member 1 only; its solo call and a
+    # one-state flow still report the time alone
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.02 in row 1$") as err:
+        nlqm.intention_paradox([0.5, 0.0, 0.5], [0.5, 1.0, 0.5], [1.0, 1e6, 1.0], 0.05, 0.01)
+    assert (err.value.t, err.value.row) == (0.02, 1)
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.02$") as err:
+        nlqm.intention_paradox(0.0, 1.0, 1e6, 0.05, 0.01)
+    assert (err.value.t, err.value.row) == (0.02, None)
+    # a wave-flow stack: the flow grows by 1e300 a stage on row 2, the one
+    # row whose squared norm exceeds 2
+    grow = lambda z: z @ BASE.T * np.where(np.sum(np.abs(z) ** 2, axis=-1) > 2.0,
+                                           1e300, 1.0)[..., None]
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.1 in row 2$") as err:
+        integrate_nls(_cornered(lambda z: False), np.stack([PAIR, TILTED, 2.0 * PAIR]), 1.0,
+                      0.1, flow=grow)
+    assert (err.value.t, err.value.row) == (0.1, 2)
+
+
+def test_a_blow_up_the_redone_step_cannot_place_names_no_row():
+    # the stages raise once, then run clean: no row has a non-finite entry
+    raised = []
+
+    def once(y):
+        if not raised:
+            raised.append(True)
+            raise FloatingPointError("overflow")
+        return y
+
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.1$") as err:
+        nlqm.dynamics._rk4(once, np.ones((3, 2)), np.arange(11) * 0.1, 0.1,
+                           on_block=lambda lo, hi, block: None)
+    assert (err.value.t, err.value.row) == (0.1, None)
+
+
+def _flow_contract_cases():
+    cases = [pytest.param(obs, 4 if ("pair" in obs.label or "slice-sum" in obs.label) else 2,
+                          domain, id=obs.label) for obs, domain in nlqm.standard_catalog()]
+    p = AtomFieldParams((0.0, 1.0), (-0.5, 0.5), 1.0, 1.0 + 0j, 4)
+    for description in ("linear", "polchinski", "weinberg-fock"):
+        cases.append(pytest.param(build_atom_field(description, p).observable, 10, "any",
+                                  id=f"atom-{description}"))
+    return cases
+
+
+@pytest.mark.parametrize("obs, d, domain", _flow_contract_cases())
+def test_every_flow_maps_a_state_and_a_stack_to_complex128_of_their_shape(rng, obs, d, domain):
+    # _rk4 takes the flow's stages as they come, uncast
+    zs = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+    if domain == "away-from-sigma3-kernel":
+        zs[:, 0] *= 3.0   # |<sigma3>| / n well clear of the guard disk
+    for z in (zs[0], zs):
+        g = obs.analytic_gradient(z)
+        assert type(g) is np.ndarray and g.dtype == np.complex128 and g.shape == z.shape
+
+
 def test_stacks_that_cannot_be_monitored_row_by_row_are_refused():
     stack = np.stack([PAIR, TILTED])
     builder = _cornered(lambda z: False)

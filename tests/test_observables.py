@@ -323,6 +323,37 @@ def test_moment_power_gradient_is_bit_identical_to_its_reference(p, d, rng):
         assert np.array_equal(_bits(got), _bits(ref))
 
 
+@pytest.mark.parametrize("c", [1.0, 0.37])
+@pytest.mark.parametrize("p", [2, 3, 4, -1])
+@pytest.mark.parametrize("d", [2, 4, 10])
+@pytest.mark.parametrize("matrix", ["hermitian", "real-diagonal"])
+def test_moment_power_gradient_keeps_its_bits_where_c_is_one_and_zeros_are_signed(c, p, d,
+                                                                                 matrix, rng):
+    # bytes, so the sign of a zero counts: a state with signed zero parts
+    # and a real diagonal M (the atom ladders) is where a complex multiply by
+    # c = 1 + 0j flips one.  For p = -1, M is positive definite, so every
+    # state stays clear of the singular guard.
+    if matrix == "hermitian":
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = a @ a.conj().T + np.eye(d) if p < 0 else a + a.conj().T
+    else:
+        m = np.diag(rng.choice([1.0, 2.0, 3.0] if p < 0 else [-2.0, -1.0, 1.0, 3.0],
+                               size=d)) + 0j
+    obs = moment_power(m, p, coeff=c)
+    parts = rng.choice([-0.8, -0.6, 0.6, 0.8], size=d)
+    signed = np.array([complex(x, -0.0) if k % 2 else complex(-0.0, x)
+                       for k, x in enumerate(parts)])
+    sparse = np.zeros(d, dtype=complex)
+    sparse[0], sparse[-1] = 0.6, -0.8j
+    for z in (rng.normal(size=d) + 1j * rng.normal(size=d), rng.normal(size=d) + 0j, sparse,
+              signed, rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d)),
+              np.stack([sparse, signed, np.eye(d, dtype=complex)[1], -signed])):
+        ref = _moment_power_gradient_reference(m, p, c, z)
+        got = obs.analytic_gradient(z)
+        assert got.shape == z.shape and got.dtype == np.complex128
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
 def _skewed(z):
     # Hermitian part plus a skew corner 1e-9 |psi_0|^2, past the gate once
     # |psi_0|^2 > 10, and no finite value for 4 < |psi_0|^2 < 6
