@@ -164,6 +164,10 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
             s = sl[live]
+            if not rotate and 0 < len(s) == live.size:
+                # every slice live: the gather's rows are the slices in order
+                g = _shaped(h_sub, h_grad(s), s, s.shape, "gradients").reshape(sl.shape)
+                return (g.swapaxes(-1, -2) if sub_slot == 0 else g).reshape(z.shape)
             if rotate:
                 gm = np.zeros(sl.shape, dtype=complex)
             else:
@@ -397,10 +401,11 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
         broken = ~(np.abs(consts - consts0) <= 1e-9 * (1.0 + np.abs(consts0)))
         if broken.any():
             k, j = divmod(int(np.argmax(broken)), 3)
+            where, loc = _at(times, lo * rows + k, rows)
             raise IntegrationError(
                 f"reduced flow failed to conserve {('trace', 'epshat average', 'purity')[j]} "
-                f"at {_at(times, lo * rows + k, rows)} ({consts0[k % rows, j]:g} -> "
-                f"{consts.reshape(-1, 3)[k, j]:g}); reduce dt")
+                f"at {where} ({consts0[k % rows, j]:g} -> "
+                f"{consts.reshape(-1, 3)[k, j]:g}); reduce dt", **loc)
 
     out = _rk4(rhs, rs, times, dt_eff, on_block=conserved)
     return ReducedFlowTrajectory(times=times, rhos=out if stacked else out[:, 0])
@@ -677,9 +682,8 @@ def intention_paradox(lambda1, lambda2, f, t: float, dt: float) -> ParadoxReport
                  / np.trace(block, axis1=-2, axis2=-1).real)
         drifted = ~(np.abs(x - x0) <= 1e-9)
         if drifted.any():
-            raise IntegrationError(f"sigma1 average drifted at "
-                                   f"{_at(times, lo * rows + int(np.argmax(drifted)), rows)}; "
-                                   f"reduce dt")
+            where, loc = _at(times, lo * rows + int(np.argmax(drifted)), rows)
+            raise IntegrationError(f"sigma1 average drifted at {where}; reduce dt", **loc)
 
     rho = _rk4(rhs, rho0, times, dt_eff, on_block=drift)[-1]
 

@@ -57,9 +57,11 @@ MONITOR_BLOCK = 64
 class IntegrationError(RuntimeError):
     """Integration left its validity envelope (drift, hermiticity, blow-up).
 
-    A blow-up sets ``t``, the sample time it was caught at, and, on a stack
-    of two or more rows, ``row``, the first row that went non-finite (the
-    row its message names); both are None otherwise.
+    Every violation a flow of this package reports sets ``t``, the sample
+    time it was caught at, and, on a stack of two or more rows, ``row``, the
+    row its message names (for a blow-up, the first row that went
+    non-finite); ``row`` is None on one row and where a blow-up cannot be
+    placed, and both are None for an error raised without them.
     """
 
     def __init__(self, message: str, *, t: Optional[float] = None, row: Optional[int] = None):
@@ -239,8 +241,8 @@ def _blown_up(rhs: Callable, y: np.ndarray, dt: complex, times, k: int) -> Integ
             row = int(np.argmax(bad)) if bad.any() else None
         except (ArithmeticError, ValueError):   # it only locates the row
             pass
-    where = f"t = {times[k]:g}" if row is None else _at(times, k * rows + row, rows)
-    return IntegrationError(f"solution blew up at {where}", t=float(times[k]), row=row)
+    where, loc = _at(times, k, 1) if row is None else _at(times, k * rows + row, rows)
+    return IntegrationError(f"solution blew up at {where}", **loc)
 
 
 def _sqnorms(z: np.ndarray) -> np.ndarray:
@@ -250,10 +252,13 @@ def _sqnorms(z: np.ndarray) -> np.ndarray:
         return np.matmul(z.conj()[..., None, :], z[..., :, None])[..., 0, 0].real
 
 
-def _at(times, k: int, rows: int) -> str:
-    """'t = ...' of flat sample-row index k, naming the row of a stack."""
+def _at(times, k: int, rows: int):
+    """Where flat sample-row index k lies: the text 't = ...', naming the row
+    of a stack, and the :class:`IntegrationError` keywords ``t`` and ``row``
+    (``row`` None unless ``rows`` > 1)."""
     sample, row = divmod(k, rows)
-    return f"t = {times[sample]:g}" + (f" in row {row}" if rows > 1 else "")
+    t, row = float(times[sample]), (row if rows > 1 else None)
+    return f"t = {t:g}" + ("" if row is None else f" in row {row}"), {"t": t, "row": row}
 
 
 def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
@@ -263,9 +268,10 @@ def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
     ok = resid <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2))) / 4
     if not ok.all():
         k = int(np.argmin(ok))
+        where, loc = _at(times, k, rows)
         raise IntegrationError(
-            f"builder returned a non-Hermitian matrix at {_at(times, k, rows)} "
-            f"(deviation {4.0 * float(resid[k]):.3e})")
+            f"builder returned a non-Hermitian matrix at {where} "
+            f"(deviation {4.0 * float(resid[k]):.3e})", **loc)
 
 
 def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarray:
@@ -321,12 +327,14 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
     its ``analytic_gradient``; the contract is not checked) and must return
     a complex128 ndarray of z's shape, which is not cast; without it they
-    use ``hbuilder(z) @ z`` itself; the step is ``-1j * dt`` (RK4 in tau =
-    -i t, see :func:`_rk4`).  Every ``MONITOR_BLOCK`` accepted samples (and
-    at the end) ``hbuilder`` gets the block's K states in one ``(K, d)``
-    call.  It must return the ``(K, d, d)`` stack, or one ``(d, d)`` matrix
-    that does not depend on the state; the first state is also built alone,
-    and a stack that disagrees with it raises :class:`ValidationError`.  The
+    use ``hbuilder(z) @ z`` itself, four builds a step, a path no caller in
+    this package takes (every one passes ``flow``; user builders may); the
+    step is ``-1j * dt`` (RK4 in tau = -i t, see :func:`_rk4`).  Every
+    ``MONITOR_BLOCK`` accepted samples (and at the end) ``hbuilder`` gets
+    the block's K states in one ``(K, d)`` call.  It must return the ``(K,
+    d, d)`` stack, or one ``(d, d)`` matrix that does not depend on the
+    state; the first state is also built alone, and a stack that disagrees
+    with it raises :class:`ValidationError`.  The
     stack is hermiticity-checked row by row and gives the ``hvalue`` record;
     the builder sees no sample past the first that breaks the norm budget.
 
@@ -377,9 +385,10 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
         hval = hvalues(lo, block[:end + 1])
         if end < len(block):
             row = int(np.argmax(over[end]))
+            where, loc = _at(times, (lo + end) * rows + row, rows)
             raise IntegrationError(
                 f"norm drift {drift.reshape(over.shape)[end, row]:.3e} exceeded budget "
-                f"{budget:.3e} at {_at(times, (lo + end) * rows + row, rows)}; reduce dt")
+                f"{budget:.3e} at {where}; reduce dt", **loc)
         rec["norm"][lo:hi] = norm
         rec["hvalue"][lo:hi] = hval
 
@@ -454,16 +463,19 @@ class BlochTrajectory:
 
 
 def _bloch_rhs(p: BlochParams, r: np.ndarray) -> np.ndarray:
-    u, v, w = r
-    wt1, wt2, wt3 = -0.5 * p.a * v, 0.5 * p.a * u, 2.0 * p.eps * w   # omega_tilde
-    du = -p.delta * v - wt3 * v + wt2 * w
-    dw = -p.omega * v - wt2 * u + wt1 * v
+    # Python floats: numpy scalars' bits at half the cost; an overflow is a
+    # silent inf, which reaches _rk4's finiteness check in the same step.
+    u, v, w = r.tolist()
+    a, eps, delta, omega = p.a, p.eps, p.delta, p.omega
+    wt1, wt2, wt3 = -0.5 * a * v, 0.5 * a * u, 2.0 * eps * w   # omega_tilde
+    du = -delta * v - wt3 * v + wt2 * w
+    dw = -omega * v - wt2 * u + wt1 * v
     if p.rotating_frame:
-        dv = p.delta * u + p.omega * w + wt3 * u - wt1 * w
+        dv = delta * u + omega * w + wt3 * u - wt1 * w
     else:
         # Fixed-frame published form: the only difference is the sign of the
         # (a/2) v w cross term in dv.
-        dv = p.delta * u + p.omega * w + wt3 * u + wt1 * w
+        dv = delta * u + omega * w + wt3 * u + wt1 * w
     return np.array([du, dv, dw])
 
 
@@ -483,8 +495,9 @@ def integrate_bloch(params: BlochParams, r0, t_end: float, dt: float) -> BlochTr
         over = lsq > cap
         if over.any():
             k = int(np.argmax(over))
+            where, loc = _at(times, lo + k, 1)
             raise IntegrationError(
-                f"Bloch vector length ran away at t = {times[lo + k]:g} (|r|^2 = {lsq[k]:g})")
+                f"Bloch vector length ran away at {where} (|r|^2 = {lsq[k]:g})", **loc)
 
     out = _rk4(lambda r: _bloch_rhs(params, r), r, times, dt_eff, on_block=runaway)
     return BlochTrajectory(times=times, r=out)
@@ -502,21 +515,44 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
     with normalized averages and ``base`` the linear part (a 2x2 matrix, or
     a wrapper with ``.entries``).  The average energy <H_hat> contains no
     damping contribution; the a-terms enter only through the commutator.
-    A ``(K, 2)`` stack of states is mapped row by row to a ``(K, 2, 2)``
-    stack, each matrix bit for bit its single-state build.
+    A ``(K, 2)`` stack of states is built in one pass to a ``(K, 2, 2)``
+    stack, each matrix bit for bit its single-state build.  The builder's
+    ``flow`` attribute maps one complex128 state z to H_hat(z) z, bit for
+    bit ``builder(z) @ z``, for :func:`integrate_nls`'s ``flow=``.
     """
     b = _as_matrix(base)
+    half_eps, quarter_a = 0.5 * eps, 0.25 * a
+    paulis = np.stack([sigma1, sigma2, sigma3])
+
+    def assemble(s1, s2, s3, s3_squared):
+        return (b - half_eps * s3_squared * identity2
+                - quarter_a * s2 * sigma1 + quarter_a * s1 * sigma2
+                + eps * s3 * sigma3)
+
+    def build(zv):
+        n = float(np.vdot(zv, zv).real)
+        s1 = float(np.vdot(zv, sigma1 @ zv).real) / n
+        s2 = float(np.vdot(zv, sigma2 @ zv).real) / n
+        s3 = float(np.vdot(zv, sigma3 @ zv).real) / n
+        return assemble(s1, s2, s3, s3 ** 2)
+
+    def build_stack(zs):
+        n = _sqnorms(zs)
+        if not n.all():         # as a zero state's single-state build
+            raise ZeroDivisionError("float division by zero")
+        # each row's averages bit for bit its np.vdot ones (the _sqnorms idiom)
+        pz = paulis @ zs[:, None, :, None]
+        s = np.matmul(zs.conj()[:, None, None, :], pz)[:, :, 0, 0].real / n[:, None]
+        s1, s2, s3 = (col[:, None, None] for col in s.T)
+        # float_power is libm's pow, as Python's s3 ** 2; np.power and s3 * s3
+        # round some squares differently
+        return assemble(s1, s2, s3, np.float_power(s3, 2))
 
     def builder(z):
         zv = _amplitudes(z)
-        if zv.ndim == 2:
-            return np.stack([builder(row) for row in zv])
-        n = float(np.vdot(zv, zv).real)
-        s1, s2, s3 = (float(np.vdot(zv, s @ zv).real) / n for s in (sigma1, sigma2, sigma3))
-        return (b - 0.5 * eps * s3 ** 2 * identity2
-                - 0.25 * a * s2 * sigma1 + 0.25 * a * s1 * sigma2
-                + eps * s3 * sigma3)
+        return build_stack(zv) if zv.ndim == 2 else build(zv)
 
+    builder.flow = lambda z: build(z) @ z
     return builder
 
 

@@ -1,5 +1,9 @@
 """Wave integration, Bloch forms and the elliptic function kernel."""
 
+import json
+import os
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +11,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import nlqm
+import nlqm.cli
 from nlqm import (
     AtomFieldParams,
     BlochParams,
@@ -450,6 +455,23 @@ def test_the_earliest_violation_over_all_rows_wins():
             integrate_nls(builder, stack, t_end=10.0, dt=0.1, flow=damped)
 
 
+def test_a_hermiticity_violation_carries_its_time_and_row():
+    builder = _cornered(lambda z: SECOND(z) & (np.angle(z[..., 1] * z[..., 0].conj()) < -0.805))
+    flow = lambda z: z @ BASE.T
+    for psi0, row in ((np.stack([PAIR, TILTED]), 1), (TILTED, None)):
+        with pytest.raises(IntegrationError, match="non-Hermitian matrix at t = 1.31 ") as err:
+            integrate_nls(builder, psi0, t_end=3.0, dt=0.01, flow=flow)
+        assert err.value.t == pytest.approx(1.31, abs=1e-12) and err.value.row == row
+
+
+def test_a_norm_drift_carries_its_time_and_row():
+    damped = lambda z: z @ BASE.T - 2.2e-5j * z * SECOND(z)[..., None]
+    for psi0, row in ((np.stack([PAIR, TILTED]), 1), (TILTED, None)):
+        with pytest.raises(IntegrationError, match=r"norm drift .* at t = 2\.3[ ;]") as err:
+            integrate_nls(_cornered(lambda z: False), psi0, t_end=10.0, dt=0.1, flow=damped)
+        assert err.value.t == pytest.approx(2.3, abs=1e-12) and err.value.row == row
+
+
 def test_a_stack_that_blows_up_names_its_row():
     # f = 1e6 overflows the stages of member 1 only; its solo call and a
     # one-state flow still report the time alone
@@ -643,8 +665,118 @@ def test_the_two_frames_differ_when_damped():
 
 def test_bloch_runaway_cap_names_its_time():
     # strong fixed-frame damping pumps |r|^2 past four times its start
-    with pytest.raises(IntegrationError, match=r"ran away at t = 0\.9 "):
+    with pytest.raises(IntegrationError, match=r"ran away at t = 0\.9 ") as err:
         integrate_bloch(BlochParams(0.0, 1.0, 3.0, 0.3), [0.6, 0.0, -0.8], 20.0, 0.05)
+    assert err.value.t == pytest.approx(0.9, abs=1e-12) and err.value.row is None
+
+
+def _bloch_rhs_on_numpy_scalars(p, r):
+    """The Bloch right-hand side on numpy scalars, the reference for its bits."""
+    u, v, w = r
+    wt1, wt2, wt3 = -0.5 * p.a * v, 0.5 * p.a * u, 2.0 * p.eps * w
+    du = -p.delta * v - wt3 * v + wt2 * w
+    dw = -p.omega * v - wt2 * u + wt1 * v
+    if p.rotating_frame:
+        dv = p.delta * u + p.omega * w + wt3 * u - wt1 * w
+    else:
+        dv = p.delta * u + p.omega * w + wt3 * u + wt1 * w
+    return np.array([du, dv, dw])
+
+
+def _bits(x):
+    """The bytes of an array, so that equal means bit for bit, zero signs included."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("rotating", (False, True))
+def test_bloch_rhs_on_floats_matches_numpy_scalars_bit_for_bit(rotating, rng):
+    for delta, omega, a, eps in rng.normal(size=(20, 4)):
+        p = BlochParams(delta, omega, a, eps, rotating_frame=rotating)
+        for r in rng.normal(size=(50, 3)) * rng.uniform(0.01, 100.0, size=(50, 1)):
+            got = nlqm.dynamics._bloch_rhs(p, r)
+            assert got.dtype == np.float64
+            assert _bits(got) == _bits(_bloch_rhs_on_numpy_scalars(p, r))
+
+
+@pytest.mark.parametrize("rotating", (False, True))
+def test_a_bloch_overflow_stops_where_numpy_scalars_did_without_a_warning(rotating, capfd):
+    # eps = 20 at dt = 0.1 is RK4-unstable: the stages overflow five steps in.
+    # On numpy scalars that raised FloatingPointError; on Python floats it is
+    # a silent inf, which the step's finiteness check must catch at the same step.
+    p = BlochParams(0.0, 1.0, 0.5, 20.0, rotating_frame=rotating)
+    r0, times = np.array([0.6, 0.0, -0.8]), np.arange(201) * 0.1
+    found = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rhs in (_bloch_rhs_on_numpy_scalars, nlqm.dynamics._bloch_rhs):
+            with pytest.raises(IntegrationError) as err:
+                nlqm.dynamics._rk4(lambda r, rhs=rhs: rhs(p, r), r0, times, 0.1,
+                                   on_block=lambda lo, hi, block: None)
+            found.append((str(err.value), err.value.t, err.value.row))
+        # the public run reports the runaway of a sample before the overflow
+        with pytest.raises(IntegrationError, match=r"^Bloch vector length ran away at t = 0\.2 "):
+            integrate_bloch(p, r0, 20.0, 0.1)
+    assert found[0] == found[1] == ("solution blew up at t = 0.5", 0.5, None)
+    assert capfd.readouterr().err == ""
+
+
+def _neo_reference(a, eps, base):
+    """The single-state neo build as written before it had a flow: the reference
+    for the bits of the builder, its stacks and its flow."""
+    def build(z):
+        n = float(np.vdot(z, z).real)
+        s1, s2, s3 = (float(np.vdot(z, s @ z).real) / n
+                      for s in (nlqm.sigma1, nlqm.sigma2, nlqm.sigma3))
+        return (base - 0.5 * eps * s3 ** 2 * nlqm.identity2
+                - 0.25 * a * s2 * nlqm.sigma1 + 0.25 * a * s1 * nlqm.sigma2
+                + eps * s3 * nlqm.sigma3)
+    return build
+
+
+def test_neo_flow_and_stacked_build_match_the_reference_bit_for_bit(rng):
+    for a, eps, delta, omega in rng.normal(size=(5, 4)):
+        base = 0.5 * (delta * nlqm.sigma3 - omega * nlqm.sigma1)
+        builder, ref = neo_hamiltonian(a, eps, base), _neo_reference(a, eps, base)
+        zs = ((rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)))
+              * rng.uniform(0.1, 3.0, size=(200, 1)))
+        stack = builder(zs)
+        assert stack.shape == (200, 2, 2)
+        for z, h in zip(zs, stack):
+            want = ref(z)
+            assert _bits(builder(z)) == _bits(want)
+            assert _bits(h) == _bits(want)
+            assert _bits(builder.flow(z)) == _bits(want @ z)
+    # a zero row fails the stack as it fails its own build
+    for z in (np.zeros(2, dtype=complex), np.stack([zs[0], np.zeros(2)])):
+        with pytest.raises(ZeroDivisionError):
+            builder(z)
+
+
+def test_the_bundled_wave_comparison_keeps_its_bits_on_the_flow_path(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs",
+                        "bloch-neoclassical.json")
+    with open(path) as fh:
+        scenario = next(sc for sc in json.load(fh)["scenarios"] if sc["compare_wave"])
+    calls = []
+    real = nlqm.cli.integrate_nls
+    monkeypatch.setattr(nlqm.cli, "integrate_nls",
+                        lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+    p = nlqm.cli._validated(scenario, "bloch-neoclassical")
+    nlqm.cli._run_bloch(p)
+    (builder, psi0, t_end, dt), kw = calls[0]
+    assert kw == {"flow": builder.flow}
+    traj = real(builder, psi0, t_end, dt, flow=builder.flow)
+    # the reference: four reference builds a step, the path the comparison used to take
+    base = 0.5 * (p["delta"] * nlqm.sigma3 - p["omega"] * nlqm.sigma1)
+    ref = _neo_reference(p["a"], p["eps"], base)
+    stacked = lambda z: np.stack([ref(r) for r in z]) if z.ndim == 2 else ref(z)
+    old = real(stacked, psi0, t_end, dt)
+    assert traj.times.size == 2001
+    assert _bits(traj.amplitudes()) == _bits(old.amplitudes())
+    for key in ("norm", "hvalue"):
+        assert _bits(traj.recorded[key]) == _bits(old.recorded[key])
+    for z in traj.amplitudes():
+        assert _bits(builder.flow(z)) == _bits(ref(z) @ z)
 
 
 def test_neo_hamiltonian_wave_flow_reproduces_rotating_bloch():
