@@ -412,7 +412,7 @@ def _run_bloch(p):
                          np.sin(th / 2.0) * np.exp(1j * ph)], dtype=complex)
         base = 0.5 * (p["delta"] * sigma3 - p["omega"] * sigma1)
         wb = neo_hamiltonian(p["a"], p["eps"], base)
-        wtraj = integrate_nls(wb, psi0, p["t_end"], p["dt"], flow=wb.flow)
+        wtraj = integrate_nls(wb, psi0, p["t_end"], p["dt"])
         paulis = (sigma1, sigma2, sigma3)
         amps = wtraj.amplitudes()
         norms = np.sum(np.abs(amps) ** 2, axis=1)

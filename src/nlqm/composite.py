@@ -164,10 +164,6 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
             s = sl[live]
-            if not rotate and 0 < len(s) == live.size:
-                # every slice live: the gather's rows are the slices in order
-                g = _shaped(h_sub, h_grad(s), s, s.shape, "gradients").reshape(sl.shape)
-                return (g.swapaxes(-1, -2) if sub_slot == 0 else g).reshape(z.shape)
             if rotate:
                 gm = np.zeros(sl.shape, dtype=complex)
             else:

@@ -327,14 +327,12 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
     its ``analytic_gradient``; the contract is not checked) and must return
     a complex128 ndarray of z's shape, which is not cast; without it they
-    use ``hbuilder(z) @ z`` itself, four builds a step, a path no caller in
-    this package takes (every one passes ``flow``; user builders may); the
-    step is ``-1j * dt`` (RK4 in tau = -i t, see :func:`_rk4`).  Every
-    ``MONITOR_BLOCK`` accepted samples (and at the end) ``hbuilder`` gets
-    the block's K states in one ``(K, d)`` call.  It must return the ``(K,
-    d, d)`` stack, or one ``(d, d)`` matrix that does not depend on the
-    state; the first state is also built alone, and a stack that disagrees
-    with it raises :class:`ValidationError`.  The
+    use ``hbuilder(z) @ z`` itself; the step is ``-1j * dt`` (RK4 in tau =
+    -i t, see :func:`_rk4`).  Every ``MONITOR_BLOCK`` accepted samples (and
+    at the end) ``hbuilder`` gets the block's K states in one ``(K, d)``
+    call.  It must return the ``(K, d, d)`` stack, or one ``(d, d)`` matrix
+    that does not depend on the state; the first state is also built alone,
+    and a stack that disagrees with it raises :class:`ValidationError`.  The
     stack is hermiticity-checked row by row and gives the ``hvalue`` record;
     the builder sees no sample past the first that breaks the norm budget.
 
@@ -516,9 +514,7 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
     a wrapper with ``.entries``).  The average energy <H_hat> contains no
     damping contribution; the a-terms enter only through the commutator.
     A ``(K, 2)`` stack of states is built in one pass to a ``(K, 2, 2)``
-    stack, each matrix bit for bit its single-state build.  The builder's
-    ``flow`` attribute maps one complex128 state z to H_hat(z) z, bit for
-    bit ``builder(z) @ z``, for :func:`integrate_nls`'s ``flow=``.
+    stack, each matrix bit for bit its single-state build.
     """
     b = _as_matrix(base)
     half_eps, quarter_a = 0.5 * eps, 0.25 * a
@@ -552,7 +548,6 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
         zv = _amplitudes(z)
         return build_stack(zv) if zv.ndim == 2 else build(zv)
 
-    builder.flow = lambda z: build(z) @ z
     return builder
 
 

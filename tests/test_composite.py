@@ -267,47 +267,6 @@ def test_slice_sum_gradient_keeps_the_bits_of_the_wirtinger_path(rng, sub_slot, 
             assert np.array_equal(ours[0], theirs[0])
 
 
-def _scattered_gradient(h_sub, dims, sub_slot, z):
-    """The identity-basis slice-sum gradient by zero fill and boolean scatter,
-    as it ran before every-slice-live states skipped both: the reference."""
-    z = np.asarray(z, dtype=complex)
-    t = z.reshape(z.shape[:-1] + dims)
-    sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
-    live = np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
-    out = np.zeros(z.shape, dtype=complex)
-    gm = out.reshape(z.shape[:-1] + dims)
-    gm = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
-    gm[live] = np.asarray(h_sub.analytic_gradient(sl[live]), dtype=complex)
-    return out
-
-
-@pytest.mark.parametrize("sub_slot", [0, 1])
-@pytest.mark.parametrize("d_sub, d_rest", [(2, 1), (3, 1), (2, 2), (2, 5), (5, 2)])
-def test_an_all_live_slice_gradient_keeps_the_bits_of_the_scatter(rng, sub_slot, d_sub, d_rest):
-    h_sub = _slice_sum_cases(rng, d_sub)["sum"]
-    sent = []
-
-    def grad(z):
-        sent.append((z.flags.c_contiguous, np.array(z)))
-        return h_sub.analytic_gradient(z)
-
-    obs = weinberg_composite(replace(h_sub, analytic_gradient=grad), d_sub, d_rest,
-                             np.eye(d_rest), sub_slot=sub_slot)
-    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
-    zs = _rand(rng, 6 * d_sub * d_rest).reshape(6, -1)      # every slice live
-    for z in (zs[0], zs, zs.reshape(2, 3, -1)):
-        sent.clear()
-        got = obs.analytic_gradient(z)
-        ref = _scattered_gradient(h_sub, dims, sub_slot, z)
-        assert got.shape == z.shape and got.dtype == np.complex128 and got.flags.c_contiguous
-        assert got.tobytes() == ref.tobytes()
-        # h_sub got the C-ordered (n_live, d_sub) gather of the slices, in order
-        t = z.reshape(z.shape[:-1] + dims)
-        sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
-        [(contiguous, stack)] = sent
-        assert contiguous and np.array_equal(stack, sl.reshape(-1, d_sub))
-
-
 def _slice_sum_cases(rng, d_sub):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)

@@ -721,8 +721,8 @@ def test_a_bloch_overflow_stops_where_numpy_scalars_did_without_a_warning(rotati
 
 
 def _neo_reference(a, eps, base):
-    """The single-state neo build as written before it had a flow: the reference
-    for the bits of the builder, its stacks and its flow."""
+    """The single-state neo build as written before it was made lean: the
+    reference for the bits of the builder and its stacks."""
     def build(z):
         n = float(np.vdot(z, z).real)
         s1, s2, s3 = (float(np.vdot(z, s @ z).real) / n
@@ -733,7 +733,7 @@ def _neo_reference(a, eps, base):
     return build
 
 
-def test_neo_flow_and_stacked_build_match_the_reference_bit_for_bit(rng):
+def test_neo_single_and_stacked_builds_match_the_reference_bit_for_bit(rng):
     for a, eps, delta, omega in rng.normal(size=(5, 4)):
         base = 0.5 * (delta * nlqm.sigma3 - omega * nlqm.sigma1)
         builder, ref = neo_hamiltonian(a, eps, base), _neo_reference(a, eps, base)
@@ -745,28 +745,30 @@ def test_neo_flow_and_stacked_build_match_the_reference_bit_for_bit(rng):
             want = ref(z)
             assert _bits(builder(z)) == _bits(want)
             assert _bits(h) == _bits(want)
-            assert _bits(builder.flow(z)) == _bits(want @ z)
     # a zero row fails the stack as it fails its own build
     for z in (np.zeros(2, dtype=complex), np.stack([zs[0], np.zeros(2)])):
         with pytest.raises(ZeroDivisionError):
             builder(z)
 
 
-def test_the_bundled_wave_comparison_keeps_its_bits_on_the_flow_path(monkeypatch):
+def test_the_bundled_wave_comparison_keeps_the_bits_of_the_reference_build(monkeypatch):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs",
                         "bloch-neoclassical.json")
     with open(path) as fh:
         scenario = next(sc for sc in json.load(fh)["scenarios"] if sc["compare_wave"])
     calls = []
     real = nlqm.cli.integrate_nls
-    monkeypatch.setattr(nlqm.cli, "integrate_nls",
-                        lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+
+    def spy(*args, **kw):
+        calls.append((args, kw, real(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(nlqm.cli, "integrate_nls", spy)
     p = nlqm.cli._validated(scenario, "bloch-neoclassical")
     nlqm.cli._run_bloch(p)
-    (builder, psi0, t_end, dt), kw = calls[0]
-    assert kw == {"flow": builder.flow}
-    traj = real(builder, psi0, t_end, dt, flow=builder.flow)
-    # the reference: four reference builds a step, the path the comparison used to take
+    [((_, psi0, t_end, dt), kw, traj)] = calls
+    assert kw == {}
+    # the reference: the single-state build as it was, mapped over a stack row by row
     base = 0.5 * (p["delta"] * nlqm.sigma3 - p["omega"] * nlqm.sigma1)
     ref = _neo_reference(p["a"], p["eps"], base)
     stacked = lambda z: np.stack([ref(r) for r in z]) if z.ndim == 2 else ref(z)
@@ -775,8 +777,6 @@ def test_the_bundled_wave_comparison_keeps_its_bits_on_the_flow_path(monkeypatch
     assert _bits(traj.amplitudes()) == _bits(old.amplitudes())
     for key in ("norm", "hvalue"):
         assert _bits(traj.recorded[key]) == _bits(old.recorded[key])
-    for z in traj.amplitudes():
-        assert _bits(builder.flow(z)) == _bits(ref(z) @ z)
 
 
 def test_neo_hamiltonian_wave_flow_reproduces_rotating_bloch():

@@ -138,26 +138,3 @@ def test_the_package_reexports_exactly_its_modules_public_names():
         module = getattr(nlqm, m)
         for name in _exported(_tree(m)):
             assert getattr(nlqm, name) is getattr(module, name), name
-
-
-def flowless_integrations(tree) -> list:
-    """Lines of the ``integrate_nls(...)`` calls in ``tree`` that pass no ``flow=``."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _decorator_name(node) == "integrate_nls"
-            and not any(k.arg == "flow" for k in node.keywords)]
-
-
-def test_the_check_finds_an_integration_without_flow():
-    tree = ast.parse("from . import dynamics\n"
-                     "def f(b, z):\n"
-                     "    dynamics.integrate_nls(b, z, 1.0, 0.1, flow=b.flow)\n"
-                     "    integrate_nls(b, z,\n                  1.0, 0.1)\n"
-                     "    return dynamics.integrate_nls(b, z, 1.0, dt=0.1)\n")
-    assert flowless_integrations(tree) == [4, 6]
-
-
-@pytest.mark.parametrize("name", MODULES)
-def test_every_library_integration_passes_flow(name):
-    # without flow= the RK4 stages build the full matrix four times a step;
-    # that path is kept for user builders and the bench kernel sheet only
-    assert flowless_integrations(_tree(name)) == []
