@@ -13,8 +13,9 @@ Every scenario writes ``<name>.csv`` (first column is always ``t``: the time
 grid, or the sweep/record coordinate for time-free experiments) and
 ``<name>.report.json``.  Output is byte-reproducible: fixed float formatting,
 LF line endings, sorted JSON keys, and no randomness anywhere in the library.
-Mixture scenarios that share a time grid run as one RK4 stack (``_GROUPED``)
-and write the bytes they write alone.  The output directory is ``--out``,
+Mixture scenarios that share a time grid (an experiment's group key in
+``EXPERIMENTS``) run as one RK4 stack and write the bytes they write alone; a
+member that fails the stack reruns alone.  The output directory is ``--out``,
 else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
@@ -58,6 +59,7 @@ from .dynamics import (
     BlochParams,
     IntegrationError,
     _check_horizon,
+    _in_row,
     canonical_frequencies,
     integrate_bloch,
     integrate_nls,
@@ -134,7 +136,7 @@ def _nonzero(state) -> bool:
 def _validated(scenario: dict, exp: str) -> dict:
     """The scenario's parameters, coerced by kind and checked by every static
     rule; raises :class:`ValidationError`."""
-    _, fields, _, check = EXPERIMENTS[exp]
+    _, fields, _, check, _ = EXPERIMENTS[exp]
     known = {f.name for f in fields}
     for key in scenario:
         if key not in known and key not in ("experiment", "name"):
@@ -162,8 +164,9 @@ def _validated(scenario: dict, exp: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns (columns, metrics, passed): columns maps the
-# CSV column names, "t" first, to 1-D arrays of one length, in CSV order.
+# Experiment runners.  Each returns (columns, metrics, passed), a group runner
+# through one finisher per member: columns maps the CSV column names, "t"
+# first, to 1-D arrays of one length, in CSV order.
 
 
 def _family_observable(p):
@@ -341,22 +344,30 @@ def _reduced_flow_result(rho0, plain, purity):
 _VARIANTS = ("plain", "purity-weighted")
 
 
-def _run_reduced_flow(p):
-    """A scenario alone, as the fallback of its group: each flow is one call, so
-    a broken invariant is reported as that flow reports it, without a row."""
-    eps, rho0 = _mixture(p)
-    plain, purity = (composite.polchinski_reduced_flow(v, eps, rho0, p["t_end"], p["dt"])
-                     for v in _VARIANTS)
-    return _reduced_flow_result(rho0, plain, purity)
-
-
 def _run_reduced_flows(ps):
-    """Both flows of every scenario of ``ps`` (one grid, one level count) as one stack."""
+    """Both flows of every scenario of ``ps`` (one grid, one level count) as one
+    stack.  An integration error that names a row names its flow instead, and
+    its ``row`` is the scenario's index.  A lone scenario that the stack
+    refuses before integrating (its two flows pass the sample cap together)
+    runs each flow as its own call."""
     eps, rho0 = (np.repeat(np.stack(m), 2, axis=0) for m in zip(*map(_mixture, ps)))
-    traj = composite.polchinski_reduced_flow(_VARIANTS * len(ps), eps, rho0, ps[0]["t_end"],
-                                             ps[0]["dt"])
-    flow = lambda k: composite.ReducedFlowTrajectory(traj.times, traj.rhos[:, k])
-    return [_reduced_flow_result(rho0[2 * b], flow(2 * b), flow(2 * b + 1))
+    t_end, dt = ps[0]["t_end"], ps[0]["dt"]
+    try:
+        traj = composite.polchinski_reduced_flow(_VARIANTS * len(ps), eps, rho0, t_end, dt)
+        flows = [composite.ReducedFlowTrajectory(traj.times, traj.rhos[:, k])
+                 for k in range(2 * len(ps))]
+    except IntegrationError as e:
+        if e.row is None:
+            raise
+        member, k = divmod(e.row, 2)
+        raise IntegrationError(str(e).replace(_in_row(e.row), f" in the {_VARIANTS[k]} flow"),
+                               t=e.t, row=member) from None
+    except ValidationError:
+        if len(ps) > 1:
+            raise
+        flows = [composite.polchinski_reduced_flow(v, eps[0], rho0[0], t_end, dt)
+                 for v in _VARIANTS]
+    return [lambda b=b: _reduced_flow_result(rho0[2 * b], flows[2 * b], flows[2 * b + 1])
             for b in range(len(ps))]
 
 
@@ -427,26 +438,25 @@ def _run_bloch(p):
 
 
 def _run_intentions(ps):
-    """The scenarios of ``ps`` (one grid) as one stack."""
+    """The scenarios of ``ps`` (one grid) as one stack, one row each."""
     rep = composite.intention_paradox(*([p[k] for p in ps] for k in ("lambda1", "lambda2", "f")),
                                       ps[0]["t"], ps[0]["dt"])
-    results = []
-    for b in range(len(ps)):
+
+    def result(b):
         metrics = {"x_value": rep.x_value[b], "analytic_gap": rep.analytic_gap[b],
                    "duality_gap": rep.duality_gap[b], "sigma3_final": rep.sigma3_final[b],
                    "sigma3_predicted": rep.sigma3_predicted[b]}
         passed = metrics["analytic_gap"] < 1e-8 and metrics["duality_gap"] < 1e-8
-        results.append(({"t": rep.times, "sigma3": rep.sigma3_series[:, b],
-                         "sigma3_predicted": rep.sigma3_predicted_series[:, b]},
-                        metrics, passed))
-    return results
+        return ({"t": rep.times, "sigma3": rep.sigma3_series[:, b],
+                 "sigma3_predicted": rep.sigma3_predicted_series[:, b]}, metrics, passed)
+    return [lambda b=b: result(b) for b in range(len(ps))]
 
 
-def _run_intention(p):
-    return _run_intentions([p])[0]
-
-
-# name: (description, fields, runner, static rule run by the schema pass or None)
+# name: (description, fields, runner, static rule run by the schema pass or
+# None, group key or None).  Without a group key the runner maps one params
+# dict to its result.  With one, the scenarios whose keys are exactly equal
+# form a group, whose params the runner integrates as one RK4 stack; it
+# returns one finisher per member, which gives that member's result.
 EXPERIMENTS = {
     "eigen-census": (
         "enumerate nonlinear eigenstates of a two-level moment family",
@@ -456,13 +466,13 @@ EXPERIMENTS = {
             Field("expected_count", "int", default=-1,
                   help="fail unless this many distinct states (-1 disables)"),
         ),
-        _run_eigen_census, _check_family),
+        _run_eigen_census, _check_family, None),
     "diagonal-census": (
         "eigenvalues of the state-dependent operator at a given state",
         _FAMILY_FIELDS + (
             Field("state", "complex_list", required=True, help="amplitude vector"),
         ),
-        _run_diagonal_census, _check_diagonal),
+        _run_diagonal_census, _check_diagonal, None),
     "eigenfrequency": (
         "trajectory phase rates of a diagonal family vs the closed form",
         (Field("e_levels", "real_list", required=True),
@@ -471,14 +481,14 @@ EXPERIMENTS = {
          Field("t_end", "real", default=30.0),
          Field("dt", "real", default=0.01),
          Field("tol", "real", default=1e-5)),
-        _run_eigenfrequency, _check_levels),
+        _run_eigenfrequency, _check_levels, None),
     "probability-inconsistency": (
         "two moment-based probability rules disagree for a degenerate family",
         (Field("e", "real", default=1.0),
          Field("eps", "real", default=0.1),
          Field("samples", "int", default=41,
                help=f"sweep points, 1 to {MAX_PROBABILITY_SAMPLES}")),
-        _run_probability_inconsistency, _check_sweep),
+        _run_probability_inconsistency, _check_sweep, None),
     "gisin-telegraph": (
         "remote-preparation telegraph under the slice-sum pair extension",
         (Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),
@@ -488,14 +498,14 @@ EXPERIMENTS = {
          Field("e2", "real", default=0.0),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_gisin, _check_pair),
+        _run_gisin, _check_pair, None),
     "mobility-telegraph": (
         "telegraph from a tilted correlation basis",
         (Field("eps", "real", default=0.1),
          Field("tilt", "real", default=float(np.pi / 8.0)),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_mobility, None),
+        _run_mobility, None, None),
     "no-signaling": (
         "does a remote unitary move the local reduced state?",
         (Field("description", "str", default="polchinski-plain",
@@ -508,7 +518,7 @@ EXPERIMENTS = {
          Field("t_end", "real", default=5.0),
          Field("dt", "real", default=0.01),
          Field("expect", "str", default="silent", choices=("silent", "signal"))),
-        _run_no_signaling, _check_pair),
+        _run_no_signaling, _check_pair, None),
     "reduced-flow-variants": (
         "reduced-flow rotation rate: plain vs purity-weighted extension",
         (Field("eps_levels", "real_list", default=[1.0, -1.0]),
@@ -516,9 +526,10 @@ EXPERIMENTS = {
          Field("delta", "real", default=1e-5, help="off-diagonal seed"),
          Field("t_end", "real", default=20.0),
          Field("dt", "real", default=0.01)),
-        _run_reduced_flow,
+        _run_reduced_flows,
         lambda p: _rule(2 <= len(p["eps_levels"]) == len(p["rho_diag"]),
-                        "eps_levels and rho_diag must have equal length, at least 2")),
+                        "eps_levels and rho_diag must have equal length, at least 2"),
+        lambda p: (p["t_end"], p["dt"], len(p["eps_levels"]))),
     "atom-inversion": (
         "population inversion of the atom-field models vs closed forms",
         (Field("description", "str", default="polchinski",
@@ -535,7 +546,7 @@ EXPERIMENTS = {
          Field("compare", "str", default="elliptic",
                choices=("none", "elliptic", "cos")),
          Field("tol", "real", default=1e-4)),
-        _run_atom_inversion, _check_atom),
+        _run_atom_inversion, _check_atom, None),
     "bloch-neoclassical": (
         "damped-driven Bloch forms against the nonlinear wave equation",
         (Field("delta", "real", default=0.0),
@@ -551,7 +562,7 @@ EXPERIMENTS = {
         _run_bloch,
         lambda p: _rule(len(p["r0"]) == 3 and not (
             p["compare_wave"] and abs(sum(x * x for x in p["r0"]) - 1.0) > 1e-9),
-            "r0 must have three components, and |r0| = 1 for compare_wave")),
+            "r0 must have three components, and |r0| = 1 for compare_wave"), None),
     "intention-paradox": (
         "mixture-composition-dependent rotation of a density matrix",
         (Field("lambda1", "real", default=0.5),
@@ -559,18 +570,9 @@ EXPERIMENTS = {
          Field("f", "real", default=1.0),
          Field("t", "real", default=float(np.pi)),
          Field("dt", "real", default=0.001)),
-        _run_intention,
-        lambda p: composite._check_weights(p["lambda1"], p["lambda2"])),
-}
-
-
-# name: (grid key, group runner).  The scenarios of one experiment whose keys
-# are exactly equal form a group, which the group runner integrates as one RK4
-# stack: it maps their params to their results, in order (see _group_outcomes).
-_GROUPED = {
-    "reduced-flow-variants": (lambda p: (p["t_end"], p["dt"], len(p["eps_levels"])),
-                              _run_reduced_flows),
-    "intention-paradox": (lambda p: (p["t"], p["dt"]), _run_intentions),
+        _run_intentions,
+        lambda p: composite._check_weights(p["lambda1"], p["lambda2"]),
+        lambda p: (p["t"], p["dt"])),
 }
 
 
@@ -632,17 +634,26 @@ def _with_rows(result):
 
 def _group_outcomes(exp: str, ps: list) -> list:
     """``(header, rows, metrics, passed)``, or the exception raised, of each
-    scenario of one group.
+    scenario of one group (of one scenario, whose run is its finisher, if the
+    experiment has no group key).
 
-    A group of a ``_GROUPED`` experiment runs as one call of its group runner.
-    If that raises an expected error, every member runs alone, so a failing
-    member's outcome is its solo run's; any other error is every member's.
+    Each member's finisher runs on its own, so an error raised there is that
+    member's alone.  An expected error of the stack whose ``row`` names a
+    member runs that member alone, so its outcome is its solo run's, and the
+    others again as one group; one without a ``row`` runs every member alone.
+    Any other error is every member's.
     """
-    if exp in _GROUPED:
-        out = _attempt(lambda q: [_with_rows(r) for r in _GROUPED[exp][1](q)], ps)
-        if not isinstance(out, _EXPECTED_ERRORS):
-            return out if isinstance(out, list) else [out] * len(ps)
-    return [_attempt(lambda p: _with_rows(EXPERIMENTS[exp][2](p)), p) for p in ps]
+    _, _, run, _, group = EXPERIMENTS[exp]
+    finishers = [lambda p=p: run(p) for p in ps] if group is None else _attempt(run, ps)
+    if not isinstance(finishers, Exception):
+        return [_attempt(lambda f: _with_rows(f()), f) for f in finishers]
+    if len(ps) == 1 or not isinstance(finishers, _EXPECTED_ERRORS):
+        return [finishers] * len(ps)
+    m = getattr(finishers, "row", None)
+    if m is None:
+        return [out for p in ps for out in _group_outcomes(exp, [p])]
+    solo, rest = _group_outcomes(exp, [ps[m]]), _group_outcomes(exp, ps[:m] + ps[m + 1:])
+    return rest[:m] + solo + rest[m:]
 
 
 def _schema_pass(cfg) -> list:
@@ -694,8 +705,8 @@ def _cmd_run(args) -> int:
         return 2
     groups = {}
     for i, (_, exp, params) in enumerate(prepared):
-        key = (exp, _GROUPED[exp][0](params)) if exp in _GROUPED else i
-        groups.setdefault(key, []).append(i)
+        group = EXPERIMENTS[exp][4]
+        groups.setdefault(i if group is None else (exp, group(params)), []).append(i)
     first = {members[0]: members for members in groups.values()}
     pending, all_ok = {}, True
     for i, (name, exp, params) in enumerate(prepared):
@@ -757,7 +768,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    for name, (desc, fields, _runner, _check) in EXPERIMENTS.items():
+    for name, (desc, fields, _runner, _check, _group) in EXPERIMENTS.items():
         print(f"{name}: {desc}")
         for f in fields:
             bits = [f.kind]

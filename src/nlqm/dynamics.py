@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (StateVector, ValidationError, _amplitudes, _hermiticity_residual, sigma1,
                    sigma2, sigma3, identity2)
+from .observables import SingularObservableError
 
 __all__ = [
     "IntegrationError",
@@ -252,13 +253,18 @@ def _sqnorms(z: np.ndarray) -> np.ndarray:
         return np.matmul(z.conj()[..., None, :], z[..., :, None])[..., 0, 0].real
 
 
+def _in_row(row: int) -> str:
+    """The text by which an :class:`IntegrationError` message names its row."""
+    return f" in row {row}"
+
+
 def _at(times, k: int, rows: int):
     """Where flat sample-row index k lies: the text 't = ...', naming the row
     of a stack, and the :class:`IntegrationError` keywords ``t`` and ``row``
     (``row`` None unless ``rows`` > 1)."""
     sample, row = divmod(k, rows)
     t, row = float(times[sample]), (row if rows > 1 else None)
-    return f"t = {t:g}" + ("" if row is None else f" in row {row}"), {"t": t, "row": row}
+    return f"t = {t:g}" + ("" if row is None else _in_row(row)), {"t": t, "row": row}
 
 
 def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
@@ -514,11 +520,13 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
     a wrapper with ``.entries``).  The average energy <H_hat> contains no
     damping contribution; the a-terms enter only through the commutator.
     A ``(K, 2)`` stack of states is built in one pass to a ``(K, 2, 2)``
-    stack, each matrix bit for bit its single-state build.
+    stack, each matrix bit for bit its single-state build.  A zero state, or
+    a zero row of a stack, raises :class:`SingularObservableError`.
     """
     b = _as_matrix(base)
     half_eps, quarter_a = 0.5 * eps, 0.25 * a
     paulis = np.stack([sigma1, sigma2, sigma3])
+    zero = "the neoclassical Hamiltonian is singular at a zero state"
 
     def assemble(s1, s2, s3, s3_squared):
         return (b - half_eps * s3_squared * identity2
@@ -527,6 +535,8 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
 
     def build(zv):
         n = float(np.vdot(zv, zv).real)
+        if not n:
+            raise SingularObservableError(zero)
         s1 = float(np.vdot(zv, sigma1 @ zv).real) / n
         s2 = float(np.vdot(zv, sigma2 @ zv).real) / n
         s3 = float(np.vdot(zv, sigma3 @ zv).real) / n
@@ -534,8 +544,8 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
 
     def build_stack(zs):
         n = _sqnorms(zs)
-        if not n.all():         # as a zero state's single-state build
-            raise ZeroDivisionError("float division by zero")
+        if not n.all():
+            raise SingularObservableError(zero)
         # each row's averages bit for bit its np.vdot ones (the _sqnorms idiom)
         pz = paulis @ zs[:, None, :, None]
         s = np.matmul(zs.conj()[:, None, None, :], pz)[:, :, 0, 0].real / n[:, None]

@@ -35,6 +35,7 @@ the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -180,10 +181,20 @@ def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
     Uses the analytic gradient when the observable carries one, otherwise
     central differences of the values at step ``1e-5 * (1 + |psi|)`` per
     state, its ``4d`` probes in one :meth:`~HomogeneousObservable.value` call.
+    A non-finite analytic gradient of one state raises
+    :class:`SingularObservableError`; a stack keeps its non-finite rows.
     """
     z = _amplitudes(psi)
     if obs.analytic_gradient is not None:
-        return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+        if z.ndim > 1:
+            return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+        with warnings.catch_warnings():  # a non-finite entry raises below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            g = _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+        if not np.isfinite(g).all():
+            raise SingularObservableError(f"{obs.label or 'observable'} has a non-finite "
+                                          f"gradient at state {np.array2string(z, precision=6)}")
+        return g
     if z.ndim == 1:
         return _numeric_gradient(obs, z, GRADIENT_STEP * (1.0 + np.linalg.norm(z)))
     return np.array([wirtinger_gradient(obs, row) for row in z], dtype=complex).reshape(z.shape)

@@ -2,11 +2,13 @@
 
 import contextlib
 import glob
+import hashlib
 import importlib.util
 import io
 import json
 import lzma
 import os
+import platform
 import tempfile
 from unittest import mock
 
@@ -24,6 +26,24 @@ CONFIG_FILES = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 BENCH_DIR = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 # the benchmark's recorded outputs of the bundled configs, <name>.csv.xz
 REFERENCE_DIR = os.path.join(BENCH_DIR, "reference")
+
+
+def _environment():
+    """numpy's version, its BLAS name and version, and the machine type; None
+    where numpy does not report its build as a dict (before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"numpy": np.__version__, "blas": [blas["name"], blas.get("version")],
+            "machine": platform.machine()}
+
+
+# The sha256 of every output file of each bundled config, per config stem, and
+# the environment they were written on.  A change that means to move these
+# bytes records the new hashes here and says why.
+with open(os.path.join(os.path.dirname(__file__), "bundled_bytes.json")) as _fh:
+    BUNDLED_BYTES = json.load(_fh)
 
 
 def _scenarios(path):
@@ -46,6 +66,10 @@ def test_bundled_config_passes(path, tmp_path, capfd):
     assert capfd.readouterr().err == ""
     reports = sorted(tmp_path.glob("*.report.json"))
     assert len(reports) == len(_scenarios(path))
+    if BUNDLED_BYTES["environment"] == _environment():  # else the 1e-12 check below only
+        stem = os.path.splitext(os.path.basename(path))[0]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == BUNDLED_BYTES["sha256"][stem]
     for rp in reports:
         rep = json.loads(rp.read_text())
         assert rep["passed"] is True
@@ -337,7 +361,7 @@ def test_vectorised_columns_match_the_per_row_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
 def test_field_defaults_pass_the_schema_unchanged(exp):
-    _, fields, _, _ = EXPERIMENTS[exp]
+    fields = EXPERIMENTS[exp][1]
     required = {f.name: _bundled_scenario(exp)[f.name] for f in fields if f.required}
     defaults = {f.name: f.default for f in fields if not f.required}
     # as JSON, written out in full: every default is a value of its own kind
@@ -351,8 +375,9 @@ def _stub_runner(_params):
     return {"t": [0.0]}, {}, True
 
 
-_STUBBED = {exp: (desc, fields, _stub_runner, check)
-            for exp, (desc, fields, _, check) in EXPERIMENTS.items()}
+# the grouped experiments keep their runners, and run for real
+_STUBBED = {exp: (desc, fields, run if group else _stub_runner, check, group)
+            for exp, (desc, fields, run, check, group) in EXPERIMENTS.items()}
 _NUMBER = st.integers() | st.floats() | st.sampled_from([0.5, 1e300, -1e300, 10 ** 400])
 # any JSON value, half of them numbers or lists of numbers and [re, im]
 # pairs, so that the static rules behind the kind checks are reached too
@@ -571,8 +596,9 @@ def test_overflowing_mixture_flows_report_their_first_broken_invariant(tmp_path,
         {"experiment": "intention-paradox", "name": "paradox", "f": 1e6},
     ])
     assert capfd.readouterr().err == ""
+    # a lone reduced-flow scenario is a stack of its two flows: the report names the flow
     assert reports["levels"]["error"] == ("reduced flow failed to conserve purity at t = 0.01 "
-                                          "(0.625 -> 8.88889e+69); reduce dt")
+                                          "in the plain flow (0.625 -> 8.88889e+69); reduce dt")
     assert reports["paradox"]["error"] == "sigma1 average drifted at t = 0.00199974; reduce dt"
 
 
@@ -621,6 +647,18 @@ def _solo_runs(tmp_path, scenarios, capsys):
     return codes, _outputs(tmp_path / "solo"), lines
 
 
+def _spied(monkeypatch, *fns):
+    """A list to which every later call of the ``composite`` functions ``fns``
+    appends ``(fn, rows)``: the number of its variants or of its lambda1."""
+    stacks = []
+    for fn in fns:
+        def call(*args, fn=fn, real=getattr(nlqm.composite, fn)):
+            stacks.append((fn, len(np.atleast_1d(args[0]))))
+            return real(*args)
+        monkeypatch.setattr(nlqm.composite, fn, call)
+    return stacks
+
+
 def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(tmp_path, capsys, monkeypatch):
     # the bundled reduced-flow and paradox scenarios, one more reduced flow on
     # another grid and one more mixture with another f, interleaved
@@ -630,18 +668,7 @@ def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(tmp_path, capsys, 
                  {"experiment": "reduced-flow-variants", "name": "other-grid", "t_end": 4.0},
                  mixtures[1], flows[1], mixtures[2],
                  dict(mixtures[1], name="other-f", f=1.5)]
-    stacks = []
-
-    def spy(fn):  # records the members of each call: its variants or its lambda1
-        real = getattr(nlqm.composite, fn)
-
-        def call(*args):
-            stacks.append((fn, len(np.atleast_1d(args[0]))))
-            return real(*args)
-        monkeypatch.setattr(nlqm.composite, fn, call)
-
-    spy("polchinski_reduced_flow")
-    spy("intention_paradox")
+    stacks = _spied(monkeypatch, "polchinski_reduced_flow", "intention_paradox")
     assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
     grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
     # both bundled flows and their variants as one stack of 4, the other grid
@@ -654,27 +681,96 @@ def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(tmp_path, capsys, 
     assert len(grouped) == 2 * len(scenarios) and solo == grouped
 
 
-def test_a_failing_group_member_fails_only_its_own_report(tmp_path, capsys):
-    # levels of +-3 turn too fast for dt = 0.01 and break the purity
-    # invariant; the group falls back to solo runs, so the member reports what
-    # it reports alone and the others keep the bytes of their group
+def test_a_failing_group_member_fails_only_its_own_report(tmp_path, capsys, monkeypatch):
+    # levels of +-3 turn too fast for dt = 0.01 and break the purity invariant
+    # in row 2 of the stack: that member reruns alone, so it reports what it
+    # reports alone, and the others run again as one stack and keep the bytes
+    # of their group
     good = [{"experiment": "reduced-flow-variants", "name": "mixed", "t_end": 5.0},
             {"experiment": "reduced-flow-variants", "name": "pure", "t_end": 5.0,
              "eps_levels": [1.0, 0.0], "rho_diag": [0.5, 0.5], "delta": 0.5}]
     wide = {"experiment": "reduced-flow-variants", "name": "wide", "t_end": 5.0,
             "eps_levels": [3.0, -3.0], "delta": 0.01}
+    stacks = _spied(monkeypatch, "polchinski_reduced_flow")
     assert _run_dict(tmp_path, {"scenarios": [good[0], wide, good[1]]}) == 1
+    # two stacks and one solo run: the group, the failing member, the others
+    assert [rows for _, rows in stacks] == [6, 2, 4]
     mixed = _outputs(tmp_path / "out")
     assert capsys.readouterr().out.splitlines()[0::2] == ["mixed: pass (reduced-flow-variants)",
                                                           "pure: pass (reduced-flow-variants)"]
     report = json.loads(mixed["wide.report.json"])
     assert report["passed"] is False and report["error_type"] == "IntegrationError"
-    assert report["error"].startswith("reduced flow failed to conserve purity at t = 0.18 (")
+    # a lone scenario is a stack of its two flows: the report names the flow
+    assert report["error"].startswith("reduced flow failed to conserve purity at t = 0.18 "
+                                      "in the plain flow (")
     codes, solo, _ = _solo_runs(tmp_path, [wide], capsys)
     assert codes == [1] and solo["wide.report.json"] == mixed.pop("wide.report.json")
     (tmp_path / "out").rename(tmp_path / "with-wide")
     assert _run_dict(tmp_path, {"scenarios": good}) == 0
     assert _outputs(tmp_path / "out") == mixed
+
+
+def test_reduced_flows_over_the_stack_sample_cap_run_each_flow_alone(tmp_path, capsys,
+                                                                     monkeypatch):
+    # 2,001 samples of a 2-level flow are 8,004 entries, and 16,008 as the
+    # stack of both flows: a cap between the two refuses every stack of this
+    # grid, so each scenario runs its flows as two calls and keeps its bytes
+    flow = {"experiment": "reduced-flow-variants", "t_end": 20.0}
+    scenarios = [dict(flow, name="mixed"), dict(flow, name="tilted", rho_diag=[0.6, 0.4])]
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    stacked = _outputs(tmp_path / "out")
+    (tmp_path / "out").rename(tmp_path / "stacked")
+    monkeypatch.setattr(nlqm.dynamics, "MAX_SAMPLE_ENTRIES", 12_000)
+    stacks = _spied(monkeypatch, "polchinski_reduced_flow")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    # the group, then each member as a stack and as its two flows
+    assert [rows for _, rows in stacks] == [4, 2, 1, 1, 2, 1, 1]
+    assert _outputs(tmp_path / "out") == stacked
+    capsys.readouterr()
+    # a flow alone over the cap still fails, with the flow's own message
+    monkeypatch.setattr(nlqm.dynamics, "MAX_SAMPLE_ENTRIES", 8_000)
+    codes, solo, _ = _solo_runs(tmp_path, scenarios[:1], capsys)
+    assert codes == [1]
+    assert json.loads(solo["mixed.report.json"])["error"] == (
+        "2,001 samples of 4 entries exceed the cap of 8,000 sample entries (dt = 0.01, t_end = 20)")
+
+
+def test_a_member_failing_after_the_stack_fails_alone_and_nothing_reruns(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the middle member sits at a fixed point of the plain flow, so its rate
+    # ratio is undefined: its own result raises after the one integration
+    flow = {"experiment": "reduced-flow-variants", "t_end": 5.0}
+    scenarios = [dict(flow, name="mixed"),
+                 dict(flow, name="frozen", rho_diag=[0.5, 0.5], delta=0.5),
+                 dict(flow, name="tilted", rho_diag=[0.6, 0.4])]
+    stacks = _spied(monkeypatch, "polchinski_reduced_flow")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 1
+    assert stacks == [("polchinski_reduced_flow", 6)]
+    grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
+    assert lines[0::2] == ["mixed: pass (reduced-flow-variants)",
+                           "tilted: pass (reduced-flow-variants)"]
+    report = json.loads(grouped["frozen.report.json"])
+    assert report["error_type"] == "ValidationError" and "fixed point" in report["error"]
+    codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
+    assert codes == [0, 1, 0] and solo_lines == lines and solo == grouped
+
+
+def test_a_blown_up_paradox_member_writes_its_solo_report(tmp_path, capsys, monkeypatch):
+    paradox = {"experiment": "intention-paradox", "dt": 0.01}
+    scenarios = [dict(paradox, name="even"), dict(paradox, name="fast", f=1e6),
+                 dict(paradox, name="weighted", lambda1=0.2, lambda2=0.8)]
+    stacks = _spied(monkeypatch, "intention_paradox")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 1
+    assert [rows for _, rows in stacks] == [3, 1, 2]
+    grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
+    assert json.loads(grouped["fast.report.json"])["error_type"] == "IntegrationError"
+    codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
+    assert codes == [0, 1, 0] and solo_lines == lines and solo == grouped
+    (tmp_path / "out").rename(tmp_path / "with-fast")
+    del scenarios[1]
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    assert _outputs(tmp_path / "out") == {k: v for k, v in grouped.items()
+                                          if not k.startswith("fast.")}
 
 
 def test_censuses_near_the_float_range_pass_and_print_nothing(tmp_path, capfd):
@@ -708,8 +804,9 @@ def test_unexpected_exception_fails_only_its_scenario(tmp_path, monkeypatch, cap
     def broken(_params):
         raise RuntimeError("runner broke")
 
-    desc, fields, _, check = EXPERIMENTS["probability-inconsistency"]
-    monkeypatch.setitem(EXPERIMENTS, "probability-inconsistency", (desc, fields, broken, check))
+    desc, fields, _, check, group = EXPERIMENTS["probability-inconsistency"]
+    monkeypatch.setitem(EXPERIMENTS, "probability-inconsistency",
+                        (desc, fields, broken, check, group))
     assert _run_dict(tmp_path, {"scenarios": [
         {"experiment": "probability-inconsistency", "name": "broken"},
         {"experiment": "intention-paradox", "name": "valid", "dt": 0.01}]}) == 1

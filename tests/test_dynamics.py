@@ -16,6 +16,7 @@ from nlqm import (
     AtomFieldParams,
     BlochParams,
     IntegrationError,
+    SingularObservableError,
     ValidationError,
     bilinear,
     build_atom_field,
@@ -747,7 +748,7 @@ def test_neo_single_and_stacked_builds_match_the_reference_bit_for_bit(rng):
             assert _bits(h) == _bits(want)
     # a zero row fails the stack as it fails its own build
     for z in (np.zeros(2, dtype=complex), np.stack([zs[0], np.zeros(2)])):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(SingularObservableError, match="singular at a zero state"):
             builder(z)
 
 

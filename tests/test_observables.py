@@ -196,6 +196,23 @@ def test_singular_inverse_guard():
     assert s.value(z) == pytest.approx(1.0 / 0.28, rel=1e-13)
 
 
+def test_a_non_finite_gradient_of_one_state_is_refused_without_a_warning():
+    # the moment family's s = mu / n is 0/0 at the zero state; the suite's
+    # RuntimeWarning filter turns any warning printed on the way into a failure
+    a, zero = canonical(0.0, 1.0, 1.0), np.zeros(2)
+    for call in (lambda: wirtinger_gradient(a, zero), lambda: star_product(a, a, zero)):
+        with pytest.raises(SingularObservableError, match=r"at state \[0\.\+0\.j 0\.\+0\.j\]"):
+            call()
+    # the gradient runs under the caller's error state, which may raise
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        wirtinger_gradient(a, zero)
+    # a stack keeps the non-finite row beside the finite one
+    with np.errstate(invalid="ignore"):
+        g = wirtinger_gradient(a, np.stack([PROBE, zero]))
+    assert np.isfinite(g[0]).all() and np.isnan(g[1]).all()
+    npt.assert_array_equal(g[0], wirtinger_gradient(a, PROBE))
+
+
 @given(parts=state2_strategy, scale=scale_strategy)
 @settings(max_examples=150, deadline=None)
 def test_homogeneity_and_euler_identity(parts, scale):
