@@ -13,7 +13,7 @@ from nlqm import canonical, power_family, find_eigenstates
 print("canonical family  e1=0 e2=1 eps=1")
 diag = {}
 for rec in find_eigenstates(canonical(0.0, 1.0, 1.0), 2, diagnostics=diag):
-    w = np.abs(rec.state.amplitudes) ** 2
+    w = np.abs(rec.state) ** 2
     print(f"  lambda = {rec.eigenvalue:+.6f}   weights = ({w[0]:.4f}, {w[1]:.4f})"
           f"   residual = {rec.residual:.2e}")
 print(f"  ({diag['seeds']} seeds, {diag['converged']} converged,"
@@ -22,7 +22,7 @@ print(f"  ({diag['seeds']} seeds, {diag['converged']} converged,"
 # --- same family, weak coupling --------------------------------------------
 print("\ncanonical family  e1=0 e2=1 eps=0.2")
 for rec in find_eigenstates(canonical(0.0, 1.0, 0.2), 2):
-    w = np.abs(rec.state.amplitudes) ** 2
+    w = np.abs(rec.state) ** 2
     print(f"  lambda = {rec.eigenvalue:+.6f}   weights = ({w[0]:.4f}, {w[1]:.4f})")
 print("  the interior state is gone; only the poles survive")
 

@@ -200,7 +200,7 @@ def _run_eigen_census(p):
     obs = _family_observable(p)
     diag = {}
     recs = find_eigenstates(obs, 2, grid=tuple(p["grid"]), diagnostics=diag)
-    w = np.abs(np.reshape([r.state.amplitudes for r in recs], (-1, 2))) ** 2
+    w = np.abs(np.reshape([r.state for r in recs], (-1, 2))) ** 2
     columns = {"t": np.arange(len(recs), dtype=float),
                "eigenvalue": [r.eigenvalue for r in recs],
                "residual": [r.residual for r in recs],
@@ -809,3 +809,7 @@ def main(argv=None) -> int:
         return _cmd_list(args)
     parser.print_help()
     return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

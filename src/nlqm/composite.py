@@ -26,9 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    StateVector,
     ValidationError,
-    _amplitudes,
     _checked_density,
     _unitary,
     reduced_states,
@@ -215,7 +213,7 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
     :meth:`~HomogeneousObservable.value` call.
     """
     def builder(z):
-        zv = _amplitudes(z)
+        zv = np.asarray(z, dtype=complex)
         zs = np.atleast_2d(zv)
         n = np.real(np.sum(zs.conj() * zs, axis=-1))
         if np.any(n < SLICE_FLOOR):
@@ -330,9 +328,9 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
     is verified at every sample to 1e-9 (relative), one block of samples at a
     time; the earliest violation is reported.  Diagonal mixtures in the
     epshat eigenbasis are fixed points — seed an off-diagonal perturbation to
-    see the variant-dependent rotation rate.  ``rho0`` must pass the density
-    matrix checks of :class:`DensityMatrix` and have finite invariants, else
-    :class:`ValidationError`.
+    see the variant-dependent rotation rate.  ``rho0``, a ``(d, d)`` array,
+    must pass the density matrix checks of :class:`~nlqm.core.DensityMatrix`
+    and have finite invariants, else :class:`ValidationError`.
 
     A ``(B, d, d)`` ``rho0`` runs B flows as one RK4 stack: ``variant`` is
     then one name or a sequence of B, ``epshat`` one ``(d, d)`` matrix or a
@@ -341,9 +339,8 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
     are checked per row, and a violation names its row ("at t = 0.5 in row
     2").  The sample cap counts the whole stack.
     """
-    entries = getattr(rho0, "entries", rho0)
-    stacked = np.ndim(entries) == 3
-    rs = _checked_density(entries, stacked=stacked)
+    stacked = np.ndim(rho0) == 3
+    rs = _checked_density(rho0, stacked=stacked)
     rs = rs if stacked else rs[None]
     rows, d = rs.shape[:2]
     eh = np.asarray(epshat, dtype=complex)
@@ -576,11 +573,11 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
         builder = lambda z: nonlinear_operator(total, z)
 
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
-    rotated = rotate_subsystem(StateVector(singlet, dims=(2, 2)), u, slot=0)
+    rotated = rotate_subsystem(singlet, (2, 2), u, slot=0)
     # Every builder here satisfies M(psi) psi = dH/dpsibar (the
     # gradient_flow_operator completion by construction), so the RK4 stages
     # can take the gradient directly, for both states as one stack.
-    traj = integrate_nls(builder, np.stack([singlet, rotated.amplitudes]), t_end, dt,
+    traj = integrate_nls(builder, np.stack([singlet, rotated]), t_end, dt,
                          flow=total.analytic_gradient)
     rho = reduced_states(traj.amplitudes().reshape(-1, 4), (2, 2), keep=1)
     devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))

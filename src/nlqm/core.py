@@ -169,14 +169,6 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
 
 
-def _amplitudes(psi) -> np.ndarray:
-    """The amplitudes of a ``StateVector``, else ``psi`` (a state or a stack) as
-    a complex array."""
-    if isinstance(psi, StateVector):
-        return psi.amplitudes
-    return np.asarray(psi, dtype=complex)
-
-
 def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
     """Reduced density matrix of factor ``keep`` of a two-factor pure state."""
     if not isinstance(state, StateVector):
@@ -222,21 +214,20 @@ def _unitary(u, d=None) -> np.ndarray:
     return u
 
 
-def rotate_subsystem(state: StateVector, u, slot: int) -> StateVector:
-    """Apply the unitary ``u`` on tensor factor ``slot``, identity elsewhere.
-
-    Rejects non-unitary input with the residual in the error message.
-    """
+def rotate_subsystem(z, dims, u, slot: int) -> np.ndarray:
+    """The amplitudes ``z`` (factor dimensions ``dims``, checked as a
+    :class:`StateVector`) with the unitary ``u`` applied on factor ``slot``,
+    identity elsewhere.  Rejects non-unitary input with the residual in the
+    error message."""
     u = _unitary(u)
-    if not isinstance(state, StateVector):
-        raise TypeError("rotate_subsystem expects a StateVector")
+    state = StateVector(z, dims)
     dims = state.dims
     if not 0 <= slot < len(dims):
         raise ValidationError(f"slot {slot} out of range for {len(dims)} factors")
     if dims[slot] != u.shape[0]:
         raise ValidationError(f"u dimension {u.shape[0]} does not match factor {dims[slot]}")
     t = np.moveaxis(np.tensordot(u, state.amplitudes.reshape(dims), axes=([1], [slot])), 0, slot)
-    return StateVector(t.reshape(-1), dims)
+    return t.reshape(-1)
 
 
 def expectation(state, op) -> float:

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (StateVector, ValidationError, _amplitudes, _hermiticity_residual, sigma1,
-                   sigma2, sigma3, identity2)
+from .core import (StateVector, ValidationError, _hermiticity_residual, sigma1, sigma2, sigma3,
+                   identity2)
 from .observables import SingularObservableError
 
 __all__ = [
@@ -93,16 +93,12 @@ class Trajectory:
         if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitudes contain non-finite entries")
         amps.flags.writeable = False
-        self._amplitudes = amps
+        self._samples = amps
         self.recorded = {} if recorded is None else recorded
 
     def amplitudes(self) -> np.ndarray:
         """The ``(len(times), [B,] d)`` sample array, read-only and not copied."""
-        return self._amplitudes
-
-
-def _as_matrix(h) -> np.ndarray:
-    return np.asarray(getattr(h, "entries", h), dtype=complex)
+        return self._samples
 
 
 def _check_horizon(t_end: float, dt: float):
@@ -296,14 +292,14 @@ def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarr
     zs = block.reshape(-1, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        h = _as_matrix(hbuilder(zs))
+        h = np.asarray(hbuilder(zs), dtype=complex)
         if h.shape == (d, d):
             h = h[None]      # checked once, at the block's first sample
         elif h.shape != (zs.shape[0], d, d):
             raise ValidationError(
                 f"builder mapped a {zs.shape} stack of states to shape {h.shape}; "
                 f"expected {(zs.shape[0], d, d)} or {(d, d)}")
-        first = _as_matrix(hbuilder(zs[0]))
+        first = np.asarray(hbuilder(zs[0]), dtype=complex)
         dev = float(np.max(np.abs(h[0] - first)))
         if dev > 1e-12 * (1.0 + float(np.max(np.abs(first)))):
             raise ValidationError(
@@ -318,16 +314,15 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
                   flow: Optional[Callable] = None) -> Trajectory:
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
-    ``hbuilder`` maps an amplitude vector to a Hermitian matrix (ndarray or
-    wrapper with ``.entries``).  Fixed-step RK4 (:func:`_rk4`) with
-    ``round(t_end/dt)`` steps, so the final time is hit exactly.  Every
-    accepted sample's matrix is checked for hermiticity and its norm against
-    a drift budget proportional to the step count; violations raise
-    :class:`IntegrationError` rather than silently renormalizing.  Blow-up
-    is caught at its step; hermiticity and norm are checked per block of
-    samples, in that order within a sample, and the earliest violation
-    wins: the loop may run up to a block past a norm violation, and a
-    blow-up there does not hide it.
+    ``hbuilder`` maps an amplitude array to a Hermitian matrix (an array).
+    Fixed-step RK4 (:func:`_rk4`) with ``round(t_end/dt)`` steps, so the
+    final time is hit exactly.  Every accepted sample's matrix is checked
+    for hermiticity and its norm against a drift budget proportional to the
+    step count; violations raise :class:`IntegrationError` rather than
+    silently renormalizing.  Blow-up is caught at its step; hermiticity and
+    norm are checked per block of samples, in that order within a sample,
+    and the earliest violation wins: the loop may run up to a block past a
+    norm violation, and a blow-up there does not hide it.
 
     The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
@@ -342,16 +337,17 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
     stack is hermiticity-checked row by row and gives the ``hvalue`` record;
     the builder sees no sample past the first that breaks the norm budget.
 
-    ``psi0`` is one state, validated as a :class:`StateVector`, or a
-    ``(B, d)`` stack of B states integrated together.  A stack needs
-    ``flow``, and per block ``flow`` of its first sample must match per-row
-    calls to 1e-12 (else :class:`ValidationError`).
+    ``psi0`` is one ``(d,)`` state, or a ``(B, d)`` stack of B states
+    integrated together; each state gets the checks of a
+    :class:`StateVector`.  A stack needs ``flow``, and per block ``flow`` of
+    its first sample must match per-row calls to 1e-12 (else
+    :class:`ValidationError`).
     Every monitor runs per row (hermiticity in one ``(K*B, d)`` build per
     block), and the earliest violation over all rows is reported with its
     row.  The :class:`Trajectory` holds the one sample array, ``(nsteps + 1,
     [B,] d)``; ``recorded`` entries are ``(nsteps + 1, [B])``.
     """
-    z0 = np.asarray(getattr(psi0, "amplitudes", psi0))
+    z0 = np.asarray(psi0)
     if z0.ndim == 2 and (flow is None or not len(z0)):
         raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=")
     z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if z0.ndim == 2
@@ -364,7 +360,7 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
     n0 = _sqnorms(z0)
 
     if flow is None:
-        flow = lambda zv: _as_matrix(hbuilder(zv)) @ zv
+        flow = lambda zv: np.asarray(hbuilder(zv), dtype=complex) @ zv
 
     def hvalues(lo, block):
         if z0.ndim == 2:
@@ -405,8 +401,8 @@ def default_timestep(hbuilder: Callable, psi0) -> float:
 
     ``psi0`` may be a ``(B, d)`` stack; the fastest row sets the step.
     """
-    z = _amplitudes(psi0)
-    h = _as_matrix(hbuilder(z))
+    z = np.asarray(psi0, dtype=complex)
+    h = np.asarray(hbuilder(z), dtype=complex)
     top = float(np.max(np.abs(np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0))))
     return (2.0 * np.pi / 200.0) / max(top, 1e-6)
 
@@ -417,7 +413,7 @@ def canonical_frequencies(e_levels, eps_levels, psi0) -> np.ndarray:
     omega_k = E_k + 2 <eps> eps_k - <eps>^2, with <eps> the normalized average
     of the eps levels in ``psi0`` (a constant of motion).
     """
-    z0 = _amplitudes(psi0)
+    z0 = np.asarray(psi0, dtype=complex)
     e = np.asarray(e_levels, dtype=float)
     eps = np.asarray(eps_levels, dtype=float)
     avg = float(np.sum(eps * np.abs(z0) ** 2) / float(np.vdot(z0, z0).real))
@@ -427,7 +423,7 @@ def canonical_frequencies(e_levels, eps_levels, psi0) -> np.ndarray:
 def canonical_solution(e_levels, eps_levels, psi0, times) -> Trajectory:
     """Exact solution psi_k(t) = psi_k(0) exp(-i omega_k t) for the diagonal
     family, at the rates of :func:`canonical_frequencies`."""
-    z0 = _amplitudes(psi0)
+    z0 = np.asarray(psi0, dtype=complex)
     omega = canonical_frequencies(e_levels, eps_levels, z0)
     times = np.asarray(times, dtype=float)
     amps = z0 * np.exp(-1j * omega * times[:, None])
@@ -516,14 +512,14 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
         H_hat = base - (eps/2)<s3>^2 - (a/4)<s2> s1 + (a/4)<s1> s2
                      + eps <s3> s3
 
-    with normalized averages and ``base`` the linear part (a 2x2 matrix, or
-    a wrapper with ``.entries``).  The average energy <H_hat> contains no
-    damping contribution; the a-terms enter only through the commutator.
+    with normalized averages and ``base`` the linear part (a 2x2 matrix).
+    The average energy <H_hat> contains no damping contribution; the a-terms
+    enter only through the commutator.
     A ``(K, 2)`` stack of states is built in one pass to a ``(K, 2, 2)``
     stack, each matrix bit for bit its single-state build.  A zero state, or
     a zero row of a stack, raises :class:`SingularObservableError`.
     """
-    b = _as_matrix(base)
+    b = np.asarray(base, dtype=complex)
     half_eps, quarter_a = 0.5 * eps, 0.25 * a
     paulis = np.stack([sigma1, sigma2, sigma3])
     zero = "the neoclassical Hamiltonian is singular at a zero state"
@@ -555,7 +551,7 @@ def neo_hamiltonian(a: float, eps: float, base) -> Callable:
         return assemble(s1, s2, s3, np.float_power(s3, 2))
 
     def builder(z):
-        zv = _amplitudes(z)
+        zv = np.asarray(z, dtype=complex)
         return build_stack(zv) if zv.ndim == 2 else build(zv)
 
     return builder

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HermitianOperator, ValidationError, _amplitudes, _hermiticity_residual, sigma3
+from .core import HermitianOperator, ValidationError, _hermiticity_residual, sigma3
 
 GRADIENT_STEP = 1e-5
 HESSIAN_STEP = 1e-4
@@ -84,6 +84,14 @@ def _shaped(obs, out, z: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
+def _unwarned(f: Callable, *args):
+    """``f(*args)`` under the caller's error state, showing no RuntimeWarning:
+    each caller refuses a non-finite result itself."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return f(*args)
+
+
 @dataclass(frozen=True)
 class HomogeneousObservable:
     """A real (1,1)-homogeneous functional with optional analytic derivatives.
@@ -113,11 +121,12 @@ class HomogeneousObservable:
         """The real value at one state (a float) or at each row of a stack (an
         array; an empty stack is not evaluated).  A non-finite value raises
         :class:`SingularObservableError`, a non-real one :class:`ValidationError`,
-        at the first bad row of a stack what that row alone raises."""
-        z = _amplitudes(psi)
+        at the first bad row of a stack what that row alone raises, with no
+        RuntimeWarning printed first."""
+        z = np.asarray(psi, dtype=complex)
         if z.ndim == 2 and len(z) == 0:
             return np.empty(0)
-        v = _shaped(self, self.evaluator(z, z.conj()), z, z.shape[:-1], "values")
+        v = _shaped(self, _unwarned(self.evaluator, z, z.conj()), z, z.shape[:-1], "values")
         flat = v.reshape(-1)
         good = np.isfinite(flat) & (np.abs(flat.imag) <= 1e-10 * np.maximum(1.0, np.abs(flat.real)))
         if not np.all(good):
@@ -184,13 +193,11 @@ def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
     A non-finite analytic gradient of one state raises
     :class:`SingularObservableError`; a stack keeps its non-finite rows.
     """
-    z = _amplitudes(psi)
+    z = np.asarray(psi, dtype=complex)
     if obs.analytic_gradient is not None:
         if z.ndim > 1:
             return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
-        with warnings.catch_warnings():  # a non-finite entry raises below
-            warnings.simplefilter("ignore", RuntimeWarning)
-            g = _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+        g = _shaped(obs, _unwarned(obs.analytic_gradient, z), z, z.shape, "gradients")
         if not np.isfinite(g).all():
             raise SingularObservableError(f"{obs.label or 'observable'} has a non-finite "
                                           f"gradient at state {np.array2string(z, precision=6)}")
@@ -215,7 +222,7 @@ def _numeric_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_operator(obs: HomogeneousObservable, psi):
-    """The Hermitian matrix ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
+    """The Hermitian ``(d, d)`` array ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
 
     Uses ``analytic_operator`` when the observable carries one; otherwise the
     stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``4d`` probes in
@@ -229,14 +236,16 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
     their operators, built with one ``analytic_operator`` call when the
     observable has one (else row by row).  Every row gets the gate, which a
     non-finite entry fails as a NaN or infinite residual, and is symmetrized;
-    the first row that fails raises what a single-state call raises for it.
+    the first row that fails raises what a single-state call raises for it,
+    with no RuntimeWarning of the analytic operator printed first.
     """
-    z = _amplitudes(psi)
+    z = np.asarray(psi, dtype=complex)
     d = z.shape[-1]
     if obs.analytic_operator is None:
         m = np.array([_numeric_hessian(obs, row) for row in z.reshape(-1, d)])
     else:
-        m = _shaped(obs, obs.analytic_operator(z), z, z.shape + (d,), "operators").reshape(-1, d, d)
+        m = _shaped(obs, _unwarned(obs.analytic_operator, z), z, z.shape + (d,), "operators")
+        m = m.reshape(-1, d, d)
     out = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()   # halves first: no overflow
     resid = _hermiticity_residual(m)
     if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too
@@ -245,7 +254,7 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
             raise ValidationError(f"non-Hermitian Hessian for {obs.label or 'observable'}: "
                                   f"residual {4.0 * float(resid[k]):.3e}")
         HermitianOperator(out[k])   # raises the non-finite entries error
-    return HermitianOperator(out[0]) if z.ndim == 1 else out
+    return out[0] if z.ndim == 1 else out
 
 
 def star_product(a: HomogeneousObservable, b: HomogeneousObservable, psi) -> complex:
@@ -263,8 +272,8 @@ def barstar_moment(a: HomogeneousObservable, psi, k: int) -> float:
     """Normalized bar-star moment ``<psi| A_hat^k psi> / <psi|psi>``."""
     if k < 1:
         raise ValidationError(f"moment order must be >= 1, got {k}")
-    z = _amplitudes(psi)
-    ahat = nonlinear_operator(a, z).entries
+    z = np.asarray(psi, dtype=complex)
+    ahat = nonlinear_operator(a, z)
     w = z
     for _ in range(k):
         w = ahat @ w
@@ -295,7 +304,7 @@ def norm_functional() -> HomogeneousObservable:
 
 def bilinear(m, label: str = "") -> HomogeneousObservable:
     """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``."""
-    mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
+    mat = HermitianOperator(m).entries
     mat_t = mat.T   # one transposed view, taken once: the same matmul as z @ mat.T
     return HomogeneousObservable(
         evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat_t), axis=-1)),
@@ -321,7 +330,7 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     a stack it is one column, and both give each row the bits of the same
     expression.
     """
-    mat = (m if isinstance(m, HermitianOperator) else HermitianOperator(m)).entries
+    mat = HermitianOperator(m).entries
     p = int(power)
     c = float(coeff)
     name = label or f"{c:g}*<M>^{p}/n^{p - 1}"

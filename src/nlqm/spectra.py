@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateVector, ValidationError, _amplitudes
+from .core import ValidationError
 from .dynamics import _fit_times
 from .observables import (
     ContractError,
@@ -56,12 +56,12 @@ DEDUP_MODULI = 1e-6
 class EigenstateRecord:
     """One projective solution of ``dH/dpsibar = lam psi``.
 
-    ``state`` is normalized and gauge-fixed; ``residual`` is the Euclidean
-    norm of ``dH/dpsibar - lam psi`` at that representative.
+    ``state`` is the normalized, gauge-fixed ``(d,)`` array (read-only);
+    ``residual`` is the Euclidean norm of ``dH/dpsibar - lam psi`` there.
     """
 
     eigenvalue: float
-    state: StateVector
+    state: np.ndarray
     residual: float
 
 
@@ -322,7 +322,8 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
         seeds, lam0)
     lam_k, u, resid = _batch_else_rows(lambda zs, ls: _records_batch(obs, zs, ls),
                                        z[ok], lam[ok])
-    merged = [EigenstateRecord(float(lam_k[i]), StateVector(u[i]), float(resid[i]))
+    u.flags.writeable = False   # so is each record's row of it
+    merged = [EigenstateRecord(float(lam_k[i]), u[i], float(resid[i]))
               for i in _distinct(lam_k, u, resid)]
 
     if diagnostics is not None:
@@ -341,7 +342,7 @@ def find_eigenstates(obs: HomogeneousObservable, dim: int, grid=(32, 16),
 def diagonal_values(obs: HomogeneousObservable, psi) -> list:
     """Eigenvalues of the state-dependent matrix ``H_hat(psi)``, ascending."""
     op = nonlinear_operator(obs, psi)
-    return [float(v) for v in np.linalg.eigvalsh(op.entries)]
+    return [float(v) for v in np.linalg.eigvalsh(op)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,7 @@ def moment_probabilities(obs: HomogeneousObservable, psi) -> MomentProbabilities
         raise ValidationError("moment_probabilities requires the degenerate case E1 = E2")
     e = params["e1"]
     eps = params["eps"]
-    z = _amplitudes(psi)
+    z = np.asarray(psi, dtype=complex)
     n = float(np.vdot(z, z).real)
 
     p = (obs.value(z) / n - e) / eps

@@ -9,6 +9,8 @@ import json
 import lzma
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -345,7 +347,7 @@ def test_vectorised_columns_match_the_per_row_arithmetic(monkeypatch):
     [(_, _, p)] = nlqm.cli._schema_pass(_bundled_scenario("eigen-census"))
     columns, _, _ = nlqm.cli._run_eigen_census(p)
     for i, rec in enumerate(seen["find_eigenstates"]):
-        w = np.abs(rec.state.amplitudes) ** 2
+        w = np.abs(rec.state) ** 2
         assert [columns["weight_0"][i], columns["weight_1"][i]] == [w[0], w[1]]
     [(_, _, p)] = nlqm.cli._schema_pass({
         "experiment": "eigenfrequency", "e_levels": [0.0, 1.0, 2.0],
@@ -631,6 +633,16 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
         assert reports[name]["error"].endswith(", inf")
 
 
+def test_a_tiny_or_huge_census_state_fails_its_scenario_and_prints_nothing(tmp_path, capfd):
+    # the cubic evaluator's 0/0 or overflow is refused as singular, unwarned
+    reports = _failed_reports(tmp_path, [
+        {"experiment": "diagonal-census", "name": name, "family": "cubic", "state": state}
+        for name, state in (("tiny", [6e-101, 8e-101]), ("huge", [1e154, 0.5]))])
+    assert capfd.readouterr().err == ""
+    for report in reports.values():
+        assert report["error_type"] == "SingularObservableError"
+
+
 def _outputs(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -859,6 +871,19 @@ def test_list_experiments(capsys):
     for name in EXPERIMENTS:
         assert f"{name}:" in out
     assert "choices=linear|polchinski|weinberg-fock" in out
+
+
+@pytest.mark.parametrize("module", ["nlqm", "nlqm.cli"])
+def test_both_module_entry_points_run_the_command_line(module, capsys):
+    assert main(["list-experiments"]) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(nlqm.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", module, "list-experiments"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected
 
 
 def test_no_command_prints_help(capsys):

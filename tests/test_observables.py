@@ -66,7 +66,7 @@ def test_canonical_gradient_and_operator_at_probe():
     a = canonical(0.0, 1.0, 1.0)
     g = np.asarray(a.analytic_gradient(PROBE))
     npt.assert_allclose(g, np.array([0.38528, 0.21696j]), atol=1e-14)
-    m = nonlinear_operator(a, PROBE).entries
+    m = nonlinear_operator(a, PROBE)
     # A = <psi|A_hat psi> and A_hat psi = gradient
     assert abs(np.vdot(PROBE, m @ PROBE).real - a.value(PROBE)) < 1e-14
     npt.assert_allclose(m @ PROBE, g, atol=1e-14)
@@ -140,8 +140,8 @@ def test_wirtinger_gradient_matches_closed_forms(rng):
 def test_nonlinear_operator_matches_value_level_differencing(rng):
     obs = canonical(0.1, 0.9, 0.6)
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    m_num = nonlinear_operator(_stripped(obs), z).entries
-    m_ana = nonlinear_operator(obs, z).entries
+    m_num = nonlinear_operator(_stripped(obs), z)
+    m_ana = nonlinear_operator(obs, z)
     npt.assert_allclose(m_ana, m_num, atol=5e-7)
     # every catalog entry, both differencing routes: from the analytic gradient
     # (step 1e-5) and from the values alone (step 1e-4), at unit-norm states;
@@ -153,17 +153,17 @@ def test_nonlinear_operator_matches_value_level_differencing(rng):
         z = states[domain] if k < 6 else pair   # the six two-level entries come first
         routes = ((replace(obs, analytic_operator=None), 1e-8), (_stripped(obs), 5e-7))
         if obs.analytic_operator is not None:
-            m_ana = nonlinear_operator(obs, z).entries
+            m_ana = nonlinear_operator(obs, z)
             scale = np.max(np.abs(m_ana))
             for differenced, tol in routes:
-                npt.assert_allclose(nonlinear_operator(differenced, z).entries, m_ana,
+                npt.assert_allclose(nonlinear_operator(differenced, z), m_ana,
                                     atol=tol * scale, rtol=0, err_msg=obs.label)
         else:
             # the purity-weighted pair: no closed-form operator to compare with,
             # but any M(psi) must reproduce the gradient and the value
             g = np.asarray(obs.analytic_gradient(z))
             for differenced, tol in routes:
-                m = nonlinear_operator(differenced, z).entries
+                m = nonlinear_operator(differenced, z)
                 npt.assert_allclose(m @ z, g, atol=tol, rtol=0, err_msg=obs.label)
                 assert abs(np.vdot(z, m @ z) - obs.value(z)) < tol, obs.label
 
@@ -182,7 +182,7 @@ def test_symmetrisation_near_the_float_range_does_not_overflow():
     huge = np.array([[0.0, 1e308], [1e308, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = nonlinear_operator(bilinear(huge), [0.6, 0.8]).entries
+        m = nonlinear_operator(bilinear(huge), [0.6, 0.8])
     assert np.array_equal(m, huge)
 
 
@@ -213,6 +213,22 @@ def test_a_non_finite_gradient_of_one_state_is_refused_without_a_warning():
     npt.assert_array_equal(g[0], wirtinger_gradient(a, PROBE))
 
 
+def test_the_value_and_operator_at_a_zero_state_refuse_it_without_a_warning():
+    # s = mu / n is 0/0 in the evaluator and in the analytic operator; each
+    # refusal keeps its type and message, and no RuntimeWarning comes first
+    a, zero = canonical(0.0, 1.0, 1.0), np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularObservableError, match=r"singular at state \[0\.\+0\.j"):
+            a.value(zero)
+        with pytest.raises(ValidationError, match="entries contains non-finite entries"):
+            nonlinear_operator(a, zero)
+    # both run under the caller's error state, which may raise
+    for call in (lambda: a.value(zero), lambda: nonlinear_operator(a, zero)):
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            call()
+
+
 @given(parts=state2_strategy, scale=scale_strategy)
 @settings(max_examples=150, deadline=None)
 def test_homogeneity_and_euler_identity(parts, scale):
@@ -239,7 +255,7 @@ def test_operator_reproduces_value_and_gradient(parts):
     z = _state(parts)
     assume(float(np.vdot(z, z).real) > 1e-2)
     obs = canonical(0.0, 1.0, 1.0)
-    m = nonlinear_operator(obs, z).entries
+    m = nonlinear_operator(obs, z)
     npt.assert_allclose(m, m.conj().T, atol=1e-12)
     assert abs(np.vdot(z, m @ z).real - obs.value(z)) < 1e-10 * (1.0 + abs(obs.value(z)))
     npt.assert_allclose(m @ z, np.asarray(obs.analytic_gradient(z)), atol=1e-9)
@@ -392,7 +408,7 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
         assert isinstance(ms, np.ndarray) and ms.shape == (6, 2, 2)
         npt.assert_array_equal(ms, np.swapaxes(ms, 1, 2).conj())
         for k, z in enumerate(zs):
-            m = nonlinear_operator(o, z).entries
+            m = nonlinear_operator(o, z)
             npt.assert_allclose(ms[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
 
     # the first bad row raises what a single-state call raises for it
@@ -427,7 +443,7 @@ def test_one_state_reaches_each_callable_as_a_vector_and_a_stack_must_map_rows()
         analytic_operator=seen(lambda z: np.diag([1.0, -1.0])))
     assert obs.value(PROBE) == pytest.approx(0.28, abs=1e-15)
     npt.assert_array_equal(wirtinger_gradient(obs, PROBE), [0.8, -0.6j])
-    npt.assert_array_equal(nonlinear_operator(obs, PROBE).entries, np.diag([1.0, -1.0]))
+    npt.assert_array_equal(nonlinear_operator(obs, PROBE), np.diag([1.0, -1.0]))
     assert shapes == [(2,)] * 3
     stack = np.array([PROBE] * 3)
     for call, what in ((obs.value, "values of shape (2,), not (3,)"),
@@ -530,9 +546,17 @@ def test_standard_catalog_entries_are_consistent(rng):
             a = obs.value(z)
             g = wirtinger_gradient(obs, z)
             assert abs(np.vdot(z, g) - a) < 1e-7 * (1.0 + abs(a)), obs.label
-            m = nonlinear_operator(obs, z).entries
+            m = nonlinear_operator(obs, z)
             npt.assert_allclose(m, m.conj().T, atol=1e-9)
             assert abs(np.vdot(z, m @ z).real - a) < 1e-6 * (1.0 + abs(a)), obs.label
+
+
+def test_one_state_gives_a_plain_operator_array(rng):
+    for obs, domain in standard_catalog():
+        dim = 4 if ("pair" in obs.label or "slice-sum" in obs.label) else 2
+        z = PROBE if dim == 2 else rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        m = nonlinear_operator(obs, z)
+        assert type(m) is np.ndarray and m.shape == (dim, dim), obs.label
 
 
 def test_standard_catalog_entries_take_stacks(rng):
@@ -548,7 +572,7 @@ def test_standard_catalog_entries_take_stacks(rng):
         assert vals.shape == (5,) and grads.shape == (5, dim) and ops.shape == (5, dim, dim)
         for k, z in enumerate(zs):
             v, g = obs.value(z), wirtinger_gradient(obs, z)
-            m = nonlinear_operator(obs, z).entries
+            m = nonlinear_operator(obs, z)
             npt.assert_allclose(vals[k], v, rtol=0, atol=1e-14 * (1.0 + abs(v)),
                                 err_msg=obs.label)
             npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))),

@@ -15,7 +15,6 @@ from nlqm import (
     ContractError,
     HomogeneousObservable,
     SingularObservableError,
-    StateVector,
     ValidationError,
     bilinear,
     canonical,
@@ -37,7 +36,7 @@ def test_census_quadratic_family_three_states():
     npt.assert_allclose(lams, [0.4375, 1.0, 2.0], atol=1e-10)
     assert all(r.residual < 1e-10 for r in recs)
     interior = min(recs, key=lambda r: r.eigenvalue)
-    weights = np.abs(interior.state.amplitudes) ** 2
+    weights = np.abs(interior.state) ** 2
     npt.assert_allclose(weights, [0.625, 0.375], atol=1e-9)
     assert diag["distinct"] == 3
     assert diag["seeds"] >= diag["converged"] >= 3
@@ -229,8 +228,8 @@ def test_record_checks_agree_batched_and_per_row(obs, dim, grid, monkeypatch):
     for a, b in zip(batch, rows):
         assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-12)
         assert a.residual == pytest.approx(b.residual, abs=1e-12)
-        assert isinstance(a.state, StateVector)
-        npt.assert_allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
+        assert isinstance(a.state, np.ndarray)
+        npt.assert_allclose(a.state, b.state, rtol=0, atol=1e-12)
 
 
 def _greedy_records(records):
@@ -241,10 +240,10 @@ def _greedy_records(records):
         for k, other in enumerate(merged):
             if abs(rec.eigenvalue - other.eigenvalue) > 1e-7 * (1.0 + abs(other.eigenvalue)):
                 continue
-            fid = abs(np.vdot(rec.state.amplitudes, other.state.amplitudes)) ** 2
+            fid = abs(np.vdot(rec.state, other.state)) ** 2
             same_ray = fid > 1.0 - spectra.DEDUP_FIDELITY
-            same_moduli = np.max(np.abs(np.abs(rec.state.amplitudes)
-                                        - np.abs(other.state.amplitudes))) < spectra.DEDUP_MODULI
+            same_moduli = np.max(np.abs(np.abs(rec.state)
+                                        - np.abs(other.state))) < spectra.DEDUP_MODULI
             if same_ray or same_moduli:
                 if rec.residual < other.residual:
                     merged[k] = rec
@@ -276,12 +275,12 @@ def test_array_dedup_gives_the_record_dedup(obs, dim, per_row, monkeypatch):
     recs = find_eigenstates(obs, dim)
     assert per_row or len(captured) == 1
     lam, u, resid = (np.concatenate(c) for c in zip(*captured))
-    ref = _greedy_records([spectra.EigenstateRecord(float(lam[i]), StateVector(u[i]),
+    ref = _greedy_records([spectra.EigenstateRecord(float(lam[i]), u[i],
                                                     float(resid[i])) for i in range(len(lam))])
     assert len(lam) > len(recs) == len(ref) >= 2
     for a, b in zip(recs, ref):
         assert (a.eigenvalue, a.residual) == (b.eigenvalue, b.residual)
-        npt.assert_array_equal(a.state.amplitudes, b.state.amplitudes)
+        npt.assert_array_equal(a.state, b.state)
 
 
 def test_seed_by_seed_fallback_gives_the_batch_census():
@@ -315,7 +314,7 @@ def test_seed_by_seed_fallback_gives_the_batch_census():
         npt.assert_allclose([r.eigenvalue for r in recs], [r.eigenvalue for r in ref],
                             atol=1e-12)
         for a, b in zip(recs, ref):
-            npt.assert_allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
+            npt.assert_allclose(a.state, b.state, rtol=0, atol=1e-12)
 
 
 def test_census_of_an_observable_raising_at_every_seed_is_empty():
@@ -349,9 +348,19 @@ def test_census_of_a_one_state_observable_raises_the_shape_error():
 def test_eigenstates_satisfy_the_defining_equation():
     for obs in (canonical(0.0, 1.0, 1.0), cubic(0.0, 1.0, 0.6)):
         for rec in find_eigenstates(obs, 2):
-            z = rec.state.amplitudes
+            z = rec.state
             g = nlqm.wirtinger_gradient(obs, z)
             assert np.max(np.abs(g - rec.eigenvalue * z)) < 1e-9
+
+
+def test_each_record_state_is_a_read_only_amplitude_array():
+    for obs in (canonical(0.0, 1.0, 1.0), cubic(0.0, 1.0, 0.6), singular_inverse()):
+        recs = find_eigenstates(obs, 2)
+        assert recs
+        for rec in recs:
+            assert type(rec.state) is np.ndarray and rec.state.shape == (2,)
+            with pytest.raises(ValueError):
+                rec.state[0] = 0.0
 
 
 def test_records_fix_the_global_phase():
@@ -360,7 +369,7 @@ def test_records_fix_the_global_phase():
     # rows leaves the records as they were
     for obs in (canonical(0.0, 1.0, 1.0), cubic(0.0, 1.0, 0.6), singular_inverse()):
         recs = find_eigenstates(obs, 2)
-        u = np.array([r.state.amplitudes for r in recs])
+        u = np.array([r.state for r in recs])
         lam = np.array([r.eigenvalue for r in recs])
         pivots = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
         assert np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
@@ -377,7 +386,7 @@ def test_diagonal_values_at_interior_state():
     assert len(vals) == 2
     assert vals == sorted(vals)
     # the operator average reproduces the functional value
-    m = nlqm.nonlinear_operator(obs, z).entries
+    m = nlqm.nonlinear_operator(obs, z)
     assert abs(np.vdot(z, m @ z).real - obs.value(z)) < 1e-12
 
 
