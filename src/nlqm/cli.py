@@ -240,7 +240,7 @@ def _run_eigenfrequency(p):
     traj = integrate_nls(builder, z0, p["t_end"], p["dt"], flow=obs.analytic_gradient)
     om, weight = np.array(eigenfrequencies(traj)).T
     pred = canonical_frequencies(e, eps, z0)
-    dev = np.where(weight > 1e-10, np.abs(om - pred), 0.0)
+    dev = np.where(weight > 1e-10 * weight.sum(), np.abs(om - pred), 0.0)
     columns = {"t": np.arange(len(om), dtype=float), "weight": weight,
                "omega_measured": om, "omega_predicted": pred, "deviation": dev}
     metrics = {"max_deviation": float(np.max(dev))}

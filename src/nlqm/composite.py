@@ -4,9 +4,9 @@ A (1,1)-homogeneous one-particle functional H_sub extends to a pair in
 inequivalent ways, and the choice has physical consequences:
 
 * the *faithful* extension sums H_sub over the slices of the pair amplitude
-  along a chosen basis of the spectator subsystem (:func:`weinberg_composite`)
-  — it depends on that basis, and a remote basis change alters the local
-  reduced density matrix (a signaling channel, quantified by
+  along the computational basis of the spectator (:func:`weinberg_composite`)
+  — another basis is a rotation of the state, and a remote rotation alters
+  the local reduced density matrix (a signaling channel, quantified by
   :func:`no_signaling_check`);
 * the *moment* extension applies the functional form to lifted operators
   (:func:`polchinski_functional`) — basis-independent, hence signal-free, but
@@ -63,6 +63,8 @@ __all__ = [
     "intention_paradox",
 ]
 
+# A slice is live above this share of its state's squared norm; the zero-vector
+# tests of gradient_flow_operator and the purity-weighted form take it absolute.
 SLICE_FLOOR = 1e-14
 
 
@@ -87,35 +89,34 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     """Slice-sum extension of a one-particle functional to a pair.
 
     The pair amplitude psi_{kl} (slot 0 index k, slot 1 index l) is resolved
-    along the columns u_r of ``rest_basis`` in the spectator slot, and
+    along the computational basis |r> of the spectator slot, and
 
-        H(psi) = sum_r H_sub(Phi_r),   Phi_r = <u_r|_rest psi .
+        H(psi) = sum_r H_sub(Phi_r),   Phi_r = <r|_rest psi .
 
     The result is (1,1)-homogeneous and additive over the slices, so when
     ``h_sub`` carries closed-form derivatives the composite does too: the
-    gradient re-embeds the slice gradients through the basis, and the
-    state-dependent operator is the basis-conjugated direct sum of slice
-    operators.  Slices carrying squared norm below ``SLICE_FLOOR`` contribute
-    nothing (value, gradient and operator alike).  The value, gradient and
-    operator pass all remaining slices to ``h_sub`` as one stack.  The
-    gradient, the wave flow's kernel, calls ``h_sub.analytic_gradient`` on
-    that stack directly (with the shape check of
-    :func:`~nlqm.observables.wirtinger_gradient`, not through it) and not at
-    all when no slice is live.
+    slices and the gradient are reshapes of the state, and the operator is
+    the block-diagonal sum of slice operators.  A slice is live when its
+    squared norm exceeds ``SLICE_FLOOR`` times the state's; only live slices
+    contribute, and they reach ``h_sub`` as one stack.  The gradient, the
+    wave flow's kernel, calls ``h_sub.analytic_gradient`` on it directly
+    (with the shape check of :func:`~nlqm.observables.wirtinger_gradient`),
+    and not at all when no slice is live.
 
-    With ``d_rest = 1`` the construction reproduces ``h_sub`` itself.  The
-    dependence on ``rest_basis`` is the whole point: it is what
-    :func:`no_signaling_check` measures.  In the computational basis
-    (``rest_basis`` exactly the identity) the slices and the gradient are
-    reshapes of the state, bit for bit up to zero signs.
+    With ``d_rest = 1`` this is ``h_sub`` itself.  ``rest_basis`` must be
+    exactly the identity: another basis u is the rotation R = 1 (x) u^dagger
+    of the state (:func:`rotate_subsystem`), with value H(R psi), gradient
+    R^dagger g(R psi) and operator R^dagger M(R psi) R.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
-    u = _unitary(rest_basis, d_rest)
+    if not np.array_equal(_unitary(rest_basis, d_rest), np.eye(d_rest)):
+        raise ValidationError(
+            "rest_basis must be the identity; for a basis u, take the identity composite at "
+            "R psi = rotate_subsystem(psi, dims, u.conj().T, slot=1 - sub_slot), with "
+            "gradient R^dagger g(R psi) and operator R^dagger M(R psi) R")
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     dim_total = d_sub * d_rest
-    uc, uc_t, u_t = u.conj(), u.conj().T, u.T
-    rotate = not np.array_equal(u, np.eye(d_rest))
     # On a stack of exactly d_sub slices a one-state h_sub can return the right
     # shapes, so its callables are checked once on d_sub + 1 generic rows
     # (not where h_sub is singular).
@@ -138,13 +139,10 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
 
     def live_slices(z: np.ndarray):
         """The slices Phi_r of each complex state, shape ``(..., d_rest,
-        d_sub)``, and the mask of those at or above the floor."""
-        if rotate:
-            t = z.reshape(z.shape[:-1] + dims)
-            sl = (t @ uc).swapaxes(-1, -2) if sub_slot == 0 else uc_t @ t
-        else:
-            sl = slices_of(z)
-        return sl, np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
+        d_sub)``, and the mask of the live ones."""
+        sl = slices_of(z)
+        w = np.add.reduce(sl.conj() * sl, axis=-1).real
+        return sl, w > SLICE_FLOOR * np.add.reduce(w, axis=-1, keepdims=True)
 
     def value(z, zc):
         z = np.asarray(z, dtype=complex)
@@ -162,23 +160,16 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
             z = np.asarray(z, dtype=complex)
             sl, live = live_slices(z)
             s = sl[live]
-            if rotate:
-                gm = np.zeros(sl.shape, dtype=complex)
-            else:
-                out = np.zeros(z.shape, dtype=complex)
-                gm = slices_of(out)   # a view: the slice gradients land in out
-            if len(s):
-                gm[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
-            if not rotate:
-                return out
-            g = gm.swapaxes(-1, -2) @ u_t if sub_slot == 0 else u @ gm
-            return g.reshape(z.shape)
+            out = np.zeros(z.shape, dtype=complex)
+            if len(s):   # through the slice view, the slice gradients land in out
+                slices_of(out)[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
+            return out
 
     op = None
     if h_sub.analytic_operator is not None:
-        # full = sum_r block_r (x) |u_r><u_r| (factors swapped for slot 1),
-        # contracted over r in one einsum.
-        layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
+        # the (..., *dims, *dims) operator's axes ordered (rest, rest', sub, sub')
+        axes = (-3, -1, -4, -2) if sub_slot == 0 else (-4, -2, -3, -1)
+        rest = np.arange(d_rest)
 
         def op(z):
             z = np.asarray(z, dtype=complex)
@@ -188,7 +179,8 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
                 s = sl[live]
                 blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s, s.shape + (d_sub,),
                                        "operators")
-            full = np.einsum(layout, blocks, u, uc)
+            full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
+            np.moveaxis(full, axes, (-4, -3, -2, -1))[..., rest, rest, :, :] = blocks
             return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
     return HomogeneousObservable(
@@ -325,10 +317,11 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
     with c = Tr(rho epshat)/Tr(rho) for ``plain`` and the same times
     Tr(rho^2)/(Tr rho)^2 for ``purity-weighted``.  The flow is isospectral;
     Tr(rho), Tr(rho epshat) and Tr(rho^2) are all constants of motion and each
-    is verified at every sample to 1e-9 (relative), one block of samples at a
-    time; the earliest violation is reported.  Diagonal mixtures in the
-    epshat eigenbasis are fixed points — seed an off-diagonal perturbation to
-    see the variant-dependent rotation rate.  ``rho0``, a ``(d, d)`` array,
+    is verified at every sample to 1e-9 (|c0| + s), s = Tr(rho0) for the first
+    two and Tr(rho0)^2 for the purity, so a multiple of rho0 gets its verdict,
+    one block of samples at a time; the earliest violation is reported.
+    Diagonal mixtures in the epshat eigenbasis are fixed points — seed an
+    off-diagonal perturbation to see the variant-dependent rotation rate.  ``rho0``, a ``(d, d)`` array,
     must pass the density matrix checks of :class:`~nlqm.core.DensityMatrix`
     and have finite invariants, else :class:`ValidationError`.
 
@@ -380,6 +373,7 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
     # a rho0 too large to square has a non-finite purity: refused, unwarned
     with np.errstate(all="ignore"):
         consts0 = invariants(rs)
+        tol = 1e-9 * (consts0[:, :1] ** np.array([1.0, 1.0, 2.0]) + np.abs(consts0))
     finite = np.isfinite(consts0).all(axis=1)
     if not finite.all():
         raise ValidationError("rho0's trace, epshat average and purity must be finite, got "
@@ -391,7 +385,7 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
         # a sample too large to square gives a non-finite invariant, which fails
         with np.errstate(all="ignore"):
             consts = invariants(block)
-        broken = ~(np.abs(consts - consts0) <= 1e-9 * (1.0 + np.abs(consts0)))
+        broken = ~(np.abs(consts - consts0) <= tol)
         if broken.any():
             k, j = divmod(int(np.argmax(broken)), 3)
             where, loc = _at(times, lo * rows + k, rows)
@@ -555,8 +549,9 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     by ``description`` ("polchinski-plain", "polchinski-purity" or
     "weinberg") and reports the entrywise deviation of the slot-1 reduced
     density matrices over time.  The moment extensions stay at numerical zero;
-    the slice-sum extension shows an order-one deviation for a generic
-    rotation (rotations preserving the slice structure produce none).
+    the slice sum, sliced in slot 0's computational basis, sees the rotation
+    as a change of that basis and shows an order-one deviation for a generic
+    one (rotations preserving the slice structure produce none).
     """
     u = _unitary(remote_u, 2)
     if description == "weinberg":

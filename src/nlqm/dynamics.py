@@ -316,13 +316,14 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
 
     ``hbuilder`` maps an amplitude array to a Hermitian matrix (an array).
     Fixed-step RK4 (:func:`_rk4`) with ``round(t_end/dt)`` steps, so the
-    final time is hit exactly.  Every accepted sample's matrix is checked
-    for hermiticity and its norm against a drift budget proportional to the
-    step count; violations raise :class:`IntegrationError` rather than
+    final time is hit exactly.  Every accepted sample's matrix is checked for
+    hermiticity, and its norm drift relative to its row's initial squared norm
+    against a budget proportional to the step count (a multiple of a state
+    gets its verdict); violations raise :class:`IntegrationError` rather than
     silently renormalizing.  Blow-up is caught at its step; hermiticity and
-    norm are checked per block of samples, in that order within a sample,
-    and the earliest violation wins: the loop may run up to a block past a
-    norm violation, and a blow-up there does not hide it.
+    norm are checked per block of samples, in that order within a sample, and
+    the earliest violation wins: the loop may run up to a block past a norm
+    violation, and a blow-up there does not hide it.
 
     The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
@@ -376,7 +377,8 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
         # Within a sample: hermiticity, then the norm budget; the builder sees
         # no sample past the first that breaks the budget.
         norm = _sqnorms(block)
-        drift = np.abs(norm - n0)
+        with np.errstate(all="ignore"):   # a zero state's 0/0 is no drift
+            drift = np.abs(norm - n0) / n0
         over = drift > budget
         end = len(block)
         if over.any():

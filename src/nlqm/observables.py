@@ -27,11 +27,11 @@ entries (``z[0]``) gets the right shape on a stack of exactly ``d`` rows.
 Derivatives fall back to central finite differences in the underlying real
 coordinates, ``d/dpsibar = (d/dx + i d/dy)/2`` and ``d/dpsi = (d/dx - i
 d/dy)/2``, whenever no analytic closed form is attached, so an evaluator alone
-is a complete observable.  One stencil serves every route and sends its ``4d``
-probes ``psi +- h e_n``, ``psi +- i h e_n`` to the function in one call: the
-gradient is the stencil of the values at ``h = 1e-5 (1 + |psi|)``, the
-operator that of the analytic gradient at the same step or, without one, of
-the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
+is a complete observable.  One fourth-order stencil serves every route and
+sends its ``8d`` probes ``psi + s h e_n``, s in (+-1, +-2, +-i, +-2i), to the
+function in one call: the gradient is the stencil of the values at ``h =
+1e-5 (1 + |psi|)``, the operator that of the analytic gradient at the same
+step or, without one, of the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
 """
 from __future__ import annotations
 
@@ -166,15 +166,14 @@ class HomogeneousObservable:
 
 
 def _central_differences(f: Callable, z: np.ndarray, h: float):
-    """Central differences of ``f`` at ``z`` along ``x_n`` and along ``y_n``, n on
-    the first axis; the ``4d`` probes ``z +- h e_n`` and ``z +- i h e_n`` go to
-    ``f`` in one call, as a ``(4d, d)`` stack."""
+    """Fourth-order central differences of ``f`` at ``z`` along ``x_n`` and
+    along ``y_n``, stacked on the first axis, n on the second; the ``8d``
+    probes ``z + s h e_n`` go to ``f`` in one call, as an ``(8d, d)`` stack."""
     d = z.size
-    e = h * np.eye(d)
-    probes = np.stack([z + e, z - e, z + 1j * e, z - 1j * e], axis=1).reshape(4 * d, d)
-    v = np.asarray(f(probes))
-    v = v.reshape((d, 4) + v.shape[1:])
-    return (v[:, 0] - v[:, 1]) / (2.0 * h), (v[:, 2] - v[:, 3]) / (2.0 * h)
+    s = h * np.array([[1, -1, 2, -2], [1j, -1j, 2j, -2j]])
+    v = np.asarray(f((z + s[:, None, :, None] * np.eye(d)[:, None, :]).reshape(8 * d, d)))
+    v = v.reshape((2, d, 4) + v.shape[1:])
+    return (8.0 * (v[:, :, 0] - v[:, :, 1]) - (v[:, :, 2] - v[:, :, 3])) / (12.0 * h)
 
 
 def _numeric_gradient(obs: HomogeneousObservable, z: np.ndarray, h: float) -> np.ndarray:
@@ -188,8 +187,8 @@ def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
     ``(B, d)`` gradients of a stack.
 
     Uses the analytic gradient when the observable carries one, otherwise
-    central differences of the values at step ``1e-5 * (1 + |psi|)`` per
-    state, its ``4d`` probes in one :meth:`~HomogeneousObservable.value` call.
+    the fourth-order stencil of the values at step ``1e-5 * (1 + |psi|)``
+    per state, its ``8d`` probes in one :meth:`~HomogeneousObservable.value` call.
     A non-finite analytic gradient of one state raises
     :class:`SingularObservableError`; a stack keeps its non-finite rows.
     """
@@ -225,10 +224,10 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
     """The Hermitian ``(d, d)`` array ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
 
     Uses ``analytic_operator`` when the observable carries one; otherwise the
-    stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``4d`` probes in
+    stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``8d`` probes in
     one call: of the analytic gradient at step ``1e-5 * (1 + |psi|)`` when
     there is one, else of the numeric gradient at ``1e-4 * (1 + |psi|)`` (the
-    ``16 d^2`` value probes of a second-difference stencil).  Raises when the
+    ``64 d^2`` value probes of a second-difference stencil).  Raises when the
     pre-symmetrization residual exceeds the 1e-8 gate (genuine
     non-Hermiticity is a bug, not noise).
 

@@ -354,19 +354,21 @@ def eigenfrequencies(trajectory, tol: float = 1e-6):
 
     Returns a list of ``(omega, weight)`` pairs, one per component, with
     weights the mean squared amplitudes (they sum to the mean squared norm).
-    Components carrying no amplitude report frequency 0.  Phase unwrapping is
-    used when the component is single-frequency (exact for the integrable
-    catalog families); otherwise the discrete-Fourier peak is taken, and the
-    requested tolerance must be resolvable within the trajectory duration.
+    Components carrying at most 1e-24 of the total weight report frequency 0.
+    Phase unwrapping is used when the component is single-frequency (exact
+    for the integrable catalog families); otherwise the discrete-Fourier peak
+    is taken, and the requested tolerance must be resolvable within the
+    trajectory duration.
     """
     t = _fit_times(trajectory.times, "frequency extraction")
     z = trajectory.amplitudes()
     span = t[-1] - t[0]
     out = []
-    for k in range(z.shape[1]):
+    weights = [float(np.mean(np.abs(z[:, k]) ** 2)) for k in range(z.shape[1])]
+    floor = 1e-24 * sum(weights)
+    for k, weight in enumerate(weights):
         comp = z[:, k]
-        weight = float(np.mean(np.abs(comp) ** 2))
-        if weight < 1e-24:
+        if weight <= floor:
             out.append((0.0, weight))
             continue
         theta = np.unwrap(np.angle(comp))

@@ -355,10 +355,25 @@ def test_vectorised_columns_match_the_per_row_arithmetic(monkeypatch):
     columns, metrics, _ = nlqm.cli._run_eigenfrequency(p)
     predicted = nlqm.cli.canonical_frequencies(p["e_levels"], p["eps_levels"],
                                                p["state"]).tolist()
-    devs = [abs(om - pred) if weight > 1e-10 else 0.0
+    total = sum(weight for _, weight in seen["eigenfrequencies"])
+    devs = [abs(om - pred) if weight > 1e-10 * total else 0.0
             for (om, weight), pred in zip(seen["eigenfrequencies"], predicted)]
     assert columns["deviation"].tolist() == devs and devs[1] == 0.0 < devs[0]
     assert metrics["max_deviation"] == max(devs)
+
+
+def test_an_eigenfrequency_check_compares_the_same_components_at_every_scale():
+    # every weight is compared with the total: the bundled ray at 1e-5 used to
+    # pass a 1e-12 tolerance with nothing compared
+    runs = []
+    for scale in (1e-5, 1.0, 1e5):
+        sc = dict(_bundled_scenario("eigenfrequency"), tol=1e-12)
+        sc["state"] = [[scale * re, scale * im] for re, im in sc["state"]]
+        [(_, _, p)] = nlqm.cli._schema_pass(sc)
+        runs.append(nlqm.cli._run_eigenfrequency(p))
+    devs = [metrics["max_deviation"] for _, metrics, _ in runs]
+    assert 1e-10 < devs[1] and max(devs) - min(devs) <= 1e-3 * devs[1]
+    assert [passed for *_, passed in runs] == [False] * 3
 
 
 @pytest.mark.parametrize("exp", sorted(EXPERIMENTS))

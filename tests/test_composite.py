@@ -82,25 +82,43 @@ def test_weinberg_composite_closed_form_derivatives(rng):
         npt.assert_allclose(m, nonlinear_operator(_stripped(obs), z), atol=1e-5)
 
 
-def test_weinberg_composite_with_a_generic_basis(rng):
-    q, _ = np.linalg.qr(_rand(rng, (3, 3)).reshape(3, 3))
-    obs = weinberg_composite(canonical(0.3, 1.1, 0.4), 2, 3, q, sub_slot=0)
-    z = _rand(rng, 6)
-    npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
-                        wirtinger_gradient(_stripped(obs), z), atol=1e-7)
-    # the value genuinely depends on the spectator basis
-    obs_id = weinberg_composite(canonical(0.3, 1.1, 0.4), 2, 3, np.eye(3), sub_slot=0)
-    assert abs(obs.value(z) - obs_id.value(z)) > 1e-3
+def _rotated_to_identity(h_sub, d_sub, d_rest, u, sub_slot, z):
+    """Value, gradient and operator of the slice sum along the columns of
+    ``u``, as the identity composite at R z, R = 1 (x) u^dagger on the
+    spectator: H(R z), R^dagger g(R z) and R^dagger M(R z) R."""
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, np.eye(d_rest), sub_slot=sub_slot)
+    rz = nlqm.rotate_subsystem(z, dims, u.conj().T, slot=1 - sub_slot)
+    r = lift_operator(u.conj().T, dims, 1 - sub_slot)
+    return (obs.value(rz), r.conj().T @ obs.analytic_gradient(rz),
+            r.conj().T @ obs.analytic_operator(rz) @ r)
+
+
+@pytest.mark.parametrize("sub_slot", [0, 1])
+@pytest.mark.parametrize("d_sub, d_rest", [(2, 1), (2, 3), (3, 2), (5, 2)])
+def test_another_spectator_basis_is_a_rotation_of_the_state(rng, sub_slot, d_sub, d_rest):
+    h_sub = _slice_sum_cases(rng, d_sub)["sum"]
+    dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
+    for _ in range(4):
+        u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+        z = _rand(rng, d_sub * d_rest)
+        got = _rotated_to_identity(h_sub, d_sub, d_rest, u, sub_slot, z)
+        for g, ref in zip(got, _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z)):
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if d_rest > 1:   # the value genuinely depends on the spectator basis
+            assert abs(got[0] - _slice_sum_reference(h_sub, np.eye(d_rest), d_sub, dims,
+                                                     sub_slot, z)[0]) > 1e-3
 
 
 def _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z):
-    """Reference assembly: one kron(block, projector) per populated slice."""
+    """Reference assembly: one kron(block, projector) per live slice."""
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     t = z.reshape(dims)
     slices = (t @ u.conj()).T if sub_slot == 0 else u.conj().T @ t
+    weights = [float(np.vdot(phi, phi).real) for phi in slices]
     full = np.zeros((z.size, z.size), dtype=complex)
     for r, phi in enumerate(slices):
-        if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
+        if not weights[r] > SLICE_FLOOR * sum(weights):
             continue
         block = np.asarray(h_sub.analytic_operator(phi), dtype=complex)
         proj = np.outer(u[:, r], u[:, r].conj())
@@ -109,13 +127,14 @@ def _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z):
 
 
 def _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z):
-    """Reference gradient: one h_sub gradient per populated slice, re-embedded."""
+    """Reference gradient: one h_sub gradient per live slice, re-embedded."""
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     t = z.reshape(dims)
     slices = (t @ u.conj()).T if sub_slot == 0 else u.conj().T @ t
+    weights = [float(np.vdot(phi, phi).real) for phi in slices]
     full = np.zeros(z.size, dtype=complex)
     for r, phi in enumerate(slices):
-        if float(np.vdot(phi, phi).real) < SLICE_FLOOR:
+        if not weights[r] > SLICE_FLOOR * sum(weights):
             continue
         g = np.asarray(h_sub.analytic_gradient(phi), dtype=complex)
         full += np.kron(g, u[:, r]) if sub_slot == 0 else np.kron(u[:, r], g)
@@ -128,27 +147,27 @@ def test_weinberg_operator_matches_the_kron_loop(rng, sub_slot, d_sub, d_rest):
     a = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     h_sub = bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
-    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    eye = np.eye(d_rest)
     # build the state from its slices so that the last one sits below the floor
     phis = _rand(rng, d_rest * d_sub).reshape(d_rest, d_sub)
     phis[-1] = 1e-8 * phis[-1]
-    t = phis.T @ u.T if sub_slot == 0 else u @ phis
-    z = t.reshape(-1)
-    starved = np.zeros((d_rest, d_sub), dtype=complex)
-    starved[-1] = phis[-1]
-    skipped = (starved.T @ u.T if sub_slot == 0 else u @ starved).reshape(-1)
-    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    z = (phis.T if sub_slot == 0 else phis).reshape(-1)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, eye, sub_slot=sub_slot)
     got = np.asarray(obs.analytic_operator(z))
-    npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z),
+    npt.assert_allclose(got, _kron_loop_operator(h_sub, d_sub, d_rest, eye, sub_slot, z),
                         rtol=0, atol=1e-14)
     npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
-                        _slice_loop_gradient(h_sub, d_sub, d_rest, u, sub_slot, z),
+                        _slice_loop_gradient(h_sub, d_sub, d_rest, eye, sub_slot, z),
                         rtol=0, atol=1e-14)
-    # the starved slice really was skipped: its block would not vanish
-    assert np.max(np.abs(obs.analytic_operator(skipped))) == 0.0
-    assert np.max(np.abs(obs.analytic_gradient(skipped))) == 0.0
-    assert np.max(np.abs(h_sub.analytic_operator(phis[-1]))) > 0.1
-    assert np.max(np.abs(h_sub.analytic_gradient(phis[-1]))) > 1e-9
+    # the starved slice really was skipped: zeroing it moves no bit, although
+    # its own block and gradient would not vanish
+    starved = phis[-1].copy()
+    phis[-1] = 0.0
+    kept = (phis.T if sub_slot == 0 else phis).reshape(-1)
+    assert np.array_equal(_bits(obs.analytic_operator(kept)), _bits(got))
+    assert np.array_equal(_bits(obs.analytic_gradient(kept)), _bits(obs.analytic_gradient(z)))
+    assert np.max(np.abs(h_sub.analytic_operator(starved))) > 0.1
+    assert np.max(np.abs(h_sub.analytic_gradient(starved))) > 1e-9
 
 
 def _bits(x):
@@ -156,12 +175,14 @@ def _bits(x):
 
 
 def _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z):
-    """Value, gradient and operator of the slice sum by an explicit change of
-    basis into ``u``: the general path of ``weinberg_composite``, step for step."""
+    """Value, gradient and operator of the slice sum along the columns of
+    ``u`` by an explicit change of basis, with the live-slice rule of
+    ``weinberg_composite``."""
     z = np.asarray(z, dtype=complex)
     t = z.reshape(z.shape[:-1] + dims)
     sl = np.swapaxes(t @ u.conj(), -1, -2) if sub_slot == 0 else u.conj().T @ t
-    live = np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
+    w = np.add.reduce(sl.conj() * sl, axis=-1).real
+    live = w > SLICE_FLOOR * w.sum(axis=-1, keepdims=True)
     vals = np.zeros(live.shape)
     gm = np.zeros(sl.shape, dtype=complex)
     blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
@@ -169,7 +190,7 @@ def _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z):
         vals[live] = h_sub.value(sl[live])
         gm[live] = wirtinger_gradient(h_sub, sl[live])
         blocks[live] = h_sub.analytic_operator(sl[live])
-    grad = np.swapaxes(gm, -1, -2) @ u.T if sub_slot == 0 else u @ gm
+    grad = np.einsum("...ra,lr->...al" if sub_slot == 0 else "...ra,lr->...la", gm, u)
     layout = "...rab,lr,mr->...albm" if sub_slot == 0 else "...rab,lr,mr->...lamb"
     full = np.einsum(layout, blocks, u, u.conj())
     return (vals.sum(axis=-1), grad.reshape(z.shape),
@@ -183,39 +204,34 @@ def test_slice_sum_gradient_is_bit_identical_to_its_reference(rng, sub_slot, d_s
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     h_sub = (bilinear(a + a.conj().T) + moment_power(m + m.conj().T, 2, coeff=0.7)
              + moment_power(m @ m.conj().T, 3, coeff=-0.4))
-    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    eye = np.eye(d_rest)
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     # states built from their slices; with d_rest > 1 the last slice of the
     # single state and of the stack's first two rows sits below the floor
     phis = _rand(rng, 8 * d_rest * d_sub).reshape(8, d_rest, d_sub)
     if d_rest > 1:
         phis[:3, -1] *= 1e-8
-    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
-    zs = t.reshape(8, -1)
-    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    zs = (np.swapaxes(phis, 1, 2) if sub_slot == 0 else phis).reshape(8, -1)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, eye, sub_slot=sub_slot)
     for z in (zs[0], zs[1:]):
-        ref = _slice_sum_reference(h_sub, u, d_sub, dims, sub_slot, z)[1]
+        ref = _slice_sum_reference(h_sub, eye, d_sub, dims, sub_slot, z)[1]
         got = obs.analytic_gradient(z)
         assert got.shape == z.shape
         assert np.array_equal(_bits(got), _bits(ref))
 
 
-def _slice_sum_gradient_through_wirtinger(h_sub, u, dims, sub_slot, z):
-    """The slice-sum gradient as it ran through ``wirtinger_gradient``: the
-    computational basis by reshapes, any other by the change of basis."""
+def _slice_sum_gradient_through_wirtinger(h_sub, dims, sub_slot, z):
+    """The slice-sum gradient as it ran through ``wirtinger_gradient``, by
+    reshapes, with the live-slice rule of ``weinberg_composite``."""
     z = np.asarray(z, dtype=complex)
-    rotate = not np.array_equal(u, np.eye(len(u)))
     t = z.reshape(z.shape[:-1] + dims)
-    if rotate:
-        t = t @ u.conj() if sub_slot == 0 else u.conj().T @ t
     sl = t.swapaxes(-1, -2) if sub_slot == 0 else t
-    live = np.add.reduce(sl.conj() * sl, axis=-1).real >= SLICE_FLOOR
+    w = np.add.reduce(sl.conj() * sl, axis=-1).real
+    live = w > SLICE_FLOOR * w.sum(axis=-1, keepdims=True)
     gm = np.zeros(sl.shape, dtype=complex)
     if live.any():
         gm[live] = wirtinger_gradient(h_sub, sl[live])
     g = gm.swapaxes(-1, -2) if sub_slot == 0 else gm
-    if rotate:
-        g = g @ u.T if sub_slot == 0 else u @ g
     return g.reshape(z.shape)
 
 
@@ -237,25 +253,29 @@ def test_slice_sum_gradient_keeps_the_bits_of_the_wirtinger_path(rng, sub_slot, 
                                                                  d_rest, basis):
     m = _rand(rng, d_sub * d_sub).reshape(d_sub, d_sub)
     h_sub = canonical(0.1, 0.9, 0.4) if d_sub == 2 else moment_power(m + m.conj().T, 2)
-    u = (np.eye(d_rest) if basis == "identity"
-         else np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))[0])
     dims = (d_sub, d_rest) if sub_slot == 0 else (d_rest, d_sub)
     # states built from their slices: row 0 with an exactly zero slice, row 1
-    # with a starved one (its only one at d_rest = 1), row 2 all live, row 3
-    # all dead (the zero state)
+    # with a starved one (its only one, and so live, at d_rest = 1), row 2 all
+    # live, row 3 all dead (the zero state)
     phis = _rand(rng, 4 * d_rest * d_sub).reshape(4, d_rest, d_sub)
     phis[0, -1] = 0.0
     phis[1, 0] *= 1e-8
     phis[3] = 0.0
-    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
-    zs = t.reshape(4, -1)
+    zs = (np.swapaxes(phis, 1, 2) if sub_slot == 0 else phis).reshape(4, -1)
+    if basis == "rotated":
+        # the same slices along the columns of a random u, rotated back into the
+        # computational basis: the dead slices are no longer exactly zero
+        u = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))[0]
+        t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
+        zs = np.stack([nlqm.rotate_subsystem(z, dims, u.conj().T, slot=1 - sub_slot)
+                       for z in t.reshape(4, -1)])
     spy, calls = _spied(h_sub)
-    obs = weinberg_composite(spy, d_sub, d_rest, u, sub_slot=sub_slot)
+    obs = weinberg_composite(spy, d_sub, d_rest, np.eye(d_rest), sub_slot=sub_slot)
     for z in (*zs, zs, zs[3:]):
         calls.clear()
         got = obs.analytic_gradient(z)
         ours = list(calls)
-        ref = _slice_sum_gradient_through_wirtinger(spy, u, dims, sub_slot, z)
+        ref = _slice_sum_gradient_through_wirtinger(spy, dims, sub_slot, z)
         assert got.shape == z.shape and got.dtype == np.complex128
         assert got.view(float).tobytes() == ref.view(float).tobytes()
         # one call per gradient, on the live slices the reference sends it,
@@ -297,35 +317,36 @@ def test_identity_rest_basis_matches_the_change_of_basis_reference(rng, sub_slot
         return (obs.evaluator(z, z.conj()), obs.analytic_gradient(z),
                 obs.analytic_operator(z))
 
-    # the computational basis: a reshape, equal up to the sign of a zero
+    # reshapes and the block-diagonal fill: bit for bit, zero signs included
     eye = np.eye(d_rest)
     obs = weinberg_composite(h_sub, d_sub, d_rest, eye, sub_slot=sub_slot)
     for z in states:
         for got, ref in zip(triple(obs, z), _slice_sum_reference(h_sub, eye, d_sub, dims,
                                                                  sub_slot, z)):
-            assert got.shape == ref.shape and np.array_equal(got, ref)
-    # any other basis, even one a hair from the identity, keeps the change of
-    # basis, bit for bit (with d_rest = 1 both of these are the identity)
-    others = [np.eye(d_rest)[::-1], np.eye(d_rest) + 1e-17] if d_rest > 1 else []
-    for u in others:
-        obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
-        for z in states:
-            for got, ref in zip(triple(obs, z), _slice_sum_reference(h_sub, u, d_sub, dims,
-                                                                     sub_slot, z)):
-                assert np.array_equal(_bits(got), _bits(ref))
+            assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))
+
+
+def test_weinberg_composite_refuses_any_basis_but_the_identity(rng):
+    # a permutation, a hair from the identity, a random unitary: each passes
+    # the unitary check and is refused with the rotation that replaces it
+    q, _ = np.linalg.qr(_rand(rng, 9).reshape(3, 3))
+    for u in (np.eye(3)[::-1], np.eye(3) + 1e-17, q):
+        with pytest.raises(ValidationError, match=r"rest_basis must be the identity; .* at "
+                           r"R psi = rotate_subsystem\(psi, dims, u\.conj\(\)\.T, "
+                           r"slot=1 - sub_slot\)"):
+            weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 3, u)
 
 
 @pytest.mark.parametrize("sub_slot", [0, 1])
 def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
     d_sub, d_rest, rows = 2, 3, 5
-    u, _ = np.linalg.qr(_rand(rng, d_rest * d_rest).reshape(d_rest, d_rest))
+    eye = np.eye(d_rest)
     h_sub = canonical(0.2, 0.9, 0.6)
-    obs = weinberg_composite(h_sub, d_sub, d_rest, u, sub_slot=sub_slot)
+    obs = weinberg_composite(h_sub, d_sub, d_rest, eye, sub_slot=sub_slot)
     # states built from their slices; one slice of row 2 sits below the floor
     phis = _rand(rng, rows * d_rest * d_sub).reshape(rows, d_rest, d_sub)
     phis[2, -1] *= 1e-8
-    t = np.swapaxes(phis, 1, 2) @ u.T if sub_slot == 0 else u @ phis
-    zs = t.reshape(rows, -1)
+    zs = (np.swapaxes(phis, 1, 2) if sub_slot == 0 else phis).reshape(rows, -1)
     vals, grads = obs.value(zs), wirtinger_gradient(obs, zs)
     ops = obs.analytic_operator(zs)
     assert vals.shape == (rows,) and grads.shape == zs.shape
@@ -335,7 +356,7 @@ def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
         npt.assert_allclose(vals[k], v, rtol=0, atol=1e-14 * (1.0 + abs(v)))
         npt.assert_allclose(grads[k], g, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(g))))
         npt.assert_allclose(ops[k], m, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(m))))
-        ref = _kron_loop_operator(h_sub, d_sub, d_rest, u, sub_slot, z)
+        ref = _kron_loop_operator(h_sub, d_sub, d_rest, eye, sub_slot, z)
         npt.assert_allclose(ops[k], ref, rtol=0, atol=1e-14 * (1.0 + np.max(np.abs(ref))))
     # the starved slice adds nothing to the stacked value either
     alive = phis[2, :-1]
@@ -613,11 +634,13 @@ def test_reduced_flow_refuses_an_invalid_rho0(rho0, message):
 
 
 def test_reduced_flow_reports_the_first_broken_invariant():
-    # dt = 0.2 is too coarse: the purity leaves its 1e-9 budget at the first step
-    with pytest.raises(IntegrationError,
-                       match=r"failed to conserve purity at t = 0\.2 "):
-        polchinski_reduced_flow("plain", np.diag([1.0, -1.0]),
-                                [[0.75, 0.2], [0.2, 0.25]], 20.0, 0.2)
+    # dt = 0.2 is too coarse: the purity leaves its 1e-9 budget at the first
+    # step, for rho0 and for 1e-10 rho0 (the budget scales with the trace)
+    for scale in (1.0, 1e-10):
+        with pytest.raises(IntegrationError,
+                           match=r"failed to conserve purity at t = 0\.2 "):
+            polchinski_reduced_flow("plain", np.diag([1.0, -1.0]),
+                                    scale * np.array([[0.75, 0.2], [0.2, 0.25]]), 20.0, 0.2)
 
 
 @pytest.mark.parametrize("variant", ("plain", "purity-weighted"))

@@ -140,6 +140,31 @@ def test_norm_drift_budget_aborts_unstable_steps():
                           dt=0.5, flow=flow)
 
 
+def _two_level_wave(e_levels, z0, t_end, dt):
+    """The eigenfrequency experiment's flow: levels plus 0.5 <sigma3>^2 / n."""
+    obs = bilinear(np.diag(e_levels)) + moment_power(np.diag([0.5, -0.5]), 2)
+    return integrate_nls(lambda z: nonlinear_operator(obs, z), np.asarray(z0, dtype=complex),
+                         t_end, dt, flow=obs.analytic_gradient)
+
+
+def test_a_large_multiple_of_a_passing_state_passes_the_norm_budget():
+    # the budget is relative to the initial squared norm: 1e5 (0.6, 0.8)
+    # drifts by 3e-3 in absolute terms at t = 0.19, and keeps the unit
+    # state's samples times 1e5
+    unit = _two_level_wave([0.0, 1.0], [0.6, 0.8], 30.0, 0.01).amplitudes()
+    large = _two_level_wave([0.0, 1.0], [6e4, 8e4], 30.0, 0.01).amplitudes()
+    npt.assert_allclose(large / 1e5, unit, rtol=0, atol=1e-12)
+
+
+def test_a_small_multiple_of_a_failing_state_fails_the_norm_budget():
+    # e = 10 at dt = 0.2 is far too coarse: the unit state and 1e-5 times it
+    # (whose absolute drift is 3e-11) both lose 30% of their norm in one step
+    for scale in (1.0, 1e-5):
+        with pytest.raises(IntegrationError, match=r"^norm drift 3\.012e-01 exceeded budget "
+                                                   r"1\.500e-04 at t = 0\.2; reduce dt$"):
+            _two_level_wave([0.0, 10.0], scale * np.array([0.6, 0.8]), 30.0, 0.2)
+
+
 def test_validation_of_step_arguments():
     # one step-grid check guards all four RK4 loops
     z0 = np.array([1.0, 0.0j])

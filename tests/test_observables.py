@@ -168,6 +168,15 @@ def test_nonlinear_operator_matches_value_level_differencing(rng):
                 assert abs(np.vdot(z, m @ z) - obs.value(z)) < tol, obs.label
 
 
+def test_a_gradient_alone_builds_the_operator_of_a_steep_family():
+    # at <sigma3> = 0.28 the second-order stencil of the singular family's
+    # gradient was non-Hermitian at 3.7e-7, over the 1e-8 gate
+    obs = singular_inverse()
+    m_ana = nonlinear_operator(obs, PROBE)
+    m = nonlinear_operator(replace(obs, analytic_operator=None), PROBE)
+    assert np.max(np.abs(m - m_ana)) <= 1e-8 * np.max(np.abs(m_ana))
+
+
 def test_hermiticity_gate_rejects_asymmetric_operator():
     bad = HomogeneousObservable(
         evaluator=lambda z, zc: float(np.vdot(z, z).real),
@@ -549,6 +558,22 @@ def test_standard_catalog_entries_are_consistent(rng):
             m = nonlinear_operator(obs, z)
             npt.assert_allclose(m, m.conj().T, atol=1e-9)
             assert abs(np.vdot(z, m @ z).real - a) < 1e-6 * (1.0 + abs(a)), obs.label
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e5])
+def test_catalog_entries_are_one_one_homogeneous_at_any_scale(c):
+    """A(c psi) = |c|^2 A(psi), the gradient scales by c, the operator not at
+    all; the pair state's second spectator slice holds 0.09% of its weight."""
+    states = {"any": PROBE, "away-from-sigma3-kernel": np.array([0.96, 0.28j])}
+    pair = np.array([0.6, 0.02j, -0.7, 0.015 - 0.01j])
+    for obs, domain in standard_catalog():
+        z = pair if ("pair" in obs.label or "slice-sum" in obs.label) else states[domain]
+        v, g = obs.value(z), obs.analytic_gradient(z)
+        assert abs(obs.value(c * z) / c ** 2 - v) <= 1e-12 * abs(v), obs.label
+        assert np.max(np.abs(obs.analytic_gradient(c * z) / c - g)) <= 1e-12 * np.max(np.abs(g))
+        if obs.analytic_operator is not None:
+            m = nonlinear_operator(obs, z)
+            assert np.max(np.abs(nonlinear_operator(obs, c * z) - m)) <= 1e-12 * np.max(np.abs(m))
 
 
 def test_one_state_gives_a_plain_operator_array(rng):
