@@ -63,8 +63,7 @@ __all__ = [
     "intention_paradox",
 ]
 
-# A slice is live above this share of its state's squared norm; the zero-vector
-# tests of gradient_flow_operator and the purity-weighted form take it absolute.
+# A slice is live above this share of its state's squared norm.
 SLICE_FLOOR = 1e-14
 
 
@@ -93,15 +92,15 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
 
         H(psi) = sum_r H_sub(Phi_r),   Phi_r = <r|_rest psi .
 
-    The result is (1,1)-homogeneous and additive over the slices, so when
-    ``h_sub`` carries closed-form derivatives the composite does too: the
-    slices and the gradient are reshapes of the state, and the operator is
-    the block-diagonal sum of slice operators.  A slice is live when its
-    squared norm exceeds ``SLICE_FLOOR`` times the state's; only live slices
-    contribute, and they reach ``h_sub`` as one stack.  The gradient, the
-    wave flow's kernel, calls ``h_sub.analytic_gradient`` on it directly
-    (with the shape check of :func:`~nlqm.observables.wirtinger_gradient`),
-    and not at all when no slice is live.
+    The result is (1,1)-homogeneous and additive over the slices, so its
+    derivatives come from those of ``h_sub``: the slices and the gradient
+    are reshapes of the state, and the operator is the block-diagonal sum of
+    slice operators.  A slice is live when its squared norm exceeds
+    ``SLICE_FLOOR`` times the state's; only live slices contribute, and they
+    reach ``h_sub`` as one stack.  The gradient, the wave flow's kernel,
+    calls ``h_sub.analytic_gradient`` on it directly (with the shape check
+    of :func:`~nlqm.observables.wirtinger_gradient`), and not at all when no
+    slice is live.
 
     With ``d_rest = 1`` this is ``h_sub`` itself.  ``rest_basis`` must be
     exactly the identity: another basis u is the rotation R = 1 (x) u^dagger
@@ -126,8 +125,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     for k, (f, what) in enumerate(zip(calls, ("values", "gradients", "operators"))):
         try:
             with np.errstate(all="ignore"):
-                if f is not None:
-                    _shaped(h_sub, f(probe), probe, (d_sub + 1,) + (d_sub,) * k, what)
+                _shaped(h_sub, f(probe), probe, (d_sub + 1,) + (d_sub,) * k, what)
         except SingularObservableError:
             pass
 
@@ -153,35 +151,32 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         vals[live] = h_sub.value(sl[live])
         return vals.sum(axis=-1)
 
-    grad = None
     h_grad = h_sub.analytic_gradient
-    if h_grad is not None:
-        def grad(z):
-            z = np.asarray(z, dtype=complex)
-            sl, live = live_slices(z)
+
+    def grad(z):
+        z = np.asarray(z, dtype=complex)
+        sl, live = live_slices(z)
+        s = sl[live]
+        out = np.zeros(z.shape, dtype=complex)
+        if len(s):   # through the slice view, the slice gradients land in out
+            slices_of(out)[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
+        return out
+
+    # the (..., *dims, *dims) operator's axes ordered (rest, rest', sub, sub')
+    axes = (-3, -1, -4, -2) if sub_slot == 0 else (-4, -2, -3, -1)
+    rest = np.arange(d_rest)
+
+    def op(z):
+        z = np.asarray(z, dtype=complex)
+        sl, live = live_slices(z)
+        blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
+        if np.any(live):
             s = sl[live]
-            out = np.zeros(z.shape, dtype=complex)
-            if len(s):   # through the slice view, the slice gradients land in out
-                slices_of(out)[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
-            return out
-
-    op = None
-    if h_sub.analytic_operator is not None:
-        # the (..., *dims, *dims) operator's axes ordered (rest, rest', sub, sub')
-        axes = (-3, -1, -4, -2) if sub_slot == 0 else (-4, -2, -3, -1)
-        rest = np.arange(d_rest)
-
-        def op(z):
-            z = np.asarray(z, dtype=complex)
-            sl, live = live_slices(z)
-            blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
-            if np.any(live):
-                s = sl[live]
-                blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s, s.shape + (d_sub,),
-                                       "operators")
-            full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
-            np.moveaxis(full, axes, (-4, -3, -2, -1))[..., rest, rest, :, :] = blocks
-            return full.reshape(z.shape[:-1] + (dim_total, dim_total))
+            blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s, s.shape + (d_sub,),
+                                   "operators")
+        full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
+        np.moveaxis(full, axes, (-4, -3, -2, -1))[..., rest, rest, :, :] = blocks
+        return full.reshape(z.shape[:-1] + (dim_total, dim_total))
 
     return HomogeneousObservable(
         evaluator=value,
@@ -198,17 +193,17 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
     M psi = dH/dpsibar exactly (the rank-2 completion
     (g psi+ + psi g+)/n - (H/n^2) psi psi+ — the cross terms cancel by the
     homogeneity identity <psi, g> = H).  Any Hermitian completion gives the
-    same wave flow; this one needs only the gradient, so it serves functionals
-    with no closed-form second derivatives (the purity-weighted extension).
-    The builder also maps a ``(K, d)`` stack of states to the ``(K, d, d)``
-    stack of their generators, with one :func:`wirtinger_gradient` and one
-    :meth:`~HomogeneousObservable.value` call.
+    same wave flow; this one needs only the gradient.  The builder also maps
+    a ``(K, d)`` stack of states to the ``(K, d, d)`` stack of their
+    generators, with one :func:`wirtinger_gradient` and one
+    :meth:`~HomogeneousObservable.value` call.  A zero state, or a zero row
+    of a stack, raises :class:`SingularObservableError`.
     """
     def builder(z):
         zv = np.asarray(z, dtype=complex)
         zs = np.atleast_2d(zv)
         n = np.real(np.sum(zs.conj() * zs, axis=-1))
-        if np.any(n < SLICE_FLOOR):
+        if not n.all():
             raise SingularObservableError("gradient flow undefined at the zero vector")
         g = wirtinger_gradient(obs, zs)
         h = obs.value(zs)
@@ -237,6 +232,17 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
     through operator averages and the reduced state, so a remote basis change
     cannot move them.  The purity weight makes the reduced flow rate depend on
     how mixed the subsystem is — see :func:`polchinski_reduced_flow`.
+
+    The purity-weighted operator, through the moments n, m = <L> and p =
+    Tr(rho_sub^2) of f = m^2 p / n^3 and their gradients g_n = psi, g_m = L psi
+    and g_p = 2 vec(t t^dagger t) (t: psi reshaped to ``dims``), is
+
+        A_hat = e2 1 + eps [f_m L + f_p H_p + f_n 1 + sum_ab f_ab g_a g_b^dagger],
+
+    f_a and f_ab the partial derivatives of f, and H_p = 2 (t t^dagger (x) 1
+    + 1 (x) t^T conj(t)) the Hessian of p (either slot).  Each operator of a
+    stack is bit for bit its single-state build.  A zero state raises
+    :class:`SingularObservableError`.
     """
     d0, d1 = dims
     lifted = lift_operator(epshat, dims, slot)
@@ -246,11 +252,13 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
     if variant != "purity-weighted":
         raise ValidationError(f"unknown variant {variant!r}")
 
+    zero = "purity-weighted form undefined at the zero vector"
+
     def moments(z: np.ndarray):
         """n, <L>, Tr(rho_sub^2), L z, the amplitude tensors and rho_sub of each state."""
         n = np.real(np.sum(z.conj() * z, axis=-1))
-        if np.any(n < SLICE_FLOOR):
-            raise SingularObservableError("purity-weighted form undefined at the zero vector")
+        if not np.all(n):
+            raise SingularObservableError(zero)
         lz = z @ lifted.T
         m = np.real(np.sum(z.conj() * lz, axis=-1))
         t = z.reshape(z.shape[:-1] + tuple(dims))
@@ -276,10 +284,43 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
                 + eps * col(2.0 * m ** 2 / n ** 3) * rho_psi
                 - eps * col(3.0 * m ** 2 * p2 / n ** 4) * z)
 
+    dim = d0 * d1
+    lifted_t, eye, eye0, eye1 = lifted.T, np.eye(dim), np.eye(d0), np.eye(d1)
+
+    def op(z):
+        # products, quotients and per-row matmuls only: no row sees another
+        z = np.asarray(z, dtype=complex)
+        zs = z.reshape(-1, dim)
+        k, zc = len(zs), zs.conj()
+        n = np.add.reduce(zc * zs, axis=-1).real
+        if not n.all():
+            raise SingularObservableError(zero)
+        lz = np.matmul(zs[:, None, :], lifted_t)[:, 0]
+        m = np.add.reduce(zc * lz, axis=-1).real
+        t = zs.reshape(k, d0, d1)
+        ra = t @ np.swapaxes(t.conj(), -1, -2)   # t t^dagger
+        rb = np.swapaxes(t, -1, -2) @ t.conj()   # t^T conj(t)
+        p = np.add.reduce((np.swapaxes(ra, -1, -2) * ra).reshape(k, -1), axis=-1).real
+        hp = 2.0 * (ra[:, :, None, :, None] * eye1[:, None, :]
+                    + eye0[:, None, :, None] * rb[:, None, :, None, :]).reshape(k, dim, dim)
+        g = np.stack([zs, lz, 2.0 * (ra @ t).reshape(k, dim)], axis=-1)   # g_n, g_m, g_p
+        n3, mm = n * n * n, m * m
+        n4 = n3 * n
+        # the second derivatives f_ab of f = m^2 p / n^3, rows and columns (n, m, p)
+        f_nn, f_nm, f_np = 12.0 * mm * p / (n4 * n), -6.0 * m * p / n4, -3.0 * mm / n4
+        f_mm, f_mp = 2.0 * p / n3, 2.0 * m / n3
+        f2 = np.stack([f_nn, f_nm, f_np, f_nm, f_mm, f_mp, f_np, f_mp, np.zeros(k)], axis=-1)
+        col = lambda c: c[:, None, None]
+        out = (col(e2 - eps * 3.0 * mm * p / n4) * eye
+               + eps * (col(2.0 * m * p / n3) * lifted + col(mm / n3) * hp
+                        + g @ f2.reshape(k, 3, 3) @ np.swapaxes(g.conj(), -1, -2)))
+        return out.reshape(z.shape + (dim,))
+
     return HomogeneousObservable(
         evaluator=value,
         label=f"moment-pair[purity-weighted, eps={eps:g}]",
         analytic_gradient=grad,
+        analytic_operator=op,
     )
 
 
@@ -562,18 +603,13 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     else:
         raise ValidationError(f"unknown description {description!r}")
     total = bilinear(e1 * np.eye(4)) + pair
-    if description == "polchinski-purity":
-        builder = gradient_flow_operator(total)
-    else:
-        builder = lambda z: nonlinear_operator(total, z)
 
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
     rotated = rotate_subsystem(singlet, (2, 2), u, slot=0)
-    # Every builder here satisfies M(psi) psi = dH/dpsibar (the
-    # gradient_flow_operator completion by construction), so the RK4 stages
-    # can take the gradient directly, for both states as one stack.
-    traj = integrate_nls(builder, np.stack([singlet, rotated]), t_end, dt,
-                         flow=total.analytic_gradient)
+    # The operator satisfies A_hat psi = dH/dpsibar, so the RK4 stages can
+    # take the gradient directly, for both states as one stack.
+    traj = integrate_nls(lambda z: nonlinear_operator(total, z), np.stack([singlet, rotated]),
+                         t_end, dt, flow=total.analytic_gradient)
     rho = reduced_states(traj.amplitudes().reshape(-1, 4), (2, 2), keep=1)
     devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
     return NoSignalingReport(

@@ -24,27 +24,20 @@ as a 1-D array, never as a one-row stack; a result of another shape raises a
 check sees shapes only: a callable written for one state that indexes its
 entries (``z[0]``) gets the right shape on a stack of exactly ``d`` rows.
 
-Derivatives fall back to central finite differences in the underlying real
-coordinates, ``d/dpsibar = (d/dx + i d/dy)/2`` and ``d/dpsi = (d/dx - i
-d/dy)/2``, whenever no analytic closed form is attached, so an evaluator alone
-is a complete observable.  One fourth-order stencil serves every route and
-sends its ``8d`` probes ``psi + s h e_n``, s in (+-1, +-2, +-i, +-2i), to the
-function in one call: the gradient is the stencil of the values at ``h =
-1e-5 (1 + |psi|)``, the operator that of the analytic gradient at the same
-step or, without one, of the numeric gradient at ``h = 1e-4 (1 + |psi|)``.
+An observable carries all three callables: the value, the gradient
+``dA/dpsibar`` and the operator ``A_hat``, each in closed form.  One without
+a gradient or an operator is refused at construction.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .core import HermitianOperator, ValidationError, _hermiticity_residual, sigma3
 
-GRADIENT_STEP = 1e-5
-HESSIAN_STEP = 1e-4
 HERMITICITY_GATE = 1e-8
 SINGULAR_GUARD = 1e-6
 
@@ -94,28 +87,36 @@ def _unwarned(f: Callable, *args):
 
 @dataclass(frozen=True)
 class HomogeneousObservable:
-    """A real (1,1)-homogeneous functional with optional analytic derivatives.
+    """A real (1,1)-homogeneous functional with its closed-form derivatives.
 
     Parameters
     ----------
     evaluator:
         Map ``(psi, psibar) -> real value`` (of a state or a stack, see above).
     analytic_gradient:
-        Optional map ``psi -> dA/dpsibar`` (complex vectors).
+        Map ``psi -> dA/dpsibar`` (complex vectors).
     analytic_operator:
-        Optional map ``psi -> Hermitian matrix`` (the Wirtinger Hessian).
+        Map ``psi -> Hermitian matrix`` (the Wirtinger Hessian).
     params:
         The family constants ``e1``, ``e2``, ``eps`` and ``power``, set only
         by :func:`power_family` (so also by :func:`canonical` and
         :func:`cubic`) and read by :func:`~nlqm.spectra.moment_probabilities`;
         empty for every other observable, a sum included.
+
+    Both derivatives are required: an observable without a callable
+    gradient or operator raises :class:`ValidationError`.
     """
 
     evaluator: Callable
     label: str = ""
-    analytic_gradient: Optional[Callable] = None
-    analytic_operator: Optional[Callable] = None
+    analytic_gradient: Callable = None
+    analytic_operator: Callable = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("analytic_gradient", "analytic_operator"):
+            if not callable(getattr(self, name)):
+                raise ValidationError(f"{self.label or 'observable'} needs a callable {name}")
 
     def value(self, psi):
         """The real value at one state (a float) or at each row of a stack (an
@@ -146,18 +147,13 @@ class HomogeneousObservable:
         def ev(z, zc):
             return a.evaluator(z, zc) + b.evaluator(z, zc)
 
-        grad = None
         ga, gb = a.analytic_gradient, b.analytic_gradient
-        if ga is not None and gb is not None:
-            grad = lambda z: ga(z) + gb(z)
-        op = None
-        if a.analytic_operator is not None and b.analytic_operator is not None:
-            op = lambda z: a.analytic_operator(z) + b.analytic_operator(z)
+        oa, ob = a.analytic_operator, b.analytic_operator
         return HomogeneousObservable(
             evaluator=ev,
             label=f"({a.label} + {b.label})",
-            analytic_gradient=grad,
-            analytic_operator=op,
+            analytic_gradient=lambda z: ga(z) + gb(z),
+            analytic_operator=lambda z: oa(z) + ob(z),
         )
 
 
@@ -165,86 +161,39 @@ class HomogeneousObservable:
 # Wirtinger differentiation
 
 
-def _central_differences(f: Callable, z: np.ndarray, h: float):
-    """Fourth-order central differences of ``f`` at ``z`` along ``x_n`` and
-    along ``y_n``, stacked on the first axis, n on the second; the ``8d``
-    probes ``z + s h e_n`` go to ``f`` in one call, as an ``(8d, d)`` stack."""
-    d = z.size
-    s = h * np.array([[1, -1, 2, -2], [1j, -1j, 2j, -2j]])
-    v = np.asarray(f((z + s[:, None, :, None] * np.eye(d)[:, None, :]).reshape(8 * d, d)))
-    v = v.reshape((2, d, 4) + v.shape[1:])
-    return (8.0 * (v[:, :, 0] - v[:, :, 1]) - (v[:, :, 2] - v[:, :, 3])) / (12.0 * h)
-
-
-def _numeric_gradient(obs: HomogeneousObservable, z: np.ndarray, h: float) -> np.ndarray:
-    # dA/dpsibar = (d/dx + i d/dy)/2
-    dx, dy = _central_differences(obs.value, z, h)
-    return 0.5 * (dx + 1j * dy)
-
-
 def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
     """The vector ``dA/dpsibar_m`` at ``psi`` (equals ``A_hat psi``), or the
-    ``(B, d)`` gradients of a stack.
-
-    Uses the analytic gradient when the observable carries one, otherwise
-    the fourth-order stencil of the values at step ``1e-5 * (1 + |psi|)``
-    per state, its ``8d`` probes in one :meth:`~HomogeneousObservable.value` call.
-    A non-finite analytic gradient of one state raises
-    :class:`SingularObservableError`; a stack keeps its non-finite rows.
+    ``(B, d)`` gradients of a stack, from the observable's analytic gradient.
+    A non-finite gradient of one state raises :class:`SingularObservableError`;
+    a stack keeps its non-finite rows.
     """
     z = np.asarray(psi, dtype=complex)
-    if obs.analytic_gradient is not None:
-        if z.ndim > 1:
-            return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
-        g = _shaped(obs, _unwarned(obs.analytic_gradient, z), z, z.shape, "gradients")
-        if not np.isfinite(g).all():
-            raise SingularObservableError(f"{obs.label or 'observable'} has a non-finite "
-                                          f"gradient at state {np.array2string(z, precision=6)}")
-        return g
-    if z.ndim == 1:
-        return _numeric_gradient(obs, z, GRADIENT_STEP * (1.0 + np.linalg.norm(z)))
-    return np.array([wirtinger_gradient(obs, row) for row in z], dtype=complex).reshape(z.shape)
-
-
-def _numeric_hessian(obs: HomogeneousObservable, z: np.ndarray) -> np.ndarray:
-    if obs.analytic_gradient is not None:
-        h = GRADIENT_STEP * (1.0 + np.linalg.norm(z))
-        grad = lambda zs: wirtinger_gradient(obs, zs)
-    else:
-        # Differences of differences need a larger step than the gradient: at
-        # 1e-5 the roundoff noise (~1e-7) would exceed the hermiticity gate.
-        h = HESSIAN_STEP * (1.0 + np.linalg.norm(z))
-        grad = lambda zs: np.array([_numeric_gradient(obs, row, h) for row in zs])
-    dx, dy = _central_differences(grad, z, h)
-    # entry (m, n): d g_m / dpsi_n = (d/dx_n - i d/dy_n)/2 applied to g
-    return 0.5 * (dx - 1j * dy).T
+    if z.ndim > 1:
+        return _shaped(obs, obs.analytic_gradient(z), z, z.shape, "gradients")
+    g = _shaped(obs, _unwarned(obs.analytic_gradient, z), z, z.shape, "gradients")
+    if not np.isfinite(g).all():
+        raise SingularObservableError(f"{obs.label or 'observable'} has a non-finite "
+                                      f"gradient at state {np.array2string(z, precision=6)}")
+    return g
 
 
 def nonlinear_operator(obs: HomogeneousObservable, psi):
-    """The Hermitian ``(d, d)`` array ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at ``psi``.
-
-    Uses ``analytic_operator`` when the observable carries one; otherwise the
-    stencil ``(d/dx_n - i d/dy_n)/2`` of the gradient, its ``8d`` probes in
-    one call: of the analytic gradient at step ``1e-5 * (1 + |psi|)`` when
-    there is one, else of the numeric gradient at ``1e-4 * (1 + |psi|)`` (the
-    ``64 d^2`` value probes of a second-difference stencil).  Raises when the
+    """The Hermitian ``(d, d)`` array ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at
+    ``psi``, from the observable's analytic operator.  Raises when the
     pre-symmetrization residual exceeds the 1e-8 gate (genuine
     non-Hermiticity is a bug, not noise).
 
     Given a ``(K, d)`` stack of states, returns the ``(K, d, d)`` ndarray of
-    their operators, built with one ``analytic_operator`` call when the
-    observable has one (else row by row).  Every row gets the gate, which a
-    non-finite entry fails as a NaN or infinite residual, and is symmetrized;
-    the first row that fails raises what a single-state call raises for it,
-    with no RuntimeWarning of the analytic operator printed first.
+    their operators, built with one ``analytic_operator`` call.  Every row
+    gets the gate, which a non-finite entry fails as a NaN or infinite
+    residual, and is symmetrized; the first row that fails raises what a
+    single-state call raises for it, with no RuntimeWarning of the analytic
+    operator printed first.
     """
     z = np.asarray(psi, dtype=complex)
     d = z.shape[-1]
-    if obs.analytic_operator is None:
-        m = np.array([_numeric_hessian(obs, row) for row in z.reshape(-1, d)])
-    else:
-        m = _shaped(obs, _unwarned(obs.analytic_operator, z), z, z.shape + (d,), "operators")
-        m = m.reshape(-1, d, d)
+    m = _shaped(obs, _unwarned(obs.analytic_operator, z), z, z.shape + (d,),
+                "operators").reshape(-1, d, d)
     out = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()   # halves first: no overflow
     resid = _hermiticity_residual(m)
     if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too

@@ -6,6 +6,7 @@ Telegraph expectations come from the closed forms: the rotated singlet
 variant oscillates at 4 eps cos(2 tilt) with amplitude sin(2 tilt).
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,12 +37,9 @@ from nlqm import (
     weinberg_composite,
     wirtinger_gradient,
 )
+from stencil import stencil_gradient, stencil_operator
 
 ALPHA, BETA = np.sqrt(3.0) / 2.0, 0.5
-
-
-def _stripped(obs):
-    return HomogeneousObservable(evaluator=obs.evaluator, label="stripped")
 
 
 def _rand(rng, n):
@@ -74,12 +72,12 @@ def test_weinberg_composite_closed_form_derivatives(rng):
                                  sub_slot=sub_slot)
         z = _rand(rng, 6)
         g = np.asarray(obs.analytic_gradient(z))
-        npt.assert_allclose(g, wirtinger_gradient(_stripped(obs), z), atol=1e-7)
+        npt.assert_allclose(g, stencil_gradient(obs.value, z), atol=1e-7)
         m = np.asarray(obs.analytic_operator(z))
         npt.assert_allclose(m, m.conj().T, atol=1e-12)
         npt.assert_allclose(m @ z, g, atol=1e-12)
         assert abs(np.vdot(z, m @ z).real - obs.value(z)) < 1e-12
-        npt.assert_allclose(m, nonlinear_operator(_stripped(obs), z), atol=1e-5)
+        npt.assert_allclose(m, stencil_operator(obs.analytic_gradient, z), atol=1e-8)
 
 
 def _rotated_to_identity(h_sub, d_sub, d_rest, u, sub_slot, z):
@@ -466,7 +464,7 @@ def test_polchinski_functional_gradients(rng):
         obs = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant=variant, eps=0.3)
         z = _rand(rng, 4)
         npt.assert_allclose(np.asarray(obs.analytic_gradient(z)),
-                            wirtinger_gradient(_stripped(obs), z), atol=1e-7)
+                            stencil_gradient(obs.value, z), atol=1e-7)
         c = 1.3 - 0.4j
         assert obs.value(c * z) == pytest.approx(abs(c) ** 2 * obs.value(z), rel=1e-10)
 
@@ -477,6 +475,52 @@ def test_polchinski_functional_is_basis_independent(rng):
     q, _ = np.linalg.qr(_rand(rng, (2, 2)).reshape(2, 2))
     rotated = nlqm.rotate_subsystem(z, (2, 2), q, slot=0)
     assert obs.value(rotated) == pytest.approx(obs.value(z), rel=1e-12)
+
+
+PURITY_PAIR = np.array([0.6, 0.02j, -0.7, 0.015 - 0.01j])
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-6, 1e5])
+def test_purity_weighted_form_keeps_its_homogeneity_at_any_scale(scale):
+    # value ~ scale^2, gradient ~ scale, operator and generator scale-free;
+    # a fixed floor on the squared norm refused 1e-7, the differenced
+    # operator 1e-6 (non-Hermitian at 1.2e-5)
+    obs = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted", eps=0.3)
+    flowop = gradient_flow_operator(obs)
+    z = scale * PURITY_PAIR
+    assert _relative_gap(obs.value(z), scale ** 2 * obs.value(PURITY_PAIR)) <= 1e-12
+    assert _relative_gap(wirtinger_gradient(obs, z),
+                         scale * wirtinger_gradient(obs, PURITY_PAIR)) <= 1e-12
+    assert _relative_gap(nonlinear_operator(obs, z), nonlinear_operator(obs, PURITY_PAIR)) <= 1e-12
+    assert _relative_gap(flowop(z), flowop(PURITY_PAIR)) <= 1e-12
+
+
+def test_purity_weighted_form_refuses_only_the_zero_state():
+    obs = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted", eps=0.3)
+    zero, flowop = np.zeros(4), gradient_flow_operator(obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (obs.value, lambda z: wirtinger_gradient(obs, z),
+                     lambda z: nonlinear_operator(obs, z), flowop):
+            with pytest.raises(SingularObservableError, match="zero vector"):
+                call(zero)
+            with pytest.raises(SingularObservableError, match="zero vector"):
+                call(np.stack([PURITY_PAIR, zero]))
+
+
+def test_purity_weighted_operator_rows_keep_the_bits_of_single_builds(rng):
+    for dims, slot in (((2, 2), 1), ((2, 3), 0), ((3, 2), 1)):
+        obs = polchinski_functional(0.5, nlqm.sigma3, dims, variant="purity-weighted", eps=0.3,
+                                    slot=slot)
+        for rows in (1, 2, 7):
+            zs = _rand(rng, rows * dims[0] * dims[1]).reshape(rows, -1)
+            ms = obs.analytic_operator(zs)
+            for k, z in enumerate(zs):
+                assert ms[k].tobytes() == obs.analytic_operator(z).tobytes()
 
 
 def test_gradient_flow_operator_completion(rng):

@@ -80,7 +80,8 @@ def test_huge_entries_are_refused_without_an_overflow_warning():
         with pytest.raises(ValidationError, match="not Hermitian"):
             nlqm.polchinski_reduced_flow("plain", nlqm.sigma3, huge + np.eye(2), 0.05, 0.01)
         # a user observable's Hessian and a user builder's matrix
-        user = nlqm.HomogeneousObservable(lambda z, zc: 0.0, analytic_operator=lambda z: huge)
+        user = nlqm.HomogeneousObservable(lambda z, zc: 0.0, analytic_gradient=np.zeros_like,
+                                          analytic_operator=lambda z: huge)
         with pytest.raises(ValidationError, match="non-Hermitian Hessian .* residual inf"):
             nlqm.nonlinear_operator(user, np.array([0.6, 0.8]))
         with pytest.raises(nlqm.IntegrationError, match=r"non-Hermitian matrix .*\(deviation inf\)"):

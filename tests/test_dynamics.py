@@ -24,7 +24,6 @@ from nlqm import (
     canonical_solution,
     default_timestep,
     ellipk,
-    gradient_flow_operator,
     integrate_bloch,
     integrate_nls,
     jacobi_elliptic,
@@ -244,8 +243,6 @@ def _flow_case(name):
                                                             variant="purity-weighted", eps=0.3),
     }[name]()
     obs = bilinear(0.2 * np.eye(4)) + pair
-    if name == "moment-pair-purity":
-        return gradient_flow_operator(obs), obs, 4
     return (lambda z: nonlinear_operator(obs, z)), obs, 4
 
 

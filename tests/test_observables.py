@@ -31,8 +31,10 @@ from nlqm import (
     star_product,
     wirtinger_gradient,
 )
+from stencil import differenced, stencil_gradient, stencil_operator
 
 PROBE = np.array([0.8, 0.6j])
+PAIR = np.array([0.6, 0.48j, -0.36, 0.52 - 0.1j]) / np.sqrt(1.0004)
 
 component_strategy = st.floats(-2.0, 2.0, allow_nan=False)
 state2_strategy = st.tuples(component_strategy, component_strategy,
@@ -43,11 +45,6 @@ scale_strategy = st.tuples(st.floats(0.2, 3.0), st.floats(0.0, 2.0 * np.pi))
 def _state(parts):
     z = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
     return z
-
-
-def _stripped(obs):
-    """Same values, no closed-form derivatives: forces the differencing path."""
-    return HomogeneousObservable(evaluator=obs.evaluator, label="stripped")
 
 
 # ---------------------------------------------------------------------------
@@ -117,70 +114,74 @@ def test_observable_arithmetic_composes_derivatives(rng):
 
 
 def test_evaluator_must_be_real():
-    fake = HomogeneousObservable(evaluator=lambda z, zc: complex(np.vdot(z, z)) * 1j,
-                                 label="imag")
+    fake = differenced(lambda z, zc: complex(np.vdot(z, z)) * 1j, "imag")
     with pytest.raises(ValidationError):
         fake.value(PROBE)
+
+
+def test_an_observable_without_both_derivatives_is_refused():
+    obs = canonical(0.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="needs a callable analytic_gradient"):
+        HomogeneousObservable(evaluator=obs.evaluator, label="value-only")
+    for name in ("analytic_gradient", "analytic_operator"):
+        with pytest.raises(ValidationError, match=rf"canonical\(.*\) needs a callable {name}"):
+            replace(obs, **{name: None})
 
 
 # ---------------------------------------------------------------------------
 # Derivative machinery
 
 
-def test_wirtinger_gradient_matches_closed_forms(rng):
-    for obs in (canonical(0.2, 1.1, 0.7), cubic(0.0, 1.0, 0.4),
-                power_family(0.0, 1.0, 0.3, power=4), bilinear(nlqm.sigma2)):
-        for _ in range(3):
-            z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            g_fd = wirtinger_gradient(_stripped(obs), z)
-            npt.assert_allclose(np.asarray(obs.analytic_gradient(z)), g_fd,
-                                atol=2e-9, rtol=1e-7)
+def _unit_and_random_states(domain, dim, rng):
+    """Fixed unit states and three random ones; the singular family's are
+    held clear of its pole (|<sigma3>| > 0.25)."""
+    if dim == 4:
+        states = [PAIR]
+    elif domain == "any":
+        states = [PROBE]
+    else:   # <sigma3> = 0.84, and 0.28, where the slope is steeper
+        states = [np.array([0.96, 0.28j]), PROBE]
+    target = len(states) + 3
+    while len(states) < target:
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if domain == "any" or abs(np.vdot(z, nlqm.sigma3 @ z).real) > 0.25 * np.vdot(z, z).real:
+            states.append(z)
+    return states
 
 
-def test_nonlinear_operator_matches_value_level_differencing(rng):
-    obs = canonical(0.1, 0.9, 0.6)
-    z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    m_num = nonlinear_operator(_stripped(obs), z)
-    m_ana = nonlinear_operator(obs, z)
-    npt.assert_allclose(m_ana, m_num, atol=5e-7)
-    # every catalog entry, both differencing routes: from the analytic gradient
-    # (step 1e-5) and from the values alone (step 1e-4), at unit-norm states;
-    # the singular family at <sigma3> = 0.84, where the gradient route's
-    # truncation error stays under the hermiticity gate
-    pair = np.array([0.6, 0.48j, -0.36, 0.52 - 0.1j]) / np.sqrt(1.0004)
-    states = {"any": PROBE, "away-from-sigma3-kernel": np.array([0.96, 0.28j])}
+def test_catalog_derivatives_match_the_stencil_oracle(rng):
+    # the analytic gradient against the stencil of the values, the analytic
+    # operator against the stencil of the analytic gradient
     for k, (obs, domain) in enumerate(standard_catalog()):
-        z = states[domain] if k < 6 else pair   # the six two-level entries come first
-        routes = ((replace(obs, analytic_operator=None), 1e-8), (_stripped(obs), 5e-7))
-        if obs.analytic_operator is not None:
-            m_ana = nonlinear_operator(obs, z)
-            scale = np.max(np.abs(m_ana))
-            for differenced, tol in routes:
-                npt.assert_allclose(nonlinear_operator(differenced, z), m_ana,
-                                    atol=tol * scale, rtol=0, err_msg=obs.label)
-        else:
-            # the purity-weighted pair: no closed-form operator to compare with,
-            # but any M(psi) must reproduce the gradient and the value
-            g = np.asarray(obs.analytic_gradient(z))
-            for differenced, tol in routes:
-                m = nonlinear_operator(differenced, z)
-                npt.assert_allclose(m @ z, g, atol=tol, rtol=0, err_msg=obs.label)
-                assert abs(np.vdot(z, m @ z) - obs.value(z)) < tol, obs.label
+        dim = 2 if k < 6 else 4   # the six two-level entries come first
+        for z in _unit_and_random_states(domain, dim, rng):
+            g = wirtinger_gradient(obs, z)
+            npt.assert_allclose(g, stencil_gradient(obs.value, z), atol=2e-9, rtol=1e-7,
+                                err_msg=obs.label)
+            m = nonlinear_operator(obs, z)
+            npt.assert_allclose(stencil_operator(obs.analytic_gradient, z), m,
+                                atol=1e-8 * np.max(np.abs(m)), rtol=0, err_msg=obs.label)
 
 
-def test_a_gradient_alone_builds_the_operator_of_a_steep_family():
-    # at <sigma3> = 0.28 the second-order stencil of the singular family's
-    # gradient was non-Hermitian at 3.7e-7, over the 1e-8 gate
-    obs = singular_inverse()
-    m_ana = nonlinear_operator(obs, PROBE)
-    m = nonlinear_operator(replace(obs, analytic_operator=None), PROBE)
-    assert np.max(np.abs(m - m_ana)) <= 1e-8 * np.max(np.abs(m_ana))
+def test_purity_weighted_operator_matches_the_stencil_oracle(rng):
+    # 120 random cases: dims 2x2, 2x3 and 3x2, both slots, random epshat,
+    # e2 and eps, each against the stencil of the analytic gradient
+    for case in range(120):
+        dims, slot = ((2, 2), (2, 3), (3, 2))[case % 3], case // 3 % 2
+        a = rng.normal(size=(dims[slot],) * 2) + 1j * rng.normal(size=(dims[slot],) * 2)
+        obs = nlqm.polchinski_functional(rng.normal(), a + a.conj().T, dims,
+                                         variant="purity-weighted", eps=rng.normal(), slot=slot)
+        z = rng.normal(size=dims[0] * dims[1]) + 1j * rng.normal(size=dims[0] * dims[1])
+        m = nonlinear_operator(obs, z)
+        ref = stencil_operator(obs.analytic_gradient, z)
+        assert np.max(np.abs(m - ref)) <= 1e-9 * np.max(np.abs(ref)), (case, dims, slot)
 
 
 def test_hermiticity_gate_rejects_asymmetric_operator():
     bad = HomogeneousObservable(
         evaluator=lambda z, zc: float(np.vdot(z, z).real),
         label="bad-op",
+        analytic_gradient=lambda z: np.array(z, copy=True),
         analytic_operator=lambda z: np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
     )
     with pytest.raises(ValidationError, match="[Hh]ermitian"):
@@ -296,7 +297,7 @@ def test_value_batch_agrees_with_scalar_loop(rng):
     for evaluator, bad in [(_norm_over_first_weight, zero_first),
                            (_norm_with_imaginary_part, zs[:2])]:
         rows = np.concatenate([equal_moduli[None, :] * (1.0 + np.arange(3))[:, None], bad])
-        odd = HomogeneousObservable(evaluator=evaluator, label="odd")
+        odd = differenced(evaluator, "odd")
         with pytest.raises((SingularObservableError, ValidationError)) as scalar:
             odd.value(bad[0])
         with pytest.raises(scalar.type) as batch:
@@ -409,9 +410,8 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
     zs = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     obs = canonical(0.2, 1.3, 0.8)
-    cases = [obs,                                   # one analytic_operator call
-             replace(obs, analytic_operator=None),  # Hessian from the gradient
-             HomogeneousObservable(evaluator=obs.evaluator)]  # from values
+    cases = [obs,                                          # one analytic_operator call
+             differenced(obs.evaluator, "differenced")]  # row by row, from values
     for o in cases:
         ms = nonlinear_operator(o, zs)
         assert isinstance(ms, np.ndarray) and ms.shape == (6, 2, 2)
@@ -422,7 +422,7 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
 
     # the first bad row raises what a single-state call raises for it
     skew = HomogeneousObservable(evaluator=lambda z, zc: 0.0, label="skew",
-                                 analytic_operator=_skewed)
+                                 analytic_gradient=np.zeros_like, analytic_operator=_skewed)
     fine, gated, worse = [1.0, 0.0], [4.0, 0.0], [5.0, 0.0]
     nonfinite = [2.2, 0.0]
     nonlinear_operator(skew, np.array([fine, [3.0, 0.0]]))
@@ -469,7 +469,8 @@ def test_an_empty_stack_is_not_evaluated():
     def nowhere(*_args):
         raise AssertionError("evaluated an empty stack")
 
-    out = HomogeneousObservable(evaluator=nowhere).value(np.zeros((0, 2), dtype=complex))
+    out = HomogeneousObservable(evaluator=nowhere, analytic_gradient=nowhere,
+                                analytic_operator=nowhere).value(np.zeros((0, 2), dtype=complex))
     assert out.shape == (0,) and out.dtype == float
 
 
@@ -511,7 +512,7 @@ def _star_functional(a, b, label):
 
     def ev(z, zc):   # star_product takes one state: map the rows of a stack
         return one(z) if z.ndim == 1 else np.array([one(row) for row in z])
-    return HomogeneousObservable(evaluator=ev, label=label)
+    return differenced(ev, label)
 
 
 def test_star_product_associativity_depends_on_the_observable():
@@ -571,9 +572,8 @@ def test_catalog_entries_are_one_one_homogeneous_at_any_scale(c):
         v, g = obs.value(z), obs.analytic_gradient(z)
         assert abs(obs.value(c * z) / c ** 2 - v) <= 1e-12 * abs(v), obs.label
         assert np.max(np.abs(obs.analytic_gradient(c * z) / c - g)) <= 1e-12 * np.max(np.abs(g))
-        if obs.analytic_operator is not None:
-            m = nonlinear_operator(obs, z)
-            assert np.max(np.abs(nonlinear_operator(obs, c * z) - m)) <= 1e-12 * np.max(np.abs(m))
+        m = nonlinear_operator(obs, z)
+        assert np.max(np.abs(nonlinear_operator(obs, c * z) - m)) <= 1e-12 * np.max(np.abs(m))
 
 
 def test_one_state_gives_a_plain_operator_array(rng):

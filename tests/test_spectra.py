@@ -5,6 +5,8 @@ E1=0, E2=1, eps=1 the interior eigenstate carries moduli (5/8, 3/8) and
 eigenvalue 7/16; the poles give E1+eps and E2+eps.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,7 +15,6 @@ import nlqm
 from nlqm import spectra
 from nlqm import (
     ContractError,
-    HomogeneousObservable,
     SingularObservableError,
     ValidationError,
     bilinear,
@@ -27,6 +28,7 @@ from nlqm import (
     power_family,
     singular_inverse,
 )
+from stencil import differenced
 
 
 def test_census_quadratic_family_three_states():
@@ -191,15 +193,11 @@ def test_per_seed_newton_matches_the_full_batch_loop(obs, grid, monkeypatch):
     assert counts["newton_rows"] <= updates * len(seeds)
 
 
-def _value_only(obs):
-    return HomogeneousObservable(evaluator=obs.evaluator, label="value-only " + obs.label)
-
-
 @pytest.mark.parametrize("obs, dim, grid", [
     (canonical(0.0, 1.0, 1.0), 2, (8, 4)),
     (singular_inverse(), 2, (8, 4)),
     (nlqm.weinberg_composite(canonical(0.0, 1.0, 0.5), 2, 2, np.eye(2)), 4, (32, 16)),
-    (_value_only(canonical(0.0, 1.0, 1.0)), 2, (2, 2)),
+    (differenced(canonical(0.0, 1.0, 1.0).evaluator, "value-only canonical"), 2, (2, 2)),
 ], ids=["canonical", "singular", "weinberg-d4", "value-only"])
 def test_record_checks_agree_batched_and_per_row(obs, dim, grid, monkeypatch):
     records_batch, rows_per_call = spectra._records_batch, []
@@ -301,7 +299,7 @@ def test_seed_by_seed_fallback_gives_the_batch_census():
         return one_seed_at_a_time(z)
 
     for gradient, dropped in ((one_seed_at_a_time, 0), (also_refusing_one_seed, 1)):
-        fussy = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=gradient)
+        fussy = replace(obs, analytic_gradient=gradient)
         diag = {}
         recs = find_eigenstates(fussy, 2, grid=(8, 4), diagnostics=diag)
         # a seed dropped inside the Newton loop still counts as seeded, not converged
@@ -322,8 +320,8 @@ def test_census_of_an_observable_raising_at_every_seed_is_empty():
         raise SingularObservableError("nowhere defined")
 
     obs = canonical(0.0, 1.0, 1.0)
-    no_value = HomogeneousObservable(evaluator=nowhere)
-    no_gradient = HomogeneousObservable(evaluator=obs.evaluator, analytic_gradient=nowhere)
+    no_value = replace(obs, evaluator=nowhere, analytic_gradient=nowhere)
+    no_gradient = replace(obs, analytic_gradient=nowhere)
     for fussy, seeds in ((no_value, 0), (no_gradient, 14)):
         diag = {}
         assert find_eigenstates(fussy, 2, grid=(2, 2), diagnostics=diag) == []
@@ -334,10 +332,9 @@ def test_census_of_a_one_state_observable_raises_the_shape_error():
     # np.vdot flattens the 18 seeds to one number, and a one-state gradient
     # indexes rows: neither is a seed outside the domain, so neither is dropped
     s3 = bilinear(nlqm.sigma3)
-    one_value = HomogeneousObservable(evaluator=lambda z, zc: float(np.vdot(z, z).real),
-                                      label="one-state")
-    one_gradient = HomogeneousObservable(evaluator=s3.evaluator, label="one-state",
-                                         analytic_gradient=lambda z: np.array([z[0], -z[1]]))
+    one_value = replace(s3, evaluator=lambda z, zc: float(np.vdot(z, z).real), label="one-state")
+    one_gradient = replace(s3, label="one-state",
+                           analytic_gradient=lambda z: np.array([z[0], -z[1]]))
     for obs, what in ((one_value, r"values of shape \(\), not \(18,\)"),
                       (one_gradient, r"gradients of shape \(2, 2\), not \(18, 2\)")):
         with pytest.raises(ContractError, match=rf"one-state mapped states of shape "
