@@ -84,7 +84,6 @@ from .atom import (
     build_atom_field,
     elliptic_inversion,
     field_annihilator,
-    inversion_ode_check,
     inversion_trajectory,
     linear_hamiltonian,
     product_state,

@@ -40,7 +40,6 @@ __all__ = [
     "product_state",
     "inversion_trajectory",
     "elliptic_inversion",
-    "inversion_ode_check",
 ]
 
 LEAK_TOL = 1e-8
@@ -55,13 +54,11 @@ class AtomFieldParams:
 
     Levels are indexed from 0; the one-photon coupling acts between levels 0
     (lower) and 1 (upper).  ``eps_levels`` are the entries of the moment
-    ladder eps_hat.  The derived constants below reduce the exchange sector to
-    the cubic inversion oscillator:
+    ladder eps_hat.  The derived constants below are the rates of the
+    resonant inversion oscillator (:func:`elliptic_inversion`):
 
     * ``splitting``        eps_1 - eps_0  (the moment asymmetry of the pair),
-    * ``curvature``        2 splitting^2  (the stiffness in the inversion ODE),
-    * ``varsigma``         curvature / 4  (the elliptic rate),
-    * ``detuning_shifted`` detuning + eps_1^2 - eps_0^2,
+    * ``varsigma``         splitting^2 / 2  (the elliptic rate),
     * ``rabi(N)``          |q| sqrt(N + 1/2) with N the conserved excitation
       (R3 eigenvalue plus photon number).
     """
@@ -92,23 +89,11 @@ class AtomFieldParams:
     def field_dim(self) -> int:
         return self.n_max + 1
 
-    def transition(self) -> float:
-        return float(self.omega_levels[1] - self.omega_levels[0])
-
-    def detuning(self) -> float:
-        return self.transition() - self.omega
-
     def splitting(self) -> float:
         return float(self.eps_levels[1] - self.eps_levels[0])
 
-    def curvature(self) -> float:
-        return 2.0 * self.splitting() ** 2
-
     def varsigma(self) -> float:
         return 0.5 * self.splitting() ** 2
-
-    def detuning_shifted(self) -> float:
-        return self.detuning() + float(self.eps_levels[1] ** 2 - self.eps_levels[0] ** 2)
 
     def rabi(self, n_big: float) -> float:
         return float(abs(self.q) * np.sqrt(n_big + 0.5))
@@ -237,35 +222,3 @@ def elliptic_inversion(omega_rabi: float, varsigma: float, times) -> np.ndarray:
     _, _, dn = jacobi_elliptic(varsigma * t, omega_rabi / varsigma)
     return -dn
 
-
-def inversion_ode_check(series: InversionSeries, p: AtomFieldParams,
-                        n_prime: float, n_big: float) -> float:
-    """Residual of the exchange-sector inversion oscillator on a series.
-
-    The inversion of a sector started in a bare level-field product state
-    (R3 eigenvalue ``n_prime`` = -1/2 or +1/2, conserved excitation
-    ``n_big`` = n_prime + photon number) satisfies
-
-        d2w/dt2 = 2 D (D n' + e/8)
-                  + (e (D n' + e/8) - D^2 - |q|^2 (N + 1/2)) w
-                  - (3/4) e D w^2  -  (e^2/8) w^3
-
-    with D the shifted detuning and e the curvature.  Returns the maximum
-    absolute defect of the series against this equation, using second
-    differences on the interior points — a direct consistency certificate
-    between the integrated flow and the reduced oscillator.
-    """
-    t, w = series.times, series.w
-    if t.size < 5:
-        raise ValidationError("series too short for a second-difference check")
-    dt = t[1] - t[0]
-    wmid = w[1:-1]
-    wdd = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dt ** 2
-    dp = p.detuning_shifted()
-    eps = p.curvature()
-    om2 = abs(complex(p.q)) ** 2 * (n_big + 0.5)
-    rhs = (2.0 * dp * (dp * n_prime + eps / 8.0)
-           + (eps * (dp * n_prime + eps / 8.0) - dp ** 2 - om2) * wmid
-           - 0.75 * eps * dp * wmid ** 2
-           - (eps ** 2 / 8.0) * wmid ** 3)
-    return float(np.max(np.abs(wdd - rhs)))

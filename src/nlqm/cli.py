@@ -19,7 +19,8 @@ member that fails the stack reruns alone.  The output directory is ``--out``,
 else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
-or the output directory was unusable.  One schema pass checks every scenario
+or the output directory was unusable, or an output file could not be written
+(the scenarios after it still run).  One schema pass checks every scenario
 before anything runs or is written: value kinds (every real and complex number
 finite) and each experiment's static rules.  Limits met only by running (the
 step, sample, state-size and seed caps, the Fock leak, a fixed point) exit 1.
@@ -188,6 +189,16 @@ _FAMILY_FIELDS = (
     Field("e2", "real", default=1.0, help="upper level weight"),
     Field("eps", "real", default=1.0, help="nonlinearity strength"),
     Field("power", "int", default=2, help="moment exponent for even-power"),
+)
+
+# The preparation unitary (alpha, beta) of the singlet and the pair's moment
+# family, shared by gisin-telegraph and no-signaling.
+_PAIR_FIELDS = (
+    Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),
+    Field("beta", "complex", default=complex(0.5)),
+    Field("eps", "real", default=0.1),
+    Field("e1", "real", default=0.0),
+    Field("e2", "real", default=0.0),
 )
 
 
@@ -491,13 +502,10 @@ EXPERIMENTS = {
         _run_probability_inconsistency, _check_sweep, None),
     "gisin-telegraph": (
         "remote-preparation telegraph under the slice-sum pair extension",
-        (Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),
-         Field("beta", "complex", default=complex(0.5)),
-         Field("eps", "real", default=0.1),
-         Field("e1", "real", default=0.0),
-         Field("e2", "real", default=0.0),
-         Field("t_end", "real", default=40.0),
-         Field("dt", "real", default=0.05)),
+        _PAIR_FIELDS + (
+            Field("t_end", "real", default=40.0),
+            Field("dt", "real", default=0.05),
+        ),
         _run_gisin, _check_pair, None),
     "mobility-telegraph": (
         "telegraph from a tilted correlation basis",
@@ -509,15 +517,12 @@ EXPERIMENTS = {
     "no-signaling": (
         "does a remote unitary move the local reduced state?",
         (Field("description", "str", default="polchinski-plain",
-               choices=("polchinski-plain", "polchinski-purity", "weinberg")),
-         Field("alpha", "complex", default=complex(np.sqrt(3.0) / 2.0)),
-         Field("beta", "complex", default=complex(0.5)),
-         Field("eps", "real", default=0.1),
-         Field("e1", "real", default=0.0),
-         Field("e2", "real", default=0.0),
-         Field("t_end", "real", default=5.0),
-         Field("dt", "real", default=0.01),
-         Field("expect", "str", default="silent", choices=("silent", "signal"))),
+               choices=("polchinski-plain", "polchinski-purity", "weinberg")),)
+        + _PAIR_FIELDS + (
+            Field("t_end", "real", default=5.0),
+            Field("dt", "real", default=0.01),
+            Field("expect", "str", default="silent", choices=("silent", "signal")),
+        ),
         _run_no_signaling, _check_pair, None),
     "reduced-flow-variants": (
         "reduced-flow rotation rate: plain vs purity-weighted extension",
@@ -708,7 +713,7 @@ def _cmd_run(args) -> int:
         group = EXPERIMENTS[exp][4]
         groups.setdefault(i if group is None else (exp, group(params)), []).append(i)
     first = {members[0]: members for members in groups.values()}
-    pending, all_ok = {}, True
+    pending, all_ok, all_written = {}, True, True
     for i, (name, exp, params) in enumerate(prepared):
         if i in first:  # the group runs at its first member; the others wait their turn
             members = first[i]
@@ -716,23 +721,22 @@ def _cmd_run(args) -> int:
         outcome = pending.pop(i)
         report = {"experiment": exp, "name": name, "params": params}
         if isinstance(outcome, Exception):
-            report["passed"] = False
-            report["error_type"] = type(outcome).__name__
-            report["error"] = str(outcome)
+            passed, status = False, f"FAIL ({exp}) — {outcome}"
+            report.update(passed=passed, error_type=type(outcome).__name__, error=str(outcome))
+        else:
+            header, rows, metrics, passed = outcome
+            status = f"{'pass' if passed else 'FAIL'} ({exp})"
+            report.update(csv=f"{name}.csv", metrics=metrics, passed=bool(passed))
+        try:  # a file that cannot be written costs its scenario's outputs, not the run
+            if "csv" in report:
+                _write_csv(os.path.join(out, report["csv"]), header, rows)
             _write_report(os.path.join(out, f"{name}.report.json"), report)
-            print(f"{name}: FAIL ({exp}) — {outcome}")
-            all_ok = False
-            continue
-        header, rows, metrics, passed = outcome
-        csv_name = f"{name}.csv"
-        _write_csv(os.path.join(out, csv_name), header, rows)
-        report["csv"] = csv_name
-        report["metrics"] = metrics
-        report["passed"] = bool(passed)
-        _write_report(os.path.join(out, f"{name}.report.json"), report)
-        print(f"{name}: {'pass' if passed else 'FAIL'} ({exp})")
+        except OSError as e:
+            print(f"output error: {e}", file=sys.stderr)
+            all_written = False
+        print(f"{name}: {status}")
         all_ok = all_ok and passed
-    return 0 if all_ok else 1
+    return 2 if not all_written else 0 if all_ok else 1
 
 
 def _read_csv(path):

@@ -331,13 +331,13 @@ class ReducedFlowTrajectory:
     times: np.ndarray
     rhos: np.ndarray  # (nsteps+1, d, d), or (nsteps+1, B, d, d) for a stack
 
-    def offdiagonal_phase_rate(self, i: int = 0, j: int = 1) -> float:
-        """Linear-fit phase velocity of the (i, j) matrix element of one flow."""
+    def offdiagonal_phase_rate(self) -> float:
+        """Linear-fit phase velocity of the (0, 1) matrix element of one flow."""
         if self.rhos.ndim != 3:
             raise ValidationError("fit one flow of a stack: "
                                   "ReducedFlowTrajectory(times, rhos[:, k])")
         t = _fit_times(self.times, "a phase-rate fit")
-        phase = np.unwrap(np.angle(self.rhos[:, i, j]))
+        phase = np.unwrap(np.angle(self.rhos[:, 0, 1]))
         slope, _ = np.polyfit(t, phase, 1)
         return float(slope)
 

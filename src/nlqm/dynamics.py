@@ -112,7 +112,7 @@ def _check_horizon(t_end: float, dt: float):
     return t_end, dt
 
 
-def _step_grid(t_end: float, dt: float, width: int = 1):
+def _step_grid(t_end: float, dt: float, width: int):
     """Fixed RK4 step grid ``(nsteps, dt_eff)`` that lands exactly on t_end.
 
     ``nsteps = max(1, round(t_end/dt))`` for t_end > 0 and 0 for t_end = 0
@@ -263,7 +263,7 @@ def _at(times, k: int, rows: int):
     return f"t = {t:g}" + ("" if row is None else _in_row(row)), {"t": t, "row": row}
 
 
-def _check_hermitian(h: np.ndarray, times, rows: int = 1) -> None:
+def _check_hermitian(h: np.ndarray, times, rows: int) -> None:
     """Raise at the first non-Hermitian matrix of ``h``, ``rows`` per sample time."""
     resid = _hermiticity_residual(h)
     # a non-finite matrix (residual nan) fails too

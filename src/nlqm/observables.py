@@ -187,21 +187,21 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
     their operators, built with one ``analytic_operator`` call.  Every row
     gets the gate, which a non-finite entry fails as a NaN or infinite
     residual, and is symmetrized; the first row that fails raises what a
-    single-state call raises for it, with no RuntimeWarning of the analytic
-    operator printed first.
+    single-state call raises for it, with no RuntimeWarning printed first.
     """
     z = np.asarray(psi, dtype=complex)
     d = z.shape[-1]
     m = _shaped(obs, _unwarned(obs.analytic_operator, z), z, z.shape + (d,),
                 "operators").reshape(-1, d, d)
-    out = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()   # halves first: no overflow
-    resid = _hermiticity_residual(m)
+    # halves first: no overflow; a non-finite entry fails the gate below, unwarned
+    out, resid = _unwarned(lambda: (0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj(),
+                                    _hermiticity_residual(m)))
     if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too
         k = int(np.argmin(resid <= HERMITICITY_GATE / 4))
         if resid[k] > HERMITICITY_GATE / 4:
             raise ValidationError(f"non-Hermitian Hessian for {obs.label or 'observable'}: "
                                   f"residual {4.0 * float(resid[k]):.3e}")
-        HermitianOperator(out[k])   # raises the non-finite entries error
+        raise ValidationError("entries contains non-finite entries")
     return out[0] if z.ndim == 1 else out
 
 

@@ -47,6 +47,7 @@ RESIDUAL_TOL = 1e-9
 # |f|^2 that is not a root and can no longer pass the 1e-10 convergence test.
 STALL_RESIDUAL = 1e-6
 STALL_STEP = 1e-9
+NEWTON_ITERS = 60  # a seed still unconverged after this many is not ok
 MAX_SEEDS = 16_384  # seed grid cap: 32x the 512-seed grids of the bundled configs
 DEDUP_FIDELITY = 1e-8
 DEDUP_MODULI = 1e-6
@@ -123,20 +124,19 @@ def _residual_batch(x: np.ndarray, grad, dim: int, anchors: np.ndarray) -> np.nd
     return np.concatenate([r.real, r.imag, norm_eq[:, None], gauge[:, None]], axis=1)
 
 
-def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: dict,
-                  iters: int = 60):
+def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: dict):
     """Damped Gauss-Newton on the batch of seeds; returns (z, lam, ok, stalled).
 
     Each seed stops on its own: once its residual is below 1e-13, once it
     turns non-finite (the seed is then never ``ok``), once it stalls (an
     update of max |dx| <= ``STALL_STEP`` at a residual max |f| >=
-    ``STALL_RESIDUAL``; ``stalled`` marks these seeds), or after ``iters``
-    iterations.  Only the rows still active are refined, and no row's update
-    depends on another row.  The ``2 nvar`` central-difference probes of the
-    active rows go to ``grad`` in one stacked call.  The final ``ok`` test
-    (residual below 1e-10) runs over every seed.  The iterations run and
-    the rows they refine are added to ``counters["newton_iterations"]`` and
-    ``counters["newton_rows"]``.
+    ``STALL_RESIDUAL``; ``stalled`` marks these seeds), or after
+    ``NEWTON_ITERS`` iterations.  Only the rows still active are refined, and
+    no row's update depends on another row.  The ``2 nvar`` central-difference
+    probes of the active rows go to ``grad`` in one stacked call.  The final
+    ``ok`` test (residual below 1e-10) runs over every seed.  The iterations
+    run and the rows they refine are added to ``counters["newton_iterations"]``
+    and ``counters["newton_rows"]``.
     """
     nb = z0.shape[0]
     if nb == 0:  # no seed left to refine: ``grad`` is not asked about an empty batch
@@ -149,7 +149,7 @@ def _gauss_newton(z0: np.ndarray, lam0: np.ndarray, grad, dim: int, counters: di
     active = np.arange(nb)
     h = 1e-6
     probe_steps = h * np.concatenate([np.eye(nvar), -np.eye(nvar)])  # +h e_j, then -h e_j
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         f = _residual_batch(x[active], grad, dim, anchors[active])
         finite = np.all(np.isfinite(f), axis=1)
         alive[active[~finite]] = False

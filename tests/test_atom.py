@@ -17,7 +17,6 @@ from nlqm import (
     build_atom_field,
     elliptic_inversion,
     integrate_nls,
-    inversion_ode_check,
     inversion_trajectory,
     jacobi_elliptic,
     linear_hamiltonian,
@@ -32,14 +31,65 @@ def _params(varsigma, q=1.0, omega=1.0, n_max=6):
                            omega=omega, q=q, n_max=n_max)
 
 
+# The exchange-sector oscillator's constants and ODE residual: a test-local
+# oracle against which the integrated inversion is certified.
+
+
+def _transition(p):
+    return float(p.omega_levels[1] - p.omega_levels[0])
+
+
+def _detuning(p):
+    return _transition(p) - p.omega
+
+
+def _curvature(p):
+    """2 splitting^2, the stiffness of the inversion ODE."""
+    return 2.0 * p.splitting() ** 2
+
+
+def _detuning_shifted(p):
+    """The detuning plus eps_1^2 - eps_0^2."""
+    return _detuning(p) + float(p.eps_levels[1] ** 2 - p.eps_levels[0] ** 2)
+
+
+def _inversion_ode_residual(series, p, n_prime, n_big):
+    """Maximum defect of the exchange-sector inversion oscillator on a series.
+
+    The inversion of a sector started in a bare level-field product state
+    (R3 eigenvalue ``n_prime`` = -1/2 or +1/2, conserved excitation
+    ``n_big`` = n_prime + photon number) satisfies
+
+        d2w/dt2 = 2 D (D n' + e/8)
+                  + (e (D n' + e/8) - D^2 - |q|^2 (N + 1/2)) w
+                  - (3/4) e D w^2  -  (e^2/8) w^3
+
+    with D the shifted detuning and e the curvature; d2w/dt2 is the second
+    difference on the interior points.
+    """
+    t, w = series.times, series.w
+    assert t.size >= 5
+    dt = t[1] - t[0]
+    wmid = w[1:-1]
+    wdd = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dt ** 2
+    dp = _detuning_shifted(p)
+    eps = _curvature(p)
+    om2 = abs(complex(p.q)) ** 2 * (n_big + 0.5)
+    rhs = (2.0 * dp * (dp * n_prime + eps / 8.0)
+           + (eps * (dp * n_prime + eps / 8.0) - dp ** 2 - om2) * wmid
+           - 0.75 * eps * dp * wmid ** 2
+           - (eps ** 2 / 8.0) * wmid ** 3)
+    return float(np.max(np.abs(wdd - rhs)))
+
+
 def test_params_validation_and_derived_constants():
     p = _params(0.5)
     assert p.n_levels == 2 and p.field_dim == 7
-    assert p.transition() == pytest.approx(1.0)
-    assert p.detuning() == pytest.approx(0.0)
+    assert _transition(p) == pytest.approx(1.0)
+    assert _detuning(p) == pytest.approx(0.0)
     assert p.varsigma() == pytest.approx(0.5)
-    assert p.curvature() == pytest.approx(2.0)
-    assert p.detuning_shifted() == pytest.approx(0.0)  # symmetric levels
+    assert _curvature(p) == pytest.approx(2.0)
+    assert _detuning_shifted(p) == pytest.approx(0.0)  # symmetric levels
     assert p.rabi(0.5) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         AtomFieldParams(omega_levels=(0.0,), eps_levels=(0.0,), omega=1.0, q=1.0)
@@ -148,18 +198,18 @@ def test_inversion_ode_residual_on_and_off_resonance():
     b = build_atom_field("polchinski", p)
     ser = inversion_trajectory(b, product_state(p, level=0, photons=1),
                                t_end=6.0, dt=0.002)
-    assert inversion_ode_check(ser, p, n_prime=-0.5, n_big=0.5) < 1e-5
+    assert _inversion_ode_residual(ser, p, n_prime=-0.5, n_big=0.5) < 1e-5
 
     pd = AtomFieldParams(omega_levels=(0.0, 1.0), eps_levels=(-0.3, 0.5),
                          omega=0.9, q=1.0, n_max=6)
-    assert pd.detuning_shifted() == pytest.approx(0.26)
+    assert _detuning_shifted(pd) == pytest.approx(0.26)
     bd = build_atom_field("polchinski", pd)
     serd = inversion_trajectory(bd, product_state(pd, level=0, photons=1),
                                 t_end=8.0, dt=0.002)
-    assert inversion_ode_check(serd, pd, n_prime=-0.5, n_big=0.5) < 1e-4
+    assert _inversion_ode_residual(serd, pd, n_prime=-0.5, n_big=0.5) < 1e-4
     ser_e = inversion_trajectory(bd, product_state(pd, level=1, photons=2),
                                  t_end=8.0, dt=0.002)
-    assert inversion_ode_check(ser_e, pd, n_prime=0.5, n_big=2.5) < 1e-4
+    assert _inversion_ode_residual(ser_e, pd, n_prime=0.5, n_big=2.5) < 1e-4
 
 
 def test_rabi_rate_scales_with_the_conserved_excitation():

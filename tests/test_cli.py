@@ -649,13 +649,18 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
 
 
 def test_a_tiny_or_huge_census_state_fails_its_scenario_and_prints_nothing(tmp_path, capfd):
-    # the cubic evaluator's 0/0 or overflow is refused as singular, unwarned
+    # the cubic evaluator's 0/0 or overflow is refused as singular, and the
+    # canonical operator's non-finite entries as invalid, each unwarned
+    cases = {"tiny": ("cubic", [6e-101, 8e-101], "SingularObservableError"),
+             "huge": ("cubic", [1e154, 0.5], "SingularObservableError"),
+             "tiny-canonical": ("canonical", [1e-160, 1e-160], "ValidationError")}
     reports = _failed_reports(tmp_path, [
-        {"experiment": "diagonal-census", "name": name, "family": "cubic", "state": state}
-        for name, state in (("tiny", [6e-101, 8e-101]), ("huge", [1e154, 0.5]))])
+        {"experiment": "diagonal-census", "name": name, "family": family, "state": state}
+        for name, (family, state, _) in cases.items()])
     assert capfd.readouterr().err == ""
-    for report in reports.values():
-        assert report["error_type"] == "SingularObservableError"
+    for name, (_, _, error_type) in cases.items():
+        assert reports[name]["error_type"] == error_type
+    assert reports["tiny-canonical"]["error"] == "entries contains non-finite entries"
 
 
 def _outputs(out):
@@ -856,6 +861,17 @@ def test_unusable_out_dir_is_a_usage_error(tmp_path, capsys, below):
     assert out == ""
     assert err.startswith("output error: ") and "Traceback" not in err
     assert blocker.read_text() == "x"
+
+
+def test_an_unwritable_output_file_fails_the_run_and_the_rest_are_written(tmp_path, capfd):
+    (tmp_path / "out" / "x.csv").mkdir(parents=True)   # a directory where x's CSV goes
+    assert _run_dict(tmp_path, {"scenarios": [
+        {"experiment": "probability-inconsistency", "name": name} for name in ("x", "y")]}) == 2
+    out, err = capfd.readouterr()
+    assert err.startswith("output error: ") and "x.csv" in err and "Traceback" not in err
+    assert out.splitlines()[-1] == "y: pass (probability-inconsistency)"
+    assert (tmp_path / "out" / "y.csv").is_file()
+    assert json.loads((tmp_path / "out" / "y.report.json").read_text())["passed"] is True
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

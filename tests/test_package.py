@@ -123,6 +123,47 @@ def test_every_class_member_is_read_outside_the_tests():
     assert unread_members([trees[p] for p in sources], trees.values(), readme) == []
 
 
+def unnamed_exports(library: dict, reading, text: str = "") -> list:
+    """``module.name`` for every name in the ``__all__`` of the ``library`` trees
+    (module name -> tree) that no ``reading`` tree loads as a name or an
+    attribute and ``text`` never names as a word: its ``def`` and the export
+    lists do not count."""
+    used = {n.id for tree in reading for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used |= {n.attr for tree in reading for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    used |= set(re.findall(r"\w+", text))
+    return sorted(f"{module}.{name}" for module, tree in library.items()
+                  for name in _exported(tree) if name not in used)
+
+
+def test_the_check_finds_an_export_nothing_calls():
+    library = {"m": ast.parse("__all__ = ['kept', 'planted', 'named', 'LIMIT']\n"
+                              "LIMIT = 3\n"
+                              "def kept():\n    return LIMIT\n"
+                              "def planted():\n    return 1\n"
+                              "def named():\n    return 0\n")}
+    package = ast.parse("from .m import kept, planted, named, LIMIT\n"
+                        "__all__ = ['kept', 'planted', 'named', 'LIMIT']\n")
+    reader = ast.parse("import m\nm.kept()\n")
+    reading = [*library.values(), package, reader]
+    assert unnamed_exports(library, reading) == ["m.named", "m.planted"]
+    assert unnamed_exports(library, reading, "`named()` runs the ...") == ["m.planted"]
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    reading = {m: _tree(m) for m in MODULES}   # __init__ only re-exports
+    library = {m: tree for m, tree in reading.items() if m not in ("cli", "__main__")}
+    scripts = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))
+                     + glob.glob(os.path.join(ROOT, "bench", "*.py")))
+    assert scripts, "demos/ and bench/ not found beside tests/"
+    texts = []   # read as words: the benchmark tracer hooks functions by their names
+    for path in scripts + [os.path.join(ROOT, "README.md")]:
+        with open(path) as fh:
+            texts.append(fh.read())
+    assert unnamed_exports(library, reading.values(), "\n".join(texts)) == []
+
+
 def test_the_package_reexports_exactly_its_modules_public_names():
     tree = _tree("__init__")
     reexported, sources = set(), set()
