@@ -137,25 +137,43 @@ def product_state(p: AtomFieldParams, level: int, photons: int) -> np.ndarray:
     return z
 
 
-def build_atom_field(description: str, p: AtomFieldParams) -> Callable:
+def build_atom_field(description: str, p) -> Callable:
     """Builder psi -> H_hat(psi) for the chosen atom-field model.
 
     ``description`` is one of ``linear`` (ladder only), ``polchinski``
     (lifted-moment nonlinearity) or ``weinberg-fock`` (Fock-sliced
     nonlinearity).  The returned callable carries the assembled functional as
     ``.observable`` and echoes ``p`` as ``.params``.
+
+    ``p`` may also be a list of B :class:`AtomFieldParams` of one shape (level
+    count and ``n_max``).  The observable then has B parameter rows: row b of
+    a ``(..., k, d)`` stack, k <= B, is the model of ``p[b]``, with its own
+    ``q``, ``omega``, ``omega_levels`` and ``eps_levels``, each gradient row
+    bit for bit the one-state gradient of its model (the moment ladders are
+    diagonal, see :func:`~nlqm.composite.weinberg_composite`).  The one-state
+    builder of each member is ``.rows``.
     """
-    hlin = linear_hamiltonian(p)
-    epshat = np.diag(np.asarray(p.eps_levels, dtype=complex))
-    base = bilinear(hlin, label="atom-field ladder")
+    many = isinstance(p, (list, tuple))
+    members = list(p) if many else [p]
+    if len({(x.n_levels, x.n_max) for x in members}) != 1:
+        raise ValidationError("a stack of atom-field models needs one level count and n_max")
+    f = members[0].field_dim
+
+    def matrices(make):   # one member's matrix, or the stack of every member's
+        m = np.stack([make(x) for x in members])
+        return m if many else m[0]
+
+    def epshat(x):
+        return np.diag(np.asarray(x.eps_levels, dtype=complex))
+
+    base = bilinear(matrices(linear_hamiltonian), label="atom-field ladder")
     if description == "linear":
         obs = base
     elif description == "polchinski":
-        lifted = np.kron(epshat, np.eye(p.field_dim))
-        obs = base + moment_power(lifted, 2)
+        obs = base + moment_power(matrices(lambda x: np.kron(epshat(x), np.eye(f))), 2)
     elif description == "weinberg-fock":
-        obs = base + weinberg_composite(moment_power(epshat, 2), p.n_levels,
-                                        p.field_dim, np.eye(p.field_dim), sub_slot=0)
+        obs = base + weinberg_composite(moment_power(matrices(epshat), 2),
+                                        members[0].n_levels, f, np.eye(f), sub_slot=0)
     else:
         raise ValidationError(f"unknown description {description!r}")
 
@@ -164,6 +182,8 @@ def build_atom_field(description: str, p: AtomFieldParams) -> Callable:
 
     builder.observable = obs
     builder.params = p
+    if many:
+        builder.rows = [build_atom_field(description, x) for x in members]
     return builder
 
 
@@ -176,19 +196,38 @@ class InversionSeries:
     leak: float
 
 
-def inversion_trajectory(builder: Callable, psi0, t_end: float, dt: float) -> InversionSeries:
+def inversion_trajectory(builder: Callable, psi0, t_end, dt):
     """Integrate the atom-field flow and extract the inversion.
 
     The top Fock layer acts as the truncation sentinel: if its population
     fraction ever exceeds ``LEAK_TOL`` the run aborts, naming the cutoff —
     results leaking into the last layer are artifacts of the cutoff, not
     physics.
+
+    ``psi0`` may be a ``(B, d)`` stack of initial states, one per member for
+    a builder of B members (:func:`build_atom_field` of a list), with
+    ``t_end`` and ``dt`` one value or one per row, longest horizon first, all
+    on one step size (see :func:`~nlqm.dynamics.integrate_nls`).  The rows
+    integrate as one RK4 stack, each up to its own horizon, and the result is
+    the list of their series; a member's is what its one-state run gives.  A
+    row that leaks raises, naming its index as the error's ``row``.
     """
-    p: AtomFieldParams = builder.params
+    rows = getattr(builder, "rows", None)
+    p = builder.params if rows is None else builder.params[0]
     r3_full = np.kron(atom_r3(p.n_levels), np.eye(p.field_dim))
-    traj = integrate_nls(builder, psi0, t_end, dt,
-                         flow=builder.observable.analytic_gradient)
+    traj = integrate_nls(builder, psi0, t_end, dt, flow=builder.observable.analytic_gradient,
+                         per_row=None if rows is None else
+                         [(r, r.observable.analytic_gradient) for r in rows])
     amps = traj.amplitudes()
+    if amps.ndim == 2:
+        return _inversion(traj.times, amps, r3_full, p, None)
+    return [_inversion(traj.times[:end + 1], np.ascontiguousarray(amps[:end + 1, b]), r3_full,
+                       p, b) for b, end in enumerate(traj.ends)]
+
+
+def _inversion(times, amps, r3_full, p: AtomFieldParams, row) -> InversionSeries:
+    """The inversion of one trajectory's ``(T, d)`` samples, refused past the
+    Fock leak tolerance; ``row`` is the error's."""
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     w = 2.0 * np.einsum("ti,ij,tj->t", amps.conj(), r3_full, amps).real / norms
     top = amps.reshape(amps.shape[0], p.n_levels, p.field_dim)[:, :, p.n_max]
@@ -196,8 +235,8 @@ def inversion_trajectory(builder: Callable, psi0, t_end: float, dt: float) -> In
     if leak > LEAK_TOL:
         raise IntegrationError(
             f"top Fock layer reached population fraction {leak:.3e} "
-            f"(tolerance {LEAK_TOL:g}); raise n_max beyond {p.n_max}")
-    return InversionSeries(times=traj.times, w=w, leak=leak)
+            f"(tolerance {LEAK_TOL:g}); raise n_max beyond {p.n_max}", row=row)
+    return InversionSeries(times=times, w=w, leak=leak)
 
 
 def elliptic_inversion(omega_rabi: float, varsigma: float, times) -> np.ndarray:

@@ -13,10 +13,12 @@ Every scenario writes ``<name>.csv`` (first column is always ``t``: the time
 grid, or the sweep/record coordinate for time-free experiments) and
 ``<name>.report.json``.  Output is byte-reproducible: fixed float formatting,
 LF line endings, sorted JSON keys, and no randomness anywhere in the library.
-Mixture scenarios that share a time grid (an experiment's group key in
-``EXPERIMENTS``) run as one RK4 stack and write the bytes they write alone; a
-member that fails the stack reruns alone.  The output directory is ``--out``,
-else ``$NLQM_OUT``, else ``./nlqm-out``.
+Scenarios of one group (an experiment's group key in ``EXPERIMENTS``) run as
+one RK4 stack and write the bytes they write alone; a member that fails the
+stack reruns alone.  The mixture scenarios group by time grid; the atom
+scenarios by description, ``n_max``, level count and step size t_end/nsteps,
+each row with its own parameters and leaving the stack at its own horizon.
+The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
 or the output directory was unusable, or an output file could not be written
@@ -61,6 +63,7 @@ from .dynamics import (
     IntegrationError,
     _check_horizon,
     _in_row,
+    _step_grid,
     canonical_frequencies,
     integrate_bloch,
     integrate_nls,
@@ -389,14 +392,48 @@ def _check_atom(p):
           "photons must be below n_max (the top Fock layer is the truncation sentinel)")
 
 
-def _run_atom_inversion(p):
-    params = atom_mod.AtomFieldParams(
+def _atom_params(p):
+    return atom_mod.AtomFieldParams(
         omega_levels=tuple(p["omega_levels"]),
         eps_levels=tuple(p["eps_levels"]),
         omega=p["omega"], q=p["q"], n_max=p["n_max"])
-    builder = atom_mod.build_atom_field(p["description"], params)
-    z0 = atom_mod.product_state(params, p["level"], p["photons"])
-    series = atom_mod.inversion_trajectory(builder, z0, p["t_end"], p["dt"])
+
+
+def _atom_key(p):
+    """An atom scenario's structure (description, n_max, level count) and step
+    size t_end/nsteps; raises for a scenario over the state-dimension, step or
+    sample cap, which then runs alone."""
+    shape = _atom_params(p)
+    return (p["description"], p["n_max"], shape.n_levels,
+            _step_grid(p["t_end"], p["dt"], width=shape.n_levels * shape.field_dim)[1])
+
+
+def _run_atom_inversions(ps):
+    """The scenarios of ``ps`` (one key) as one RK4 stack, longest horizon
+    first, each row up to its own horizon; a lone scenario runs on the
+    one-state path.  An integration error's ``row`` is the scenario's index."""
+    order = sorted(range(len(ps)), key=lambda b: -ps[b]["t_end"])
+    params = [_atom_params(ps[b]) for b in order]
+    z0 = [atom_mod.product_state(x, ps[b]["level"], ps[b]["photons"])
+          for x, b in zip(params, order)]
+    t_end, dt = ([ps[b][k] for b in order] for k in ("t_end", "dt"))
+    if len(ps) == 1:
+        builder = atom_mod.build_atom_field(ps[0]["description"], params[0])
+        series = [atom_mod.inversion_trajectory(builder, z0[0], t_end[0], dt[0])]
+    else:
+        builder = atom_mod.build_atom_field(ps[0]["description"], params)
+        try:
+            series = atom_mod.inversion_trajectory(builder, np.stack(z0), t_end, dt)
+        except IntegrationError as e:
+            if e.row is None:
+                raise
+            raise IntegrationError(str(e).replace(_in_row(e.row), _in_row(order[e.row])),
+                                   t=e.t, row=order[e.row]) from None
+    member = dict(zip(order, zip(params, series)))
+    return [lambda b=b: _atom_result(ps[b], *member[b]) for b in range(len(ps))]
+
+
+def _atom_result(p, params, series):
     metrics = {"leak": series.leak}
     columns = {"t": series.times, "w": series.w}
     passed = True
@@ -551,7 +588,7 @@ EXPERIMENTS = {
          Field("compare", "str", default="elliptic",
                choices=("none", "elliptic", "cos")),
          Field("tol", "real", default=1e-4)),
-        _run_atom_inversion, _check_atom, None),
+        _run_atom_inversions, _check_atom, _atom_key),
     "bloch-neoclassical": (
         "damped-driven Bloch forms against the nonlinear wave equation",
         (Field("delta", "real", default=0.0),
@@ -711,7 +748,11 @@ def _cmd_run(args) -> int:
     groups = {}
     for i, (_, exp, params) in enumerate(prepared):
         group = EXPERIMENTS[exp][4]
-        groups.setdefault(i if group is None else (exp, group(params)), []).append(i)
+        try:  # a scenario whose key cannot be computed (one over a cap) runs alone
+            key = i if group is None else (exp, group(params))
+        except ValidationError:
+            key = i
+        groups.setdefault(key, []).append(i)
     first = {members[0]: members for members in groups.values()}
     pending, all_ok, all_written = {}, True, True
     for i, (name, exp, params) in enumerate(prepared):
@@ -740,10 +781,18 @@ def _cmd_run(args) -> int:
 
 
 def _read_csv(path):
+    """The header and the float rows of a CSV file; :class:`ValidationError`
+    naming the file for one without a header or with a row whose field count
+    is not its header's."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        rows = [[float(x) for x in row] for row in rd]
+        header = next(rd, None)
+        _rule(header is not None, f"{path} has no header")
+        rows = []
+        for k, row in enumerate(rd, 1):
+            _rule(len(row) == len(header),
+                  f"row {k} of {path} has {len(row)} fields, its header {len(header)}")
+            rows.append([float(x) for x in row])
     return header, np.asarray(rows, dtype=float)
 
 
@@ -759,7 +808,7 @@ def _cmd_compare(args) -> int:
         finite = np.isfinite(a[:, 1:]).all(axis=0) & np.isfinite(b[:, 1:]).all(axis=0)
         _rule(finite.all(), "non-finite entries in column(s) "
               + ", ".join(h for h, ok in zip(ha[1:], finite) if not ok))
-    except (OSError, ValueError, StopIteration) as e:  # ValidationError is a ValueError
+    except (OSError, ValueError) as e:  # ValidationError is a ValueError
         print(f"compare error: {e}", file=sys.stderr)
         return 2
     diff = a[:, 1:] - b[:, 1:]

@@ -36,6 +36,7 @@ from .core import (
     sigma3,
 )
 from .observables import (
+    ContractError,
     HomogeneousObservable,
     SingularObservableError,
     _shaped,
@@ -106,6 +107,17 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     exactly the identity: another basis u is the rotation R = 1 (x) u^dagger
     of the state (:func:`rotate_subsystem`), with value H(R psi), gradient
     R^dagger g(R psi) and operator R^dagger M(R psi) R.
+
+    An ``h_sub`` of B parameter rows (its ``rows``) makes a composite of B
+    rows: each live slice of row b of a ``(..., k, d)`` stack takes row b's
+    parameters.  ``h_sub`` then gets every slice as one ``(..., d_rest, k,
+    d_sub)`` stack, a dead slice replaced by the first basis vector and its
+    result dropped; ``h_sub`` must be finite there in every row (else
+    :class:`ValidationError`, at construction).  A live slice then
+    gets the arithmetic of the one-matrix composite's slice stack, but for
+    its matrix product, one matmul per row in place of one over the stack:
+    bit for bit the same for a diagonal matrix (the atom's moment ladders),
+    and possibly not in the last bit for another.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
@@ -120,14 +132,29 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     # shapes, so its callables are checked once on d_sub + 1 generic rows
     # (not where h_sub is singular).
     probe = np.arange(1.0, d_sub + 2)[:, None] + 1j * np.arange(1.0, d_sub + 1)
+    rows = h_sub.rows
+    if rows:   # each probe state in every parameter row
+        probe = np.repeat(probe[:, None], rows, axis=1)
     calls = (lambda z: h_sub.evaluator(z, z.conj()), h_sub.analytic_gradient,
              h_sub.analytic_operator)
     for k, (f, what) in enumerate(zip(calls, ("values", "gradients", "operators"))):
         try:
             with np.errstate(all="ignore"):
-                _shaped(h_sub, f(probe), probe, (d_sub + 1,) + (d_sub,) * k, what)
+                _shaped(h_sub, f(probe), probe, probe.shape[:-1] + (d_sub,) * k, what)
         except SingularObservableError:
             pass
+    first = np.eye(d_sub, dtype=complex)[0]
+    if rows:   # the stand-in for a dead slice must be finite in every row
+        at = np.tile(first, (rows, 1))
+        try:
+            with np.errstate(all="ignore"):
+                finite = all(np.isfinite(f(at)).all() for f in calls)
+        except SingularObservableError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"a slice sum of {rows} parameter rows needs h_sub finite at the first "
+                "basis vector in every row: it stands in there for a dead slice")
 
     def slices_of(a: np.ndarray) -> np.ndarray:
         """The ``(..., d_rest, d_sub)`` view of states ``a`` in the
@@ -142,11 +169,26 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         w = np.add.reduce(sl.conj() * sl, axis=-1).real
         return sl, w > SLICE_FLOOR * np.add.reduce(w, axis=-1, keepdims=True)
 
+    def each_slice(f, sl, live, what: str, k: int):
+        """``f`` of every slice of a per-row ``h_sub``, shape-checked, in the
+        slices' layout and zero on the dead ones: the rows go on the
+        second-to-last axis for the call, and a dead slice is the first basis
+        vector."""
+        n = sl.ndim
+        if n < 3:
+            raise ContractError(f"a slice sum of {rows} parameter rows maps (..., k, "
+                                f"{dim_total}) stacks, not one state")
+        t = np.where(live[..., None], sl, first).swapaxes(n - 3, n - 2)
+        out = _shaped(h_sub, f(t), t, t.shape[:-1] + (d_sub,) * k, what).swapaxes(n - 3, n - 2)
+        return np.where(live[(...,) + (None,) * k], out, 0.0)
+
     def value(z, zc):
         z = np.asarray(z, dtype=complex)
         if z.ndim not in (1, 2) or z.shape[-1] != dim_total:
             raise ValidationError(f"state must have length {dim_total}")
         sl, live = live_slices(z)
+        if rows:
+            return each_slice(h_sub.value, sl, live, "values", 0).sum(axis=-1)
         vals = np.zeros(live.shape)
         vals[live] = h_sub.value(sl[live])
         return vals.sum(axis=-1)
@@ -156,8 +198,11 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     def grad(z):
         z = np.asarray(z, dtype=complex)
         sl, live = live_slices(z)
-        s = sl[live]
+        if rows:   # the slices' layout undone: a copy in the states' own
+            g = each_slice(h_grad, sl, live, "gradients", 1)
+            return (g.swapaxes(-1, -2) if sub_slot == 0 else g).reshape(z.shape)
         out = np.zeros(z.shape, dtype=complex)
+        s = sl[live]
         if len(s):   # through the slice view, the slice gradients land in out
             slices_of(out)[live] = _shaped(h_sub, h_grad(s), s, s.shape, "gradients")
         return out
@@ -169,11 +214,14 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     def op(z):
         z = np.asarray(z, dtype=complex)
         sl, live = live_slices(z)
-        blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
-        if np.any(live):
-            s = sl[live]
-            blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s, s.shape + (d_sub,),
-                                   "operators")
+        if rows:
+            blocks = each_slice(h_sub.analytic_operator, sl, live, "operators", 2)
+        else:
+            blocks = np.zeros(sl.shape + (d_sub,), dtype=complex)
+            if np.any(live):
+                s = sl[live]
+                blocks[live] = _shaped(h_sub, h_sub.analytic_operator(s), s,
+                                       s.shape + (d_sub,), "operators")
         full = np.zeros(z.shape[:-1] + dims + dims, dtype=complex)
         np.moveaxis(full, axes, (-4, -3, -2, -1))[..., rest, rest, :, :] = blocks
         return full.reshape(z.shape[:-1] + (dim_total, dim_total))
@@ -183,6 +231,7 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
         label=f"slice-sum[{h_sub.label or 'h'}; slot {sub_slot}]",
         analytic_gradient=grad,
         analytic_operator=op,
+        rows=rows,
     )
 
 

@@ -81,10 +81,13 @@ class Trajectory:
 
     ``recorded`` maps names to per-sample arrays: :func:`integrate_nls` fills
     ``norm`` (squared norm) and ``hvalue`` (the energy functional's value) at
-    every accepted step, :func:`canonical_solution` only ``norm``.
+    every accepted step, :func:`canonical_solution` only ``norm``.  ``ends``,
+    set by :func:`integrate_nls`, lists each row's last sample index: a row
+    of a stack that stops at its own horizon has zero samples after it, and
+    NaN records.
     """
 
-    def __init__(self, times, recorded=None, *, amplitudes):
+    def __init__(self, times, recorded=None, *, amplitudes, ends=None):
         amps = np.asarray(amplitudes, dtype=complex)
         self.times = np.asarray(times, dtype=float)
         if amps.ndim not in (2, 3) or amps.shape[0] != self.times.size or amps.shape[-1] == 0:
@@ -95,6 +98,7 @@ class Trajectory:
         amps.flags.writeable = False
         self._samples = amps
         self.recorded = {} if recorded is None else recorded
+        self.ends = ends
 
     def amplitudes(self) -> np.ndarray:
         """The ``(len(times), [B,] d)`` sample array, read-only and not copied."""
@@ -134,6 +138,15 @@ def _step_grid(t_end: float, dt: float, width: int):
     return nsteps, (t_end / nsteps if nsteps else 0.0)
 
 
+def _row_horizons(t_end, dt, rows: int) -> list:
+    """The ``(t_end, dt)`` of each of ``rows`` rows, from one value each or one
+    per row; :class:`ValidationError` for any other count."""
+    each = [[x] * rows if np.ndim(x) == 0 else list(x) for x in (t_end, dt)]
+    if any(len(v) != rows for v in each):
+        raise ValidationError(f"need one t_end and one dt, or one of each per row ({rows})")
+    return list(zip(*each))
+
+
 def _fit_times(times, fit: str) -> np.ndarray:
     """The sample times of a fit as floats.
 
@@ -151,7 +164,8 @@ def _fit_times(times, fit: str) -> np.ndarray:
 
 
 def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
-         on_block: Callable) -> np.ndarray:
+         on_block: Callable, ends: Optional[list] = None,
+         last: Optional[Callable] = None) -> np.ndarray:
     """Fixed-step RK4 from ``y0`` over ``times``: the one integrator of the package.
 
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
@@ -174,9 +188,17 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     ``MONITOR_BLOCK`` at a time, read-only, under the caller's error state,
     and gets the pending ones on the way out, error or not, so the earliest
     violation it finds wins.
+
+    ``ends``, for a stack whose rows stop at their own horizons, gives each
+    row's last sample index, non-increasing: a row leaves the stack after
+    that sample, so the rows still running are a leading part of it and
+    ``rhs`` gets only them, and the row's later samples stay zero.  Once one
+    row is left it goes on as one state, on the one-state right-hand side
+    ``last``.
     """
     nsteps = times.size - 1
-    samples = np.empty((nsteps + 1,) + y0.shape, dtype=y0.dtype)
+    samples = (np.empty if ends is None else np.zeros)((nsteps + 1,) + y0.shape, dtype=y0.dtype)
+    stack = live = len(y0) if y0.ndim > 1 else 1
     caller = np.geterr()
     y = y0
     filled = monitored = 0
@@ -193,7 +215,14 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for step in range(nsteps + 1):
-                samples[step] = y
+                if ends is None:
+                    samples[step] = y
+                else:   # the rows whose last sample this is leave the stack
+                    samples[step, :live] = y
+                    if ends[live - 1] == step < nsteps:
+                        while ends[live - 1] == step:
+                            live -= 1
+                        y, rhs = (y[0], last) if live == 1 else (y[:live], rhs)
                 filled = step + 1
                 if filled - monitored == MONITOR_BLOCK:
                     flush()
@@ -205,7 +234,7 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
                 except FloatingPointError:
                     blown = True
                 if blown:
-                    raise _blown_up(rhs, y, dt, times, step + 1)
+                    raise _blown_up(rhs, y, dt, times, step + 1, stack)
                 y = y_next
     finally:
         # an error found here replaces the loop's own, which came later
@@ -222,23 +251,25 @@ def _step(rhs: Callable, y: np.ndarray, dt: complex) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _blown_up(rhs: Callable, y: np.ndarray, dt: complex, times, k: int) -> IntegrationError:
+def _blown_up(rhs: Callable, y: np.ndarray, dt: complex, times, k: int,
+              stack: int) -> IntegrationError:
     """The error for the RK4 step from ``y`` that blew up at ``times[k]``.
 
-    On a stack of two or more rows the step is redone with floating-point
-    errors ignored, and the first row it leaves non-finite is named ("in row
-    2"; a non-finite stage reaches the result through its sum); a redo that
-    finds none, or raises, names no row.
+    On a stack of two or more rows (``stack``, of which ``y`` holds the rows
+    still running) the step is redone with floating-point errors ignored,
+    and the first row it leaves non-finite is named ("in row 2"; a non-finite
+    stage reaches the result through its sum); a redo that finds none, or
+    raises, names no row.
     """
     row, rows = None, len(y) if y.ndim > 1 else 1
-    if rows > 1:
+    if stack > 1:
         try:
             with np.errstate(all="ignore"):
                 bad = ~np.isfinite(np.reshape(_step(rhs, y, dt), (rows, -1))).all(axis=1)
             row = int(np.argmax(bad)) if bad.any() else None
         except (ArithmeticError, ValueError):   # it only locates the row
             pass
-    where, loc = _at(times, k, 1) if row is None else _at(times, k * rows + row, rows)
+    where, loc = _at(times, k, 1) if row is None else _at(times, k * rows + row, rows, stack)
     return IntegrationError(f"solution blew up at {where}", **loc)
 
 
@@ -254,36 +285,55 @@ def _in_row(row: int) -> str:
     return f" in row {row}"
 
 
-def _at(times, k: int, rows: int):
-    """Where flat sample-row index k lies: the text 't = ...', naming the row
-    of a stack, and the :class:`IntegrationError` keywords ``t`` and ``row``
-    (``row`` None unless ``rows`` > 1)."""
+def _at(times, k: int, rows: int, stack: Optional[int] = None):
+    """Where flat sample-row index k, of ``rows`` rows per sample, lies: the
+    text 't = ...', naming the row of a stack, and the
+    :class:`IntegrationError` keywords ``t`` and ``row`` (``row`` None unless
+    the stack, ``rows`` or the ``stack`` they lead, has two or more rows)."""
     sample, row = divmod(k, rows)
-    t, row = float(times[sample]), (row if rows > 1 else None)
+    t, row = float(times[sample]), (row if (stack or rows) > 1 else None)
     return f"t = {t:g}" + ("" if row is None else _in_row(row)), {"t": t, "row": row}
 
 
-def _check_hermitian(h: np.ndarray, times, rows: int) -> None:
-    """Raise at the first non-Hermitian matrix of ``h``, ``rows`` per sample time."""
+def _check_hermitian(h: np.ndarray, times, rows: int, stack: int) -> None:
+    """Raise at the first non-Hermitian matrix of ``h``, ``rows`` per sample
+    time, the leading rows of a ``stack``."""
     resid = _hermiticity_residual(h)
     # a non-finite matrix (residual nan) fails too
     ok = resid <= HERMITICITY_STEP_TOL * (1.0 + np.abs(h).max(axis=(1, 2))) / 4
     if not ok.all():
         k = int(np.argmin(ok))
-        where, loc = _at(times, k, rows)
+        where, loc = _at(times, k, rows, stack)
         raise IntegrationError(
             f"builder returned a non-Hermitian matrix at {where} "
             f"(deviation {4.0 * float(resid[k]):.3e})", **loc)
 
 
-def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarray:
+def _mismatch(stacked: np.ndarray, single: np.ndarray) -> Optional[float]:
+    """None when a stacked result agrees with its single-state calls: both are
+    non-finite in the same entries, and the finite ones agree to 1e-12 (1 +
+    their max |single|).  Otherwise the largest deviation (nan when the
+    non-finite entries differ)."""
+    fin = np.isfinite(single)
+    if not np.array_equal(fin, np.isfinite(stacked)):
+        return float("nan")
+    dev = float(np.max(np.abs(stacked[fin] - single[fin]), initial=0.0))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(single[fin]), initial=0.0)))
+    return None if dev <= tol else dev
+
+
+def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times, stack: int,
+                       per_row: Optional[list]) -> np.ndarray:
     """Build, cross-check and monitor Ĥ at a ``(K, [B,] d)`` block of samples.
 
-    ``hbuilder`` gets the block's states in one ``(K*B, d)`` call and returns
-    their ``(K*B, d, d)`` stack, or one state-independent ``(d, d)`` matrix.
-    The first state is also built alone and must agree with the stack to
-    1e-12 (1 + max|h|), so a builder that mishandles stacks fails loudly.
-    Returns the energy values <z|Ĥ(z)|z>, shaped ``(K, [B])``.
+    ``hbuilder`` gets the block's states in one ``(K*B, d)`` call (with
+    ``per_row``, the ``(K, B, d)`` block itself, whose rows lead a ``stack``)
+    and returns their ``(K*B, d, d)`` stack, or one state-independent
+    ``(d, d)`` matrix.  The first state is also built alone (with
+    ``per_row``, each row of the first sample by its own one-state builder)
+    and must agree with the stack as :func:`_mismatch` asks, so a builder
+    that mishandles stacks fails loudly.  Returns the energy values <z|Ĥ(z)|z>,
+    shaped ``(K, [B])``.
     The builds and their checks keep the caller's error state but show no
     RuntimeWarning: a matrix that overflows is non-finite, and the builder's
     own checks or the hermiticity check refuse it.
@@ -292,38 +342,40 @@ def _monitored_hvalues(hbuilder: Callable, block: np.ndarray, times) -> np.ndarr
     zs = block.reshape(-1, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        h = np.asarray(hbuilder(zs), dtype=complex)
+        h = np.asarray(hbuilder(zs if per_row is None else block), dtype=complex)
         if h.shape == (d, d):
             h = h[None]      # checked once, at the block's first sample
         elif h.shape != (zs.shape[0], d, d):
             raise ValidationError(
                 f"builder mapped a {zs.shape} stack of states to shape {h.shape}; "
                 f"expected {(zs.shape[0], d, d)} or {(d, d)}")
-        first = np.asarray(hbuilder(zs[0]), dtype=complex)
-        dev = float(np.max(np.abs(h[0] - first)))
-        if dev > 1e-12 * (1.0 + float(np.max(np.abs(first)))):
+        singles = [hbuilder] if per_row is None else [b for b, _ in per_row[:block.shape[1]]]
+        first = np.stack([np.asarray(b(z), dtype=complex) for b, z in zip(singles, zs)])
+        dev = _mismatch(h[:len(first)], first)
+        if dev is not None:
             raise ValidationError(
                 f"builder's stacked result differs from a single-state build by {dev:.3e} "
                 f"at t = {times[0]:g}; it must map a (K, d) stack row by row")
-        _check_hermitian(h, times, zs.shape[0] // len(times))
+        _check_hermitian(h, times, zs.shape[0] // len(times), stack)
     hz = np.matmul(h, zs[:, :, None])[:, :, 0]
     return np.sum(zs.conj() * hz, axis=1).real.reshape(block.shape[:-1])
 
 
-def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
-                  flow: Optional[Callable] = None) -> Trajectory:
+def integrate_nls(hbuilder: Callable, psi0, t_end, dt, *,
+                  flow: Optional[Callable] = None,
+                  per_row: Optional[list] = None) -> Trajectory:
     """Integrate  i dpsi/dt = hbuilder(psi) psi  from 0 to t_end.
 
     ``hbuilder`` maps an amplitude array to a Hermitian matrix (an array).
     Fixed-step RK4 (:func:`_rk4`) with ``round(t_end/dt)`` steps, so the
     final time is hit exactly.  Every accepted sample's matrix is checked for
     hermiticity, and its norm drift relative to its row's initial squared norm
-    against a budget proportional to the step count (a multiple of a state
-    gets its verdict); violations raise :class:`IntegrationError` rather than
-    silently renormalizing.  Blow-up is caught at its step; hermiticity and
-    norm are checked per block of samples, in that order within a sample, and
-    the earliest violation wins: the loop may run up to a block past a norm
-    violation, and a blow-up there does not hide it.
+    against a budget proportional to the row's step count (a multiple of a
+    state gets its verdict); violations raise :class:`IntegrationError` rather
+    than silently renormalizing.  Blow-up is caught at its step; hermiticity
+    and norm are checked per block of samples, in that order within a sample,
+    and the earliest violation wins: the loop may run up to a block past a
+    norm violation, and a blow-up there does not hide it.
 
     The four RK4 stages call ``flow``, which maps z to ``hbuilder(z) @ z``,
     the Wirtinger gradient dH/dpsibar (for a :class:`HomogeneousObservable`,
@@ -341,61 +393,100 @@ def integrate_nls(hbuilder: Callable, psi0, t_end: float, dt: float, *,
     ``psi0`` is one ``(d,)`` state, or a ``(B, d)`` stack of B states
     integrated together; each state gets the checks of a
     :class:`StateVector`.  A stack needs ``flow``, and per block ``flow`` of
-    its first sample must match per-row calls to 1e-12 (else
-    :class:`ValidationError`).
+    its first sample must match per-row calls to 1e-12, and be non-finite
+    in the same entries (else :class:`ValidationError`).
     Every monitor runs per row (hermiticity in one ``(K*B, d)`` build per
     block), and the earliest violation over all rows is reported with its
     row.  The :class:`Trajectory` holds the one sample array, ``(nsteps + 1,
     [B,] d)``; ``recorded`` entries are ``(nsteps + 1, [B])``.
+
+    On a stack, ``t_end`` and ``dt`` may also be one value per row.  Each
+    row then runs its own grid, and all grids must have one step size
+    ``t_end/nsteps``, bit for bit, and come longest first (else
+    :class:`ValidationError`), so the rows still running are always a
+    leading part of the stack.  A row leaves the stack after its last
+    sample: no step, monitor or blow-up check sees it after that, and its
+    norm budget counts its own steps.  The last row left runs on as one
+    state, on its one-state flow.  The trajectory's ``times`` are the
+    longest grid and its ``ends`` each row's last sample index.
+
+    ``per_row`` is for a stack whose rows carry their own parameters: one
+    ``(hbuilder, flow)`` pair of one-state callables per row.  ``hbuilder``
+    and ``flow`` then map ``(..., k, d)`` stacks whose row b has row b's
+    parameters: the RK4 stages call ``flow`` on the k rows still running,
+    the monitor calls ``hbuilder`` on a ``(K, k, d)`` block, and both
+    cross-checks compare row b with row b's own pair.
     """
     z0 = np.asarray(psi0)
-    if z0.ndim == 2 and (flow is None or not len(z0)):
+    stacked = z0.ndim == 2
+    if stacked and (flow is None or not len(z0)):
         raise ValidationError("a (B, d) stack of states needs B >= 1 and flow=")
-    z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if z0.ndim == 2
+    rows = len(z0) if stacked else 1
+    if per_row is not None and (not stacked or len(per_row) != rows):
+        raise ValidationError("per_row needs a (B, d) stack and one (hbuilder, flow) pair per row")
+    z0 = (np.stack([StateVector(row).amplitudes for row in z0]) if stacked
           else StateVector(z0).amplitudes)
-    nsteps, dt_eff = _step_grid(t_end, dt, width=z0.size)
+    grids = [_step_grid(t, h, width=z0.size) for t, h in _row_horizons(t_end, dt, rows)]
+    ends = [n for n, _ in grids]
+    nsteps, dt_eff = grids[0]
+    if any(g[1] != dt_eff or g[0] > n for g, n in zip(grids[1:], ends)):
+        raise ValidationError("the rows of a stack need one step size t_end/nsteps, "
+                              "longest horizon first")
     times = np.arange(nsteps + 1) * dt_eff
-    budget = NORM_DRIFT_PER_STEP * max(nsteps, 1)
-    rec = {name: np.empty((nsteps + 1,) + z0.shape[:-1]) for name in ("norm", "hvalue")}
-    rows = len(z0) if z0.ndim == 2 else 1
-    n0 = _sqnorms(z0)
+    budget = NORM_DRIFT_PER_STEP * np.maximum(ends, 1)
+    rec = {name: np.full((nsteps + 1, rows), np.nan) for name in ("norm", "hvalue")}
+    n0 = np.reshape(_sqnorms(z0), rows)
 
     if flow is None:
         flow = lambda zv: np.asarray(hbuilder(zv), dtype=complex) @ zv
+    flows = [flow] * rows if per_row is None else [f for _, f in per_row]
 
     def hvalues(lo, block):
-        if z0.ndim == 2:
-            each = np.stack([np.asarray(flow(z), dtype=complex) for z in block[0]])
-            dev = float(np.max(np.abs(np.asarray(flow(block[0]), dtype=complex) - each)))
-            if not dev <= 1e-12 * (1.0 + float(np.max(np.abs(each)))):
+        if stacked:   # unwarned: non-finite flows are the builder's checks to refuse
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                each = np.stack([np.asarray(f(z), dtype=complex)
+                                 for f, z in zip(flows, block[0])])
+                dev = _mismatch(np.asarray(flow(block[0]), dtype=complex), each)
+            if dev is not None:
                 raise ValidationError(
                     f"flow's stacked result differs from single-state calls by "
                     f"{dev:.3e} at t = {times[lo]:g}; it must map a (B, d) stack row by row")
-        return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)])
+        return _monitored_hvalues(hbuilder, block, times[lo:lo + len(block)], rows, per_row)
 
-    def monitor(lo, hi, block):
+    def check(lo, hi, block):
         # Within a sample: hermiticity, then the norm budget; the builder sees
         # no sample past the first that breaks the budget.
-        norm = _sqnorms(block)
+        live = block.shape[1] if stacked else 1
+        norm = _sqnorms(block).reshape(len(block), live)
         with np.errstate(all="ignore"):   # a zero state's 0/0 is no drift
-            drift = np.abs(norm - n0) / n0
-        over = drift > budget
+            drift = np.abs(norm - n0[:live]) / n0[:live]
+        over = drift > budget[:live]
         end = len(block)
         if over.any():
-            over = over.reshape(end, rows)
             end = int(np.argmax(over.any(axis=1)))
         hval = hvalues(lo, block[:end + 1])
         if end < len(block):
             row = int(np.argmax(over[end]))
             where, loc = _at(times, (lo + end) * rows + row, rows)
             raise IntegrationError(
-                f"norm drift {drift.reshape(over.shape)[end, row]:.3e} exceeded budget "
-                f"{budget:.3e} at {where}; reduce dt", **loc)
-        rec["norm"][lo:hi] = norm
-        rec["hvalue"][lo:hi] = hval
+                f"norm drift {drift[end, row]:.3e} exceeded budget "
+                f"{budget[row]:.3e} at {where}; reduce dt", **loc)
+        rec["norm"][lo:hi, :live] = norm
+        rec["hvalue"][lo:hi, :live] = hval.reshape(len(block), live)
 
-    amps = _rk4(flow, z0, times, complex(-1j * dt_eff), on_block=monitor)
-    return Trajectory(times=times, amplitudes=amps, recorded=rec)
+    def monitor(lo, hi, block):
+        # each stretch of the block with one count of rows still running
+        cuts = sorted({lo, hi} | {e + 1 for e in ends if lo < e + 1 < hi})
+        for a, b in zip(cuts, cuts[1:]):
+            live = sum(e >= a for e in ends)
+            check(a, b, block[a - lo:b - lo, :live] if stacked else block)
+
+    amps = _rk4(flow, z0, times, complex(-1j * dt_eff), on_block=monitor,
+                ends=ends if ends[-1] < nsteps else None, last=flows[0])
+    if not stacked:
+        rec = {name: v[:, 0] for name, v in rec.items()}
+    return Trajectory(times=times, amplitudes=amps, recorded=rec, ends=ends)
 
 
 def default_timestep(hbuilder: Callable, psi0) -> float:

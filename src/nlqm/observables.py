@@ -22,7 +22,9 @@ row by row, to the value, gradient or operator of each: shapes ``()``,
 as a 1-D array, never as a one-row stack; a result of another shape raises a
 :class:`ContractError` (a ``ValidationError``) that names both shapes.  The
 check sees shapes only: a callable written for one state that indexes its
-entries (``z[0]``) gets the right shape on a stack of exactly ``d`` rows.
+entries (``z[0]``) gets the right shape on a stack of exactly ``d`` rows.  An
+observable of parameter rows (``rows``) maps stacks only, row b with its b-th
+parameters.
 
 An observable carries all three callables: the value, the gradient
 ``dA/dpsibar`` and the operator ``A_hat``, each in closed form.  One without
@@ -102,6 +104,12 @@ class HomogeneousObservable:
         by :func:`power_family` (so also by :func:`canonical` and
         :func:`cubic`) and read by :func:`~nlqm.spectra.moment_probabilities`;
         empty for every other observable, a sum included.
+    rows:
+        0 when one set of parameters serves every state.  B for an observable
+        of B parameter rows (:func:`bilinear` and :func:`moment_power` of a
+        ``(B, d, d)`` matrix stack, and sums and slice sums of them): its
+        callables map ``(..., k, d)`` stacks with k <= B, row b with the b-th
+        parameters, and refuse a single state with a :class:`ContractError`.
 
     Both derivatives are required: an observable without a callable
     gradient or operator raises :class:`ValidationError`.
@@ -112,6 +120,7 @@ class HomogeneousObservable:
     analytic_gradient: Callable = None
     analytic_operator: Callable = None
     params: dict = field(default_factory=dict)
+    rows: int = 0
 
     def __post_init__(self):
         for name in ("analytic_gradient", "analytic_operator"):
@@ -143,6 +152,9 @@ class HomogeneousObservable:
         if not isinstance(other, HomogeneousObservable):
             return NotImplemented
         a, b = self, other
+        if a.rows and b.rows and a.rows != b.rows:
+            raise ValidationError(f"cannot add observables of {a.rows} and {b.rows} "
+                                  "parameter rows")
 
         def ev(z, zc):
             return a.evaluator(z, zc) + b.evaluator(z, zc)
@@ -154,6 +166,7 @@ class HomogeneousObservable:
             label=f"({a.label} + {b.label})",
             analytic_gradient=lambda z: ga(z) + gb(z),
             analytic_operator=lambda z: oa(z) + ob(z),
+            rows=max(a.rows, b.rows),
         )
 
 
@@ -235,9 +248,43 @@ def barstar_moment(a: HomogeneousObservable, psi, k: int) -> float:
 # Catalog
 
 
+def _matrices(m) -> np.ndarray:
+    """``m`` as one checked Hermitian matrix, or as a ``(B, d, d)`` stack of
+    them, one per parameter row."""
+    if np.ndim(m) == 3 and len(m):
+        return np.stack([HermitianOperator(x).entries for x in m])
+    return HermitianOperator(m).entries
+
+
+def _row_matrices(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The matrices of the rows of a ``(..., k, d)`` stack ``z``: the first k
+    of the ``(B, d, d)`` stack ``mat``; :class:`ContractError` unless k <= B."""
+    if z.ndim < 2 or z.shape[-2] > len(mat):
+        raise ContractError(f"an observable of {len(mat)} parameter rows maps (..., k, d) "
+                            f"stacks with k <= {len(mat)}, not states of shape {z.shape}")
+    return mat[:z.shape[-2]]
+
+
+def _times(mat: np.ndarray) -> Callable:
+    """z -> M z for each state of z, as ``z @ M.T``.  For a ``(B, d, d)`` stack
+    of M, row b of a ``(..., k, d)`` stack takes the b-th matrix, through one
+    matmul per row: each row bit for bit its one-state ``z @ M.T``."""
+    mat_t = mat.swapaxes(-1, -2)   # one transposed view, taken once
+    if mat.ndim == 2:
+        return lambda z: z @ mat_t
+
+    def per_row(z):
+        z = np.asarray(z)
+        return np.matmul(z[..., None, :], _row_matrices(z, mat_t))[..., 0, :]
+    return per_row
+
+
 def _stacked(mat: np.ndarray, z) -> np.ndarray:
-    """A fresh copy of the state-independent ``mat`` per state of ``z``."""
-    return np.array(np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape))
+    """A fresh copy of the state-independent ``mat`` per state of ``z`` (of a
+    ``(B, d, d)`` stack, row b's matrix for row b)."""
+    if mat.ndim == 3:
+        mat = _row_matrices(np.asarray(z), mat)
+    return np.array(np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape[-2:]))
 
 
 def norm_functional() -> HomogeneousObservable:
@@ -251,14 +298,20 @@ def norm_functional() -> HomogeneousObservable:
 
 
 def bilinear(m, label: str = "") -> HomogeneousObservable:
-    """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``."""
-    mat = HermitianOperator(m).entries
-    mat_t = mat.T   # one transposed view, taken once: the same matmul as z @ mat.T
+    """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``.
+
+    ``M`` may be a ``(B, d, d)`` stack, one matrix per parameter row (``rows``
+    = B): row b of a ``(..., k, d)`` stack of states, k <= B, takes the b-th
+    matrix, its gradient bit for bit its one-state call with that matrix.
+    """
+    mat = _matrices(m)
+    times = _times(mat)
     return HomogeneousObservable(
-        evaluator=lambda z, zc: np.real(np.sum(zc * (z @ mat_t), axis=-1)),
+        evaluator=lambda z, zc: np.real(np.sum(zc * times(z), axis=-1)),
         label=label or "bilinear",
-        analytic_gradient=lambda z: z @ mat_t,
+        analytic_gradient=times,
         analytic_operator=lambda z: _stacked(mat, z),
+        rows=len(mat) if mat.ndim == 3 else 0,
     )
 
 
@@ -277,17 +330,27 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     called at every RK4 stage: for one state ``s`` stays a numpy scalar, for
     a stack it is one column, and both give each row the bits of the same
     expression.
+
+    ``M`` may be a ``(B, d, d)`` stack, one matrix per parameter row (``rows``
+    = B), as in :func:`bilinear`; the products go one matmul per row.  Row b
+    of a ``(k, d)`` stack is then bit for bit the one-state call with its own
+    matrix: at p = 2 its square is libm's ``pow`` (``np.float_power``), as a
+    numpy scalar's ``**``, where an array's ``**`` multiplies.  A deeper
+    stack keeps the array ``**``, as the one-matrix call on the states of its
+    row does (a slice sum's slices, see
+    :func:`~nlqm.composite.weinberg_composite`).
     """
-    mat = HermitianOperator(m).entries
+    mat = _matrices(m)
     p = int(power)
     c = float(coeff)
     name = label or f"{c:g}*<M>^{p}/n^{p - 1}"
 
-    mat_t = mat.T
+    times = _times(mat)
+    rows = len(mat) if mat.ndim == 3 else 0
     pf, qf = float(p), float(p - 1)   # the same products, without an int conversion
 
     def _mu_n(z, zc):
-        mz = z @ mat_t
+        mz = times(z)
         mu = np.add.reduce(zc * mz, axis=-1).real
         n = np.add.reduce(z * zc, axis=-1).real
         if p < 0 and np.any(np.abs(mu / n) < SINGULAR_GUARD):
@@ -305,6 +368,8 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         s = mu / n
         if z.ndim > 1:
             s = s[..., None]
+        if rows and p == 2 and z.ndim == 2:   # s ** 1 is s, in either form
+            return c * (pf * s * mz - qf * np.float_power(s, 2) * z)
         return c * (pf * s ** (p - 1) * mz - qf * s ** p * z)
 
     def op(z):
@@ -313,7 +378,8 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         s = mu / n
         sm = np.asarray(s)[..., None, None]
         dim = z.shape[-1]
-        out = c * (p * sm ** (p - 1) * mat - (p - 1) * sm ** p * np.eye(dim, dtype=complex))
+        m_z = _row_matrices(z, mat) if rows else mat
+        out = c * (p * sm ** (p - 1) * m_z - (p - 1) * sm ** p * np.eye(dim, dtype=complex))
         if p * (p - 1) != 0:
             v = mz - np.asarray(s)[..., None] * z
             w = np.asarray(c * p * (p - 1) * s ** (p - 2) / n)[..., None, None]
@@ -325,6 +391,7 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         label=name,
         analytic_gradient=grad,
         analytic_operator=op,
+        rows=rows,
     )
 
 

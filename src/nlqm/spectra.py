@@ -16,6 +16,7 @@ None of the three notions is privileged anywhere in the package.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -416,6 +417,9 @@ def moment_probabilities(obs: HomogeneousObservable, psi) -> MomentProbabilities
         raise ValidationError("moment_probabilities requires the degenerate case E1 = E2")
     e = params["e1"]
     eps = params["eps"]
+    if not (math.isfinite(e * e) and math.isfinite(eps * eps)):   # e ** 2 would raise
+        raise ValidationError(f"moment_probabilities needs E and eps whose squares are "
+                              f"finite, got E = {e:g}, eps = {eps:g}")
     z = np.asarray(psi, dtype=complex)
     n = float(np.vdot(z, z).real)
 

@@ -246,3 +246,41 @@ def test_truncation_leak_aborts_and_names_the_cutoff():
     z[1 * p.field_dim + 2] = 1.0 / np.sqrt(2.0)
     with pytest.raises(IntegrationError, match="n_max"):
         inversion_trajectory(build_atom_field("linear", p), z, t_end=3.0, dt=0.01)
+
+
+@pytest.mark.parametrize("description", ["linear", "polchinski", "weinberg-fock"])
+def test_members_of_one_stack_write_the_series_of_their_own_runs(description):
+    # three levels, each member with its own ladder, coupling, field
+    # frequency, moment levels, preparation and horizon, longest first
+    members = [AtomFieldParams((0.0, 1.0, 0.6), (-0.5, 0.5, 0.2), 1.0, 1.0, n_max=3),
+               AtomFieldParams((0.1, 0.9, 0.3), (-0.7, 0.4, 0.0), 0.8, 0.9 * np.exp(0.4j), 3),
+               AtomFieldParams((0.0, 1.2, 0.5), (-0.3, 0.3, 0.1), 1.1, 0.7j, 3)]
+    prep, horizons = [(0, 1), (1, 0), (0, 2)], [1.5, 1.0, 0.5]
+    z0 = np.stack([product_state(p, *lp) for p, lp in zip(members, prep)])
+    builder = build_atom_field(description, members)
+    assert builder.params == members and builder.observable.rows == 3
+    stacked = inversion_trajectory(builder, z0, horizons, 0.005)
+    for p, z, t_end, series in zip(members, z0, horizons, stacked):
+        alone = inversion_trajectory(build_atom_field(description, p), z, t_end, 0.005)
+        for got, want in ((series.times, alone.times), (series.w, alone.w)):
+            assert np.array_equal(got, want)
+        assert series.leak == alone.leak
+
+
+def test_a_stack_of_atom_models_needs_one_shape_and_names_the_member_that_leaks():
+    p = AtomFieldParams((0.0, 1.0), (0.0, 0.0), 1.0, 1.0, n_max=2)
+    with pytest.raises(ValidationError, match="one level count and n_max"):
+        build_atom_field("linear", [p, AtomFieldParams((0.0, 1.0), (0.0, 0.0), 1.0, 1.0, 3)])
+    # member 1 starts in the exchange partner of the top Fock layer
+    z0 = np.stack([product_state(p, 0, 1), product_state(p, 1, 1)])
+    with pytest.raises(IntegrationError, match="n_max") as err:
+        inversion_trajectory(build_atom_field("linear", [p, p]), z0, 3.0, 0.01)
+    assert err.value.row == 1
+
+
+def test_one_model_integrates_a_stack_of_states_with_their_own_horizons():
+    p = AtomFieldParams((0.0, 1.0), (0.0, 0.0), 1.0, 1.0, n_max=2)
+    z0 = np.stack([product_state(p, 0, 1)] * 2)
+    series = inversion_trajectory(build_atom_field("linear", p), z0, [1.0, 0.5], 0.01)
+    assert [s.times.size for s in series] == [101, 51]
+    npt.assert_allclose(series[1].w, series[0].w[:51], rtol=0, atol=1e-15)

@@ -188,6 +188,19 @@ def test_compare_verdicts(tmp_path, capsys):
     assert "row counts differ" in capsys.readouterr().err
 
 
+def test_compare_names_a_file_without_a_header_or_with_a_ragged_row(tmp_path, capsys):
+    empty, wide, short, good = (tmp_path / f"{n}.csv" for n in ("empty", "wide", "short", "good"))
+    empty.write_text("")
+    wide.write_text("t,x\n0,1,2\n")
+    short.write_text("t,x\n0,1\n1\n")
+    good.write_text("t,x\n0,1\n")
+    for a, b, message in ((empty, good, f"{empty} has no header"),
+                          (good, wide, f"row 1 of {wide} has 3 fields, its header 2"),
+                          (short, good, f"row 2 of {short} has 1 fields, its header 2")):
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr() == ("", f"compare error: {message}\n")
+
+
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 def test_compare_refuses_non_finite_data(tmp_path, capsys, bad):
     pa = tmp_path / "a.csv"
@@ -416,6 +429,9 @@ _CASES = st.sampled_from(sorted(EXPERIMENTS)).flatmap(lambda exp: st.tuples(
 @example(case=("intention-paradox", {"lambda1": 1e308, "lambda2": 1e308}))
 @example(case=("bloch-neoclassical", {"r0": [1e300, 0.0, 0.0]}))
 @example(case=("mobility-telegraph", {"t_end": 1e300, "dt": 1e-300}))
+# group keys of scenarios over a cap
+@example(case=("atom-inversion", {"dt": 1e-300}))
+@example(case=("atom-inversion", {"n_max": 100000}))
 def test_any_json_value_in_any_field_exits_cleanly(case):
     exp, values = case
     stderr = io.StringIO()
@@ -540,6 +556,10 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
                  "dt": 0.01, "e_levels": [0.0] * 10, "eps_levels": [0.0] * 10,
                  "state": [1.0] + [0.0] * 9}
     huge_atom = {"experiment": "atom-inversion", "name": "atom-huge-cutoff", "n_max": 100000}
+    # an atom scenario whose grid is over the step cap has no group key: it
+    # runs and fails alone, and its valid twin of the same structure passes
+    atom_tiny = {"experiment": "atom-inversion", "name": "atom-dt-tiny", "dt": 1e-300}
+    atom_twin = {"experiment": "atom-inversion", "name": "atom-twin", "t_end": 1.0}
     # too few samples for the fits: one at t_end = 0, two at t_end = 1e-300;
     # four at dt = 1e-300 and at dt = 1e-160, over a span whose square is
     # zero or subnormal (at 1e-160 the telegraphs used to fit a frequency
@@ -558,16 +578,19 @@ def test_bad_step_grids_fail_their_scenario_and_the_rest_run(tmp_path, monkeypat
     tiny_ok = {"experiment": "reduced-flow-variants", "name": "reduced-dt-1e-150",
                "dt": 1e-150, "t_end": 3e-150}
     dynamic = [(too_fine, "exceeds the cap"), (long_wave, "sample entries"),
-               (huge_atom, "state dimension")] + short
-    monkeypatch.setattr(nlqm.atom, "linear_hamiltonian", _refuse)
-    assert _run_dict(tmp_path, {"scenarios": [sc for sc, _ in dynamic] + [tiny_ok, good]}) == 1
+               (huge_atom, "state dimension"), (atom_tiny, "exceeds the cap")] + short
+    ladder = nlqm.atom.linear_hamiltonian
+    monkeypatch.setattr(nlqm.atom, "linear_hamiltonian",
+                        lambda p: ladder(p) if p.n_max == 4 else _refuse())
+    assert _run_dict(tmp_path, {"scenarios": [sc for sc, _ in dynamic]
+                                + [tiny_ok, good, atom_twin]}) == 1
     out = tmp_path / "out"
     for sc, message in dynamic:
         rep = json.loads((out / f"{sc['name']}.report.json").read_text())
         assert rep["passed"] is False, sc["name"]
         assert rep["error_type"] == "ValidationError", sc["name"]
         assert message in rep["error"], sc["name"]
-    for name in ("reduced-dt-1e-150", "valid"):
+    for name in ("reduced-dt-1e-150", "valid", "atom-twin"):
         assert json.loads((out / f"{name}.report.json").read_text())["passed"] is True
     # LAPACK writes its DLASCL complaint to the file descriptors, not to sys.stderr
     printed = "".join(capfd.readouterr())
@@ -633,8 +656,12 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
         # the wave monitor's operator build overflows: refused as non-finite
         {"experiment": "atom-inversion", "name": "atom-up", "eps_levels": [1e154, 0.5]},
         {"experiment": "atom-inversion", "name": "atom-down", "eps_levels": [-1e154, 0.5]},
+        # the probability rules square E and eps
+        {"experiment": "probability-inconsistency", "name": "huge-e", "e": 1e200},
     ])
     assert capfd.readouterr().err == ""
+    assert reports["huge-e"]["error"] == ("moment_probabilities needs E and eps whose squares "
+                                          "are finite, got E = 1e+200, eps = 0.1")
     assert reports["levels"]["error"] == "solution blew up at t = 0.01"
     for name in ("atom-up", "atom-down"):
         assert reports[name]["error_type"] == "ValidationError"
@@ -679,38 +706,88 @@ def _solo_runs(tmp_path, scenarios, capsys):
     return codes, _outputs(tmp_path / "solo"), lines
 
 
+# the rows of each spied stack: its variants, its lambda1 or its initial states
+_STACK_ROWS = {"polchinski_reduced_flow": lambda args: len(np.atleast_1d(args[0])),
+               "intention_paradox": lambda args: len(np.atleast_1d(args[0])),
+               "inversion_trajectory": lambda args: len(np.atleast_2d(args[1]))}
+
+
 def _spied(monkeypatch, *fns):
-    """A list to which every later call of the ``composite`` functions ``fns``
-    appends ``(fn, rows)``: the number of its variants or of its lambda1."""
+    """A list to which every later call of the functions ``fns`` (of
+    ``composite``, or ``atom.inversion_trajectory``) appends ``(fn, rows)``."""
     stacks = []
     for fn in fns:
-        def call(*args, fn=fn, real=getattr(nlqm.composite, fn)):
-            stacks.append((fn, len(np.atleast_1d(args[0]))))
+        module = nlqm.atom if fn == "inversion_trajectory" else nlqm.composite
+        def call(*args, fn=fn, real=getattr(module, fn)):
+            stacks.append((fn, _STACK_ROWS[fn](args)))
             return real(*args)
-        monkeypatch.setattr(nlqm.composite, fn, call)
+        monkeypatch.setattr(module, fn, call)
     return stacks
 
 
-def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(tmp_path, capsys, monkeypatch):
-    # the bundled reduced-flow and paradox scenarios, one more reduced flow on
-    # another grid and one more mixture with another f, interleaved
+def _grouping_case(exp):
+    """Scenarios with groups of ``exp`` among others; the stacks they integrate,
+    in order, as ``(fn, rows)``; and the names of the members that fail."""
     flows, mixtures = (_scenarios(os.path.join(CONFIG_DIR, f"{stem}.json"))
                        for stem in ("reduced-flow-variants", "intention-paradox"))
-    scenarios = [flows[0], mixtures[0],
-                 {"experiment": "reduced-flow-variants", "name": "other-grid", "t_end": 4.0},
-                 mixtures[1], flows[1], mixtures[2],
-                 dict(mixtures[1], name="other-f", f=1.5)]
-    stacks = _spied(monkeypatch, "polchinski_reduced_flow", "intention_paradox")
-    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    other_grid = {"experiment": "reduced-flow-variants", "name": "other-grid", "t_end": 4.0}
+    other_f = dict(mixtures[1], name="other-f", f=1.5)
+    between = {"experiment": "diagonal-census", "name": "between", "state": [0.6, 0.8]}
+    if exp == "reduced-flow-variants":
+        # the bundled flows and paradoxes, one more flow on another grid and
+        # one more paradox with another f, interleaved: both bundled flows
+        # and their variants as one stack of 4, the four paradoxes as one
+        # stack, then the other grid as one of 2
+        return ([flows[0], mixtures[0], other_grid, mixtures[1], flows[1], mixtures[2],
+                 other_f],
+                [("polchinski_reduced_flow", 4), ("intention_paradox", 4),
+                 ("polchinski_reduced_flow", 2)], set())
+    if exp == "intention-paradox":
+        # the paradoxes first, with the flows and a census between them
+        return ([mixtures[0], flows[1], between, mixtures[1], other_f, flows[0], mixtures[2]],
+                [("intention_paradox", 4), ("polchinski_reduced_flow", 4)], set())
+    # five polchinski members of one step size, each with its own parameters
+    # and horizon: "leaky" reaches the top Fock layer, so the stack of five
+    # fails in its row and it reruns alone, then the other four as a stack,
+    # of which "strict" fails its closed-form check on its own; another
+    # description and another step size are groups of one
+    atom = {"experiment": exp, "t_end": 2.0}
+    members = [dict(atom, name="long"),
+               dict(atom, name="short", t_end=1.0, eps_levels=[-0.6, 0.6], q=[0.6, 0.8],
+                    level=1, photons=0),
+               between,
+               dict(atom, name="strict", t_end=1.5, tol=1e-12),
+               dict(atom, name="lone", description="weinberg-fock", compare="cos", tol=1e-6),
+               dict(atom, name="leaky", t_end=1.0, level=1, photons=3),
+               dict(atom, name="detuned", t_end=0.5, omega=0.9, omega_levels=[0.0, 1.1],
+                    compare="none"),
+               dict(atom, name="other-dt", t_end=1.0, dt=0.004)]
+    return (members, [("inversion_trajectory", n) for n in (5, 1, 4, 1, 1)],
+            {"strict", "leaky"})
+
+
+@pytest.mark.parametrize("exp", [exp for exp, entry in EXPERIMENTS.items() if entry[4]])
+def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(exp, tmp_path, capsys,
+                                                              monkeypatch):
+    scenarios, stacked, failing = _grouping_case(exp)
+    stacks = _spied(monkeypatch, *_STACK_ROWS)
+    code = _run_dict(tmp_path, {"scenarios": scenarios})
     grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
-    # both bundled flows and their variants as one stack of 4, the other grid
-    # as one of 2, and the four mixtures as one stack
-    assert stacks == [("polchinski_reduced_flow", 4), ("intention_paradox", 4),
-                      ("polchinski_reduced_flow", 2)]
-    assert lines == [f"{sc['name']}: pass ({sc['experiment']})" for sc in scenarios]
+    assert stacks == stacked
+    assert code == int(bool(failing))
+    assert [line.split(":")[0] for line in lines if "FAIL" in line] == [
+        sc["name"] for sc in scenarios if sc["name"] in failing]
+    assert [line for line in lines if "FAIL" not in line] == [
+        f"{sc['name']}: pass ({sc['experiment']})" for sc in scenarios
+        if sc["name"] not in failing]
     codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
-    assert codes == [0] * len(scenarios) and solo_lines == lines
-    assert len(grouped) == 2 * len(scenarios) and solo == grouped
+    assert codes == [int(sc["name"] in failing) for sc in scenarios]
+    assert solo_lines == lines and solo == grouped
+    assert {f"{sc['name']}.report.json" for sc in scenarios} <= set(grouped)
+    if not failing:
+        assert len(grouped) == 2 * len(scenarios)
+    else:
+        assert "top Fock layer" in json.loads(grouped["leaky.report.json"])["error"]
 
 
 def test_a_failing_group_member_fails_only_its_own_report(tmp_path, capsys, monkeypatch):

@@ -363,6 +363,51 @@ def test_slice_sum_stacks_match_per_row_calls(rng, sub_slot):
     npt.assert_allclose(nonlinear_operator(obs, zs), ops, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("sub_slot", [0, 1])
+def test_a_slice_sum_of_parameter_rows_gives_each_row_its_own_lift(rng, sub_slot):
+    # each row of the stack takes its own moment ladder, its gradient bit for
+    # bit its own lift's (diagonal ladders: one matmul per row and one over
+    # the live slices agree), a dead slice (row 1's last, below the floor)
+    # adds nothing, and a zero slice (row 2's first) is no fault
+    d_sub, d_rest, rows = 3, 4, 3
+    ladders = np.stack([np.diag(rng.normal(size=d_sub)) for _ in range(rows)]) + 0j
+    lift = lambda m: weinberg_composite(moment_power(m, 2, coeff=0.8), d_sub, d_rest,
+                                        np.eye(d_rest), sub_slot=sub_slot)
+    obs = lift(ladders)
+    assert obs.rows == rows
+    phis = _rand(rng, rows * d_rest * d_sub).reshape(rows, d_rest, d_sub)
+    phis[1, -1] *= 1e-8
+    phis[2, 0] = 0.0
+    zs = (np.swapaxes(phis, 1, 2) if sub_slot == 0 else phis).reshape(rows, -1)
+    grads, ops, vals = obs.analytic_gradient(zs), obs.analytic_operator(zs), obs.value(zs)
+    assert grads.shape == zs.shape and ops.shape == (rows, 12, 12) and vals.shape == (rows,)
+    blocks = obs.analytic_operator(np.stack([zs, zs[::-1]])[:, :2])
+    assert blocks.shape == (2, 2, 12, 12)
+    for b, z in enumerate(zs):
+        single = lift(ladders[b])
+        g, m = single.analytic_gradient(z), single.analytic_operator(z)
+        assert np.array_equal(grads[b].view(np.uint64), g.view(np.uint64))
+        npt.assert_allclose(ops[b], m, rtol=0, atol=1e-14 * np.max(np.abs(m)))
+        assert vals[b] == pytest.approx(single.value(z), rel=1e-14)
+    # a (K, k, d) block: row b of each sample with the b-th ladder
+    npt.assert_array_equal(blocks[0], ops[:2])
+    npt.assert_array_equal(blocks[1, 1], ops[1])
+    m = lift(ladders[0]).analytic_operator(zs[2])
+    npt.assert_allclose(blocks[1, 0], m, rtol=0, atol=1e-14 * np.max(np.abs(m)))
+    with pytest.raises(ContractError, match="stacks, not one state"):
+        obs.analytic_gradient(zs[0])
+
+
+def test_a_slice_sum_of_parameter_rows_needs_its_dead_slice_stand_in_finite():
+    # a dead slice is evaluated at the first basis vector: an inverse moment
+    # whose second ladder is zero there would refuse every state with one
+    ladders = np.stack([np.diag([1.0, 2.0]), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.raises(ValidationError, match="finite at the first basis vector"):
+        weinberg_composite(moment_power(ladders, -1), 2, 3, np.eye(3))
+    obs = weinberg_composite(moment_power(ladders[::-1] + 1.0, -1), 2, 3, np.eye(3))
+    assert obs.rows == 2
+
+
 def test_gradient_flow_operator_takes_stacks(rng):
     purity = polchinski_functional(0.5, nlqm.sigma3, (2, 2), variant="purity-weighted",
                                    eps=0.3)

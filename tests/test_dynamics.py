@@ -411,6 +411,19 @@ def test_block_monitor_rejects_a_builder_that_mishandles_stacks():
         integrate_nls(lambda z: np.eye(3), psi0, 1.0, 0.01, flow=lambda z: z)
 
 
+def test_cross_checks_refuse_single_calls_that_are_non_finite_where_the_stack_is_not():
+    # finite on a stack and nan on one state: the disagreement is refused,
+    # not passed over as a non-finite build for the other checks to find
+    nan_alone = lambda stacked: lambda z: (stacked(z) if np.ndim(z) > 1
+                                           else np.full(np.shape(z) * 2, np.nan))
+    with pytest.raises(ValidationError, match="single-state build by nan"):
+        integrate_nls(nan_alone(lambda z: BASE), PAIR, 1.0, 0.01, flow=lambda z: z @ BASE.T)
+    flow = lambda z: z @ BASE.T if z.ndim > 1 else np.full(z.shape, np.nan + 0j)
+    with pytest.raises(ValidationError, match="single-state calls by nan"):
+        integrate_nls(_cornered(lambda z: False), np.stack([PAIR, TILTED]), 1.0, 0.01,
+                      flow=flow)
+
+
 def test_block_monitor_covers_the_single_sample_of_t_end_zero():
     obs = (bilinear(np.diag([0.0, 1.0]).astype(complex))
            + moment_power(np.diag([0.5, -0.5]).astype(complex), 2))
@@ -512,6 +525,86 @@ def test_a_stack_that_blows_up_names_its_row():
         integrate_nls(_cornered(lambda z: False), np.stack([PAIR, TILTED, 2.0 * PAIR]), 1.0,
                       0.1, flow=grow)
     assert (err.value.t, err.value.row) == (0.1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Stacks whose rows have their own horizons and parameters
+
+
+def _parameter_rows(rng, rows, d):
+    """A ladder-plus-moment observable of ``rows`` parameter rows, its builder,
+    and each row's one-state builder and flow."""
+    ladders, moments = (rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+                        for _ in range(2))
+    ladders, moments = (m + np.swapaxes(m, -1, -2).conj() for m in (ladders, moments))
+    obs = bilinear(ladders) + moment_power(0.3 * moments, 2)
+    singles = [bilinear(h) + moment_power(0.3 * e, 2) for h, e in zip(ladders, moments)]
+    per_row = [(lambda z, o=o: nonlinear_operator(o, z), o.analytic_gradient) for o in singles]
+    return (lambda z: nonlinear_operator(obs, z)), obs, per_row
+
+
+def test_rows_with_their_own_horizons_and_parameters_keep_their_solo_bits(rng):
+    builder, obs, per_row = _parameter_rows(rng, 4, 3)
+    z0 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    horizons = [2.0, 1.0, 1.0, 0.25]
+    traj = integrate_nls(builder, z0, horizons, 0.01, flow=obs.analytic_gradient,
+                         per_row=per_row)
+    assert traj.ends == [200, 100, 100, 25] and traj.times.size == 201
+    amps = traj.amplitudes()
+    for b, ((single, flow), t_end, end) in enumerate(zip(per_row, horizons, traj.ends)):
+        alone = integrate_nls(single, z0[b], t_end, 0.01, flow=flow)
+        assert np.array_equal(traj.times[:end + 1], alone.times)
+        assert np.array_equal(amps[:end + 1, b], alone.amplitudes())
+        assert not amps[end + 1:, b].any()
+        for key in ("norm", "hvalue"):
+            npt.assert_allclose(traj.recorded[key][:end + 1, b], alone.recorded[key],
+                                rtol=1e-13, atol=0)
+            assert np.isnan(traj.recorded[key][end + 1:, b]).all()
+
+
+def test_a_row_leaves_the_stack_after_its_last_sample():
+    # row 1 turns non-Hermitian at t = 1.31: not seen when its horizon is 1;
+    # the flow gets the two rows, then row 0 alone as one state
+    builder = _cornered(lambda z: SECOND(z) & (np.angle(z[..., 1] * z[..., 0].conj()) < -0.805))
+    shapes = []
+    flow = lambda z: shapes.append(z.shape) or z @ BASE.T
+    stack = np.stack([PAIR, TILTED])
+    integrate_nls(builder, stack, [3.0, 1.0], 0.01, flow=flow)
+    assert {(2, 2), (1, 2), (2,)} >= set(shapes) >= {(2, 2), (2,)}
+    with pytest.raises(IntegrationError, match=r"non-Hermitian matrix at t = 1\.31 in row 1 "):
+        integrate_nls(builder, stack, [3.0, 2.0], 0.01, flow=flow)
+    # row 1 loses 4.4e-6 of norm a step: past its own budget of 20 steps at
+    # t = 0.5, inside the 100 steps of row 0
+    damped = lambda z: z @ BASE.T - 2.2e-5j * z * SECOND(z)[..., None]
+    with pytest.raises(IntegrationError, match=r"budget 2\.000e-05 at t = 0\.5 in row 1;"):
+        integrate_nls(_cornered(lambda z: False), stack, [10.0, 2.0], 0.1, flow=damped)
+    # a blow-up of the last row, on the one-state path, names its row: the
+    # flow grows by 1e300 a stage on a state of squared norm over 2 (row 0)
+    # once its relative phase -t passes -0.52
+    grow = lambda z: z @ BASE.T * np.where(
+        (np.sum(np.abs(z) ** 2, axis=-1) > 2.0)
+        & (np.angle(z[..., 1] * z[..., 0].conj()) < -0.52), 1e300, 1.0)[..., None]
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.6 in row 0$") as err:
+        integrate_nls(_cornered(lambda z: False), np.stack([2.0 * PAIR, TILTED]), [1.0, 0.5],
+                      0.1, flow=grow)
+    assert err.value.t == pytest.approx(0.6, abs=1e-15) and err.value.row == 0
+
+
+def test_row_horizons_that_cannot_share_a_stack_are_refused(rng):
+    stack, flow = np.stack([PAIR, TILTED]), lambda z: z @ BASE.T
+    builder = _cornered(lambda z: False)
+    for t_end, dt, message in (([1.0, 2.0], 0.01, "longest horizon first"),
+                               ([1.0, 1.0], [0.01, 0.011], "one step size"),
+                               ([1.0, 0.3], 0.1, "one step size"),   # 0.3/3 is not 0.1
+                               ([1.0, 0.0], 0.01, "one step size"),
+                               ([1.0, 1.0, 1.0], 0.01, "one of each per row"),
+                               (1.0, [0.01], "one of each per row")):
+        with pytest.raises(ValidationError, match=message):
+            integrate_nls(builder, stack, t_end, dt, flow=flow)
+    _, obs, per_row = _parameter_rows(rng, 2, 2)
+    for psi0, pairs in ((PAIR, per_row[:1]), (stack, per_row[:1])):
+        with pytest.raises(ValidationError, match="one \\(hbuilder, flow\\) pair per row"):
+            integrate_nls(builder, psi0, 1.0, 0.01, flow=flow, per_row=pairs)
 
 
 def test_a_blow_up_the_redone_step_cannot_place_names_no_row():

@@ -4,6 +4,7 @@ Expected numbers below were frozen from closed forms evaluated by hand at
 simple states (moduli 0.8/0.6 keep every intermediate a short decimal).
 """
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -483,6 +484,69 @@ def test_star_product_frozen_canonical_square():
     v = star_product(a, a, PROBE)
     assert abs(v.imag) < 1e-12
     assert v.real == pytest.approx(0.19551232, abs=1e-10)
+
+
+def _hermitian_stack(rng, rows, d):
+    a = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+    return a + np.swapaxes(a, -1, -2).conj()
+
+
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_a_matrix_stack_gives_each_row_the_gradient_bits_of_its_one_state_call(d, rng):
+    # bilinear and the p = 2 moment: one matmul per row and, on a (k, d)
+    # stack, libm's square, so row b is bit for bit the one-state call with
+    # the b-th matrix, on stacks that leave and keep the leading rows.  On a
+    # deeper stack a row is a stack of its own and squares as one (x * x):
+    # the moment then agrees with the one-state call to rounding
+    mats = _hermitian_stack(rng, 3, d)
+    for make in (bilinear, lambda m: moment_power(m, 2, coeff=0.7)):
+        stacked = make(mats)
+        assert stacked.rows == 3
+        singles = [make(m).analytic_gradient for m in mats]
+        zs = rng.normal(size=(5, 3, d)) + 1j * rng.normal(size=(5, 3, d))
+        for z in (zs[0], zs[0, :2], zs[0, :1], zs, zs[:, :2]):
+            got = stacked.analytic_gradient(z)
+            assert got.shape == z.shape and got.dtype == np.complex128
+            for idx in np.ndindex(z.shape[:-1]):
+                want = singles[idx[-1]](z[idx])
+                if z.ndim == 2 or make is bilinear:
+                    assert np.array_equal(_bits(got[idx]), _bits(want))
+                else:
+                    npt.assert_allclose(got[idx], want, rtol=0,
+                                        atol=1e-15 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p", [2, 3, -1])
+def test_a_matrix_stack_maps_values_and_operators_row_by_row(p, rng):
+    a = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    mats = a @ np.swapaxes(a, -1, -2).conj() + np.eye(3)   # positive: clear of the guard
+    stacked = moment_power(mats, p, coeff=0.4) + bilinear(mats[::-1])
+    assert stacked.rows == 2
+    zs = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+    values, ops = stacked.value(zs), nonlinear_operator(stacked, zs)
+    grads = stacked.analytic_gradient(zs)
+    assert values.shape == (4, 2) and ops.shape == (8, 3, 3)
+    for (k, b), z in zip(np.ndindex(4, 2), zs.reshape(-1, 3)):
+        single = moment_power(mats[b], p, coeff=0.4) + bilinear(mats[1 - b])
+        m = nonlinear_operator(single, z)
+        assert values[k, b] == pytest.approx(single.value(z), rel=1e-13)
+        npt.assert_allclose(ops[2 * k + b], m, rtol=0, atol=1e-13 * np.max(np.abs(m)))
+        npt.assert_allclose(grads[k, b], m @ z, rtol=0, atol=1e-12 * np.max(np.abs(m @ z)))
+
+
+def test_a_matrix_stack_refuses_one_state_and_rows_it_does_not_have(rng):
+    mats = _hermitian_stack(rng, 2, 2)
+    for obs in (bilinear(mats), moment_power(mats, 2)):
+        for z, shape in ((PROBE, "(2,)"), (np.stack([PROBE] * 3), "(3, 2)")):
+            for call in (obs.value, obs.analytic_gradient, obs.analytic_operator):
+                with pytest.raises(ContractError,
+                                   match=re.escape(f"k <= 2, not states of shape {shape}")):
+                    call(z)
+    with pytest.raises(ValidationError, match="2 and 3 parameter rows"):
+        bilinear(mats) + moment_power(_hermitian_stack(rng, 3, 2), 2)
+    assert (bilinear(mats) + canonical(0.0, 1.0, 0.5)).rows == 2
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        bilinear(np.stack([nlqm.sigma3, [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def test_star_product_frozen_mixed_square():
