@@ -16,8 +16,11 @@ LF line endings, sorted JSON keys, and no randomness anywhere in the library.
 Scenarios of one group (an experiment's group key in ``EXPERIMENTS``) run as
 one RK4 stack and write the bytes they write alone; a member that fails the
 stack reruns alone.  The mixture scenarios group by time grid; the atom
-scenarios by description, ``n_max``, level count and step size t_end/nsteps,
-each row with its own parameters and leaving the stack at its own horizon.
+scenarios by description, ``n_max``, level count and step size t_end/nsteps;
+the gisin and mobility telegraphs by step size, and the no-signaling
+scenarios by description and step size (two rows each, the singlet and its
+rotated copy).  In the last three kinds each row has its own parameters and
+leaves the stack at its own horizon.
 The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
@@ -131,10 +134,13 @@ def _rule(ok: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _nonzero(state) -> bool:
-    """Whether |state|^2 is positive as a float: a state whose squared norm
-    underflows is zero to the library too."""
-    return sum(abs(x) * abs(x) for x in state) > 0.0
+def _check_state(state) -> None:
+    """Refuse a ``state`` whose squared norm is not a normal finite float: the
+    library's relative checks need it (at 1e-160 the square is subnormal and
+    the operator's entries turn non-finite)."""
+    n = sum(abs(x) * abs(x) for x in state)
+    _rule(np.finfo(float).tiny <= n < math.inf,
+          f"state must have a squared norm that is a normal finite float, got {n:g}")
 
 
 def _validated(scenario: dict, exp: str) -> dict:
@@ -235,14 +241,15 @@ def _run_diagonal_census(p):
 
 def _check_diagonal(p):
     _check_family(p)
-    _rule(len(p["state"]) == 2 and _nonzero(p["state"]),
-          "state must be a nonzero two-component vector (the families are two-level)")
+    _rule(len(p["state"]) == 2,
+          "state must be a two-component vector (the families are two-level)")
+    _check_state(p["state"])
 
 
 def _check_levels(p):
     _rule(len(p["e_levels"]) == len(p["eps_levels"]) == len(p["state"]),
           "e_levels, eps_levels and state must have equal length")
-    _rule(_nonzero(p["state"]), "state must be nonzero")
+    _check_state(p["state"])
 
 
 def _run_eigenfrequency(p):
@@ -304,28 +311,48 @@ def _telegraph(rep):
     return {"t": rep.times, "signal": rep.signal}, metrics, ok
 
 
-def _run_gisin(p):
-    rep = composite.gisin_telegraph(p["alpha"], p["beta"], p["eps"], p["t_end"], p["dt"],
-                                    e1=p["e1"], e2=p["e2"])
-    return _telegraph(rep)
+def _each(ps, *keys):
+    """The values of each field ``keys`` over the scenarios ``ps``, one list a field."""
+    return [[p[k] for p in ps] for k in keys]
 
 
-def _run_mobility(p):
-    rep = composite.mobility_telegraph(p["eps"], p["tilt"], p["t_end"], p["dt"])
-    return _telegraph(rep)
+def _run_gisins(ps):
+    """The scenarios of ``ps`` (one step size) as one stack, one row each."""
+    alpha, beta, eps, t_end, dt, e1, e2 = _each(ps, "alpha", "beta", "eps", "t_end", "dt",
+                                                "e1", "e2")
+    reps = composite.gisin_telegraph(alpha, beta, eps, t_end, dt, e1=e1, e2=e2)
+    return [lambda r=r: _telegraph(r) for r in reps]
+
+
+def _run_mobilities(ps):
+    """The scenarios of ``ps`` (one step size) as one stack, one row each."""
+    reps = composite.mobility_telegraph(*_each(ps, "eps", "tilt", "t_end", "dt"))
+    return [lambda r=r: _telegraph(r) for r in reps]
 
 
 def _check_pair(p):
     composite._preparation_unitary(p["alpha"], p["beta"])
 
 
-def _run_no_signaling(p):
-    u = composite._preparation_unitary(p["alpha"], p["beta"])
-    rep = composite.no_signaling_check(p["description"], u, p["t_end"], p["dt"],
-                                       eps=p["eps"], e1=p["e1"], e2=p["e2"])
-    metrics = {"max_deviation": rep.max_deviation}
-    ok = rep.max_deviation < 1e-8 if p["expect"] == "silent" else rep.max_deviation > 1e-2
-    return {"t": rep.times, "deviation": rep.deviations}, metrics, ok
+def _run_no_signalings(ps):
+    """The scenarios of ``ps`` (one description and step size) as one stack,
+    two rows each: the singlet and its rotated copy."""
+    us = [composite._preparation_unitary(p["alpha"], p["beta"]) for p in ps]
+    eps, e1, e2, t_end, dt = _each(ps, "eps", "e1", "e2", "t_end", "dt")
+    reps = composite.no_signaling_check(ps[0]["description"], us, t_end, dt,
+                                        eps=eps, e1=e1, e2=e2)
+
+    def result(p, rep):
+        metrics = {"max_deviation": rep.max_deviation}
+        ok = rep.max_deviation < 1e-8 if p["expect"] == "silent" else rep.max_deviation > 1e-2
+        return {"t": rep.times, "deviation": rep.deviations}, metrics, ok
+    return [lambda p=p, rep=rep: result(p, rep) for p, rep in zip(ps, reps)]
+
+
+def _dt_eff(width):
+    """The group key of a wave flow of ``width`` entries a sample: its step
+    size t_end/nsteps (raises over the step or sample cap)."""
+    return lambda p: _step_grid(p["t_end"], p["dt"], width=width)[1]
 
 
 def _mixture(p):
@@ -487,8 +514,8 @@ def _run_bloch(p):
 
 def _run_intentions(ps):
     """The scenarios of ``ps`` (one grid) as one stack, one row each."""
-    rep = composite.intention_paradox(*([p[k] for p in ps] for k in ("lambda1", "lambda2", "f")),
-                                      ps[0]["t"], ps[0]["dt"])
+    rep = composite.intention_paradox(*_each(ps, "lambda1", "lambda2", "f"), ps[0]["t"],
+                                      ps[0]["dt"])
 
     def result(b):
         metrics = {"x_value": rep.x_value[b], "analytic_gap": rep.analytic_gap[b],
@@ -543,14 +570,14 @@ EXPERIMENTS = {
             Field("t_end", "real", default=40.0),
             Field("dt", "real", default=0.05),
         ),
-        _run_gisin, _check_pair, None),
+        _run_gisins, _check_pair, _dt_eff(4)),
     "mobility-telegraph": (
         "telegraph from a tilted correlation basis",
         (Field("eps", "real", default=0.1),
          Field("tilt", "real", default=float(np.pi / 8.0)),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_mobility, None, None),
+        _run_mobilities, None, _dt_eff(4)),
     "no-signaling": (
         "does a remote unitary move the local reduced state?",
         (Field("description", "str", default="polchinski-plain",
@@ -560,7 +587,8 @@ EXPERIMENTS = {
             Field("dt", "real", default=0.01),
             Field("expect", "str", default="silent", choices=("silent", "signal")),
         ),
-        _run_no_signaling, _check_pair, None),
+        _run_no_signalings, _check_pair,
+        lambda p: (p["description"], _dt_eff(8)(p))),
     "reduced-flow-variants": (
         "reduced-flow rotation rate: plain vs purity-weighted extension",
         (Field("eps_levels", "real_list", default=[1.0, -1.0]),

@@ -21,6 +21,7 @@ signal with a closed-form frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -39,6 +40,7 @@ from .observables import (
     ContractError,
     HomogeneousObservable,
     SingularObservableError,
+    _row_params,
     _shaped,
     bilinear,
     canonical,
@@ -46,7 +48,8 @@ from .observables import (
     nonlinear_operator,
     wirtinger_gradient,
 )
-from .dynamics import IntegrationError, _at, _fit_times, _rk4, _step_grid, integrate_nls
+from .dynamics import (IntegrationError, _at, _fit_times, _in_row, _rk4, _step_grid,
+                       integrate_nls)
 
 __all__ = [
     "TelegraphReport",
@@ -108,16 +111,19 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     of the state (:func:`rotate_subsystem`), with value H(R psi), gradient
     R^dagger g(R psi) and operator R^dagger M(R psi) R.
 
-    An ``h_sub`` of B parameter rows (its ``rows``) makes a composite of B
-    rows: each live slice of row b of a ``(..., k, d)`` stack takes row b's
-    parameters.  ``h_sub`` then gets every slice as one ``(..., d_rest, k,
-    d_sub)`` stack, a dead slice replaced by the first basis vector and its
-    result dropped; ``h_sub`` must be finite there in every row (else
-    :class:`ValidationError`, at construction).  A live slice then
-    gets the arithmetic of the one-matrix composite's slice stack, but for
-    its matrix product, one matmul per row in place of one over the stack:
-    bit for bit the same for a diagonal matrix (the atom's moment ladders),
-    and possibly not in the last bit for another.
+    Value, gradient and operator map one state or any ``(..., d)`` stack.
+    An ``h_sub`` of B parameter rows (its ``rows``: a matrix stack, or only
+    coefficients beside one matrix) makes a composite of B rows: each live
+    slice of row b of a ``(..., k, d)`` stack takes row b's parameters.
+    ``h_sub`` then gets every slice as one ``(..., d_rest, k, d_sub)`` stack,
+    a dead slice replaced by the first basis vector and its result dropped;
+    ``h_sub`` must be finite there in every row (else
+    :class:`ValidationError`, at construction).  A live slice then gets the
+    arithmetic of the one-matrix composite's slice stack, but for its matrix
+    product, one matmul per row in place of one over the stack: bit for bit
+    the same for a diagonal matrix (the atom's moment ladders, the telegraph
+    levels), and possibly not in the last bit for another.  Rows that differ
+    only in their coefficients keep the one product over the stack.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
@@ -184,8 +190,9 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
 
     def value(z, zc):
         z = np.asarray(z, dtype=complex)
-        if z.ndim not in (1, 2) or z.shape[-1] != dim_total:
-            raise ValidationError(f"state must have length {dim_total}")
+        if z.ndim == 0 or z.shape[-1] != dim_total:
+            raise ValidationError(f"a slice sum of {d_sub} x {d_rest} maps states of length "
+                                  f"{dim_total} or (..., {dim_total}) stacks, not shape {z.shape}")
         sl, live = live_slices(z)
         if rows:
             return each_slice(h_sub.value, sl, live, "values", 0).sum(axis=-1)
@@ -269,8 +276,8 @@ def gradient_flow_operator(obs: HomogeneousObservable) -> Callable:
 # Moment (lifted-operator) extensions
 
 
-def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
-                          eps: float = 1.0, slot: int = 1) -> HomogeneousObservable:
+def polchinski_functional(e2, epshat, dims, variant: str = "plain",
+                          eps=1.0, slot: int = 1) -> HomogeneousObservable:
     """Basis-independent pair extension built from lifted-operator moments.
 
     ``plain``:           H = e2 n + eps <L>^2 / n,
@@ -292,16 +299,28 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
     + 1 (x) t^T conj(t)) the Hessian of p (either slot).  Each operator of a
     stack is bit for bit its single-state build.  A zero state raises
     :class:`SingularObservableError`.
+
+    ``e2`` and ``eps`` may each be a ``(B,)`` sequence, one value per
+    parameter row (``rows`` = B): row b of a ``(..., k, d)`` stack takes the
+    b-th, and each row's gradient is bit for bit that of the one-value call
+    on a stack (the plain variant through :func:`bilinear`'s matrix stack
+    and :func:`moment_power`'s coefficients, the purity-weighted one with the
+    values as columns).
     """
     d0, d1 = dims
     lifted = lift_operator(epshat, dims, slot)
+    e2, eps = (float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float) for x in (e2, eps))
     if variant == "plain":
-        obs = bilinear(e2 * np.eye(d0 * d1)) + moment_power(lifted, 2, coeff=eps)
-        return replace(obs, label=f"moment-pair[plain, eps={eps:g}]")
+        obs = bilinear(np.multiply.outer(e2, np.eye(d0 * d1))) + moment_power(lifted, 2, coeff=eps)
+        return replace(obs, label=f"moment-pair[plain, eps={_g(eps)}]")
     if variant != "purity-weighted":
         raise ValidationError(f"unknown variant {variant!r}")
 
     zero = "purity-weighted form undefined at the zero vector"
+
+    def at(z, x, trail: int):
+        """x, or the values of the rows of stack z as a column over ``trail`` axes."""
+        return x if np.ndim(x) == 0 else _row_params(z, x)[(...,) + (None,) * trail]
 
     def moments(z: np.ndarray):
         """n, <L>, Tr(rho_sub^2), L z, the amplitude tensors and rho_sub of each state."""
@@ -317,8 +336,9 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         return n, m, p2, lz, t, rho
 
     def value(z, zc):
-        n, m, p2, *_ = moments(np.asarray(z, dtype=complex))
-        return e2 * n + eps * m ** 2 * p2 / n ** 3
+        z = np.asarray(z, dtype=complex)
+        n, m, p2, *_ = moments(z)
+        return at(z, e2, 0) * n + at(z, eps, 0) * m ** 2 * p2 / n ** 3
 
     def grad(z):
         z = np.asarray(z, dtype=complex)
@@ -328,10 +348,11 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         else:
             rho_psi = (rho @ t).reshape(z.shape)
         col = lambda c: np.asarray(c)[..., None]
-        return (e2 * z
-                + eps * col(2.0 * m * p2 / n ** 3) * lz
-                + eps * col(2.0 * m ** 2 / n ** 3) * rho_psi
-                - eps * col(3.0 * m ** 2 * p2 / n ** 4) * z)
+        e, x = at(z, e2, 1), at(z, eps, 1)
+        return (e * z
+                + x * col(2.0 * m * p2 / n ** 3) * lz
+                + x * col(2.0 * m ** 2 / n ** 3) * rho_psi
+                - x * col(3.0 * m ** 2 * p2 / n ** 4) * z)
 
     dim = d0 * d1
     lifted_t, eye, eye0, eye1 = lifted.T, np.eye(dim), np.eye(d0), np.eye(d1)
@@ -341,6 +362,7 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         z = np.asarray(z, dtype=complex)
         zs = z.reshape(-1, dim)
         k, zc = len(zs), zs.conj()
+        e, x = (np.broadcast_to(at(z, v, 0), z.shape[:-1]).reshape(k) for v in (e2, eps))
         n = np.add.reduce(zc * zs, axis=-1).real
         if not n.all():
             raise SingularObservableError(zero)
@@ -360,17 +382,23 @@ def polchinski_functional(e2: float, epshat, dims, variant: str = "plain",
         f_mm, f_mp = 2.0 * p / n3, 2.0 * m / n3
         f2 = np.stack([f_nn, f_nm, f_np, f_nm, f_mm, f_mp, f_np, f_mp, np.zeros(k)], axis=-1)
         col = lambda c: c[:, None, None]
-        out = (col(e2 - eps * 3.0 * mm * p / n4) * eye
-               + eps * (col(2.0 * m * p / n3) * lifted + col(mm / n3) * hp
-                        + g @ f2.reshape(k, 3, 3) @ np.swapaxes(g.conj(), -1, -2)))
+        out = (col(e - x * 3.0 * mm * p / n4) * eye
+               + col(x) * (col(2.0 * m * p / n3) * lifted + col(mm / n3) * hp
+                           + g @ f2.reshape(k, 3, 3) @ np.swapaxes(g.conj(), -1, -2)))
         return out.reshape(z.shape + (dim,))
 
     return HomogeneousObservable(
         evaluator=value,
-        label=f"moment-pair[purity-weighted, eps={eps:g}]",
+        label=f"moment-pair[purity-weighted, eps={_g(eps)}]",
         analytic_gradient=grad,
         analytic_operator=op,
+        rows=max(np.size(e2) * np.ndim(e2), np.size(eps) * np.ndim(eps)),
     )
+
+
+def _g(x) -> str:
+    """A number, or a sequence of them, for a label."""
+    return f"{x:g}" if np.ndim(x) == 0 else "[" + ", ".join(f"{v:g}" for v in x) + "]"
 
 
 @dataclass
@@ -508,12 +536,29 @@ def _preparation_unitary(alpha: complex, beta: complex) -> np.ndarray:
 
 @dataclass
 class TelegraphReport:
+    """A telegraph's local <sigma_2> signal and its closed-form prediction.
+
+    The sinusoid fit (:func:`_fit_sinusoid`) runs when ``fitted_frequency``
+    or ``fitted_amplitude`` is first read, so each member of a stack fits on
+    its own: a signal too short to fit raises :class:`ValidationError` there.
+    """
+
     times: np.ndarray
     signal: np.ndarray
-    fitted_frequency: float
-    fitted_amplitude: float
     predicted_frequency: float
     predicted_amplitude: float
+
+    @cached_property
+    def _fit(self):
+        return _fit_sinusoid(self.times, self.signal)
+
+    @property
+    def fitted_frequency(self) -> float:
+        return self._fit[1]
+
+    @property
+    def fitted_amplitude(self) -> float:
+        return self._fit[0]
 
 
 def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
@@ -559,23 +604,100 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     return float(np.hypot(sol[0], sol[1])), float(w), float(sol[2])
 
 
-def _telegraph(total: HomogeneousObservable, t0: np.ndarray, keep: int, t_end: float,
-               dt: float, predicted_frequency: float,
-               predicted_amplitude: float) -> TelegraphReport:
-    """Integrate the pair amplitude ``t0`` and fit the local <sigma_2> of factor ``keep``."""
-    traj = integrate_nls(lambda z: nonlinear_operator(total, z), t0.reshape(-1), t_end, dt,
-                         flow=total.analytic_gradient)
-    rho = reduced_states(traj.amplitudes(), (2, 2), keep)
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    signal = np.einsum("tkl,lk->t", rho, sigma2).real / tr
-    amp, w, _ = _fit_sinusoid(traj.times, signal)
-    return TelegraphReport(times=traj.times, signal=signal, fitted_frequency=w,
-                           fitted_amplitude=amp, predicted_frequency=predicted_frequency,
-                           predicted_amplitude=predicted_amplitude)
+def _members(*values, ranks=()) -> tuple:
+    """Each of ``values`` as a list of one entry per member, and whether any
+    came per member.  A value of its rank (its ndim: ``ranks`` gives the
+    leading values', 0 the others') is every member's; a sequence of B of
+    them gives one to each of B members.  :class:`ValidationError` for an
+    empty sequence, or sequences of two lengths."""
+    ranks = tuple(ranks) + (0,) * (len(values) - len(ranks))
+    each = [np.ndim(v) > r for v, r in zip(values, ranks)]
+    sizes = {len(v) for v, e in zip(values, each) if e}
+    if len(sizes) > 1 or 0 in sizes:
+        raise ValidationError("values per member need one length, at least 1: got "
+                              f"{sorted(sizes)}")
+    count = sizes.pop() if sizes else 1
+    return [list(v) if e else [v] * count for v, e in zip(values, each)], any(each)
 
 
-def gisin_telegraph(alpha: complex, beta: complex, eps: float, t_end: float, dt: float, *,
-                    e1: float = 0.0, e2: float = 0.0) -> TelegraphReport:
+def _pair_total(description: str, e1, e2, eps) -> HomogeneousObservable:
+    """``e1 n`` plus the pair extension ``description`` of
+    :func:`no_signaling_check` (``"weinberg"`` is also the Gisin telegraph's),
+    of one value of e1, e2 and eps, or of one per parameter row."""
+    if description == "weinberg":
+        if np.ndim(eps) == 0:
+            h_sub = canonical(e2, e2, eps)
+        else:   # canonical's matrices, row by row: +0 off the diagonal
+            h_sub = (bilinear([np.diag([complex(x)] * 2) for x in e2])
+                     + moment_power(sigma3, 2, coeff=eps))
+        pair = weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1)
+    elif description in ("polchinski-plain", "polchinski-purity"):
+        variant = "plain" if description == "polchinski-plain" else "purity-weighted"
+        pair = polchinski_functional(e2, sigma3, (2, 2), variant=variant, eps=eps)
+    else:
+        raise ValidationError(f"unknown description {description!r}")
+    return bilinear(np.multiply.outer(e1, np.eye(4))) + pair
+
+
+def _pair_runs(total_of: Callable, states: np.ndarray, t_end: list, dt: list, *params) -> list:
+    """Integrate the pair states of each member, a ``(B, r, 4)`` array of r
+    rows a member, under ``total_of`` of its own ``params`` (one list of B
+    values each) up to its own ``t_end``.
+
+    One member runs alone, as one state or as the stack of its r.  More run
+    as one RK4 stack of B r parameter rows, longest horizon first, each row
+    leaving it at its own horizon and each bit for bit its solo run (the
+    ``per_row`` pairs of :func:`~nlqm.dynamics.integrate_nls` are the
+    members' own functionals).  Returns each member's ``(times, (T, r, 4)
+    samples)``.  An :class:`IntegrationError` that names a row of the stack
+    names its member instead, in the text and as ``row``.
+    """
+    members, r = states.shape[:2]
+    if members == 1:
+        total = total_of(*(x[0] for x in params))
+        traj = integrate_nls(lambda z: nonlinear_operator(total, z),
+                             states[0] if r > 1 else states[0, 0], t_end[0], dt[0],
+                             flow=total.analytic_gradient)
+        return [(traj.times, traj.amplitudes().reshape(len(traj.times), r, -1))]
+    order = sorted(range(members), key=lambda b: -t_end[b])
+    rows = np.repeat(order, r)   # the member of each row
+    total = total_of(*(np.asarray(x, dtype=float)[rows] for x in params))
+    alone = {b: total_of(*(x[b] for x in params)) for b in order}
+    per_row = [(lambda z, o=alone[b]: nonlinear_operator(o, z), alone[b].analytic_gradient)
+               for b in rows]
+    try:
+        traj = integrate_nls(lambda z: nonlinear_operator(total, z),
+                             states[order].reshape(members * r, -1), [t_end[b] for b in rows],
+                             [dt[b] for b in rows], flow=total.analytic_gradient, per_row=per_row)
+    except IntegrationError as e:
+        if e.row is None:
+            raise
+        member = int(rows[e.row])
+        raise IntegrationError(str(e).replace(_in_row(e.row), _in_row(member)),
+                               t=e.t, row=member) from None
+    amps, runs = traj.amplitudes(), {}
+    for k, b in enumerate(order):
+        end = traj.ends[k * r]
+        runs[b] = (traj.times[:end + 1], np.ascontiguousarray(amps[:end + 1, k * r:(k + 1) * r]))
+    return [runs[b] for b in range(members)]
+
+
+def _telegraphs(total_of: Callable, states: list, keep: int, t_end: list, dt: list,
+                predicted: list, *params) -> list:
+    """Integrate each member's pair amplitude (:func:`_pair_runs`) and report
+    the local <sigma_2> of factor ``keep`` beside its predicted (frequency,
+    amplitude)."""
+    reports = []
+    for (times, amps), pred in zip(_pair_runs(total_of, np.stack(states)[:, None], t_end, dt,
+                                              *params), predicted):
+        rho = reduced_states(amps[:, 0], (2, 2), keep)
+        tr = np.trace(rho, axis1=1, axis2=2).real
+        signal = np.einsum("tkl,lk->t", rho, sigma2).real / tr
+        reports.append(TelegraphReport(times, signal, *pred))
+    return reports
+
+
+def gisin_telegraph(alpha, beta, eps, t_end, dt, *, e1=0.0, e2=0.0):
     """Entangled-pair telegraph under the slice-sum extension.
 
     One particle is linear, the partner carries the quadratic-moment
@@ -586,20 +708,32 @@ def gisin_telegraph(alpha: complex, beta: complex, eps: float, t_end: float, dt:
 
     with amplitude 2 |Re(conj(alpha) beta)| — a nonzero local signal created
     purely by the distant preparation basis.  ``e1`` weighs the pair's norm
-    and ``e2`` both levels of the partner's family.
+    and ``e2`` both levels of the partner's family.  Returns a
+    :class:`TelegraphReport`.
+
+    Every argument may also be a sequence of B values, one per member (a
+    number is every member's).  The B members then integrate as one RK4
+    stack, each with its own parameters and up to its own ``t_end``, on one
+    step size (see :func:`~nlqm.dynamics.integrate_nls`), and the result is
+    the list of their reports, each what its own call gives.  An
+    :class:`~nlqm.dynamics.IntegrationError` of the stack gives the member's
+    index as ``row``.
     """
-    a, b = complex(alpha), complex(beta)
-    _preparation_unitary(a, b)
-    h_sub = canonical(e2, e2, eps)
-    total = (bilinear(e1 * np.eye(4))
-             + weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1))
-    t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
-    return _telegraph(total, t0, 1, t_end, dt,
-                      abs(4.0 * eps * (abs(a) ** 2 - abs(b) ** 2)),
-                      abs(2.0 * (a.conjugate() * b).real))
+    (alpha, beta, eps, e1, e2, t_end, dt), many = _members(alpha, beta, eps, e1, e2, t_end, dt)
+    states, predicted = [], []
+    for a, b, x in zip(alpha, beta, eps):
+        a, b = complex(a), complex(b)
+        _preparation_unitary(a, b)
+        t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
+        states.append(t0.reshape(-1))
+        predicted.append((abs(4.0 * x * (abs(a) ** 2 - abs(b) ** 2)),
+                          abs(2.0 * (a.conjugate() * b).real)))
+    reports = _telegraphs(partial(_pair_total, "weinberg"), states, 1, t_end, dt, predicted,
+                          e1, e2, eps)
+    return reports if many else reports[0]
 
 
-def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> TelegraphReport:
+def mobility_telegraph(eps, tilt, t_end, dt):
     """Telegraph driven by tilting the correlated basis, not the preparation.
 
     The pair perfectly correlates spectator basis states with the tilted frame
@@ -609,15 +743,21 @@ def mobility_telegraph(eps: float, tilt: float, t_end: float, dt: float) -> Tele
         omega = 4 eps cos(2 tilt)
 
     with amplitude sin(2 tilt): at tilt = 0 the frame is the functional's own
-    eigenframe and the signal vanishes.
+    eigenframe and the signal vanishes.  Returns a :class:`TelegraphReport`,
+    or a list of them for sequences of B values, as :func:`gisin_telegraph`
+    takes them.
     """
-    phi = np.array([np.cos(tilt), np.sin(tilt)], dtype=complex)
-    phi_perp = np.array([np.sin(tilt), -np.cos(tilt)], dtype=complex)
-    h_sub = moment_power(sigma3, 2, coeff=eps)
-    total = weinberg_composite(h_sub, 2, 2, np.eye(2), sub_slot=1)
-    t0 = np.stack([phi, phi_perp]) / np.sqrt(2.0)
-    return _telegraph(total, t0, 0, t_end, dt, abs(4.0 * eps * np.cos(2.0 * tilt)),
-                      abs(np.sin(2.0 * tilt)))
+    (eps, tilt, t_end, dt), many = _members(eps, tilt, t_end, dt)
+    states = []
+    for x in tilt:
+        phi = np.array([np.cos(x), np.sin(x)], dtype=complex)
+        phi_perp = np.array([np.sin(x), -np.cos(x)], dtype=complex)
+        states.append((np.stack([phi, phi_perp]) / np.sqrt(2.0)).reshape(-1))
+    predicted = [(abs(4.0 * e * np.cos(2.0 * x)), abs(np.sin(2.0 * x))) for e, x in zip(eps, tilt)]
+    total_of = lambda c: weinberg_composite(moment_power(sigma3, 2, coeff=c), 2, 2, np.eye(2),
+                                            sub_slot=1)
+    reports = _telegraphs(total_of, states, 0, t_end, dt, predicted, eps)
+    return reports if many else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +771,7 @@ class NoSignalingReport:
     max_deviation: float
 
 
-def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
-                       eps: float, e1: float = 0.0, e2: float = 0.0) -> NoSignalingReport:
+def no_signaling_check(description: str, remote_u, t_end, dt, *, eps, e1=0.0, e2=0.0):
     """Does a remote unitary move the local reduced density matrix?
 
     Evolves the singlet and its slot-0-rotated copy under the extension named
@@ -641,31 +780,32 @@ def no_signaling_check(description: str, remote_u, t_end: float, dt: float, *,
     density matrices over time.  The moment extensions stay at numerical zero;
     the slice sum, sliced in slot 0's computational basis, sees the rotation
     as a change of that basis and shows an order-one deviation for a generic
-    one (rotations preserving the slice structure produce none).
-    """
-    u = _unitary(remote_u, 2)
-    if description == "weinberg":
-        pair = weinberg_composite(canonical(e2, e2, eps), 2, 2, np.eye(2), sub_slot=1)
-    elif description in ("polchinski-plain", "polchinski-purity"):
-        variant = "plain" if description == "polchinski-plain" else "purity-weighted"
-        pair = polchinski_functional(e2, sigma3, (2, 2), variant=variant, eps=eps)
-    else:
-        raise ValidationError(f"unknown description {description!r}")
-    total = bilinear(e1 * np.eye(4)) + pair
+    one (rotations preserving the slice structure produce none).  Returns a
+    :class:`NoSignalingReport`.
 
+    ``remote_u`` may also be a sequence of B unitaries, and ``eps``, ``e1``,
+    ``e2``, ``t_end`` and ``dt`` sequences of B values, one per member (a
+    single value is every member's).  The 2 B states then integrate as one
+    RK4 stack, each member's pair with its own parameters and up to its own
+    ``t_end``, on one step size (see :func:`~nlqm.dynamics.integrate_nls`),
+    and the result is the list of their reports, each what its own call
+    gives.  An :class:`~nlqm.dynamics.IntegrationError` of the stack gives
+    the member's index as ``row``.
+    """
+    (us, eps, e1, e2, t_end, dt), many = _members(remote_u, eps, e1, e2, t_end, dt, ranks=(2,))
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
-    rotated = rotate_subsystem(singlet, (2, 2), u, slot=0)
     # The operator satisfies A_hat psi = dH/dpsibar, so the RK4 stages can
-    # take the gradient directly, for both states as one stack.
-    traj = integrate_nls(lambda z: nonlinear_operator(total, z), np.stack([singlet, rotated]),
-                         t_end, dt, flow=total.analytic_gradient)
-    rho = reduced_states(traj.amplitudes().reshape(-1, 4), (2, 2), keep=1)
-    devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
-    return NoSignalingReport(
-        times=traj.times,
-        deviations=devs,
-        max_deviation=float(np.max(devs)),
-    )
+    # take the gradient directly, for both states of a member as one stack.
+    states = np.stack([[singlet, rotate_subsystem(singlet, (2, 2), _unitary(u, 2), slot=0)]
+                       for u in us])
+    reports = []
+    for times, amps in _pair_runs(partial(_pair_total, description), states, t_end, dt,
+                                  e1, e2, eps):
+        rho = reduced_states(amps.reshape(-1, 4), (2, 2), keep=1)
+        devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
+        reports.append(NoSignalingReport(times=times, deviations=devs,
+                                         max_deviation=float(np.max(devs))))
+    return reports if many else reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,10 @@ class HomogeneousObservable:
     rows:
         0 when one set of parameters serves every state.  B for an observable
         of B parameter rows (:func:`bilinear` and :func:`moment_power` of a
-        ``(B, d, d)`` matrix stack, and sums and slice sums of them): its
-        callables map ``(..., k, d)`` stacks with k <= B, row b with the b-th
-        parameters, and refuse a single state with a :class:`ContractError`.
+        ``(B, d, d)`` matrix stack, :func:`moment_power` of B coefficients,
+        and sums and slice sums of them): its callables map ``(..., k, d)``
+        stacks with k <= B, row b with the b-th parameters, and refuse a
+        single state with a :class:`ContractError`.
 
     Both derivatives are required: an observable without a callable
     gradient or operator raises :class:`ValidationError`.
@@ -256,13 +257,14 @@ def _matrices(m) -> np.ndarray:
     return HermitianOperator(m).entries
 
 
-def _row_matrices(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """The matrices of the rows of a ``(..., k, d)`` stack ``z``: the first k
-    of the ``(B, d, d)`` stack ``mat``; :class:`ContractError` unless k <= B."""
-    if z.ndim < 2 or z.shape[-2] > len(mat):
-        raise ContractError(f"an observable of {len(mat)} parameter rows maps (..., k, d) "
-                            f"stacks with k <= {len(mat)}, not states of shape {z.shape}")
-    return mat[:z.shape[-2]]
+def _row_params(z: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+    """The parameters of the rows of a ``(..., k, d)`` stack ``z``: the first k
+    of the B rows of ``per_row`` (matrices or coefficients); :class:`ContractError`
+    unless k <= B."""
+    if z.ndim < 2 or z.shape[-2] > len(per_row):
+        raise ContractError(f"an observable of {len(per_row)} parameter rows maps (..., k, d) "
+                            f"stacks with k <= {len(per_row)}, not states of shape {z.shape}")
+    return per_row[:z.shape[-2]]
 
 
 def _times(mat: np.ndarray) -> Callable:
@@ -275,7 +277,7 @@ def _times(mat: np.ndarray) -> Callable:
 
     def per_row(z):
         z = np.asarray(z)
-        return np.matmul(z[..., None, :], _row_matrices(z, mat_t))[..., 0, :]
+        return np.matmul(z[..., None, :], _row_params(z, mat_t))[..., 0, :]
     return per_row
 
 
@@ -283,7 +285,7 @@ def _stacked(mat: np.ndarray, z) -> np.ndarray:
     """A fresh copy of the state-independent ``mat`` per state of ``z`` (of a
     ``(B, d, d)`` stack, row b's matrix for row b)."""
     if mat.ndim == 3:
-        mat = _row_matrices(np.asarray(z), mat)
+        mat = _row_params(np.asarray(z), mat)
     return np.array(np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape[-2:]))
 
 
@@ -315,7 +317,7 @@ def bilinear(m, label: str = "") -> HomogeneousObservable:
     )
 
 
-def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> HomogeneousObservable:
+def moment_power(m, power: int, coeff=1.0, label: str = "") -> HomogeneousObservable:
     """The power family ``c * <psi|M psi>^p / n^(p-1)``.
 
     With ``s = <psi|M psi>/n`` and ``v = (M - s) psi`` the closed forms are
@@ -339,15 +341,30 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
     stack keeps the array ``**``, as the one-matrix call on the states of its
     row does (a slice sum's slices, see
     :func:`~nlqm.composite.weinberg_composite`).
+
+    ``coeff`` may be a ``(B,)`` sequence, one coefficient per parameter row
+    beside one shared ``M`` (``rows`` = B).  Such rows keep the one-matrix
+    arithmetic (one product over the stack, the array ``**``), the
+    coefficient applied as a column: each row is bit for bit the one-matrix
+    call with its own coefficient on a stack, as a no-signaling pair or a
+    slice sum's slices make.
     """
     mat = _matrices(m)
     p = int(power)
-    c = float(coeff)
-    name = label or f"{c:g}*<M>^{p}/n^{p - 1}"
+    cs = np.asarray(coeff, dtype=float)
+    c = float(cs) if cs.ndim == 0 else None
+    shared = mat.ndim == 2
+    if not (shared or c is not None or len(cs) == len(mat)):
+        raise ValidationError(f"need one coefficient or {len(mat)}, got {len(cs)}")
+    name = label or (f"{c:g}" if c is not None else "c") + f"*<M>^{p}/n^{p - 1}"
 
     times = _times(mat)
-    rows = len(mat) if mat.ndim == 3 else 0
+    rows = len(mat) if not shared else 0 if c is not None else len(cs)
     pf, qf = float(p), float(p - 1)   # the same products, without an int conversion
+
+    def coef(z, trail: int):
+        """c, or the coefficients of z's rows as a column over ``trail`` axes."""
+        return c if c is not None else _row_params(z, cs)[(...,) + (None,) * trail]
 
     def _mu_n(z, zc):
         mz = times(z)
@@ -359,30 +376,33 @@ def moment_power(m, power: int, coeff: float = 1.0, label: str = "") -> Homogene
         return mz, mu, n
 
     def ev(z, zc):
+        k = coef(z, 0)   # each callable refuses rows it lacks before any arithmetic
         _, mu, n = _mu_n(z, zc)
-        return c * mu ** p / n ** (p - 1)
+        return k * mu ** p / n ** (p - 1)
 
     def grad(z):
         z = np.asarray(z)
+        k = coef(z, 1)
         mz, mu, n = _mu_n(z, z.conj())
         s = mu / n
         if z.ndim > 1:
             s = s[..., None]
-        if rows and p == 2 and z.ndim == 2:   # s ** 1 is s, in either form
-            return c * (pf * s * mz - qf * np.float_power(s, 2) * z)
-        return c * (pf * s ** (p - 1) * mz - qf * s ** p * z)
+        if not shared and p == 2 and z.ndim == 2:   # s ** 1 is s, in either form
+            return k * (pf * s * mz - qf * np.float_power(s, 2) * z)
+        return k * (pf * s ** (p - 1) * mz - qf * s ** p * z)
 
     def op(z):
         zc = np.conj(z)
+        k = coef(z, 2)
         mz, mu, n = _mu_n(z, zc)
         s = mu / n
         sm = np.asarray(s)[..., None, None]
         dim = z.shape[-1]
-        m_z = _row_matrices(z, mat) if rows else mat
-        out = c * (p * sm ** (p - 1) * m_z - (p - 1) * sm ** p * np.eye(dim, dtype=complex))
+        m_z = mat if shared else _row_params(z, mat)
+        out = k * (p * sm ** (p - 1) * m_z - (p - 1) * sm ** p * np.eye(dim, dtype=complex))
         if p * (p - 1) != 0:
             v = mz - np.asarray(s)[..., None] * z
-            w = np.asarray(c * p * (p - 1) * s ** (p - 2) / n)[..., None, None]
+            w = np.asarray(coef(z, 0) * p * (p - 1) * s ** (p - 2) / n)[..., None, None]
             out = out + w * (v[..., :, None] * v.conj()[..., None, :])
         return out
 

@@ -320,7 +320,19 @@ STATIC_VIOLATIONS = {
                             "state"),
     "eigenfrequency-state-zero": ({"experiment": "eigenfrequency", "e_levels": [0.0, 1.0],
                                    "eps_levels": [0.5, -0.5], "state": [0.0, 0.0]},
-                                  "state must be nonzero"),
+                                  "state must have a squared norm that is a normal"),
+    # squared norms near 1e-320 and 2e-320 are subnormal: the states are finite,
+    # but their runs failed on "entries contains non-finite entries" (exit 1)
+    "eigenfrequency-state-subnormal": ({"experiment": "eigenfrequency", "e_levels": [0.0, 1.0],
+                                        "eps_levels": [0.5, -0.5],
+                                        "state": [[1e-160, 0.0], [0.0, 0.0]]},
+                                       "a normal finite float, got 9.99989e-321"),
+    "diagonal-state-subnormal": ({"experiment": "diagonal-census",
+                                  "state": [[1e-160, 0.0], [1e-160, 0.0]]},
+                                 "a normal finite float, got 1.99998e-320"),
+    # and one whose square overflows
+    "diagonal-state-overflow": ({"experiment": "diagonal-census", "state": [1e200, 0.0]},
+                                "got inf"),
     # each of these ran another family than the one named
     **{f"{exp}-even-power-{power}": (dict(extra, experiment=exp, family="even-power", power=power),
                                      "power must be even and at least 2")
@@ -676,18 +688,16 @@ def test_values_near_the_float_range_fail_their_scenario_and_print_nothing(tmp_p
 
 
 def test_a_tiny_or_huge_census_state_fails_its_scenario_and_prints_nothing(tmp_path, capfd):
-    # the cubic evaluator's 0/0 or overflow is refused as singular, and the
-    # canonical operator's non-finite entries as invalid, each unwarned
+    # the cubic evaluator's 0/0 or overflow is refused as singular, unwarned
+    # (a state whose squared norm is subnormal is refused by the schema)
     cases = {"tiny": ("cubic", [6e-101, 8e-101], "SingularObservableError"),
-             "huge": ("cubic", [1e154, 0.5], "SingularObservableError"),
-             "tiny-canonical": ("canonical", [1e-160, 1e-160], "ValidationError")}
+             "huge": ("cubic", [1e154, 0.5], "SingularObservableError")}
     reports = _failed_reports(tmp_path, [
         {"experiment": "diagonal-census", "name": name, "family": family, "state": state}
         for name, (family, state, _) in cases.items()])
     assert capfd.readouterr().err == ""
     for name, (_, _, error_type) in cases.items():
         assert reports[name]["error_type"] == error_type
-    assert reports["tiny-canonical"]["error"] == "entries contains non-finite entries"
 
 
 def _outputs(out):
@@ -706,10 +716,15 @@ def _solo_runs(tmp_path, scenarios, capsys):
     return codes, _outputs(tmp_path / "solo"), lines
 
 
-# the rows of each spied stack: its variants, its lambda1 or its initial states
+# the rows of each spied stack: its variants, its lambda1, its initial states,
+# its alphas or eps values (one row a member), or the two states of each
+# remote unitary
 _STACK_ROWS = {"polchinski_reduced_flow": lambda args: len(np.atleast_1d(args[0])),
                "intention_paradox": lambda args: len(np.atleast_1d(args[0])),
-               "inversion_trajectory": lambda args: len(np.atleast_2d(args[1]))}
+               "inversion_trajectory": lambda args: len(np.atleast_2d(args[1])),
+               "gisin_telegraph": lambda args: len(np.atleast_1d(args[0])),
+               "mobility_telegraph": lambda args: len(np.atleast_1d(args[0])),
+               "no_signaling_check": lambda args: 2 * len(np.reshape(args[1], (-1, 2, 2)))}
 
 
 def _spied(monkeypatch, *fns):
@@ -718,16 +733,17 @@ def _spied(monkeypatch, *fns):
     stacks = []
     for fn in fns:
         module = nlqm.atom if fn == "inversion_trajectory" else nlqm.composite
-        def call(*args, fn=fn, real=getattr(module, fn)):
+        def call(*args, fn=fn, real=getattr(module, fn), **kwargs):
             stacks.append((fn, _STACK_ROWS[fn](args)))
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, fn, call)
     return stacks
 
 
 def _grouping_case(exp):
     """Scenarios with groups of ``exp`` among others; the stacks they integrate,
-    in order, as ``(fn, rows)``; and the names of the members that fail."""
+    in order, as ``(fn, rows)``; and the members that fail, each name mapped
+    to a part of its error, or to None for a failed check."""
     flows, mixtures = (_scenarios(os.path.join(CONFIG_DIR, f"{stem}.json"))
                        for stem in ("reduced-flow-variants", "intention-paradox"))
     other_grid = {"experiment": "reduced-flow-variants", "name": "other-grid", "t_end": 4.0}
@@ -741,11 +757,38 @@ def _grouping_case(exp):
         return ([flows[0], mixtures[0], other_grid, mixtures[1], flows[1], mixtures[2],
                  other_f],
                 [("polchinski_reduced_flow", 4), ("intention_paradox", 4),
-                 ("polchinski_reduced_flow", 2)], set())
+                 ("polchinski_reduced_flow", 2)], {})
     if exp == "intention-paradox":
         # the paradoxes first, with the flows and a census between them
         return ([mixtures[0], flows[1], between, mixtures[1], other_f, flows[0], mixtures[2]],
-                [("intention_paradox", 4), ("polchinski_reduced_flow", 4)], set())
+                [("intention_paradox", 4), ("polchinski_reduced_flow", 4)], {})
+    if exp in ("gisin-telegraph", "mobility-telegraph"):
+        # the bundled scenario and members of its step size 0.05, each with
+        # its own parameters and horizon: "fit" has three samples, so its
+        # fit fails on its own after the one integration; another step size
+        # is a group of one
+        [bundled] = _scenarios(os.path.join(CONFIG_DIR, f"{exp}.json"))
+        own = ({"alpha": np.cos(0.4), "beta": np.sin(0.4), "eps": 0.3, "e1": -0.2, "e2": 0.4}
+               if exp == "gisin-telegraph" else {"eps": 0.3, "tilt": 0.3})
+        members = [bundled, dict(own, experiment=exp, name="own", t_end=20.0), between,
+                   dict(own, experiment=exp, name="fit", t_end=0.1),
+                   dict(own, experiment=exp, name="other-dt", t_end=20.0, dt=0.04)]
+        fn = exp.replace("-", "_")
+        return members, [(fn, 3), (fn, 1)], {"fit": "too short"}
+    if exp == "no-signaling":
+        # the three bundled descriptions (t_end 5) and a member of each on
+        # half that horizon, whose two rows leave the stack after t = 2.5;
+        # "blown" (e1 = 1e154) blows up in its rows of the plain stack of six,
+        # so it reruns alone and the other two run again as a stack of four
+        bundled = _scenarios(os.path.join(CONFIG_DIR, "no-signaling.json"))
+        half = {"experiment": exp, "t_end": 2.5, "alpha": [0.6, 0.0], "beta": [0.0, 0.8],
+                "eps": 0.4, "e1": -0.3, "e2": 0.7}
+        members = bundled + [dict(half, name="blown", e1=1e154), between] + [
+            dict(half, name=f"half-{sc['name']}", description=sc["description"],
+                 expect=sc["expect"]) for sc in bundled]
+        fn = "no_signaling_check"
+        return (members, [(fn, 6), (fn, 2), (fn, 4), (fn, 4), (fn, 4)],
+                {"blown": "solution blew up at t = 0.01 in row 0"})
     # five polchinski members of one step size, each with its own parameters
     # and horizon: "leaky" reaches the top Fock layer, so the stack of five
     # fails in its row and it reruns alone, then the other four as a stack,
@@ -763,7 +806,7 @@ def _grouping_case(exp):
                     compare="none"),
                dict(atom, name="other-dt", t_end=1.0, dt=0.004)]
     return (members, [("inversion_trajectory", n) for n in (5, 1, 4, 1, 1)],
-            {"strict", "leaky"})
+            {"strict": None, "leaky": "top Fock layer"})
 
 
 @pytest.mark.parametrize("exp", [exp for exp, entry in EXPERIMENTS.items() if entry[4]])
@@ -786,8 +829,10 @@ def test_grouped_scenarios_write_the_bytes_of_their_solo_runs(exp, tmp_path, cap
     assert {f"{sc['name']}.report.json" for sc in scenarios} <= set(grouped)
     if not failing:
         assert len(grouped) == 2 * len(scenarios)
-    else:
-        assert "top Fock layer" in json.loads(grouped["leaky.report.json"])["error"]
+    for name, message in failing.items():
+        report = json.loads(grouped[f"{name}.report.json"])
+        assert report["passed"] is False
+        assert message is None or message in report["error"]
 
 
 def test_a_failing_group_member_fails_only_its_own_report(tmp_path, capsys, monkeypatch):

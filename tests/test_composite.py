@@ -6,6 +6,7 @@ Telegraph expectations come from the closed forms: the rotated singlet
 variant oscillates at 4 eps cos(2 tilt) with amplitude sin(2 tilt).
 """
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -663,6 +664,91 @@ def test_purity_weighted_functional_takes_stacks(rng):
 def test_no_signaling_rejects_unknown_description():
     with pytest.raises(ValidationError):
         no_signaling_check("telepathy", np.eye(2), 1.0, 0.1, eps=0.1)
+
+
+def _recorded(monkeypatch):
+    """The trajectories of every later ``integrate_nls`` call of ``composite``."""
+    trajs = []
+    real = nlqm.composite.integrate_nls
+
+    def record(*args, **kwargs):
+        trajs.append(real(*args, **kwargs))
+        return trajs[-1]
+    monkeypatch.setattr(nlqm.composite, "integrate_nls", record)
+    return trajs
+
+
+def _pair_members(kind):
+    """A telegraph, or a no-signaling description, with the keyword arguments
+    of three members of their own parameters, the second on half the horizon
+    of the others; and the report fields that hold its series."""
+    angles = (0.4, 0.3, 0.5)
+    common = {"t_end": [2.0, 1.0, 2.0], "dt": 0.01, "eps": [0.3, 0.25, 0.35]}
+    levels = {"e1": [0.0, -0.2, 0.3], "e2": [0.0, 0.4, -0.1]}
+    if kind == "gisin":
+        return gisin_telegraph, dict(common, **levels, alpha=list(np.cos(angles)),
+                                     beta=[np.sin(a) * np.exp(0.3j) for a in angles]), "signal"
+    if kind == "mobility":
+        return mobility_telegraph, dict(common, tilt=list(angles)), "signal"
+    us = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], dtype=complex)
+          for a in angles]
+    return (lambda **kw: no_signaling_check(kind, **kw), dict(common, **levels, remote_u=us),
+            "deviations")
+
+
+@pytest.mark.parametrize("kind", ("gisin", "mobility", "polchinski-plain", "polchinski-purity",
+                                  "weinberg"))
+def test_each_member_of_a_pair_stack_keeps_the_bits_of_its_solo_run(kind, monkeypatch):
+    # a telegraph member alone is one state, a no-signaling member the stack
+    # of its singlet and rotated copy: its rows of the one stack of all three
+    # are bit for bit those samples up to its own horizon, zero after it, and
+    # its report is the one its own call gives
+    fn, kwargs, series = _pair_members(kind)
+    trajs = _recorded(monkeypatch)
+    reports = fn(**kwargs)
+    [stack] = trajs
+    amps = stack.amplitudes()
+    r = amps.shape[1] // 3
+    assert len(reports) == 3 and stack.times.size == 201
+    for b in range(3):
+        alone = fn(**{k: v[b] if isinstance(v, list) else v for k, v in kwargs.items()})
+        solo = trajs[-1].amplitudes().reshape(len(trajs[-1].times), r, 4)
+        # the member's rows are those that start where its solo run starts
+        [k] = [k for k in range(3) if amps[0, k * r:(k + 1) * r].tobytes() == solo[0].tobytes()]
+        assert amps[:len(solo), k * r:(k + 1) * r].tobytes() == solo.tobytes()
+        assert not amps[len(solo):, k * r:(k + 1) * r].any()
+        for field in ("times", series):
+            assert getattr(reports[b], field).tobytes() == getattr(alone, field).tobytes()
+    assert len(trajs[-1].times) == 201 and len(trajs[-2].times) == 101
+
+
+def test_a_pair_stack_names_the_member_that_blows_up():
+    # e1 = 1e154 overflows the stages of its member's rows; the error names
+    # the member, wherever the longest-first order put its rows
+    u = np.array([[ALPHA, -BETA], [BETA, ALPHA]], dtype=complex)
+    for t_end, e1, member in (([1.0, 1.0, 0.5], [0.0, 0.0, 1e154], 2),
+                              ([0.5, 1.0, 1.0], [1e154, 0.0, 0.0], 0)):
+        with pytest.raises(IntegrationError,
+                           match=rf"^solution blew up at t = 0\.01 in row {member}$") as err:
+            no_signaling_check("polchinski-plain", [u] * 3, t_end, 0.01, eps=0.3, e1=e1)
+        assert (err.value.t, err.value.row) == (0.01, member)
+    with pytest.raises(ValidationError, match=r"one length, at least 1: got \[1, 2\]"):
+        gisin_telegraph([ALPHA, ALPHA], [BETA], 0.1, 1.0, 0.05)
+    with pytest.raises(ValidationError, match=r"got \[0\]"):
+        mobility_telegraph([], 0.1, 1.0, 0.05)
+
+
+def test_a_slice_sum_maps_any_stack_and_names_a_shape_it_refuses(rng):
+    obs = weinberg_composite(canonical(0, 1, 0.5), 2, 2, np.eye(2))
+    for z in (np.ones((3, 2, 4)), _rand(rng, 24).reshape(3, 2, 4)):
+        values = obs.value(z)
+        assert values.shape == (3, 2)
+        npt.assert_allclose(values, [[obs.value(row) for row in rows] for rows in z], rtol=1e-14)
+        assert obs.analytic_gradient(z).shape == (3, 2, 4)
+        assert obs.analytic_operator(z).shape == (3, 2, 4, 4)
+    for bad in (np.ones(5), np.ones((3, 2, 5))):
+        with pytest.raises(ValidationError, match=re.escape(f"not shape {bad.shape}")):
+            obs.value(bad)
 
 
 # ---------------------------------------------------------------------------

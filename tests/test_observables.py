@@ -549,6 +549,38 @@ def test_a_matrix_stack_refuses_one_state_and_rows_it_does_not_have(rng):
         bilinear(np.stack([nlqm.sigma3, [[0.0, 1.0], [0.0, 0.0]]]))
 
 
+def test_coefficient_rows_keep_the_shared_matrix_square(rng):
+    # one M and a coefficient per row: row b is bit for bit the one-matrix
+    # call with the b-th coefficient on the same stack, whose p = 2 square is
+    # an array's ** (a product).  That is what a no-signaling pair or a slice
+    # sum's slices take alone, so such rows keep it on a (k, d) stack too,
+    # where rows of their own matrices take np.float_power (libm's pow): the
+    # two round 1,698 of 2,000,000 random float64 squares differently
+    m = _hermitian_stack(rng, 1, 2)[0]
+    coeffs = np.resize([0.3, -1.7, 2.0], 20_000)
+    obs = moment_power(m, 2, coeff=coeffs)
+    assert obs.rows == 20_000
+    z = rng.normal(size=(20_000, 2)) + 1j * rng.normal(size=(20_000, 2))
+    got = obs.analytic_gradient(z)
+    for c in (0.3, -1.7, 2.0):
+        rows = coeffs == c
+        want = moment_power(m, 2, coeff=c).analytic_gradient(z)[rows]
+        assert np.array_equal(_bits(got[rows]), _bits(want))
+    mz = z @ m.T
+    s = (np.add.reduce(z.conj() * mz, axis=-1).real / np.add.reduce(z.conj() * z, axis=-1).real)
+    s = s[:, None]
+    c = coeffs[:, None]
+    assert np.array_equal(_bits(c * (2.0 * s * mz - 1.0 * s ** 2 * z)), _bits(got))
+    assert not np.array_equal(_bits(c * (2.0 * s * mz - 1.0 * np.float_power(s, 2) * z)),
+                              _bits(got))
+    # the rows are the coefficients' own: one state, or more rows, is refused
+    for bad in (z[0], np.zeros((20_001, 2))):
+        with pytest.raises(ContractError, match="k <= 20000"):
+            obs.analytic_gradient(bad)
+    with pytest.raises(ValidationError, match="need one coefficient or 3, got 2"):
+        moment_power(_hermitian_stack(rng, 3, 2), 2, coeff=[1.0, 2.0])
+
+
 def test_star_product_frozen_mixed_square():
     m = bilinear(nlqm.sigma1, label="<s1>") + moment_power(nlqm.sigma3, 2, 0.5)
     v = star_product(m, m, PROBE)
