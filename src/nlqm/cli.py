@@ -13,14 +13,15 @@ Every scenario writes ``<name>.csv`` (first column is always ``t``: the time
 grid, or the sweep/record coordinate for time-free experiments) and
 ``<name>.report.json``.  Output is byte-reproducible: fixed float formatting,
 LF line endings, sorted JSON keys, and no randomness anywhere in the library.
-Scenarios of one group (an experiment's group key in ``EXPERIMENTS``) run as
-one RK4 stack and write the bytes they write alone; a member that fails the
-stack reruns alone.  The mixture scenarios group by time grid; the atom
-scenarios by description, ``n_max``, level count and step size t_end/nsteps;
-the gisin and mobility telegraphs by step size, and the no-signaling
-scenarios by description and step size (two rows each, the singlet and its
-rotated copy).  In the last three kinds each row has its own parameters and
-leaves the stack at its own horizon.
+Scenarios of one group (an experiment's runner and group key in
+``EXPERIMENTS``) run as one RK4 stack and write the bytes they write alone; a
+member that fails the stack reruns alone.  The mixture scenarios group by
+time grid; the atom scenarios by description, ``n_max``, level count and
+step size t_end/nsteps; the gisin and mobility telegraphs together by step
+size (a mobility scenario is the Gisin pair functional at e1 = e2 = 0, read
+on the other factor), and the no-signaling scenarios by description and step
+size (two rows each, the singlet and its rotated copy).  In the last three
+kinds each row has its own parameters and leaves the stack at its own horizon.
 The output directory is ``--out``, else ``$NLQM_OUT``, else ``./nlqm-out``.
 
 Exit status: 0 all scenarios passed, 1 at least one failed, 2 the config
@@ -316,17 +317,12 @@ def _each(ps, *keys):
     return [[p[k] for p in ps] for k in keys]
 
 
-def _run_gisins(ps):
-    """The scenarios of ``ps`` (one step size) as one stack, one row each."""
-    alpha, beta, eps, t_end, dt, e1, e2 = _each(ps, "alpha", "beta", "eps", "t_end", "dt",
-                                                "e1", "e2")
-    reps = composite.gisin_telegraph(alpha, beta, eps, t_end, dt, e1=e1, e2=e2)
-    return [lambda r=r: _telegraph(r) for r in reps]
-
-
-def _run_mobilities(ps):
-    """The scenarios of ``ps`` (one step size) as one stack, one row each."""
-    reps = composite.mobility_telegraph(*_each(ps, "eps", "tilt", "t_end", "dt"))
+def _run_telegraphs(ps):
+    """The gisin and mobility scenarios of ``ps`` (one step size) as one stack,
+    one row each; a mobility scenario is the one without alpha."""
+    members = [composite._gisin_member(*(p[k] for k in ("alpha", "beta", "eps", "e1", "e2")))
+               if "alpha" in p else composite._mobility_member(p["eps"], p["tilt"]) for p in ps]
+    reps = composite._telegraphs(members, *_each(ps, "t_end", "dt"))
     return [lambda r=r: _telegraph(r) for r in reps]
 
 
@@ -529,9 +525,11 @@ def _run_intentions(ps):
 
 # name: (description, fields, runner, static rule run by the schema pass or
 # None, group key or None).  Without a group key the runner maps one params
-# dict to its result.  With one, the scenarios whose keys are exactly equal
-# form a group, whose params the runner integrates as one RK4 stack; it
-# returns one finisher per member, which gives that member's result.
+# dict to its result.  With one, the scenarios of one runner whose keys are
+# exactly equal form a group, whose params the runner integrates as one RK4
+# stack; it returns one finisher per member, which gives that member's
+# result.  Two experiments may share a runner and so a group (the gisin and
+# mobility telegraphs, keyed by step size).
 EXPERIMENTS = {
     "eigen-census": (
         "enumerate nonlinear eigenstates of a two-level moment family",
@@ -570,14 +568,14 @@ EXPERIMENTS = {
             Field("t_end", "real", default=40.0),
             Field("dt", "real", default=0.05),
         ),
-        _run_gisins, _check_pair, _dt_eff(4)),
+        _run_telegraphs, _check_pair, _dt_eff(4)),
     "mobility-telegraph": (
         "telegraph from a tilted correlation basis",
         (Field("eps", "real", default=0.1),
          Field("tilt", "real", default=float(np.pi / 8.0)),
          Field("t_end", "real", default=40.0),
          Field("dt", "real", default=0.05)),
-        _run_mobilities, None, _dt_eff(4)),
+        _run_telegraphs, None, _dt_eff(4)),
     "no-signaling": (
         "does a remote unitary move the local reduced state?",
         (Field("description", "str", default="polchinski-plain",
@@ -705,7 +703,8 @@ def _with_rows(result):
 def _group_outcomes(exp: str, ps: list) -> list:
     """``(header, rows, metrics, passed)``, or the exception raised, of each
     scenario of one group (of one scenario, whose run is its finisher, if the
-    experiment has no group key).
+    experiment has no group key), run by the runner of ``exp``, which is
+    every member's.
 
     Each member's finisher runs on its own, so an error raised there is that
     member's alone.  An expected error of the stack whose ``row`` names a
@@ -775,9 +774,9 @@ def _cmd_run(args) -> int:
         return 2
     groups = {}
     for i, (_, exp, params) in enumerate(prepared):
-        group = EXPERIMENTS[exp][4]
+        _, _, run, _, group = EXPERIMENTS[exp]
         try:  # a scenario whose key cannot be computed (one over a cap) runs alone
-            key = i if group is None else (exp, group(params))
+            key = i if group is None else (run, group(params))
         except ValidationError:
             key = i
         groups.setdefault(key, []).append(i)

@@ -471,16 +471,18 @@ def polchinski_reduced_flow(variant, epshat, rho0, t_end: float,
     eh_t = np.swapaxes(eh, -1, -2)
     eh_rows = np.ascontiguousarray(np.broadcast_to(eh_t, rs.shape)).reshape(rows, 1, d * d)
 
-    def coeff(r):
+    def coeff(r):   # of the leading len(r) rows, as every rhs of _rk4
+        k = len(r)
         tr = r.trace(axis1=1, axis2=2).real
-        c = _trace_products(eh_rows, r) / tr
+        c = _trace_products(eh_rows[:k], r) / tr
         if any_weighted:
-            purity = _trace_products(r.swapaxes(1, 2).reshape(rows, 1, -1), r)
-            c = c * np.where(weighted, purity / tr ** 2, 1.0)
+            purity = _trace_products(r.swapaxes(1, 2).reshape(k, 1, -1), r)
+            c = c * np.where(weighted[:k], purity / tr ** 2, 1.0)
         return c
 
     def rhs(r):
-        return (-2j * coeff(r))[:, None, None] * (eh @ r - r @ eh)
+        e = eh[:len(r)] if eh.ndim == 3 else eh
+        return (-2j * coeff(r))[:, None, None] * (e @ r - r @ e)
 
     def invariants(rs):
         """(trace, epshat average, purity) of each matrix of a (..., d, d) stack."""
@@ -622,8 +624,8 @@ def _members(*values, ranks=()) -> tuple:
 
 def _pair_total(description: str, e1, e2, eps) -> HomogeneousObservable:
     """``e1 n`` plus the pair extension ``description`` of
-    :func:`no_signaling_check` (``"weinberg"`` is also the Gisin telegraph's),
-    of one value of e1, e2 and eps, or of one per parameter row."""
+    :func:`no_signaling_check` (``"weinberg"`` is also both telegraphs'), of
+    one value of e1, e2 and eps, or of one per parameter row."""
     if description == "weinberg":
         if np.ndim(eps) == 0:
             h_sub = canonical(e2, e2, eps)
@@ -682,15 +684,40 @@ def _pair_runs(total_of: Callable, states: np.ndarray, t_end: list, dt: list, *p
     return [runs[b] for b in range(members)]
 
 
-def _telegraphs(total_of: Callable, states: list, keep: int, t_end: list, dt: list,
-                predicted: list, *params) -> list:
-    """Integrate each member's pair amplitude (:func:`_pair_runs`) and report
-    the local <sigma_2> of factor ``keep`` beside its predicted (frequency,
-    amplitude)."""
+def _gisin_member(alpha, beta, eps, e1, e2) -> tuple:
+    """A :func:`gisin_telegraph` member for :func:`_telegraphs`: its rotated
+    singlet, the factor read (1), its predicted (frequency, amplitude) and
+    its pair functional's (e1, e2, eps)."""
+    a, b = complex(alpha), complex(beta)
+    _preparation_unitary(a, b)
+    t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
+    predicted = (abs(4.0 * eps * (abs(a) ** 2 - abs(b) ** 2)), abs(2.0 * (a.conjugate() * b).real))
+    return t0.reshape(-1), 1, predicted, (e1, e2, eps)
+
+
+def _mobility_member(eps, tilt) -> tuple:
+    """A :func:`mobility_telegraph` member for :func:`_telegraphs`: its state
+    correlated with the tilted frame, the factor read (0), its predicted
+    (frequency, amplitude) and its pair functional's (e1, e2, eps), the Gisin
+    one at e1 = e2 = 0."""
+    phi = np.array([np.cos(tilt), np.sin(tilt)], dtype=complex)
+    phi_perp = np.array([np.sin(tilt), -np.cos(tilt)], dtype=complex)
+    predicted = (abs(4.0 * eps * np.cos(2.0 * tilt)), abs(np.sin(2.0 * tilt)))
+    return (np.stack([phi, phi_perp]) / np.sqrt(2.0)).reshape(-1), 0, predicted, (0.0, 0.0, eps)
+
+
+def _telegraphs(members: list, t_end: list, dt: list) -> list:
+    """Integrate the pair amplitude of each member (:func:`_gisin_member`,
+    :func:`_mobility_member`; the two kinds mix) under the Gisin pair
+    functional of its own (e1, e2, eps), by :func:`_pair_runs`, and report
+    the local <sigma_2> of the member's factor beside its predicted
+    (frequency, amplitude)."""
+    states, keep, predicted, params = zip(*members)
+    runs = _pair_runs(partial(_pair_total, "weinberg"), np.stack(states)[:, None], t_end, dt,
+                      *zip(*params))
     reports = []
-    for (times, amps), pred in zip(_pair_runs(total_of, np.stack(states)[:, None], t_end, dt,
-                                              *params), predicted):
-        rho = reduced_states(amps[:, 0], (2, 2), keep)
+    for (times, amps), k, pred in zip(runs, keep, predicted):
+        rho = reduced_states(amps[:, 0], (2, 2), k)
         tr = np.trace(rho, axis1=1, axis2=2).real
         signal = np.einsum("tkl,lk->t", rho, sigma2).real / tr
         reports.append(TelegraphReport(times, signal, *pred))
@@ -720,16 +747,7 @@ def gisin_telegraph(alpha, beta, eps, t_end, dt, *, e1=0.0, e2=0.0):
     index as ``row``.
     """
     (alpha, beta, eps, e1, e2, t_end, dt), many = _members(alpha, beta, eps, e1, e2, t_end, dt)
-    states, predicted = [], []
-    for a, b, x in zip(alpha, beta, eps):
-        a, b = complex(a), complex(b)
-        _preparation_unitary(a, b)
-        t0 = np.array([[-b, a], [-a.conjugate(), -b.conjugate()]], dtype=complex) / np.sqrt(2.0)
-        states.append(t0.reshape(-1))
-        predicted.append((abs(4.0 * x * (abs(a) ** 2 - abs(b) ** 2)),
-                          abs(2.0 * (a.conjugate() * b).real)))
-    reports = _telegraphs(partial(_pair_total, "weinberg"), states, 1, t_end, dt, predicted,
-                          e1, e2, eps)
+    reports = _telegraphs([_gisin_member(*m) for m in zip(alpha, beta, eps, e1, e2)], t_end, dt)
     return reports if many else reports[0]
 
 
@@ -743,20 +761,14 @@ def mobility_telegraph(eps, tilt, t_end, dt):
         omega = 4 eps cos(2 tilt)
 
     with amplitude sin(2 tilt): at tilt = 0 the frame is the functional's own
-    eigenframe and the signal vanishes.  Returns a :class:`TelegraphReport`,
-    or a list of them for sequences of B values, as :func:`gisin_telegraph`
-    takes them.
+    eigenframe and the signal vanishes.  The functional is
+    :func:`gisin_telegraph`'s at e1 = e2 = 0, read on the other factor, so
+    members of both kinds can share one stack.  Returns a
+    :class:`TelegraphReport`, or a list of them for sequences of B values, as
+    :func:`gisin_telegraph` takes them.
     """
     (eps, tilt, t_end, dt), many = _members(eps, tilt, t_end, dt)
-    states = []
-    for x in tilt:
-        phi = np.array([np.cos(x), np.sin(x)], dtype=complex)
-        phi_perp = np.array([np.sin(x), -np.cos(x)], dtype=complex)
-        states.append((np.stack([phi, phi_perp]) / np.sqrt(2.0)).reshape(-1))
-    predicted = [(abs(4.0 * e * np.cos(2.0 * x)), abs(np.sin(2.0 * x))) for e, x in zip(eps, tilt)]
-    total_of = lambda c: weinberg_composite(moment_power(sigma3, 2, coeff=c), 2, 2, np.eye(2),
-                                            sub_slot=1)
-    reports = _telegraphs(total_of, states, 0, t_end, dt, predicted, eps)
+    reports = _telegraphs([_mobility_member(*m) for m in zip(eps, tilt)], t_end, dt)
     return reports if many else reports[0]
 
 
@@ -880,8 +892,8 @@ def intention_paradox(lambda1, lambda2, f, t: float, dt: float) -> ParadoxReport
 
     x0 = xval(rho0)
 
-    def rhs(r):
-        return col(-2j * f * xval(r)) * (sigma1 @ r - r @ sigma1)
+    def rhs(r):   # of the leading len(r) rows, as every rhs of _rk4
+        return col(-2j * f[:len(r)] * xval(r)) * (sigma1 @ r - r @ sigma1)
 
     nsteps, dt_eff = _step_grid(t, dt, width=4 * rows)
     times = np.linspace(0.0, t, nsteps + 1)

@@ -171,10 +171,11 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
     each step's Python overhead; a ``y0`` of two or more axes is read as a
     stack (a state is 1-D, and the mixture flows stack even one density
-    matrix).  The step ``dt`` may be complex: the wave
-    flow dy/dt = -i f(y) is RK4 in tau = -i t with the step -i dt, which
-    spares a ``-1j *`` multiply per stage; a product with -i is exact, so
-    the stages keep their bits up to the sign of an exact zero.  That needs
+    matrix), and ``rhs`` must map any leading part of it row by row.  The
+    step ``dt`` may be complex: the wave flow dy/dt = -i f(y) is RK4 in
+    tau = -i t with the step -i dt, which spares a ``-1j *`` multiply per
+    stage; a product with -i is exact, so the stages keep their bits up to
+    the sign of an exact zero.  That needs
     ``dt`` a Python complex (its ``dt / 6.0`` divides only the imaginary
     part, where numpy's complex divide multiplies by a rounded 1/6) and
     ``rhs`` returning a complex128 array (it is not cast).  Returns the
@@ -256,19 +257,26 @@ def _blown_up(rhs: Callable, y: np.ndarray, dt: complex, times, k: int,
     """The error for the RK4 step from ``y`` that blew up at ``times[k]``.
 
     On a stack of two or more rows (``stack``, of which ``y`` holds the rows
-    still running) the step is redone with floating-point errors ignored,
-    and the first row it leaves non-finite is named ("in row 2"; a non-finite
-    stage reaches the result through its sum); a redo that finds none, or
-    raises, names no row.
+    still running) the step is redone under raised floating-point errors on
+    the leading rows ``y[:j]``, j = 1, 2, ..., and the first j whose step
+    raises or goes non-finite names row j - 1 ("in row 2").  A check inside
+    ``rhs`` that an overflow turns off (a slice sum's live-slice mask, which
+    an overflowing state leaves all dead) cannot hide it: the overflow
+    raises where it happens.  A redo that finds no row, or raises another
+    error, names no row.
     """
     row, rows = None, len(y) if y.ndim > 1 else 1
-    if stack > 1:
-        try:
-            with np.errstate(all="ignore"):
-                bad = ~np.isfinite(np.reshape(_step(rhs, y, dt), (rows, -1))).all(axis=1)
-            row = int(np.argmax(bad)) if bad.any() else None
-        except (ArithmeticError, ValueError):   # it only locates the row
-            pass
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for j in range(1, rows + 1) if stack > 1 else ():
+            try:
+                blown = not np.isfinite(_step(rhs, y[:j] if y.ndim > 1 else y, dt)).all()
+            except FloatingPointError:
+                blown = True
+            except (ArithmeticError, ValueError):   # it only locates the row
+                break
+            if blown:
+                row = j - 1
+                break
     where, loc = _at(times, k, 1) if row is None else _at(times, k * rows + row, rows, stack)
     return IntegrationError(f"solution blew up at {where}", **loc)
 

@@ -717,13 +717,12 @@ def _solo_runs(tmp_path, scenarios, capsys):
 
 
 # the rows of each spied stack: its variants, its lambda1, its initial states,
-# its alphas or eps values (one row a member), or the two states of each
-# remote unitary
+# its telegraph members (gisin and mobility alike, one row each), or the two
+# states of each remote unitary
 _STACK_ROWS = {"polchinski_reduced_flow": lambda args: len(np.atleast_1d(args[0])),
                "intention_paradox": lambda args: len(np.atleast_1d(args[0])),
                "inversion_trajectory": lambda args: len(np.atleast_2d(args[1])),
-               "gisin_telegraph": lambda args: len(np.atleast_1d(args[0])),
-               "mobility_telegraph": lambda args: len(np.atleast_1d(args[0])),
+               "_telegraphs": lambda args: len(args[0]),
                "no_signaling_check": lambda args: 2 * len(np.reshape(args[1], (-1, 2, 2)))}
 
 
@@ -763,18 +762,29 @@ def _grouping_case(exp):
         return ([mixtures[0], flows[1], between, mixtures[1], other_f, flows[0], mixtures[2]],
                 [("intention_paradox", 4), ("polchinski_reduced_flow", 4)], {})
     if exp in ("gisin-telegraph", "mobility-telegraph"):
-        # the bundled scenario and members of its step size 0.05, each with
-        # its own parameters and horizon: "fit" has three samples, so its
-        # fit fails on its own after the one integration; another step size
-        # is a group of one
-        [bundled] = _scenarios(os.path.join(CONFIG_DIR, f"{exp}.json"))
-        own = ({"alpha": np.cos(0.4), "beta": np.sin(0.4), "eps": 0.3, "e1": -0.2, "e2": 0.4}
-               if exp == "gisin-telegraph" else {"eps": 0.3, "tilt": 0.3})
-        members = [bundled, dict(own, experiment=exp, name="own", t_end=20.0), between,
-                   dict(own, experiment=exp, name="fit", t_end=0.1),
-                   dict(own, experiment=exp, name="other-dt", t_end=20.0, dt=0.04)]
-        fn = exp.replace("-", "_")
-        return members, [(fn, 3), (fn, 1)], {"fit": "too short"}
+        # both bundled telegraphs (those of exp first) and members of their
+        # step size 0.05, each with its own parameters and horizon, as one
+        # stack of both kinds: a member of each kind on half the horizon;
+        # "fit" has three samples, so its fit fails on its own after the one
+        # integration; "blown" (eps = 1e154) overflows in its row, which the
+        # stack names though the overflow leaves its slices dead, so it
+        # reruns alone and the others run again as one stack; another step
+        # size is a group of one
+        gisin, mobility = (_scenarios(os.path.join(CONFIG_DIR, f"{stem}.json"))[0]
+                           for stem in ("gisin-telegraph", "mobility-telegraph"))
+        tilted = {"experiment": "mobility-telegraph", "eps": 0.3, "tilt": 0.3}
+        members = [dict(gisin, name="own-gisin", t_end=20.0, alpha=np.cos(0.4),
+                        beta=np.sin(0.4), eps=0.3, e1=-0.2, e2=0.4),
+                   dict(tilted, name="own-mobility", t_end=20.0),
+                   dict(gisin, name="fit", t_end=0.1),
+                   dict(tilted, name="blown", eps=1e154),
+                   dict(tilted, name="other-dt", t_end=20.0, dt=0.04)]
+        bundled = [gisin, between, mobility]
+        if exp == "mobility-telegraph":
+            bundled.reverse()
+        return (bundled + members,
+                [("_telegraphs", 6), ("_telegraphs", 1), ("_telegraphs", 5), ("_telegraphs", 1)],
+                {"fit": "too short", "blown": "solution blew up at t = 0.05"})
     if exp == "no-signaling":
         # the three bundled descriptions (t_end 5) and a member of each on
         # half that horizon, whose two rows leave the stack after t = 2.5;
@@ -905,6 +915,26 @@ def test_a_member_failing_after_the_stack_fails_alone_and_nothing_reruns(tmp_pat
                            "tilted: pass (reduced-flow-variants)"]
     report = json.loads(grouped["frozen.report.json"])
     assert report["error_type"] == "ValidationError" and "fixed point" in report["error"]
+    codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
+    assert codes == [0, 1, 0] and solo_lines == lines and solo == grouped
+
+
+def test_a_slice_sum_member_whose_slices_overflow_reruns_alone(tmp_path, capsys, monkeypatch):
+    # eps = 1e154 overflows the squared norms of the member's slices, which
+    # then all count as dead: the stack still names its row, so that member
+    # alone reruns (a 2-row stack that names its singlet row) and the other
+    # two run again as one stack
+    weinberg = {"experiment": "no-signaling", "description": "weinberg", "e2": 0.5,
+                "expect": "signal"}
+    scenarios = [dict(weinberg, name=f"eps-{k}", eps=eps)
+                 for k, eps in enumerate((0.3, 1e154, 0.4))]
+    stacks = _spied(monkeypatch, "no_signaling_check")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 1
+    assert [rows for _, rows in stacks] == [6, 2, 4]
+    grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
+    report = json.loads(grouped["eps-1.report.json"])
+    assert report["error_type"] == "IntegrationError"
+    assert report["error"] == "solution blew up at t = 0.01 in row 0"
     codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
     assert codes == [0, 1, 0] and solo_lines == lines and solo == grouped
 

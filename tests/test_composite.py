@@ -690,14 +690,29 @@ def _pair_members(kind):
                                      beta=[np.sin(a) * np.exp(0.3j) for a in angles]), "signal"
     if kind == "mobility":
         return mobility_telegraph, dict(common, tilt=list(angles)), "signal"
+    if kind == "gisin+mobility":
+        # a gisin member, then two mobility members: the one stack of both
+        # kinds, and each member's solo run through its own public function
+        def telegraphs(kinds, alpha, beta, eps, tilt, e1, e2, t_end, dt):
+            if kinds == "gisin":
+                return gisin_telegraph(alpha, beta, eps, t_end, dt, e1=e1, e2=e2)
+            if kinds == "mobility":
+                return mobility_telegraph(eps, tilt, t_end, dt)
+            members = [nlqm.composite._gisin_member(*m[1:4], *m[5:]) if m[0] == "gisin"
+                       else nlqm.composite._mobility_member(m[3], m[4])
+                       for m in zip(kinds, alpha, beta, eps, tilt, e1, e2)]
+            return nlqm.composite._telegraphs(members, t_end, [dt] * len(members))
+        return telegraphs, dict(common, **levels, kinds=["gisin", "mobility", "mobility"],
+                                alpha=list(np.cos(angles)), beta=list(np.sin(angles)),
+                                tilt=list(angles)), "signal"
     us = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], dtype=complex)
           for a in angles]
     return (lambda **kw: no_signaling_check(kind, **kw), dict(common, **levels, remote_u=us),
             "deviations")
 
 
-@pytest.mark.parametrize("kind", ("gisin", "mobility", "polchinski-plain", "polchinski-purity",
-                                  "weinberg"))
+@pytest.mark.parametrize("kind", ("gisin", "mobility", "gisin+mobility", "polchinski-plain",
+                                  "polchinski-purity", "weinberg"))
 def test_each_member_of_a_pair_stack_keeps_the_bits_of_its_solo_run(kind, monkeypatch):
     # a telegraph member alone is one state, a no-signaling member the stack
     # of its singlet and rotated copy: its rows of the one stack of all three
@@ -716,6 +731,9 @@ def test_each_member_of_a_pair_stack_keeps_the_bits_of_its_solo_run(kind, monkey
         # the member's rows are those that start where its solo run starts
         [k] = [k for k in range(3) if amps[0, k * r:(k + 1) * r].tobytes() == solo[0].tobytes()]
         assert amps[:len(solo), k * r:(k + 1) * r].tobytes() == solo.tobytes()
+        # zero signs too, which a zero term of another form could flip
+        assert np.array_equal(np.signbit(amps[:len(solo), k * r:(k + 1) * r].view(float)),
+                              np.signbit(solo.view(float)))
         assert not amps[len(solo):, k * r:(k + 1) * r].any()
         for field in ("times", series):
             assert getattr(reports[b], field).tobytes() == getattr(alone, field).tobytes()
@@ -732,6 +750,18 @@ def test_a_pair_stack_names_the_member_that_blows_up():
                            match=rf"^solution blew up at t = 0\.01 in row {member}$") as err:
             no_signaling_check("polchinski-plain", [u] * 3, t_end, 0.01, eps=0.3, e1=e1)
         assert (err.value.t, err.value.row) == (0.01, member)
+    # eps = 1e154 overflows the squared norms of its member's slices, which
+    # then all count as dead: the member is named all the same, in a
+    # no-signaling stack and in a stack of both telegraph kinds
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.01 in row 1$") as err:
+        no_signaling_check("weinberg", [u] * 3, 1.0, 0.01, eps=[0.3, 1e154, 0.4])
+    assert (err.value.t, err.value.row) == (0.01, 1)
+    members = [nlqm.composite._gisin_member(ALPHA, BETA, 0.3, 0.0, 0.0),
+               nlqm.composite._mobility_member(1e154, 0.3),
+               nlqm.composite._mobility_member(0.4, 0.3)]
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.05 in row 1$") as err:
+        nlqm.composite._telegraphs(members, [1.0] * 3, [0.05] * 3)
+    assert (err.value.t, err.value.row) == (0.05, 1)
     with pytest.raises(ValidationError, match=r"one length, at least 1: got \[1, 2\]"):
         gisin_telegraph([ALPHA, ALPHA], [BETA], 0.1, 1.0, 0.05)
     with pytest.raises(ValidationError, match=r"got \[0\]"):
@@ -827,6 +857,11 @@ def test_reduced_flow_reports_a_vanishing_stage_trace_as_a_blow_up(variant):
     rho0 = np.array([[0.7, 0.4], [0.4, 0.3]])
     with pytest.raises(IntegrationError, match=r"solution blew up at t = 0\.01$"):
         polchinski_reduced_flow(variant, eh, rho0, 1.0, 0.01)
+    # in row 1 of a stack, between two flows that run clean, it names its row
+    ehs, rhos = np.stack([nlqm.sigma3, eh, nlqm.sigma3]), np.stack([rho0] * 3)
+    with pytest.raises(IntegrationError, match=r"solution blew up at t = 0\.01 in row 1$") as err:
+        polchinski_reduced_flow([variant, variant, "plain"], ehs, rhos, 1.0, 0.01)
+    assert (err.value.t, err.value.row) == (0.01, 1)
 
 
 def test_intention_paradox_scaling_with_the_mixture_weight():

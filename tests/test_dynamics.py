@@ -527,6 +527,19 @@ def test_a_stack_that_blows_up_names_its_row():
     assert (err.value.t, err.value.row) == (0.1, 2)
 
 
+def test_a_blow_up_that_a_mask_turns_off_still_names_its_row():
+    # row 1's rate overflows, which the flow's mask turns into a zero rate
+    # when errors are ignored: the step redone on the leading rows under
+    # raised errors places it all the same
+    def masked(y):
+        return np.where(np.isfinite(np.abs(y) * 1e300), y, 0.0)
+
+    with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.1 in row 1$") as err:
+        nlqm.dynamics._rk4(masked, np.array([[1.0], [1e10], [1.0]]), np.arange(11) * 0.1, 0.1,
+                           on_block=lambda lo, hi, block: None)
+    assert (err.value.t, err.value.row) == (0.1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Stacks whose rows have their own horizons and parameters
 
