@@ -146,12 +146,12 @@ def build_atom_field(description: str, p) -> Callable:
     ``.observable`` and echoes ``p`` as ``.params``.
 
     ``p`` may also be a list of B :class:`AtomFieldParams` of one shape (level
-    count and ``n_max``).  The observable then has B parameter rows: row b of
-    a ``(..., k, d)`` stack, k <= B, is the model of ``p[b]``, with its own
-    ``q``, ``omega``, ``omega_levels`` and ``eps_levels``, each gradient row
-    bit for bit the one-state gradient of its model (the moment ladders are
-    diagonal, see :func:`~nlqm.composite.weinberg_composite`).  The one-state
-    builder of each member is ``.rows``.
+    count and ``n_max``).  The observable then has B parameter rows, row b
+    the model of ``p[b]`` with its own ``q``, ``omega``, ``omega_levels`` and
+    ``eps_levels``, under the per-row contract of
+    :func:`~nlqm.dynamics.integrate_nls` (the moment ladders are diagonal,
+    see :func:`~nlqm.composite.weinberg_composite`).  The one-state builder
+    of each member is ``.rows``.
     """
     many = isinstance(p, (list, tuple))
     members = list(p) if many else [p]

@@ -65,8 +65,8 @@ from .spectra import (
 from .dynamics import (
     BlochParams,
     IntegrationError,
+    _as_member,
     _check_horizon,
-    _in_row,
     _step_grid,
     canonical_frequencies,
     integrate_bloch,
@@ -334,9 +334,8 @@ def _run_no_signalings(ps):
     """The scenarios of ``ps`` (one description and step size) as one stack,
     two rows each: the singlet and its rotated copy."""
     us = [composite._preparation_unitary(p["alpha"], p["beta"]) for p in ps]
-    eps, e1, e2, t_end, dt = _each(ps, "eps", "e1", "e2", "t_end", "dt")
-    reps = composite.no_signaling_check(ps[0]["description"], us, t_end, dt,
-                                        eps=eps, e1=e1, e2=e2)
+    reps = composite._no_signalings(ps[0]["description"], us,
+                                    *_each(ps, "t_end", "dt", "eps", "e1", "e2"))
 
     def result(p, rep):
         metrics = {"max_deviation": rep.max_deviation}
@@ -394,11 +393,8 @@ def _run_reduced_flows(ps):
         flows = [composite.ReducedFlowTrajectory(traj.times, traj.rhos[:, k])
                  for k in range(2 * len(ps))]
     except IntegrationError as e:
-        if e.row is None:
-            raise
-        member, k = divmod(e.row, 2)
-        raise IntegrationError(str(e).replace(_in_row(e.row), f" in the {_VARIANTS[k]} flow"),
-                               t=e.t, row=member) from None
+        raise _as_member(e, np.arange(2 * len(ps)) // 2,
+                         [f" in the {v} flow" for v in _VARIANTS] * len(ps)) from None
     except ValidationError:
         if len(ps) > 1:
             raise
@@ -448,10 +444,7 @@ def _run_atom_inversions(ps):
         try:
             series = atom_mod.inversion_trajectory(builder, np.stack(z0), t_end, dt)
         except IntegrationError as e:
-            if e.row is None:
-                raise
-            raise IntegrationError(str(e).replace(_in_row(e.row), _in_row(order[e.row])),
-                                   t=e.t, row=order[e.row]) from None
+            raise _as_member(e, order) from None
     member = dict(zip(order, zip(params, series)))
     return [lambda b=b: _atom_result(ps[b], *member[b]) for b in range(len(ps))]
 

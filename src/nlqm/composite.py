@@ -48,7 +48,7 @@ from .observables import (
     nonlinear_operator,
     wirtinger_gradient,
 )
-from .dynamics import (IntegrationError, _at, _fit_times, _in_row, _rk4, _step_grid,
+from .dynamics import (IntegrationError, _as_member, _at, _fit_times, _rk4, _step_grid,
                        integrate_nls)
 
 __all__ = [
@@ -112,18 +112,16 @@ def weinberg_composite(h_sub: HomogeneousObservable, d_sub: int, d_rest: int,
     R^dagger g(R psi) and operator R^dagger M(R psi) R.
 
     Value, gradient and operator map one state or any ``(..., d)`` stack.
-    An ``h_sub`` of B parameter rows (its ``rows``: a matrix stack, or only
-    coefficients beside one matrix) makes a composite of B rows: each live
-    slice of row b of a ``(..., k, d)`` stack takes row b's parameters.
-    ``h_sub`` then gets every slice as one ``(..., d_rest, k, d_sub)`` stack,
-    a dead slice replaced by the first basis vector and its result dropped;
-    ``h_sub`` must be finite there in every row (else
-    :class:`ValidationError`, at construction).  A live slice then gets the
-    arithmetic of the one-matrix composite's slice stack, but for its matrix
-    product, one matmul per row in place of one over the stack: bit for bit
+    An ``h_sub`` of B parameter rows makes a composite of B rows, under the
+    per-row contract of :func:`~nlqm.dynamics.integrate_nls`: each live
+    slice of row b takes row b's parameters.  ``h_sub`` then gets every
+    slice as one ``(..., d_rest, k, d_sub)`` stack, a dead slice replaced by
+    the first basis vector and its result dropped; ``h_sub`` must be finite
+    there in every row (else :class:`ValidationError`, at construction).  A
+    live slice gets the arithmetic of the one-matrix composite's slice
+    stack, but a per-row matrix product is one matmul per row: bit for bit
     the same for a diagonal matrix (the atom's moment ladders, the telegraph
-    levels), and possibly not in the last bit for another.  Rows that differ
-    only in their coefficients keep the one product over the stack.
+    levels) or a shared one, possibly not in the last bit for another.
     """
     if sub_slot not in (0, 1):
         raise ValidationError(f"sub_slot must be 0 or 1, got {sub_slot}")
@@ -301,11 +299,9 @@ def polchinski_functional(e2, epshat, dims, variant: str = "plain",
     :class:`SingularObservableError`.
 
     ``e2`` and ``eps`` may each be a ``(B,)`` sequence, one value per
-    parameter row (``rows`` = B): row b of a ``(..., k, d)`` stack takes the
-    b-th, and each row's gradient is bit for bit that of the one-value call
-    on a stack (the plain variant through :func:`bilinear`'s matrix stack
-    and :func:`moment_power`'s coefficients, the purity-weighted one with the
-    values as columns).
+    parameter row (``rows`` = B), under the per-row contract of
+    :func:`~nlqm.dynamics.integrate_nls`; a row's twin is the one-value
+    call on a stack (the purity-weighted form takes the values as columns).
     """
     d0, d1 = dims
     lifted = lift_operator(epshat, dims, slot)
@@ -606,22 +602,6 @@ def _fit_sinusoid(t: np.ndarray, y: np.ndarray):
     return float(np.hypot(sol[0], sol[1])), float(w), float(sol[2])
 
 
-def _members(*values, ranks=()) -> tuple:
-    """Each of ``values`` as a list of one entry per member, and whether any
-    came per member.  A value of its rank (its ndim: ``ranks`` gives the
-    leading values', 0 the others') is every member's; a sequence of B of
-    them gives one to each of B members.  :class:`ValidationError` for an
-    empty sequence, or sequences of two lengths."""
-    ranks = tuple(ranks) + (0,) * (len(values) - len(ranks))
-    each = [np.ndim(v) > r for v, r in zip(values, ranks)]
-    sizes = {len(v) for v, e in zip(values, each) if e}
-    if len(sizes) > 1 or 0 in sizes:
-        raise ValidationError("values per member need one length, at least 1: got "
-                              f"{sorted(sizes)}")
-    count = sizes.pop() if sizes else 1
-    return [list(v) if e else [v] * count for v, e in zip(values, each)], any(each)
-
-
 def _pair_total(description: str, e1, e2, eps) -> HomogeneousObservable:
     """``e1 n`` plus the pair extension ``description`` of
     :func:`no_signaling_check` (``"weinberg"`` is also both telegraphs'), of
@@ -672,11 +652,7 @@ def _pair_runs(total_of: Callable, states: np.ndarray, t_end: list, dt: list, *p
                              states[order].reshape(members * r, -1), [t_end[b] for b in rows],
                              [dt[b] for b in rows], flow=total.analytic_gradient, per_row=per_row)
     except IntegrationError as e:
-        if e.row is None:
-            raise
-        member = int(rows[e.row])
-        raise IntegrationError(str(e).replace(_in_row(e.row), _in_row(member)),
-                               t=e.t, row=member) from None
+        raise _as_member(e, rows) from None
     amps, runs = traj.amplitudes(), {}
     for k, b in enumerate(order):
         end = traj.ends[k * r]
@@ -737,18 +713,8 @@ def gisin_telegraph(alpha, beta, eps, t_end, dt, *, e1=0.0, e2=0.0):
     purely by the distant preparation basis.  ``e1`` weighs the pair's norm
     and ``e2`` both levels of the partner's family.  Returns a
     :class:`TelegraphReport`.
-
-    Every argument may also be a sequence of B values, one per member (a
-    number is every member's).  The B members then integrate as one RK4
-    stack, each with its own parameters and up to its own ``t_end``, on one
-    step size (see :func:`~nlqm.dynamics.integrate_nls`), and the result is
-    the list of their reports, each what its own call gives.  An
-    :class:`~nlqm.dynamics.IntegrationError` of the stack gives the member's
-    index as ``row``.
     """
-    (alpha, beta, eps, e1, e2, t_end, dt), many = _members(alpha, beta, eps, e1, e2, t_end, dt)
-    reports = _telegraphs([_gisin_member(*m) for m in zip(alpha, beta, eps, e1, e2)], t_end, dt)
-    return reports if many else reports[0]
+    return _telegraphs([_gisin_member(alpha, beta, eps, e1, e2)], [t_end], [dt])[0]
 
 
 def mobility_telegraph(eps, tilt, t_end, dt):
@@ -764,12 +730,9 @@ def mobility_telegraph(eps, tilt, t_end, dt):
     eigenframe and the signal vanishes.  The functional is
     :func:`gisin_telegraph`'s at e1 = e2 = 0, read on the other factor, so
     members of both kinds can share one stack.  Returns a
-    :class:`TelegraphReport`, or a list of them for sequences of B values, as
-    :func:`gisin_telegraph` takes them.
+    :class:`TelegraphReport`.
     """
-    (eps, tilt, t_end, dt), many = _members(eps, tilt, t_end, dt)
-    reports = _telegraphs([_mobility_member(*m) for m in zip(eps, tilt)], t_end, dt)
-    return reports if many else reports[0]
+    return _telegraphs([_mobility_member(eps, tilt)], [t_end], [dt])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,28 +746,11 @@ class NoSignalingReport:
     max_deviation: float
 
 
-def no_signaling_check(description: str, remote_u, t_end, dt, *, eps, e1=0.0, e2=0.0):
-    """Does a remote unitary move the local reduced density matrix?
-
-    Evolves the singlet and its slot-0-rotated copy under the extension named
-    by ``description`` ("polchinski-plain", "polchinski-purity" or
-    "weinberg") and reports the entrywise deviation of the slot-1 reduced
-    density matrices over time.  The moment extensions stay at numerical zero;
-    the slice sum, sliced in slot 0's computational basis, sees the rotation
-    as a change of that basis and shows an order-one deviation for a generic
-    one (rotations preserving the slice structure produce none).  Returns a
-    :class:`NoSignalingReport`.
-
-    ``remote_u`` may also be a sequence of B unitaries, and ``eps``, ``e1``,
-    ``e2``, ``t_end`` and ``dt`` sequences of B values, one per member (a
-    single value is every member's).  The 2 B states then integrate as one
-    RK4 stack, each member's pair with its own parameters and up to its own
-    ``t_end``, on one step size (see :func:`~nlqm.dynamics.integrate_nls`),
-    and the result is the list of their reports, each what its own call
-    gives.  An :class:`~nlqm.dynamics.IntegrationError` of the stack gives
-    the member's index as ``row``.
-    """
-    (us, eps, e1, e2, t_end, dt), many = _members(remote_u, eps, e1, e2, t_end, dt, ranks=(2,))
+def _no_signalings(description: str, us: list, t_end: list, dt: list, eps: list, e1: list,
+                   e2: list) -> list:
+    """The :func:`no_signaling_check` of each member, one entry of each list
+    a member, by :func:`_pair_runs`: the singlet and its copy rotated by the
+    member's remote unitary are its two rows."""
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex).reshape(-1) / np.sqrt(2.0)
     # The operator satisfies A_hat psi = dH/dpsibar, so the RK4 stages can
     # take the gradient directly, for both states of a member as one stack.
@@ -817,7 +763,22 @@ def no_signaling_check(description: str, remote_u, t_end, dt, *, eps, e1=0.0, e2
         devs = np.max(np.abs(rho[0::2] - rho[1::2]), axis=(1, 2))
         reports.append(NoSignalingReport(times=times, deviations=devs,
                                          max_deviation=float(np.max(devs))))
-    return reports if many else reports[0]
+    return reports
+
+
+def no_signaling_check(description: str, remote_u, t_end, dt, *, eps, e1=0.0, e2=0.0):
+    """Does a remote unitary move the local reduced density matrix?
+
+    Evolves the singlet and its slot-0-rotated copy under the extension named
+    by ``description`` ("polchinski-plain", "polchinski-purity" or
+    "weinberg") and reports the entrywise deviation of the slot-1 reduced
+    density matrices over time.  The moment extensions stay at numerical zero;
+    the slice sum, sliced in slot 0's computational basis, sees the rotation
+    as a change of that basis and shows an order-one deviation for a generic
+    one (rotations preserving the slice structure produce none).  Returns a
+    :class:`NoSignalingReport`.
+    """
+    return _no_signalings(description, [remote_u], [t_end], [dt], [eps], [e1], [e2])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ def _rk4(rhs: Callable, y0: np.ndarray, times: np.ndarray, dt: complex, *,
     ``y0`` may carry a leading batch axis, so a stack of trajectories shares
     each step's Python overhead; a ``y0`` of two or more axes is read as a
     stack (a state is 1-D, and the mixture flows stack even one density
-    matrix), and ``rhs`` must map any leading part of it row by row.  The
+    matrix), and ``rhs`` must map any leading part of it row by row, under
+    the per-row contract of :func:`integrate_nls`.  The
     step ``dt`` may be complex: the wave flow dy/dt = -i f(y) is RK4 in
     tau = -i t with the step -i dt, which spares a ``-1j *`` multiply per
     stage; a product with -i is exact, so the stages keep their bits up to
@@ -291,6 +292,17 @@ def _sqnorms(z: np.ndarray) -> np.ndarray:
 def _in_row(row: int) -> str:
     """The text by which an :class:`IntegrationError` message names its row."""
     return f" in row {row}"
+
+
+def _as_member(err: IntegrationError, members, names: Optional[list] = None) -> IntegrationError:
+    """``err`` with the stack row it names mapped to that row's member,
+    ``members[row]``: as ``row``, and in its text, named ``names[row]`` if
+    given, else as a row.  ``err`` itself when it names no row."""
+    if err.row is None:
+        return err
+    member, was = int(members[err.row]), _in_row(err.row)
+    now = _in_row(member) if names is None else names[err.row]
+    return IntegrationError(str(err).replace(was, now), t=err.t, row=member)
 
 
 def _at(times, k: int, rows: int, stack: Optional[int] = None):
@@ -419,11 +431,22 @@ def integrate_nls(hbuilder: Callable, psi0, t_end, dt, *,
     longest grid and its ``ends`` each row's last sample index.
 
     ``per_row`` is for a stack whose rows carry their own parameters: one
-    ``(hbuilder, flow)`` pair of one-state callables per row.  ``hbuilder``
-    and ``flow`` then map ``(..., k, d)`` stacks whose row b has row b's
-    parameters: the RK4 stages call ``flow`` on the k rows still running,
-    the monitor calls ``hbuilder`` on a ``(K, k, d)`` block, and both
-    cross-checks compare row b with row b's own pair.
+    ``(hbuilder, flow)`` pair of one-state callables per row, each row's
+    member.  ``hbuilder`` and ``flow`` then keep the per-row contract: the
+    RK4 stages call ``flow`` on the k rows still running, the monitor calls
+    ``hbuilder`` on a ``(K, k, d)`` block, and both cross-checks compare row
+    b with row b's own pair.
+
+    The per-row contract, which every stack of members rests on.  A
+    callable of B parameter rows (an observable's ``rows``) maps ``(..., k,
+    d)`` stacks, k <= B, never one state: row b takes the b-th parameters,
+    and the rows past k are not read, so a stack whose last rows have left
+    passes its leading part.  On a ``(k, d)`` stack, as the RK4 stages pass
+    it, row b is bit for bit, zero signs included, its twin: the member's
+    own call on its state, or on its stack where its solo run is a stack
+    (a no-signaling pair).  So each member of a stack writes the bytes of
+    its solo run.  On a deeper stack, as the monitor's block, a row agrees
+    with its member's call on a stack of its states to rounding.
     """
     z0 = np.asarray(psi0)
     stacked = z0.ndim == 2

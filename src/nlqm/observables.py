@@ -194,8 +194,9 @@ def wirtinger_gradient(obs: HomogeneousObservable, psi) -> np.ndarray:
 def nonlinear_operator(obs: HomogeneousObservable, psi):
     """The Hermitian ``(d, d)`` array ``A_hat[m,n] = d^2 A/dpsibar_m dpsi_n`` at
     ``psi``, from the observable's analytic operator.  Raises when the
-    pre-symmetrization residual exceeds the 1e-8 gate (genuine
-    non-Hermiticity is a bug, not noise).
+    pre-symmetrization residual max|A - A^dagger| exceeds the gate 1e-8
+    max(1, max|A|), absolute up to unit entries and relative past them
+    (genuine non-Hermiticity is a bug, not noise).
 
     Given a ``(K, d)`` stack of states, returns the ``(K, d, d)`` ndarray of
     their operators, built with one ``analytic_operator`` call.  Every row
@@ -208,11 +209,14 @@ def nonlinear_operator(obs: HomogeneousObservable, psi):
     m = _shaped(obs, _unwarned(obs.analytic_operator, z), z, z.shape + (d,),
                 "operators").reshape(-1, d, d)
     # halves first: no overflow; a non-finite entry fails the gate below, unwarned
-    out, resid = _unwarned(lambda: (0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj(),
-                                    _hermiticity_residual(m)))
-    if not resid.max() <= HERMITICITY_GATE / 4:   # a NaN residual fails too
-        k = int(np.argmin(resid <= HERMITICITY_GATE / 4))
-        if resid[k] > HERMITICITY_GATE / 4:
+    out, resid, top = _unwarned(lambda: (0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj(),
+                                         _hermiticity_residual(m),
+                                         np.abs(0.25 * m).max(axis=(1, 2))))
+    # 4 resid <= gate max(1, max|m|), in quarters; an inf residual would pass an inf scale
+    ok = np.isfinite(resid) & (resid <= HERMITICITY_GATE * np.maximum(0.25, top))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if not np.isnan(resid[k]):
             raise ValidationError(f"non-Hermitian Hessian for {obs.label or 'observable'}: "
                                   f"residual {4.0 * float(resid[k]):.3e}")
         raise ValidationError("entries contains non-finite entries")
@@ -303,8 +307,8 @@ def bilinear(m, label: str = "") -> HomogeneousObservable:
     """Ordinary quantum observable ``<psi|M psi>`` for Hermitian ``M``.
 
     ``M`` may be a ``(B, d, d)`` stack, one matrix per parameter row (``rows``
-    = B): row b of a ``(..., k, d)`` stack of states, k <= B, takes the b-th
-    matrix, its gradient bit for bit its one-state call with that matrix.
+    = B), under the per-row contract of :func:`~nlqm.dynamics.integrate_nls`;
+    its products go one matmul per row.
     """
     mat = _matrices(m)
     times = _times(mat)
@@ -333,21 +337,16 @@ def moment_power(m, power: int, coeff=1.0, label: str = "") -> HomogeneousObserv
     a stack it is one column, and both give each row the bits of the same
     expression.
 
-    ``M`` may be a ``(B, d, d)`` stack, one matrix per parameter row (``rows``
-    = B), as in :func:`bilinear`; the products go one matmul per row.  Row b
-    of a ``(k, d)`` stack is then bit for bit the one-state call with its own
-    matrix: at p = 2 its square is libm's ``pow`` (``np.float_power``), as a
-    numpy scalar's ``**``, where an array's ``**`` multiplies.  A deeper
-    stack keeps the array ``**``, as the one-matrix call on the states of its
-    row does (a slice sum's slices, see
-    :func:`~nlqm.composite.weinberg_composite`).
-
-    ``coeff`` may be a ``(B,)`` sequence, one coefficient per parameter row
-    beside one shared ``M`` (``rows`` = B).  Such rows keep the one-matrix
-    arithmetic (one product over the stack, the array ``**``), the
-    coefficient applied as a column: each row is bit for bit the one-matrix
-    call with its own coefficient on a stack, as a no-signaling pair or a
-    slice sum's slices make.
+    ``M`` may be a ``(B, d, d)`` stack, one matrix per parameter row, or
+    ``coeff`` a ``(B,)`` sequence beside one shared ``M``; either makes
+    ``rows`` = B, under the per-row contract of
+    :func:`~nlqm.dynamics.integrate_nls`.  Matrix rows go one matmul per row,
+    and on a ``(k, d)`` stack their p = 2 square is libm's ``pow``
+    (``np.float_power``), as a one-state call's numpy-scalar ``**``; a deeper
+    stack keeps an array's ``**`` (a product), as the one-matrix call on the
+    states of its row does (a slice sum's slices).  Coefficient rows keep the
+    one-matrix arithmetic, the coefficient a column: their twin is the
+    one-matrix call on a stack (a no-signaling pair, a slice sum's slices).
     """
     mat = _matrices(m)
     p = int(power)

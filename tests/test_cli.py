@@ -723,7 +723,7 @@ _STACK_ROWS = {"polchinski_reduced_flow": lambda args: len(np.atleast_1d(args[0]
                "intention_paradox": lambda args: len(np.atleast_1d(args[0])),
                "inversion_trajectory": lambda args: len(np.atleast_2d(args[1])),
                "_telegraphs": lambda args: len(args[0]),
-               "no_signaling_check": lambda args: 2 * len(np.reshape(args[1], (-1, 2, 2)))}
+               "_no_signalings": lambda args: 2 * len(args[1])}
 
 
 def _spied(monkeypatch, *fns):
@@ -796,7 +796,7 @@ def _grouping_case(exp):
         members = bundled + [dict(half, name="blown", e1=1e154), between] + [
             dict(half, name=f"half-{sc['name']}", description=sc["description"],
                  expect=sc["expect"]) for sc in bundled]
-        fn = "no_signaling_check"
+        fn = "_no_signalings"
         return (members, [(fn, 6), (fn, 2), (fn, 4), (fn, 4), (fn, 4)],
                 {"blown": "solution blew up at t = 0.01 in row 0"})
     # five polchinski members of one step size, each with its own parameters
@@ -928,7 +928,7 @@ def test_a_slice_sum_member_whose_slices_overflow_reruns_alone(tmp_path, capsys,
                 "expect": "signal"}
     scenarios = [dict(weinberg, name=f"eps-{k}", eps=eps)
                  for k, eps in enumerate((0.3, 1e154, 0.4))]
-    stacks = _spied(monkeypatch, "no_signaling_check")
+    stacks = _spied(monkeypatch, "_no_signalings")
     assert _run_dict(tmp_path, {"scenarios": scenarios}) == 1
     assert [rows for _, rows in stacks] == [6, 2, 4]
     grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
@@ -937,6 +937,24 @@ def test_a_slice_sum_member_whose_slices_overflow_reruns_alone(tmp_path, capsys,
     assert report["error"] == "solution blew up at t = 0.01 in row 0"
     codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
     assert codes == [0, 1, 0] and solo_lines == lines and solo == grouped
+
+
+def test_a_purity_weighted_member_with_a_huge_eps_passes_grouped_and_alone(tmp_path, capsys,
+                                                                         monkeypatch):
+    # eps = 1e154 makes Hessian entries near 4e153, whose roundoff asymmetry
+    # is far past an absolute gate; the singlet has <L> = 0, so its flow is
+    # trivial and every member passes, in the one stack and alone
+    purity = {"experiment": "no-signaling", "description": "polchinski-purity",
+              "expect": "silent"}
+    scenarios = [dict(purity, name=f"eps-{k}", eps=eps)
+                 for k, eps in enumerate((0.3, 1e154, 0.4))]
+    stacks = _spied(monkeypatch, "_no_signalings")
+    assert _run_dict(tmp_path, {"scenarios": scenarios}) == 0
+    assert [rows for _, rows in stacks] == [6]
+    grouped, lines = _outputs(tmp_path / "out"), capsys.readouterr().out.splitlines()
+    assert lines == [f"eps-{k}: pass (no-signaling)" for k in range(3)]
+    codes, solo, solo_lines = _solo_runs(tmp_path, scenarios, capsys)
+    assert codes == [0, 0, 0] and solo_lines == lines and solo == grouped
 
 
 def test_a_blown_up_paradox_member_writes_its_solo_report(tmp_path, capsys, monkeypatch):

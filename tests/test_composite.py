@@ -679,20 +679,18 @@ def _recorded(monkeypatch):
 
 
 def _pair_members(kind):
-    """A telegraph, or a no-signaling description, with the keyword arguments
-    of three members of their own parameters, the second on half the horizon
-    of the others; and the report fields that hold its series."""
+    """A telegraph, or a no-signaling description, as one callable that runs
+    the stacked entry (``_telegraphs``, ``_no_signalings``) given a list a
+    parameter, one entry a member, and the public one-member function given
+    one member's values; with the keyword arguments of three members of their
+    own parameters, the second on half the horizon of the others; and the
+    report fields that hold its series."""
     angles = (0.4, 0.3, 0.5)
     common = {"t_end": [2.0, 1.0, 2.0], "dt": 0.01, "eps": [0.3, 0.25, 0.35]}
     levels = {"e1": [0.0, -0.2, 0.3], "e2": [0.0, 0.4, -0.1]}
-    if kind == "gisin":
-        return gisin_telegraph, dict(common, **levels, alpha=list(np.cos(angles)),
-                                     beta=[np.sin(a) * np.exp(0.3j) for a in angles]), "signal"
-    if kind == "mobility":
-        return mobility_telegraph, dict(common, tilt=list(angles)), "signal"
-    if kind == "gisin+mobility":
-        # a gisin member, then two mobility members: the one stack of both
-        # kinds, and each member's solo run through its own public function
+    if kind in ("gisin", "mobility", "gisin+mobility"):
+        # "gisin+mobility" is a gisin member, then two mobility members: the
+        # one stack of both kinds
         def telegraphs(kinds, alpha, beta, eps, tilt, e1, e2, t_end, dt):
             if kinds == "gisin":
                 return gisin_telegraph(alpha, beta, eps, t_end, dt, e1=e1, e2=e2)
@@ -702,13 +700,20 @@ def _pair_members(kind):
                        else nlqm.composite._mobility_member(m[3], m[4])
                        for m in zip(kinds, alpha, beta, eps, tilt, e1, e2)]
             return nlqm.composite._telegraphs(members, t_end, [dt] * len(members))
-        return telegraphs, dict(common, **levels, kinds=["gisin", "mobility", "mobility"],
-                                alpha=list(np.cos(angles)), beta=list(np.sin(angles)),
-                                tilt=list(angles)), "signal"
+        kinds = ["gisin", "mobility", "mobility"] if kind == "gisin+mobility" else [kind] * 3
+        beta = ([np.sin(a) * np.exp(0.3j) for a in angles] if kind == "gisin"
+                else list(np.sin(angles)))
+        return telegraphs, dict(common, **levels, kinds=kinds, alpha=list(np.cos(angles)),
+                                beta=beta, tilt=list(angles)), "signal"
     us = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], dtype=complex)
           for a in angles]
-    return (lambda **kw: no_signaling_check(kind, **kw), dict(common, **levels, remote_u=us),
-            "deviations")
+
+    def checks(remote_u, eps, e1, e2, t_end, dt):
+        if isinstance(eps, list):
+            return nlqm.composite._no_signalings(kind, remote_u, t_end, [dt] * len(eps), eps,
+                                                 e1, e2)
+        return no_signaling_check(kind, remote_u, t_end, dt, eps=eps, e1=e1, e2=e2)
+    return checks, dict(common, **levels, remote_u=us), "deviations"
 
 
 @pytest.mark.parametrize("kind", ("gisin", "mobility", "gisin+mobility", "polchinski-plain",
@@ -748,13 +753,15 @@ def test_a_pair_stack_names_the_member_that_blows_up():
                               ([0.5, 1.0, 1.0], [1e154, 0.0, 0.0], 0)):
         with pytest.raises(IntegrationError,
                            match=rf"^solution blew up at t = 0\.01 in row {member}$") as err:
-            no_signaling_check("polchinski-plain", [u] * 3, t_end, 0.01, eps=0.3, e1=e1)
+            nlqm.composite._no_signalings("polchinski-plain", [u] * 3, t_end, [0.01] * 3,
+                                          [0.3] * 3, e1, [0.0] * 3)
         assert (err.value.t, err.value.row) == (0.01, member)
     # eps = 1e154 overflows the squared norms of its member's slices, which
     # then all count as dead: the member is named all the same, in a
     # no-signaling stack and in a stack of both telegraph kinds
     with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.01 in row 1$") as err:
-        no_signaling_check("weinberg", [u] * 3, 1.0, 0.01, eps=[0.3, 1e154, 0.4])
+        nlqm.composite._no_signalings("weinberg", [u] * 3, [1.0] * 3, [0.01] * 3,
+                                      [0.3, 1e154, 0.4], [0.0] * 3, [0.0] * 3)
     assert (err.value.t, err.value.row) == (0.01, 1)
     members = [nlqm.composite._gisin_member(ALPHA, BETA, 0.3, 0.0, 0.0),
                nlqm.composite._mobility_member(1e154, 0.3),
@@ -762,10 +769,6 @@ def test_a_pair_stack_names_the_member_that_blows_up():
     with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.05 in row 1$") as err:
         nlqm.composite._telegraphs(members, [1.0] * 3, [0.05] * 3)
     assert (err.value.t, err.value.row) == (0.05, 1)
-    with pytest.raises(ValidationError, match=r"one length, at least 1: got \[1, 2\]"):
-        gisin_telegraph([ALPHA, ALPHA], [BETA], 0.1, 1.0, 0.05)
-    with pytest.raises(ValidationError, match=r"got \[0\]"):
-        mobility_telegraph([], 0.1, 1.0, 0.05)
 
 
 def test_a_slice_sum_maps_any_stack_and_names_a_shape_it_refuses(rng):

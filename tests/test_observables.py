@@ -437,6 +437,31 @@ def test_nonlinear_operator_on_a_stack_matches_per_row_calls(rng):
         assert str(stacked.value) == str(single.value)
 
 
+def test_the_hessian_gate_is_relative_past_unit_entries():
+    # a skew of 1e-7 of the largest entry is refused at every scale, and
+    # the roundoff of a Hermitian matrix of huge entries is not
+    def skewed(scale, skew):
+        h = scale * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+        h[0, 1] += skew * scale
+        return HomogeneousObservable(evaluator=lambda z, zc: 0.0, label="skewed",
+                                     analytic_gradient=np.zeros_like,
+                                     analytic_operator=lambda z: np.broadcast_to(
+                                         h, z.shape + (2,)).copy())
+    for scale in (1.0, 1e3, 1e150):
+        with pytest.raises(ValidationError, match="non-Hermitian Hessian for skewed"):
+            nonlinear_operator(skewed(scale, 1e-7), PROBE)
+        m = nonlinear_operator(skewed(scale, 1e-9), np.stack([PROBE, PROBE]))
+        assert np.array_equal(m, np.swapaxes(m, 1, 2).conj())
+    # a non-finite entry is refused also where the largest entry is inf
+    for bad in (np.inf, np.nan):
+        huge = HomogeneousObservable(evaluator=lambda z, zc: 0.0, label="huge",
+                                     analytic_gradient=np.zeros_like,
+                                     analytic_operator=lambda z, b=bad: np.array(
+                                         [[1.0, b], [1.0, 1.0]], dtype=complex))
+        with pytest.raises(ValidationError, match="non-Hermitian Hessian for huge|non-finite"):
+            nonlinear_operator(huge, PROBE)
+
+
 def test_one_state_reaches_each_callable_as_a_vector_and_a_stack_must_map_rows():
     # <sigma3> with each callable written for one state only
     shapes = []
